@@ -12,9 +12,7 @@
 //! overhead, one byte per 16 object bytes). Objects of 16 bytes or less keep
 //! using their header mark bit (they carry a "small" flag).
 
-use std::collections::HashMap;
-
-use hybrid_mem::{Address, MemoryKind, MemorySystem, Phase, PAGE_SIZE};
+use hybrid_mem::{Address, DenseTable, MemoryKind, MemorySystem, Phase, PAGE_SIZE};
 
 use crate::bump::BumpAllocator;
 use crate::object::ObjectRef;
@@ -36,7 +34,9 @@ pub const MARK_TABLE_BYTES: usize = MARK_TABLE_REGION / MARK_TABLE_GRANULE;
 pub struct MetadataSpace {
     kind: MemoryKind,
     bump: BumpAllocator,
-    mark_tables: HashMap<u64, Address>,
+    /// Mark-state table of each 4 MB region, keyed by region number
+    /// (`Address::ZERO` = none yet).
+    mark_tables: DenseTable<Address, MARK_TABLE_REGION>,
     remset_buffer: Option<Address>,
     remset_cursor: usize,
     table_bytes: u64,
@@ -49,7 +49,7 @@ impl MetadataSpace {
         MetadataSpace {
             kind,
             bump: BumpAllocator::new(base, capacity),
-            mark_tables: HashMap::new(),
+            mark_tables: DenseTable::new(),
             remset_buffer: None,
             remset_cursor: 0,
             table_bytes: 0,
@@ -93,12 +93,13 @@ impl MetadataSpace {
     }
 
     fn table_for(&mut self, mem: &mut MemorySystem, region_base: Address) -> Address {
-        if let Some(&table) = self.mark_tables.get(&region_base.raw()) {
+        let region = region_base.raw() / MARK_TABLE_REGION as u64;
+        if let Some(&table) = self.mark_tables.get(region).filter(|table| !table.is_zero()) {
             return table;
         }
         let table = self.alloc_table(mem, MARK_TABLE_BYTES);
         self.table_bytes += MARK_TABLE_BYTES as u64;
-        self.mark_tables.insert(region_base.raw(), table);
+        *self.mark_tables.entry(region) = table;
         table
     }
 
@@ -134,8 +135,7 @@ impl MetadataSpace {
     /// Clears the mark-state tables at the start of a major collection.
     /// The clearing writes are charged to the collector (`phase`).
     pub fn clear_object_marks(&mut self, mem: &mut MemorySystem, phase: Phase) {
-        let tables: Vec<Address> = self.mark_tables.values().copied().collect();
-        for table in tables {
+        for (_, &table) in self.mark_tables.iter().filter(|(_, table)| !table.is_zero()) {
             // Zeroing the table is a bulk write over the table bytes.
             mem.zero(table, MARK_TABLE_BYTES, phase);
         }
@@ -143,7 +143,7 @@ impl MetadataSpace {
 
     /// Number of mark-state tables allocated so far.
     pub fn mark_table_count(&self) -> usize {
-        self.mark_tables.len()
+        (self.table_bytes / MARK_TABLE_BYTES as u64) as usize
     }
 
     /// Accounts one remembered-set buffer store (the write performed by the

@@ -28,6 +28,9 @@ pub const LINES_PER_BLOCK: usize = BLOCK_SIZE / LINE_SIZE;
 /// Number of OS pages per Immix block.
 pub const PAGES_PER_BLOCK: usize = BLOCK_SIZE / PAGE_SIZE;
 
+/// Number of processor cache lines per OS page.
+pub const CACHE_LINES_PER_PAGE: u64 = (PAGE_SIZE / CACHE_LINE_SIZE) as u64;
+
 /// A simulated virtual address.
 ///
 /// Addresses are plain 64-bit values; `Address(0)` is the null address and is

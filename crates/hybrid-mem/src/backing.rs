@@ -3,11 +3,12 @@
 //! The simulated virtual address space is sparse: spaces reserve large
 //! extents but only touch a few megabytes. [`ChunkedMemory`] materialises
 //! fixed-size chunks lazily on first write so that reserving a 32 GB PCM
-//! extent costs nothing until the heap actually uses it.
-
-use std::collections::HashMap;
+//! extent costs nothing until the heap actually uses it. The chunk
+//! directory is a [`DenseTable`] (one pointer per 64 KB of touched range),
+//! so finding the chunk behind an address is two array indexations.
 
 use crate::address::Address;
+use crate::dense::DenseTable;
 
 /// Size of a lazily-allocated backing chunk in bytes (64 KB).
 pub const CHUNK_SIZE: usize = 64 * 1024;
@@ -18,7 +19,8 @@ pub const CHUNK_SIZE: usize = 64 * 1024;
 /// pages a real OS hands to the JVM.
 #[derive(Debug, Default)]
 pub struct ChunkedMemory {
-    chunks: HashMap<u64, Box<[u8]>>,
+    chunks: DenseTable<Option<Box<[u8]>>, CHUNK_SIZE>,
+    resident_chunks: usize,
 }
 
 impl ChunkedMemory {
@@ -29,14 +31,16 @@ impl ChunkedMemory {
 
     /// Number of chunks that have been materialised.
     pub fn resident_chunks(&self) -> usize {
-        self.chunks.len()
+        self.resident_chunks
     }
 
     /// Bytes of host memory used by materialised chunks.
     pub fn resident_bytes(&self) -> usize {
-        self.chunks.len() * CHUNK_SIZE
+        self.resident_chunks * CHUNK_SIZE
     }
 
+    /// Splits `addr` into its chunk index and the offset within the chunk.
+    #[inline]
     fn chunk_index(addr: Address) -> (u64, usize) {
         (
             addr.raw() / CHUNK_SIZE as u64,
@@ -44,13 +48,26 @@ impl ChunkedMemory {
         )
     }
 
+    #[inline]
+    fn chunk(&self, index: u64) -> Option<&[u8]> {
+        self.chunks.get(index)?.as_deref()
+    }
+
+    #[inline]
     fn chunk_mut(&mut self, index: u64) -> &mut [u8] {
+        let resident = &mut self.resident_chunks;
         self.chunks
             .entry(index)
-            .or_insert_with(|| vec![0u8; CHUNK_SIZE].into_boxed_slice())
+            .get_or_insert_with(|| Self::materialise(resident))
+    }
+
+    fn materialise(resident: &mut usize) -> Box<[u8]> {
+        *resident += 1;
+        vec![0u8; CHUNK_SIZE].into_boxed_slice()
     }
 
     /// Reads a little-endian `u64` at `addr`.
+    #[inline]
     pub fn read_u64(&self, addr: Address) -> u64 {
         let mut buf = [0u8; 8];
         self.read_bytes(addr, &mut buf);
@@ -58,6 +75,7 @@ impl ChunkedMemory {
     }
 
     /// Writes a little-endian `u64` at `addr`.
+    #[inline]
     pub fn write_u64(&mut self, addr: Address, value: u64) {
         self.write_bytes(addr, &value.to_le_bytes());
     }
@@ -68,7 +86,7 @@ impl ChunkedMemory {
         while copied < buf.len() {
             let (index, offset) = Self::chunk_index(addr.add(copied));
             let take = (CHUNK_SIZE - offset).min(buf.len() - copied);
-            match self.chunks.get(&index) {
+            match self.chunk(index) {
                 Some(chunk) => buf[copied..copied + take].copy_from_slice(&chunk[offset..offset + take]),
                 None => buf[copied..copied + take].fill(0),
             }
@@ -88,18 +106,60 @@ impl ChunkedMemory {
         }
     }
 
-    /// Copies `len` bytes from `src` to `dst` (the ranges may not overlap in
-    /// practice because copies always target a fresh allocation).
+    /// Copies `len` bytes from `src` to `dst`, chunk piece by chunk piece in
+    /// place. Overlapping ranges copy as through a temporary (the pieces run
+    /// backwards when `dst` is above `src`), although in practice copies
+    /// always target a fresh allocation.
     pub fn copy(&mut self, src: Address, dst: Address, len: usize) {
-        let mut buf = vec![0u8; len];
-        self.read_bytes(src, &mut buf);
-        self.write_bytes(dst, &buf);
+        let backwards = dst > src;
+        let mut done = 0;
+        while done < len {
+            // Forwards the next piece starts `done` bytes in; backwards it
+            // ends `done` bytes before the end. `room` is how far a piece
+            // can run from that edge, in its direction, within one chunk.
+            let edge = if backwards { len - done } else { done };
+            let room = |addr: Address| match (backwards, Self::chunk_index(addr).1) {
+                (true, 0) => CHUNK_SIZE,
+                (true, offset) => offset,
+                (false, offset) => CHUNK_SIZE - offset,
+            };
+            let take = (len - done).min(room(src.add(edge))).min(room(dst.add(edge)));
+            let start = if backwards { edge - take } else { edge };
+            self.copy_piece(src.add(start), dst.add(start), take);
+            done += take;
+        }
+    }
+
+    /// Copies `len` bytes that lie within one chunk on either side.
+    fn copy_piece(&mut self, src: Address, dst: Address, len: usize) {
+        let (src_index, src_offset) = Self::chunk_index(src);
+        let (dst_index, dst_offset) = Self::chunk_index(dst);
+        if src_index == dst_index {
+            self.chunk_mut(dst_index)
+                .copy_within(src_offset..src_offset + len, dst_offset);
+            return;
+        }
+        // Detach the destination chunk so the source can be borrowed beside it.
+        let detached = self.chunks.entry(dst_index).take();
+        let mut target = detached.unwrap_or_else(|| Self::materialise(&mut self.resident_chunks));
+        match self.chunk(src_index) {
+            Some(source) => {
+                target[dst_offset..dst_offset + len].copy_from_slice(&source[src_offset..src_offset + len]);
+            }
+            None => target[dst_offset..dst_offset + len].fill(0),
+        }
+        *self.chunks.entry(dst_index) = Some(target);
     }
 
     /// Fills `len` bytes starting at `addr` with `value`.
     pub fn fill(&mut self, addr: Address, len: usize, value: u8) {
-        let buf = vec![value; len];
-        self.write_bytes(addr, &buf);
+        let mut filled = 0;
+        while filled < len {
+            let (index, offset) = Self::chunk_index(addr.add(filled));
+            let take = (CHUNK_SIZE - offset).min(len - filled);
+            self.chunk_mut(index)[offset..offset + take].fill(value);
+            filled += take;
+        }
     }
 }
 
@@ -164,5 +224,50 @@ mod tests {
         assert_eq!(mem.resident_bytes(), 0);
         mem.write_u64(Address::new(8), 1);
         assert_eq!(mem.resident_bytes(), CHUNK_SIZE);
+    }
+
+    #[test]
+    fn copy_across_chunks_and_from_unwritten_memory() {
+        let mut mem = ChunkedMemory::new();
+        let data: Vec<u8> = (0..200u8).collect();
+        let src = Address::new(CHUNK_SIZE as u64 - 100);
+        let dst = Address::new(5 * CHUNK_SIZE as u64 - 7);
+        mem.write_bytes(src, &data);
+        mem.copy(src, dst, data.len());
+        let mut out = vec![0u8; data.len()];
+        mem.read_bytes(dst, &mut out);
+        assert_eq!(out, data);
+        // Copying never-written memory writes zeros over the target.
+        mem.copy(Address::new(40 << 30), dst, 50);
+        mem.read_bytes(dst, &mut out);
+        assert!(out[..50].iter().all(|&b| b == 0));
+        assert_eq!(&out[50..], &data[50..]);
+        assert_eq!(
+            mem.resident_chunks(),
+            4,
+            "the unwritten source is not materialised"
+        );
+    }
+
+    #[test]
+    fn overlapping_copies_behave_like_a_buffered_copy() {
+        let data: Vec<u8> = (0..=255u8).cycle().take(3 * CHUNK_SIZE).collect();
+        let base = Address::new(CHUNK_SIZE as u64 / 2);
+        let len = 2 * CHUNK_SIZE + 11;
+        for (from, to) in [
+            (0usize, 5usize),
+            (5, 0),
+            (0, CHUNK_SIZE / 2),
+            (CHUNK_SIZE / 2 + 3, 1),
+        ] {
+            let mut mem = ChunkedMemory::new();
+            mem.write_bytes(base, &data);
+            mem.copy(base.add(from), base.add(to), len);
+            let mut expected = data.clone();
+            expected.copy_within(from..from + len, to);
+            let mut out = vec![0u8; data.len()];
+            mem.read_bytes(base, &mut out);
+            assert!(out == expected, "copy {from} -> {to} diverged from memmove");
+        }
     }
 }

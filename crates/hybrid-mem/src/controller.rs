@@ -22,10 +22,16 @@
 //! across all shards on read, and [`MemoryController::merge_shard`] compacts
 //! a shard into the base block at mutator drain points. The per-shard
 //! accessors double as per-mutator traffic attribution.
+//!
+//! The per-page and per-line write counts are [`DenseTable`]s indexed by
+//! page / cache-line number. A mutator shard's tables are dense *deltas*:
+//! merging adds them into the base tables index by index and empties them,
+//! so a shard only ever spans what it wrote since its last merge. The folded
+//! views ([`MemoryController::page_writes`], [`MemoryController::line_writes`])
+//! sum the tables entry by entry and yield ascending ids.
 
-use std::collections::HashMap;
-
-use crate::address::{PageId, CACHE_LINE_SIZE, PAGE_SIZE};
+use crate::address::{PageId, CACHE_LINES_PER_PAGE, CACHE_LINE_SIZE, PAGE_SIZE};
+use crate::dense::DenseTable;
 use crate::stats::PhaseWrites;
 use crate::system::{MemoryKind, Phase};
 
@@ -54,35 +60,27 @@ struct CounterShard {
     writes: [u64; 2],
     phase_writes: [PhaseWrites; 2],
     phase_reads: [PhaseWrites; 2],
-    page_writes: HashMap<u64, u64>,
-    line_writes: HashMap<u64, u64>,
+    page_writes: DenseTable<u64, PAGE_SIZE>,
+    line_writes: DenseTable<u64, CACHE_LINE_SIZE>,
     migration_writes: [u64; 2],
 }
 
 impl CounterShard {
+    /// Moves every count of `other` into `self`, leaving `other` at zero.
     fn absorb(&mut self, other: &mut CounterShard) {
         for kind in 0..2 {
-            self.reads[kind] += other.reads[kind];
-            self.writes[kind] += other.writes[kind];
-            self.migration_writes[kind] += other.migration_writes[kind];
-            for (phase, n) in other.phase_writes[kind].iter() {
+            self.reads[kind] += std::mem::take(&mut other.reads[kind]);
+            self.writes[kind] += std::mem::take(&mut other.writes[kind]);
+            self.migration_writes[kind] += std::mem::take(&mut other.migration_writes[kind]);
+            for (phase, n) in std::mem::take(&mut other.phase_writes[kind]).iter() {
                 self.phase_writes[kind].add(phase, n);
             }
-            for (phase, n) in other.phase_reads[kind].iter() {
+            for (phase, n) in std::mem::take(&mut other.phase_reads[kind]).iter() {
                 self.phase_reads[kind].add(phase, n);
             }
         }
-        for (page, n) in other.page_writes.drain() {
-            *self.page_writes.entry(page).or_insert(0) += n;
-        }
-        for (line, n) in other.line_writes.drain() {
-            *self.line_writes.entry(line).or_insert(0) += n;
-        }
-        other.reads = [0; 2];
-        other.writes = [0; 2];
-        other.migration_writes = [0; 2];
-        other.phase_writes = [PhaseWrites::default(); 2];
-        other.phase_reads = [PhaseWrites::default(); 2];
+        self.page_writes.absorb(&mut other.page_writes);
+        self.line_writes.absorb(&mut other.line_writes);
     }
 }
 
@@ -141,25 +139,26 @@ impl MemoryController {
 
     /// Folds `shard`'s counters into the base shard and clears it. Aggregate
     /// accessors are exact whether or not shards have been merged (they fold
-    /// on read); merging bounds per-shard map growth and is called from the
-    /// mutator drain path.
+    /// on read); merging bounds per-shard table growth and is called from
+    /// the mutator drain path.
     pub fn merge_shard(&mut self, shard: ShardId) {
         if shard.0 == 0 || shard.0 >= self.shards.len() {
             return;
         }
-        let mut detached = std::mem::take(&mut self.shards[shard.0]);
-        self.shards[0].absorb(&mut detached);
-        self.shards[shard.0] = detached;
+        let (base, mutators) = self.shards.split_at_mut(1);
+        base[0].absorb(&mut mutators[shard.0 - 1]);
     }
 
     /// Records a device read of one cache line.
+    #[inline]
     pub fn record_read(&mut self, kind: MemoryKind, phase: Phase) {
         let shard = &mut self.shards[self.active];
         shard.reads[kind as usize] += 1;
         shard.phase_reads[kind as usize].add(phase, 1);
     }
 
-    /// Records a device write of one cache line belonging to `page`.
+    /// Records a device write of cache line `line`.
+    #[inline]
     pub fn record_write(&mut self, kind: MemoryKind, phase: Phase, line: u64) {
         self.record_write_counters(kind, phase, line);
         if self.track_lines {
@@ -172,19 +171,19 @@ impl MemoryController {
     /// instrumented hot path calls the halves separately so the profiler
     /// can attribute wear tracking as its own stage; composed they are
     /// exactly `record_write`.
+    #[inline]
     pub fn record_write_counters(&mut self, kind: MemoryKind, phase: Phase, line: u64) {
         let shard = &mut self.shards[self.active];
         shard.writes[kind as usize] += 1;
         shard.phase_writes[kind as usize].add(phase, 1);
-        let page = line * CACHE_LINE_SIZE as u64 / PAGE_SIZE as u64;
-        *shard.page_writes.entry(page).or_insert(0) += 1;
+        *shard.page_writes.entry(line / CACHE_LINES_PER_PAGE) += 1;
     }
 
     /// The wear half of [`Self::record_write`]: bumps `line`'s write count.
     /// Callers must gate on [`Self::tracks_lines`].
+    #[inline]
     pub fn record_line_wear(&mut self, line: u64) {
-        let shard = &mut self.shards[self.active];
-        *shard.line_writes.entry(line).or_insert(0) += 1;
+        *self.shards[self.active].line_writes.entry(line) += 1;
     }
 
     /// `true` when per-cache-line write tracking is enabled.
@@ -197,7 +196,7 @@ impl MemoryController {
     /// writes to the destination. The writes are counted separately so that
     /// Figure 7 can distinguish write-backs from migrations.
     pub fn record_page_migration(&mut self, from: MemoryKind, to: MemoryKind) {
-        let lines = (PAGE_SIZE / CACHE_LINE_SIZE) as u64;
+        let lines = CACHE_LINES_PER_PAGE;
         let shard = &mut self.shards[self.active];
         shard.reads[from as usize] += lines;
         shard.writes[to as usize] += lines;
@@ -266,47 +265,30 @@ impl MemoryController {
     /// Write count of a specific page (0 if never written), folded across
     /// shards.
     pub fn page_write_count(&self, page: PageId) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.page_writes.get(&page.0).copied().unwrap_or(0))
-            .sum()
+        self.shards.iter().filter_map(|s| s.page_writes.get(page.0)).sum()
     }
 
     /// Iterates over `(page, writes)` pairs for all written pages, folded
-    /// across shards.
+    /// across shards, in ascending page order.
     pub fn page_writes(&self) -> impl Iterator<Item = (PageId, u64)> + '_ {
-        let mut merged: HashMap<u64, u64> = HashMap::new();
-        for shard in &self.shards {
-            for (&p, &w) in &shard.page_writes {
-                *merged.entry(p).or_insert(0) += w;
-            }
-        }
-        merged.into_iter().map(|(p, w)| (PageId(p), w))
+        DenseTable::folded(self.shards.iter().map(|s| &s.page_writes)).map(|(p, w)| (PageId(p), w))
     }
 
     /// Iterates over `(cache line, writes)` pairs if line tracking is on,
-    /// folded across shards.
+    /// folded across shards, in ascending line order.
     pub fn line_writes(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        let mut merged: HashMap<u64, u64> = HashMap::new();
-        for shard in &self.shards {
-            for (&l, &w) in &shard.line_writes {
-                *merged.entry(l).or_insert(0) += w;
-            }
-        }
-        merged.into_iter()
+        DenseTable::folded(self.shards.iter().map(|s| &s.line_writes))
     }
 
     /// Resets the per-page write counters across every shard (the WP
     /// baseline consumes and clears them each OS quantum), returning the
-    /// folded counts.
-    pub fn take_page_writes(&mut self) -> HashMap<u64, u64> {
-        let mut merged: HashMap<u64, u64> = HashMap::new();
+    /// folded counts in ascending page order.
+    pub fn take_page_writes(&mut self) -> Vec<(PageId, u64)> {
+        let taken = self.page_writes().collect();
         for shard in &mut self.shards {
-            for (p, w) in shard.page_writes.drain() {
-                *merged.entry(p).or_insert(0) += w;
-            }
+            shard.page_writes.clear();
         }
-        merged
+        taken
     }
 
     /// Total bytes written to `kind` (cache-line granularity).
@@ -341,7 +323,7 @@ mod tests {
     #[test]
     fn page_write_counts_aggregate_lines() {
         let mut mc = MemoryController::new(false);
-        let lines_per_page = (PAGE_SIZE / CACHE_LINE_SIZE) as u64;
+        let lines_per_page = CACHE_LINES_PER_PAGE;
         for line in 0..lines_per_page {
             mc.record_write(MemoryKind::Pcm, Phase::Mutator, line);
         }
@@ -356,7 +338,7 @@ mod tests {
         let mut mc = MemoryController::new(false);
         mc.record_write(MemoryKind::Pcm, Phase::Mutator, 7);
         mc.record_page_migration(MemoryKind::Dram, MemoryKind::Pcm);
-        let lines = (PAGE_SIZE / CACHE_LINE_SIZE) as u64;
+        let lines = CACHE_LINES_PER_PAGE;
         assert_eq!(mc.writes(MemoryKind::Pcm), 1 + lines);
         assert_eq!(mc.migration_writes(MemoryKind::Pcm), lines);
         assert_eq!(mc.writeback_writes(MemoryKind::Pcm), 1);
@@ -409,7 +391,7 @@ mod tests {
         assert_eq!(mc.shard_writes(ShardId::BASE, MemoryKind::Pcm), 3);
         assert_eq!(mc.writes(MemoryKind::Pcm), 3);
         assert_eq!(mc.page_write_count(PageId(0)), 3);
-        assert_eq!(mc.line_writes().collect::<HashMap<_, _>>().get(&1), Some(&2));
+        assert_eq!(mc.line_writes().collect::<Vec<_>>(), vec![(1, 2), (2, 1)]);
     }
 
     #[test]
@@ -420,7 +402,11 @@ mod tests {
         mc.set_active_shard(shard);
         mc.record_write(MemoryKind::Pcm, Phase::Mutator, 0);
         let taken = mc.take_page_writes();
-        assert_eq!(taken.get(&0), Some(&2), "sharded page counts must not be lost");
+        assert_eq!(
+            taken,
+            vec![(PageId(0), 2)],
+            "sharded page counts must not be lost"
+        );
         assert_eq!(mc.page_write_count(PageId(0)), 0);
     }
 
@@ -446,8 +432,8 @@ mod tests {
         }
         assert_eq!(whole.writes(MemoryKind::Pcm), split.writes(MemoryKind::Pcm));
         assert_eq!(
-            whole.line_writes().collect::<HashMap<_, _>>(),
-            split.line_writes().collect::<HashMap<_, _>>()
+            whole.line_writes().collect::<Vec<_>>(),
+            split.line_writes().collect::<Vec<_>>()
         );
         assert_eq!(
             whole.page_write_count(PageId(0)),

@@ -9,6 +9,9 @@
 //!   either DRAM or PCM ([`PageMap`], [`MemoryKind`]),
 //! * a lazily materialised **backing store** holding real bytes
 //!   ([`backing::ChunkedMemory`]),
+//! * **dense side metadata** ([`DenseTable`]): the flat per-page / per-line /
+//!   per-chunk tables behind the page map, the write counters and the
+//!   backing store, so no access hashes an address,
 //! * a three-level set-associative write-back **cache hierarchy** that absorbs
 //!   and coalesces writes and remembers the phase that last wrote each cache
 //!   line ([`cache::CacheHierarchy`]),
@@ -46,6 +49,7 @@ pub mod address;
 pub mod backing;
 pub mod cache;
 pub mod controller;
+pub mod dense;
 pub mod devices;
 pub mod energy;
 pub mod fault;
@@ -59,6 +63,7 @@ pub mod wear;
 pub use address::{Address, PageId, BLOCK_SIZE, CACHE_LINE_SIZE, LINE_SIZE, PAGE_SIZE};
 pub use cache::{CacheConfig, CacheHierarchy};
 pub use controller::{MemoryController, ShardId};
+pub use dense::DenseTable;
 pub use devices::{DeviceParams, DramParams, PcmParams};
 pub use energy::{EnergyBreakdown, EnergyModel};
 pub use fault::{years_to_first_uncorrectable, FaultConfig, FaultEvent, FaultModel};

@@ -5,10 +5,13 @@
 //! [`PageMap`] records that decision, and also supports *re-mapping* a page's
 //! technology, which is how the OS Write Partitioning baseline migrates pages
 //! between DRAM and PCM.
-
-use std::collections::HashMap;
+//!
+//! Placement is side metadata in a [`DenseTable`]: one packed 16-bit entry
+//! per page (mapped bit, kind, owning space; 0 = unmapped), so the lookup
+//! every device event performs is two array indexations.
 
 use crate::address::{Address, PageId, PAGE_SIZE};
+use crate::dense::DenseTable;
 use crate::system::MemoryKind;
 
 /// Per-page placement information.
@@ -20,17 +23,46 @@ pub struct PageInfo {
     pub space: u8,
 }
 
+impl PageInfo {
+    /// Packed table entry: bit 0 mapped, bit 1 kind, bits 8.. space.
+    fn pack(self) -> u16 {
+        1 | (self.kind as u16) << 1 | u16::from(self.space) << 8
+    }
+
+    fn unpack(entry: u16) -> Option<PageInfo> {
+        (entry != 0).then_some(PageInfo {
+            kind: if entry & 2 == 0 {
+                MemoryKind::Dram
+            } else {
+                MemoryKind::Pcm
+            },
+            space: (entry >> 8) as u8,
+        })
+    }
+}
+
 /// Tracks which pages are mapped and onto which memory technology.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct PageMap {
-    pages: HashMap<u64, PageInfo>,
+    pages: DenseTable<u16, PAGE_SIZE>,
+    mapped_pages: usize,
     mapped_bytes: [u64; 2],
+}
+
+impl Default for PageMap {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl PageMap {
     /// Creates an empty page map.
     pub fn new() -> Self {
-        Self::default()
+        PageMap {
+            pages: DenseTable::new(),
+            mapped_pages: 0,
+            mapped_bytes: [0; 2],
+        }
     }
 
     /// Maps `count` pages starting at `start` (page-aligned) onto `kind`,
@@ -49,9 +81,12 @@ impl PageMap {
         );
         let first = start.page().0;
         for p in first..first + count as u64 {
-            if let Some(prev) = self.pages.insert(p, PageInfo { kind, space }) {
-                self.mapped_bytes[prev.kind as usize] -= PAGE_SIZE as u64;
+            let entry = self.pages.entry(p);
+            match PageInfo::unpack(*entry) {
+                Some(prev) => self.mapped_bytes[prev.kind as usize] -= PAGE_SIZE as u64,
+                None => self.mapped_pages += 1,
             }
+            *entry = PageInfo { kind, space }.pack();
             self.mapped_bytes[kind as usize] += PAGE_SIZE as u64;
         }
     }
@@ -60,8 +95,12 @@ impl PageMap {
     pub fn unmap_pages(&mut self, start: Address, count: usize) {
         let first = start.page().0;
         for p in first..first + count as u64 {
-            if let Some(prev) = self.pages.remove(&p) {
+            let Some(entry) = self.pages.get_mut(p) else {
+                continue;
+            };
+            if let Some(prev) = PageInfo::unpack(std::mem::take(entry)) {
                 self.mapped_bytes[prev.kind as usize] -= PAGE_SIZE as u64;
+                self.mapped_pages -= 1;
             }
         }
     }
@@ -70,19 +109,25 @@ impl PageMap {
     /// (used by OS page migration). Returns the previous kind, or `None` if
     /// the page was not mapped.
     pub fn migrate_page(&mut self, page: PageId, to: MemoryKind) -> Option<MemoryKind> {
-        let info = self.pages.get_mut(&page.0)?;
-        let prev = info.kind;
-        if prev != to {
-            info.kind = to;
-            self.mapped_bytes[prev as usize] -= PAGE_SIZE as u64;
+        let entry = self.pages.get_mut(page.0)?;
+        let info = PageInfo::unpack(*entry)?;
+        if info.kind != to {
+            *entry = PageInfo { kind: to, ..info }.pack();
+            self.mapped_bytes[info.kind as usize] -= PAGE_SIZE as u64;
             self.mapped_bytes[to as usize] += PAGE_SIZE as u64;
         }
-        Some(prev)
+        Some(info.kind)
+    }
+
+    /// Returns the placement information of `page`, if mapped.
+    #[inline]
+    pub fn page_info(&self, page: PageId) -> Option<PageInfo> {
+        PageInfo::unpack(*self.pages.get(page.0)?)
     }
 
     /// Returns the placement information of the page containing `addr`.
     pub fn info(&self, addr: Address) -> Option<PageInfo> {
-        self.pages.get(&addr.page().0).copied()
+        self.page_info(addr.page())
     }
 
     /// Returns the memory technology backing the page containing `addr`.
@@ -99,12 +144,12 @@ impl PageMap {
 
     /// Returns the kind of a page by id, if mapped.
     pub fn kind_of_page(&self, page: PageId) -> Option<MemoryKind> {
-        self.pages.get(&page.0).map(|i| i.kind)
+        self.page_info(page).map(|i| i.kind)
     }
 
     /// Returns `true` if the page containing `addr` is mapped.
     pub fn is_mapped(&self, addr: Address) -> bool {
-        self.pages.contains_key(&addr.page().0)
+        self.info(addr).is_some()
     }
 
     /// Total bytes currently mapped onto `kind`.
@@ -114,12 +159,15 @@ impl PageMap {
 
     /// Number of mapped pages.
     pub fn mapped_pages(&self) -> usize {
-        self.pages.len()
+        self.mapped_pages
     }
 
-    /// Iterates over all mapped pages and their placement information.
+    /// Iterates over all mapped pages and their placement information, in
+    /// ascending page order.
     pub fn iter(&self) -> impl Iterator<Item = (PageId, PageInfo)> + '_ {
-        self.pages.iter().map(|(&p, &info)| (PageId(p), info))
+        self.pages
+            .iter()
+            .filter_map(|(p, &entry)| Some((PageId(p), PageInfo::unpack(entry)?)))
     }
 }
 
@@ -186,5 +234,28 @@ mod tests {
         assert_eq!(map.mapped_bytes(MemoryKind::Pcm), 0);
         assert_eq!(map.mapped_bytes(MemoryKind::Dram), PAGE_SIZE as u64);
         assert_eq!(map.info(Address::new(0x3000)).unwrap().space, 1);
+    }
+
+    #[test]
+    fn iteration_ascends_and_skips_unmapped_pages() {
+        let mut map = PageMap::new();
+        map.map_pages(Address::new(1 << 30), 2, MemoryKind::Dram, 2);
+        map.map_pages(Address::new(0x3000), 3, MemoryKind::Pcm, 1);
+        map.unmap_pages(Address::new(0x4000), 1);
+        let pages: Vec<u64> = map.iter().map(|(p, _)| p.0).collect();
+        assert_eq!(pages, vec![3, 5, 1 << 18, (1 << 18) + 1]);
+        assert_eq!(map.mapped_pages(), 4);
+    }
+
+    #[test]
+    fn a_far_page_does_not_allocate_a_table_spanning_the_gap() {
+        let mut map = PageMap::new();
+        map.map_pages(Address::new(0x1000), 1, MemoryKind::Dram, 0);
+        map.map_pages(Address::new(40 << 30), 1, MemoryKind::Pcm, 0);
+        // Unmapping or querying never-mapped ranges allocates nothing.
+        map.unmap_pages(Address::new(33 << 30), 1 << 20);
+        assert!(!map.is_mapped(Address::new(20 << 30)));
+        assert_eq!(map.pages.allocated_entries(), 2, "one entry per mapped page");
+        assert_eq!(map.kind_of(Address::new(40 << 30)), MemoryKind::Pcm);
     }
 }

@@ -61,9 +61,8 @@ impl WearTracker {
 
     /// Summarises the distribution. The moments are accumulated as integer
     /// sums, so the result is independent of the order counts were recorded
-    /// in (the memory controller folds its shards through a `HashMap`, whose
-    /// iteration order varies run to run — float accumulation in that order
-    /// would make the coefficient of variation drift in its last bits).
+    /// in (float accumulation would make the coefficient of variation depend
+    /// on it in its last bits).
     pub fn summary(&self) -> WearSummary {
         if self.counts.is_empty() {
             return WearSummary::default();

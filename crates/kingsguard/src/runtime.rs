@@ -1161,8 +1161,7 @@ impl KingsguardHeap {
         self.stats.work.mutator_ops += 1;
 
         let addr = src.payload_addr(&mut self.mem, offset, Phase::Mutator);
-        let data = vec![0xA5u8; len];
-        self.mem.write_bytes(addr, &data, Phase::Mutator);
+        self.mem.write_bytes(addr, &[0xA5u8; 64][..len], Phase::Mutator);
 
         // The monitoring barrier (gated on the policy's primitive-monitoring
         // toggle at drain time) and write demographics are buffered after
@@ -1214,8 +1213,7 @@ impl KingsguardHeap {
         let len = len.clamp(1, (payload - offset).max(1)).min(64);
         self.stats.work.mutator_ops += 1;
         let addr = src_obj.payload_addr(&mut self.mem, offset, Phase::Mutator);
-        let mut buf = vec![0u8; len];
-        self.mem.read_bytes(addr, &mut buf, Phase::Mutator);
+        self.mem.read_bytes(addr, &mut [0u8; 64][..len], Phase::Mutator);
     }
 
     // ------------------------------------------------------------------

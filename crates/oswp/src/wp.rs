@@ -121,9 +121,8 @@ impl WritePartitioning {
     /// hot PCM pages to DRAM.
     fn run_quantum(&mut self, mem: &mut MemorySystem) {
         self.stats.quanta += 1;
-        let page_writes = mem.controller_mut().take_page_writes();
-        for (page, writes) in page_writes {
-            self.ranking.record_writes(PageId(page), writes);
+        for (page, writes) in mem.controller_mut().take_page_writes() {
+            self.ranking.record_writes(page, writes);
         }
         let threshold = self.migration_threshold();
         for page in self.ranking.pages_at_or_above(threshold) {

@@ -40,8 +40,8 @@ pub use jsonl::{
     FILE_EXTENSION, SCHEMA_MIN_VERSION, SCHEMA_NAME, SCHEMA_VERSION,
 };
 pub use profiler::{
-    PhaseProfile, Stage, StageProfile, StageTotals, TouchMode, TouchProfile, TouchProfiler,
-    DEFAULT_SAMPLE_EVERY, STAGE_COUNT,
+    Counted, PhaseProfile, Stage, StageProfile, StageSink, StageTotals, Timed, TouchMode, TouchProfile,
+    TouchProfiler, Unprofiled, DEFAULT_SAMPLE_EVERY, STAGE_COUNT,
 };
 pub use timeline::{chrome_trace, folded_stacks, parse_folded, validate_chrome_trace, ChromeTraceStats};
 

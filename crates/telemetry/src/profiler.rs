@@ -18,6 +18,7 @@
 //! host time, it never feeds back into simulated state.
 
 use std::fmt;
+use std::time::Instant;
 
 /// Number of instrumented stages.
 pub const STAGE_COUNT: usize = 5;
@@ -119,6 +120,52 @@ impl StageTotals {
     pub fn add_timed(&mut self, stage: Stage, events: u64, ns: u64) {
         self.events[stage as usize] += events;
         self.ns[stage as usize] += ns;
+    }
+}
+
+/// How the hot path reports its stages. The touch loop is written once,
+/// generic over the sink; each [`TouchMode`] has one instantiation and the
+/// [`Unprofiled`] one compiles to the bare loop.
+pub trait StageSink {
+    /// Runs `work` as one event of `stage`.
+    fn stage<R>(&mut self, stage: Stage, work: impl FnOnce() -> R) -> R;
+}
+
+/// The sink of [`TouchMode::Off`]: runs the work and records nothing.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct Unprofiled;
+
+impl StageSink for Unprofiled {
+    #[inline(always)]
+    fn stage<R>(&mut self, _stage: Stage, work: impl FnOnce() -> R) -> R {
+        work()
+    }
+}
+
+/// The sink of [`TouchMode::Counting`]: tallies one event per stage run.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct Counted(pub StageTotals);
+
+impl StageSink for Counted {
+    #[inline(always)]
+    fn stage<R>(&mut self, stage: Stage, work: impl FnOnce() -> R) -> R {
+        self.0.add(stage, 1);
+        work()
+    }
+}
+
+/// The sink of [`TouchMode::Sampled`]: tallies each stage run and brackets
+/// it with `Instant::now()`.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct Timed(pub StageTotals);
+
+impl StageSink for Timed {
+    #[inline]
+    fn stage<R>(&mut self, stage: Stage, work: impl FnOnce() -> R) -> R {
+        let start = Instant::now();
+        let result = work();
+        self.0.add_timed(stage, 1, start.elapsed().as_nanos() as u64);
+        result
     }
 }
 
