@@ -14,7 +14,10 @@
 //!   backing store, so no access hashes an address,
 //! * a three-level set-associative write-back **cache hierarchy** that absorbs
 //!   and coalesces writes and remembers the phase that last wrote each cache
-//!   line ([`cache::CacheHierarchy`]),
+//!   line ([`cache::CacheHierarchy`]) — side arrays as well: flat per-level
+//!   tag and metadata arrays with every set in recency order, so exact LRU
+//!   needs no timestamps, and memory-side events delivered to a caller's
+//!   sink without allocating,
 //! * a **memory controller** that counts reads and writes per device, per
 //!   page, per line and per GC phase ([`controller::MemoryController`]),
 //! * DRAM/PCM **device models** with the latency and energy parameters of the

@@ -45,9 +45,17 @@ pub struct MemoryStats {
     pub phase_reads: [PhaseWrites; 2],
     /// Bytes currently mapped per kind.
     pub mapped_bytes: [u64; 2],
-    /// LLC misses observed by the cache hierarchy.
+    /// Probes that missed in the last cache level
+    /// ([`crate::CacheHierarchy::llc_misses`]): the accesses that reached
+    /// memory plus the spill probes of dirty victims evicted into the last
+    /// level that found no copy there — so at least the sum of the shards'
+    /// [`ShardStats::cache_misses`], which is the per-access count.
     pub llc_misses: u64,
-    /// Cache hits across all levels.
+    /// Probes that hit, summed over the cache levels
+    /// ([`crate::CacheHierarchy::hits`]): the accesses that hit in some
+    /// level plus the spill probes that found a copy of the evicted line
+    /// below. For a per-access hit rate use [`ShardStats::cache_hits`] and
+    /// [`ShardStats::cache_misses`].
     pub cache_hits: u64,
     /// PCM lines permanently failed by the fault model (0 without fault
     /// injection).

@@ -15,7 +15,7 @@ use crate::address::{
     align_up_usize, Address, PageId, CACHE_LINES_PER_PAGE, CACHE_LINE_SIZE, LINE_SIZE, PAGE_SIZE,
 };
 use crate::backing::ChunkedMemory;
-use crate::cache::{CacheConfig, CacheHierarchy, MemEvent};
+use crate::cache::{CacheConfig, CacheHierarchy, MemEvent, MAX_LEVELS};
 use crate::controller::{MemoryController, ShardId};
 use crate::fault::{FaultConfig, FaultEvent, FaultModel};
 use crate::page_map::{PageInfo, PageMap};
@@ -132,6 +132,10 @@ impl MemoryConfig {
 
     /// Hybrid system with a cache hierarchy scaled down by `divisor`, for the
     /// scaled-down workloads used in tests and quick experiments.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `divisor` is 0 (see [`CacheConfig::scaled`]).
     pub fn hybrid_scaled(divisor: usize) -> Self {
         MemoryConfig {
             cache: Some(CacheConfig::scaled(divisor)),
@@ -176,7 +180,6 @@ pub struct MemorySystem {
     profiler: TouchProfiler,
     next_extent: u64,
     extents: Vec<(String, Address, usize)>,
-    event_buf: Vec<MemEvent>,
 }
 
 /// Alignment of reserved extents (256 MB) so that space membership can be
@@ -206,7 +209,6 @@ impl MemorySystem {
             page_map: PageMap::new(),
             next_extent: EXTENT_BASE,
             extents: Vec::new(),
-            event_buf: Vec::new(),
         }
     }
 
@@ -475,7 +477,9 @@ impl MemorySystem {
 
     /// The touch loop, written once: every profiler mode runs the same
     /// simulation and differs only in what `sink` does around each stage
-    /// (nothing at all when the profiler is off). Always inlined, so the
+    /// (nothing at all when the profiler is off). Without caches it is a
+    /// loop of its own that stages nothing — sharing the cached loop's event
+    /// buffer cost the uncached workloads 5–11 %. Always inlined, so the
     /// sink is a local of [`Self::touch`] and its tallies stay in registers;
     /// out of line, counting costs ~3 ns a touch instead of ~1.7.
     #[inline(always)]
@@ -489,20 +493,33 @@ impl MemorySystem {
     ) {
         debug_assert!(len > 0);
         let write = kind == AccessKind::Write;
-        let cached = self.cache.is_enabled();
-        for line in addr.cache_line()..=addr.add(len - 1).cache_line() {
-            sink.stage(Stage::CacheModel, || {
-                if cached {
-                    self.event_buf.clear();
-                    self.cache.access(line, write, phase, &mut self.event_buf);
-                }
-            });
-            if !cached {
-                // The access is its own device event: straight to the controller.
+        let lines = addr.cache_line()..=addr.add(len - 1).cache_line();
+        if !self.cache.is_enabled() {
+            // Each access is its own device event, straight to the
+            // controller; the cache-model stage still counts one per line.
+            for line in lines {
+                sink.stage(Stage::CacheModel, || ());
                 self.account(MemEvent { line, write, phase }, sink);
             }
-            for i in 0..self.event_buf.len() {
-                self.account(self.event_buf[i], sink);
+            return;
+        }
+        // One access's events, staged so that accounting them is not part
+        // of the cache-model stage (the hierarchy emits at most this many).
+        let mut events = [MemEvent {
+            line: 0,
+            write,
+            phase,
+        }; MAX_LEVELS + 1];
+        for line in lines {
+            let mut emitted = 0;
+            sink.stage(Stage::CacheModel, || {
+                self.cache.access(line, write, phase, |event| {
+                    events[emitted] = event;
+                    emitted += 1;
+                });
+            });
+            for &event in &events[..emitted] {
+                self.account(event, sink);
             }
         }
     }
@@ -641,8 +658,9 @@ impl MemorySystem {
     /// Flushes all dirty cache lines to the device counters. Call once at the
     /// end of a run before reading statistics.
     pub fn flush_caches(&mut self) {
+        // Once a run, and accounting needs the rest of `self`: collect first.
         let mut events = Vec::new();
-        self.cache.flush_all(&mut events);
+        self.cache.flush_all(|event| events.push(event));
         for event in events {
             self.account(event, &mut Unprofiled);
         }
@@ -976,5 +994,31 @@ mod tests {
             );
         }
         assert_eq!(profile.phases[Phase::ObserverGc as usize].sampled_touches, 20);
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot be scaled down by a divisor of 0")]
+    fn hybrid_scaled_by_zero_is_rejected() {
+        MemoryConfig::hybrid_scaled(0);
+    }
+
+    #[test]
+    fn a_wide_cached_access_accounts_every_staged_event() {
+        // One touch spanning many lines through a tiny hierarchy: every line
+        // misses, fills and (second time round) writes a victim back, all
+        // staged on the stack and accounted line by line.
+        let mut mem = MemorySystem::new(MemoryConfig::hybrid_scaled(4096));
+        let base = mem.reserve_extent("wide", 1 << 20);
+        mem.map_pages(base, 64, MemoryKind::Pcm, 0);
+        let len = 64 * PAGE_SIZE;
+        mem.zero(base, len, Phase::Mutator);
+        mem.zero(base, len, Phase::MajorGc);
+        mem.flush_caches();
+        let stats = mem.stats();
+        let lines = (len / CACHE_LINE_SIZE) as u64;
+        assert_eq!(stats.reads(MemoryKind::Pcm), 2 * lines);
+        assert_eq!(stats.writes(MemoryKind::Pcm), 2 * lines);
+        assert_eq!(stats.phase_writes(MemoryKind::Pcm).get(Phase::Mutator), lines);
+        assert_eq!(stats.phase_writes(MemoryKind::Pcm).get(Phase::MajorGc), lines);
     }
 }

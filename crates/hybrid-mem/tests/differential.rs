@@ -1,21 +1,30 @@
-//! Differential test of the dense side-metadata memory system.
+//! Differential tests of the memory system against slow, obvious oracles.
 //!
-//! Seeded random operation sequences run against [`MemorySystem`] and
-//! against a reference model that keeps every piece of per-address state —
-//! page placement, backing bytes, per-page and per-line write counts — in a
-//! plain `HashMap` and every aggregate in one unsharded block. The two share
-//! only the cache model ([`CacheHierarchy`], which holds no per-address
-//! tables). Addresses sit where the dense tables have their edges: below the
-//! first extent, at the first extent, across a 256 MB slot boundary and far
-//! away at 40 GB.
+//! **The memory system.** Seeded random operation sequences run against
+//! [`MemorySystem`] and against a reference model that keeps every piece of
+//! per-address state — page placement, backing bytes, per-page and per-line
+//! write counts — in a plain `HashMap`, every aggregate in one unsharded
+//! block, and its caches in a [`ReferenceCache`]; the two share no code.
+//! Addresses sit where the dense tables have their edges: below the first
+//! extent, at the first extent, across a 256 MB slot boundary and far away
+//! at 40 GB.
+//!
+//! **The cache model.** [`CacheHierarchy`] (flat way-ordered side arrays) is
+//! driven directly against [`ReferenceCache`] (the timestamped
+//! `Vec<Vec<Entry>>` hierarchy it replaced) and must emit the same events,
+//! access by access, on every geometry including a set count that is not a
+//! power of two.
+
+mod reference_cache;
 
 use std::collections::HashMap;
 
-use hybrid_mem::cache::MemEvent;
+use hybrid_mem::cache::{CacheLevelConfig, MemEvent};
 use hybrid_mem::{
     Address, CacheConfig, CacheHierarchy, MemoryConfig, MemoryKind, MemoryStats, MemorySystem, PageId, Phase,
     ShardId, CACHE_LINE_SIZE, LINE_SIZE, PAGE_SIZE,
 };
+use reference_cache::ReferenceCache;
 use sim_rng::{Rng, SeedableRng, SmallRng};
 
 const REGION_PAGES: usize = 6;
@@ -31,7 +40,7 @@ const LINES_PER_PAGE: u64 = (PAGE_SIZE / CACHE_LINE_SIZE) as u64;
 
 /// The reference: what the memory system computes, with hash maps.
 struct Model {
-    cache: CacheHierarchy,
+    cache: ReferenceCache,
     track_lines: bool,
     pages: HashMap<u64, MemoryKind>,
     bytes: HashMap<u64, u8>,
@@ -46,7 +55,7 @@ impl Model {
             cache: config
                 .cache
                 .as_ref()
-                .map_or_else(CacheHierarchy::disabled, CacheHierarchy::new),
+                .map_or_else(ReferenceCache::disabled, ReferenceCache::new),
             track_lines: config.track_line_writes,
             pages: HashMap::new(),
             bytes: HashMap::new(),
@@ -347,4 +356,140 @@ fn one_page_at_40_gb_costs_one_chunk() {
         mem.controller().page_writes().collect::<Vec<_>>(),
         vec![(far.page(), 1)]
     );
+}
+
+/// The geometries the cache model is checked on: the degenerate ones, a set
+/// count that is no power of two (`%` instead of a mask), and the shipped
+/// hierarchies.
+fn cache_geometries() -> Vec<(&'static str, CacheConfig)> {
+    let level = |sets: usize, ways: usize| CacheLevelConfig {
+        capacity_bytes: sets * ways * CACHE_LINE_SIZE,
+        ways,
+    };
+    vec![
+        (
+            "one direct-mapped level",
+            CacheConfig {
+                levels: vec![level(4, 1)],
+            },
+        ),
+        (
+            "2 ways x 2 sets",
+            CacheConfig {
+                levels: vec![level(2, 2)],
+            },
+        ),
+        (
+            "3 sets x 2 ways over 5 sets x 3 ways",
+            CacheConfig {
+                levels: vec![level(3, 2), level(5, 3)],
+            },
+        ),
+        ("scaled(16)", CacheConfig::scaled(16)),
+        ("scaled(256)", CacheConfig::scaled(256)),
+        ("paper_default", CacheConfig::paper_default()),
+    ]
+}
+
+fn sorted(mut events: Vec<MemEvent>) -> Vec<MemEvent> {
+    events.sort_unstable_by_key(|e| (e.line, e.write, e.phase));
+    events
+}
+
+/// Flushes both hierarchies and compares the write-backs as sorted lists:
+/// which lines, once each, and attributed to the same (closest) copy. The
+/// order of a flush is the physical way order, which the two layouts do not
+/// share and nothing downstream depends on.
+fn assert_same_flush(cache: &mut CacheHierarchy, reference: &mut ReferenceCache, context: &str) {
+    let (mut got, mut want) = (Vec::new(), Vec::new());
+    cache.flush_all(|event| got.push(event));
+    reference.flush_all(&mut want);
+    assert_eq!(sorted(got), sorted(want), "flush write-backs diverged {context}");
+}
+
+#[test]
+fn flat_cache_matches_the_timestamped_reference_access_by_access() {
+    for (name, config) in cache_geometries() {
+        let last = config.levels.last().unwrap();
+        let capacity_lines = (last.sets() * last.ways) as u64;
+        // Enough accesses to fill the last level several times over, from a
+        // footprint a few times its size so every level keeps evicting.
+        let accesses = (6 * capacity_lines).max(20_000);
+        let footprint = 3 * capacity_lines + 7;
+        for seed in 0..3u64 {
+            let mut rng = SmallRng::seed_from_u64(0xCAC4E + seed);
+            let mut cache = CacheHierarchy::new(&config);
+            let mut reference = ReferenceCache::new(&config);
+            let mut hot = 0u64;
+            let (mut got, mut want) = (Vec::new(), Vec::new());
+            for step in 0..accesses {
+                match rng.gen_range(0..1000u32) {
+                    0 => {
+                        let shard = rng.gen_range(0..4usize);
+                        cache.set_active_shard(shard);
+                        reference.set_active_shard(shard);
+                    }
+                    // Rare enough that the larger hierarchies fill up between flushes.
+                    1 if rng.gen_range(0..accesses / 2_000) == 0 => {
+                        let context = format!("on {name} at access {step} (seed {seed})");
+                        assert_same_flush(&mut cache, &mut reference, &context);
+                    }
+                    2..=9 => hot = rng.gen_range(0..footprint),
+                    _ => {}
+                }
+                // A moving hot window (L1 hits, way rotations) over uniform
+                // background traffic (conflict and capacity evictions).
+                let line = if rng.gen_range(0..10u32) < 6 {
+                    (hot + rng.gen_range(0..24u64)) % footprint
+                } else {
+                    rng.gen_range(0..footprint)
+                };
+                let write = rng.gen_range(0..10u32) < 4;
+                let phase = Phase::ALL[rng.gen_range(0..Phase::COUNT)];
+                got.clear();
+                want.clear();
+                cache.access(line, write, phase, |event| got.push(event));
+                reference.access(line, write, phase, &mut want);
+                assert_eq!(
+                    got, want,
+                    "events of line {line:#x} diverged on {name} at access {step} (seed {seed})"
+                );
+                assert!(got.len() <= config.levels.len() + 1);
+            }
+            let context = format!("on {name} at the end (seed {seed})");
+            assert_eq!(cache.hits(), reference.hits(), "hits {context}");
+            assert_eq!(cache.llc_misses(), reference.llc_misses(), "LLC misses {context}");
+            let mut per_access_misses = 0;
+            for shard in 0..5 {
+                assert_eq!(cache.shard_hits(shard), reference.shard_hits(shard), "{context}");
+                assert_eq!(
+                    cache.shard_misses(shard),
+                    reference.shard_misses(shard),
+                    "{context}"
+                );
+                per_access_misses += cache.shard_misses(shard);
+            }
+            assert!(
+                cache.llc_misses() >= per_access_misses,
+                "spill probes only add {context}"
+            );
+            assert_same_flush(&mut cache, &mut reference, &context);
+            assert_same_flush(&mut cache, &mut reference, &format!("{context}, flushed twice"));
+        }
+    }
+}
+
+#[test]
+fn a_disabled_hierarchy_and_its_reference_pass_every_access_through() {
+    let mut cache = CacheHierarchy::disabled();
+    let mut reference = ReferenceCache::disabled();
+    let (mut got, mut want) = (Vec::new(), Vec::new());
+    for line in 0..64u64 {
+        cache.access(line % 5, line % 3 == 0, Phase::Runtime, |event| got.push(event));
+        reference.access(line % 5, line % 3 == 0, Phase::Runtime, &mut want);
+    }
+    assert_eq!(got, want);
+    assert_eq!(got.len(), 64);
+    assert_same_flush(&mut cache, &mut reference, "with caching disabled");
+    assert_eq!((cache.hits(), cache.llc_misses()), (0, 0));
 }

@@ -7,11 +7,13 @@
 //! implementation immediately before the trait refactor (the workloads are
 //! deterministic for a given seed, so equality is exact). Regenerate them
 //! with `cargo run --release --example golden_capture` if the simulator
-//! itself legitimately changes.
+//! itself legitimately changes. `SIM_GOLDEN` does the same for simulation
+//! mode (the cache hierarchy on the path), which `GOLDEN`'s
+//! architecture-independent runs never exercise.
 
 use advice::AdviceTable;
-use experiments::runner::{run_benchmark, ExperimentConfig};
-use hybrid_mem::MemoryKind;
+use experiments::runner::{run_benchmark, ExperimentConfig, MeasurementMode};
+use hybrid_mem::{MemoryKind, Phase};
 use kingsguard::HeapConfig;
 use workloads::benchmark;
 
@@ -39,6 +41,63 @@ const GOLDEN: &[(&str, u64, &str, u64, u64, u64, u64)] = &[
     ("pmd", 2048, "KG-W-LOO-MDO", 2497, 117747, 0, 0),
     ("pmd", 2048, "KG-W-PM", 1933, 111556, 0, 0),
     ("pmd", 2048, "KG-A", 19469, 92730, 0, 0),
+];
+
+/// One simulation-mode golden row: (benchmark, cache scale, collector, PCM
+/// writes, DRAM writes, PCM reads, DRAM reads, cache hits, LLC misses, PCM
+/// writes per phase in [`Phase::ALL`] order).
+#[rustfmt::skip]
+type SimGolden = (&'static str, usize, &'static str, u64, u64, u64, u64, u64, u64, [u64; Phase::COUNT]);
+
+/// Simulation-mode goldens: `--quick` scale behind `hybrid_scaled(16)` and
+/// `hybrid_scaled(64)`, captured from the timestamped `Vec<Vec<Entry>>`
+/// cache model immediately before it was replaced by the flat way-ordered
+/// one. Unlike [`GOLDEN`] these depend on every replacement decision the
+/// cache hierarchy makes.
+#[rustfmt::skip]
+const SIM_GOLDEN: &[SimGolden] = &[
+    ("lusearch", 16, "DRAM-only", 0, 36882, 0, 36938, 603439, 65244, [0, 0, 0, 0, 0]),
+    ("lusearch", 16, "PCM-only", 36882, 0, 36938, 0, 603439, 65244, [32317, 4557, 0, 0, 8]),
+    ("lusearch", 16, "KG-N", 8977, 27905, 8978, 27960, 603439, 65244, [5983, 2986, 0, 0, 8]),
+    ("lusearch", 16, "KG-W", 5389, 31472, 5389, 31529, 680068, 65528, [5376, 0, 0, 0, 13]),
+    ("lusearch", 16, "KG-W-LOO-MDO", 5389, 31472, 5389, 31529, 680068, 65528, [5376, 0, 0, 0, 13]),
+    ("lusearch", 16, "KG-W-PM", 5389, 31473, 5389, 31530, 603381, 65359, [5381, 0, 0, 0, 8]),
+    ("lusearch", 16, "KG-A", 8909, 27973, 8910, 28028, 683047, 65455, [5879, 2917, 0, 0, 113]),
+    ("lusearch", 64, "DRAM-only", 0, 41742, 0, 44900, 625072, 93351, [0, 0, 0, 0, 0]),
+    ("lusearch", 64, "PCM-only", 41742, 0, 44900, 0, 625072, 93351, [36289, 5445, 0, 0, 8]),
+    ("lusearch", 64, "KG-N", 11659, 30083, 13466, 31434, 625072, 93351, [8340, 3311, 0, 0, 8]),
+    ("lusearch", 64, "KG-W", 5390, 36713, 5390, 38997, 704173, 94076, [5377, 0, 0, 0, 13]),
+    ("lusearch", 64, "KG-W-LOO-MDO", 5390, 36713, 5390, 38997, 704173, 94076, [5377, 0, 0, 0, 13]),
+    ("lusearch", 64, "KG-W-PM", 5389, 36462, 5389, 40209, 624250, 93940, [5381, 0, 0, 0, 8]),
+    ("lusearch", 64, "KG-A", 11569, 30156, 13362, 31508, 704862, 93781, [8198, 3241, 0, 0, 130]),
+    ("pmd", 16, "DRAM-only", 0, 20527, 0, 20983, 244226, 35485, [0, 0, 0, 0, 0]),
+    ("pmd", 16, "PCM-only", 20527, 0, 20983, 0, 244226, 35485, [15543, 4980, 0, 0, 4]),
+    ("pmd", 16, "KG-N", 6364, 14163, 6659, 14324, 244226, 35485, [2832, 3528, 0, 0, 4]),
+    ("pmd", 16, "KG-W", 1285, 19472, 1285, 19716, 253800, 35629, [1280, 0, 0, 0, 5]),
+    ("pmd", 16, "KG-W-LOO-MDO", 1285, 19472, 1285, 19716, 253800, 35629, [1280, 0, 0, 0, 5]),
+    ("pmd", 16, "KG-W-PM", 1285, 19289, 1285, 19697, 246627, 35588, [1281, 0, 0, 0, 4]),
+    ("pmd", 16, "KG-A", 6398, 14229, 6601, 14395, 254233, 35519, [2599, 3321, 0, 0, 478]),
+    ("pmd", 64, "DRAM-only", 0, 26386, 0, 32497, 253615, 55825, [0, 0, 0, 0, 0]),
+    ("pmd", 64, "PCM-only", 26386, 0, 32497, 0, 253615, 55825, [19059, 7323, 0, 0, 4]),
+    ("pmd", 64, "KG-N", 8080, 18306, 10763, 21734, 253615, 55825, [3334, 4742, 0, 0, 4]),
+    ("pmd", 64, "KG-W", 1285, 25765, 1285, 30903, 264832, 56049, [1280, 0, 0, 0, 5]),
+    ("pmd", 64, "KG-W-LOO-MDO", 1285, 25765, 1285, 30903, 264832, 56049, [1280, 0, 0, 0, 5]),
+    ("pmd", 64, "KG-W-PM", 1285, 25210, 1285, 30967, 256501, 55779, [1281, 0, 0, 0, 4]),
+    ("pmd", 64, "KG-A", 8369, 18372, 10671, 21803, 264522, 56177, [3059, 4730, 0, 0, 580]),
+    ("xalan", 16, "DRAM-only", 0, 18855, 0, 18972, 239876, 31733, [0, 0, 0, 0, 0]),
+    ("xalan", 16, "PCM-only", 18855, 0, 18972, 0, 239876, 31733, [15080, 3773, 0, 0, 2]),
+    ("xalan", 16, "KG-N", 6321, 12534, 6321, 12651, 239876, 31733, [3710, 2609, 0, 0, 2]),
+    ("xalan", 16, "KG-W", 3412, 15438, 3412, 15561, 256355, 31750, [3404, 0, 0, 0, 8]),
+    ("xalan", 16, "KG-W-LOO-MDO", 3412, 15438, 3412, 15561, 256355, 31750, [3404, 0, 0, 0, 8]),
+    ("xalan", 16, "KG-W-PM", 3412, 15438, 3412, 15561, 242626, 31737, [3410, 0, 0, 0, 2]),
+    ("xalan", 16, "KG-A", 6295, 12560, 6295, 12677, 256568, 31745, [3670, 2575, 0, 0, 50]),
+    ("xalan", 64, "DRAM-only", 0, 21838, 0, 24904, 246923, 44172, [0, 0, 0, 0, 0]),
+    ("xalan", 64, "PCM-only", 21838, 0, 24904, 0, 246923, 44172, [17093, 4743, 0, 0, 2]),
+    ("xalan", 64, "KG-N", 7112, 14726, 8125, 16779, 246923, 44172, [4147, 2963, 0, 0, 2]),
+    ("xalan", 64, "KG-W", 3412, 18483, 3412, 21422, 263857, 44338, [3404, 0, 0, 0, 8]),
+    ("xalan", 64, "KG-W-LOO-MDO", 3412, 18483, 3412, 21422, 263857, 44338, [3404, 0, 0, 0, 8]),
+    ("xalan", 64, "KG-W-PM", 3412, 18435, 3412, 21463, 249809, 44231, [3410, 0, 0, 0, 2]),
+    ("xalan", 64, "KG-A", 7096, 14757, 8049, 16811, 263771, 44247, [4098, 2942, 0, 0, 56]),
 ];
 
 fn config_for(label: &str) -> HeapConfig {
@@ -70,6 +129,38 @@ fn trait_based_collectors_reproduce_the_pre_refactor_stats_exactly() {
             ),
             (pcm, dram, rescues, demotions),
             "{name} @ scale {scale} under {label} diverged from the pre-refactor implementation"
+        );
+    }
+}
+
+/// The cache model's conformance pin: a rewrite of `hybrid_mem::cache` may
+/// only move host time — device traffic, its phase attribution and the
+/// hierarchy's own hit/miss counters stay bit-identical.
+#[test]
+fn simulation_mode_reproduces_the_pre_rewrite_cache_model_exactly() {
+    for &(name, cache_scale, label, pcm_w, dram_w, pcm_r, dram_r, hits, misses, phase_writes) in SIM_GOLDEN {
+        let profile = benchmark(name).unwrap();
+        let config = ExperimentConfig {
+            mode: MeasurementMode::Simulation,
+            cache_scale,
+            ..ExperimentConfig::quick()
+        };
+        let result = run_benchmark(&profile, config_for(label), &config);
+        assert_eq!(result.collector, label);
+        let memory = &result.memory;
+        let pcm_phase_writes = memory.phase_writes(MemoryKind::Pcm);
+        assert_eq!(
+            (
+                memory.writes(MemoryKind::Pcm),
+                memory.writes(MemoryKind::Dram),
+                memory.reads(MemoryKind::Pcm),
+                memory.reads(MemoryKind::Dram),
+                memory.cache_hits,
+                memory.llc_misses,
+                Phase::ALL.map(|p| pcm_phase_writes.get(p)),
+            ),
+            (pcm_w, dram_w, pcm_r, dram_r, hits, misses, phase_writes),
+            "{name} behind hybrid_scaled({cache_scale}) under {label} diverged from the pre-rewrite cache model"
         );
     }
 }
