@@ -13,7 +13,7 @@
 //!
 //! * **Mode 1 — runtime sanitizer** ([`SanitizerHandle`]): installs a
 //!   shadow-heap checker on any [`kingsguard::KingsguardHeap`] through the
-//!   heap's [`kingsguard::HeapSanitizer`] hook. The checker mirrors the
+//!   heap's [`kingsguard::HeapObserver`] seam. The checker mirrors the
 //!   logical object graph from the event stream and validates the physical
 //!   heap against it at every safepoint and collection boundary, using only
 //!   the heap's passive inspection API — a sanitized run is bit-identical

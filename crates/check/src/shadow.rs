@@ -1,6 +1,6 @@
 //! Mode 1: the runtime shadow-heap sanitizer.
 //!
-//! [`SanitizerHandle::install`] attaches a [`HeapSanitizer`] to a fresh
+//! [`SanitizerHandle::install`] attaches a [`HeapObserver`] to a fresh
 //! [`KingsguardHeap`]. The sanitizer rebuilds the *logical* object graph
 //! from the mutator-visible event stream — every allocation's shape, every
 //! reference store — entirely outside the simulated memory. At every
@@ -14,7 +14,7 @@
 //! * shape/type drift between allocation and the current header,
 //! * remembered-set completeness at collection entry (every old-to-young
 //!   edge the imminent trace relies on must already be remembered),
-//! * write-barrier coverage (tap-observed write counts must equal the
+//! * write-barrier coverage (observed write counts must equal the
 //!   heap's barrier counters),
 //! * store-buffer drain and counter-shard merge discipline at safepoints,
 //! * counter-shard conservation against the memory controller's totals,
@@ -30,8 +30,10 @@ use std::collections::{HashMap, HashSet, VecDeque};
 use std::rc::Rc;
 
 use hybrid_mem::Address;
-use kingsguard::sanitizer::{CheckPoint, HeapSanitizer, MutatorSnapshot, SanitizerNote, ShardConservation};
-use kingsguard::{CollectKind, HeapEvent, KingsguardHeap, Location};
+use kingsguard::{
+    CheckNote, CheckPoint, CollectKind, HeapEvent, HeapObserver, KingsguardHeap, Location, MutatorSnapshot,
+    ObserverId, ShardConservation,
+};
 use kingsguard_heap::{decode_info_word, status_word_is_forwarded, ObjectRef, ObjectShape, INFO_WORD_OFFSET};
 
 use crate::violation::CheckViolation;
@@ -165,7 +167,7 @@ impl ShadowState {
         self.tlabs.push(new);
     }
 
-    fn at_checkpoint(&mut self, point: CheckPoint, heap: &KingsguardHeap) -> Vec<SanitizerNote> {
+    fn at_checkpoint(&mut self, point: CheckPoint, heap: &KingsguardHeap) -> Vec<CheckNote> {
         let at = point.label();
         self.checkpoints += 1;
 
@@ -215,7 +217,7 @@ impl ShadowState {
             self.tlabs.clear();
         }
 
-        let notes: Vec<SanitizerNote> = self.pending.iter().map(CheckViolation::note).collect();
+        let notes: Vec<CheckNote> = self.pending.iter().map(CheckViolation::note).collect();
         self.all.append(&mut self.pending);
         notes
     }
@@ -454,7 +456,7 @@ struct ShadowSanitizer {
     state: Rc<RefCell<ShadowState>>,
 }
 
-impl HeapSanitizer for ShadowSanitizer {
+impl HeapObserver for ShadowSanitizer {
     fn on_event(&mut self, event: &HeapEvent) {
         self.state.borrow_mut().on_event(event);
     }
@@ -463,8 +465,8 @@ impl HeapSanitizer for ShadowSanitizer {
         self.state.borrow_mut().on_tlab_carve(ctx, start, len);
     }
 
-    fn at_checkpoint(&mut self, point: CheckPoint, heap: &KingsguardHeap) -> Vec<SanitizerNote> {
-        self.state.borrow_mut().at_checkpoint(point, heap)
+    fn at_checkpoint(&mut self, point: CheckPoint, heap: &KingsguardHeap) -> Option<Vec<CheckNote>> {
+        Some(self.state.borrow_mut().at_checkpoint(point, heap))
     }
 }
 
@@ -476,7 +478,7 @@ pub struct CheckReport {
     pub violations: Vec<CheckViolation>,
     /// Checkpoints executed.
     pub checkpoints: u64,
-    /// Heap events observed on the tap stream.
+    /// Heap events observed on the event stream.
     pub events: u64,
     /// Total (object, checkpoint) verifications performed by the walks.
     pub objects_verified: u64,
@@ -503,6 +505,7 @@ impl CheckReport {
 #[derive(Debug)]
 pub struct SanitizerHandle {
     state: Rc<RefCell<ShadowState>>,
+    observer: ObserverId,
 }
 
 impl SanitizerHandle {
@@ -511,22 +514,18 @@ impl SanitizerHandle {
     /// # Panics
     ///
     /// Panics if the heap already allocated objects (the shadow graph must
-    /// observe every allocation) or already has a sanitizer installed.
+    /// observe every allocation).
     pub fn install(heap: &mut KingsguardHeap) -> Self {
-        assert!(
-            !heap.has_sanitizer(),
-            "a sanitizer is already installed on this heap"
-        );
         assert_eq!(
             heap.stats().objects_allocated,
             0,
             "the sanitizer must be installed on a fresh heap"
         );
         let state = Rc::new(RefCell::new(ShadowState::default()));
-        heap.set_sanitizer(Box::new(ShadowSanitizer {
+        let observer = heap.attach_observer(Box::new(ShadowSanitizer {
             state: Rc::clone(&state),
         }));
-        SanitizerHandle { state }
+        SanitizerHandle { state, observer }
     }
 
     /// The violations found so far (the run may continue afterwards).
@@ -542,7 +541,7 @@ impl SanitizerHandle {
     /// (or after) [`KingsguardHeap::finish`]; the finish checkpoint only
     /// runs while the sanitizer is still installed.
     pub fn finish(self, heap: &mut KingsguardHeap) -> CheckReport {
-        drop(heap.take_sanitizer());
+        drop(heap.detach_observer(self.observer));
         self.report()
     }
 

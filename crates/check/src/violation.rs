@@ -9,7 +9,7 @@
 
 use std::fmt;
 
-use kingsguard::sanitizer::{SanitizerNote, ShardConservation};
+use kingsguard::{CheckNote, ShardConservation};
 
 /// One falsified invariant, with provenance.
 ///
@@ -75,7 +75,7 @@ pub enum CheckViolation {
         at: &'static str,
     },
     /// The heap's barrier-observed write counters disagree with the number
-    /// of write events the sanitizer itself observed on the tap stream —
+    /// of write events the sanitizer itself observed on the event stream —
     /// some write bypassed the barrier bookkeeping (or was double counted).
     BarrierCountMismatch {
         /// Reference writes observed on the event stream.
@@ -250,8 +250,8 @@ impl CheckViolation {
     /// Converts the violation into the heap-vocabulary note the sanitizer
     /// trait returns from a checkpoint (kind + rendered provenance).
     #[must_use]
-    pub fn note(&self) -> SanitizerNote {
-        SanitizerNote {
+    pub fn note(&self) -> CheckNote {
+        CheckNote {
             kind: self.kind(),
             detail: self.to_string(),
         }

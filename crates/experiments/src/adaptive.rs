@@ -1,4 +1,4 @@
-//! The online-adaptive comparison (`repro --adaptive`).
+//! The online-adaptive comparison (`repro adaptive`).
 //!
 //! Runs every simulated benchmark under the online-adaptive KG-D collector
 //! — which starts from KG-N-like all-PCM placement and learns per-site

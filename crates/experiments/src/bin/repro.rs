@@ -26,10 +26,7 @@
 //!   Perfetto) or collapsed stacks (flamegraph.pl, speedscope).
 //! * `repro profile` replays one recorded trace under every collector with
 //!   the sampled hot-path profiler on and prints the per-stage simulator
-//!   cost table (events, self-time, share of wall-clock, events/sec);
-//!   `repro bench diff A.json B.json` compares two `BENCH_*.json` reports
-//!   and exits non-zero when any `*per_sec*` throughput falls more than
-//!   the tolerance band (default 15%) below the baseline.
+//!   cost table (events, self-time, share of wall-clock, events/sec).
 //! * `repro fleet [--tenants N]` runs the multi-tenant fleet comparison:
 //!   the same N tenant heap sessions placed round-robin vs wear-levelled
 //!   across the PCM device's regions, with the shared advice store
@@ -73,7 +70,6 @@ fn main() -> ExitCode {
     if experiment != "trace"
         && experiment != "metrics"
         && experiment != "check"
-        && experiment != "bench"
         && !parsed.positional.is_empty()
     {
         eprintln!(
@@ -164,9 +160,6 @@ fn run(parsed: &ParsedArgs, experiment: &str) -> ExitCode {
     if experiment == "profile" {
         return run_profile(parsed, &hw);
     }
-    if experiment == "bench" {
-        return run_bench(parsed);
-    }
     if experiment == "fleet" {
         return run_fleet(parsed, &hw);
     }
@@ -237,12 +230,7 @@ fn run(parsed: &ParsedArgs, experiment: &str) -> ExitCode {
         cli::EXPERIMENTS
             .iter()
             .map(|(name, _)| *name)
-            .filter(|name| {
-                !matches!(
-                    *name,
-                    "all" | "trace" | "metrics" | "fleet" | "check" | "profile" | "bench"
-                )
-            })
+            .filter(|name| !matches!(*name, "all" | "trace" | "metrics" | "fleet" | "check" | "profile"))
             .collect()
     } else {
         vec![experiment]
@@ -340,58 +328,7 @@ fn run_profile(parsed: &ParsedArgs, hw: &ExperimentConfig) -> ExitCode {
         .expect("default profile benchmark exists");
     let results = experiments::hot_path_profile(&config, &benchmark, &dir, sample_every);
     println!("{}", results.report());
-    if results.min_coverage() < 0.9 {
-        eprintln!(
-            "error: attributed time covers only {:.0}% of the replay wall-clock",
-            results.min_coverage() * 100.0
-        );
-        return ExitCode::FAILURE;
-    }
     ExitCode::SUCCESS
-}
-
-fn run_bench(parsed: &ParsedArgs) -> ExitCode {
-    match parsed.positional.first().map(String::as_str) {
-        Some("diff") => {
-            let (Some(path_a), Some(path_b)) = (parsed.positional.get(1), parsed.positional.get(2)) else {
-                eprintln!("usage: repro bench diff <a.json> <b.json> [--tolerance PCT]");
-                return ExitCode::FAILURE;
-            };
-            if parsed.positional.len() > 3 {
-                eprintln!("error: unexpected argument {:?}", parsed.positional[3]);
-                return ExitCode::FAILURE;
-            }
-            let tolerance = parsed.tolerance.unwrap_or(experiments::DEFAULT_TOLERANCE_PCT);
-            match experiments::diff_bench_files(Path::new(path_a), Path::new(path_b), tolerance) {
-                Ok(diff) => {
-                    println!("{}", diff.report());
-                    if diff.passes() {
-                        ExitCode::SUCCESS
-                    } else {
-                        eprintln!(
-                            "error: {} throughput regression(s) beyond {tolerance:.0}% \
-                             ({} unmatched metric(s))",
-                            diff.regressions(),
-                            diff.unmatched.len()
-                        );
-                        ExitCode::FAILURE
-                    }
-                }
-                Err(err) => {
-                    eprintln!("error: {err}");
-                    ExitCode::FAILURE
-                }
-            }
-        }
-        Some(other) => {
-            eprintln!("unknown bench mode: {other}\n\n{}", cli::help_text());
-            ExitCode::FAILURE
-        }
-        None => {
-            eprintln!("usage: repro bench diff <a.json> <b.json> [--tolerance PCT]");
-            ExitCode::FAILURE
-        }
-    }
 }
 
 fn run_metrics(parsed: &ParsedArgs) -> ExitCode {

@@ -10,7 +10,6 @@
 //! an inverted exit code.
 
 use check::{CheckReport, SanitizerHandle};
-use hybrid_mem::MemoryKind;
 use kingsguard::{HeapConfig, KingsguardHeap};
 use workloads::{
     benchmark, BenchmarkProfile, BrokenFixture, StreamingConfig, StreamingWorkload, ALL_FIXTURES,
@@ -29,7 +28,7 @@ pub const SWEEP_BENCHMARK: &str = "lusearch";
 
 /// Runs `profile` under `heap_config` with the shadow-heap sanitizer
 /// installed, returning both the usual experiment result and the
-/// sanitizer's report. The sanitizer only observes (event tap + passive
+/// sanitizer's report. The sanitizer only observes (event stream + passive
 /// inspection), so the result is bit-identical to
 /// [`run_benchmark`](crate::runner::run_benchmark)
 /// on the same inputs.
@@ -40,20 +39,13 @@ pub fn run_benchmark_checked(
 ) -> (ExperimentResult, CheckReport) {
     let label = heap_config.label();
     let heap_config = heap_config_for(profile, heap_config, config);
-    let (dram_fraction, pcm_fraction) = if heap_config.is_hybrid() {
-        (1.0 / 32.0, 1.0)
-    } else if heap_config.nursery_kind() == MemoryKind::Dram {
-        (1.0, 0.0)
-    } else {
-        (0.0, 1.0)
-    };
     let mut heap = KingsguardHeap::new(heap_config.clone(), config.memory_config());
     heap.enable_telemetry();
     let handle = SanitizerHandle::install(&mut heap);
     drive_workload(profile, &mut heap, &heap_config, config, |_, _| {});
     // `finalize` consumes the heap via `finish`, which runs the finish
     // checkpoint and drops the installed forwarder with the heap.
-    let result = finalize(profile, label, heap, None, dram_fraction, pcm_fraction, config);
+    let result = finalize(profile, label, heap, None, config);
     (result, handle.report())
 }
 

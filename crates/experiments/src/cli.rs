@@ -47,10 +47,6 @@ pub const EXPERIMENTS: &[(&str, &str)] = &[
         "hot-path profiler: per-stage simulator cost under every collector (replayed)",
     ),
     (
-        "bench",
-        "BENCH_*.json perf baselines: diff <a> <b> flags >15% throughput regressions",
-    ),
-    (
         "check",
         "shadow-heap sanitizer sweep (add `broken` to run the negative fixtures)",
     ),
@@ -135,8 +131,6 @@ pub struct ParsedArgs {
     pub collector: Option<String>,
     /// `--sample-every N` (profile experiment: time every Nth touch).
     pub sample_every: Option<u64>,
-    /// `--tolerance PCT` (bench diff: allowed throughput drop in percent).
-    pub tolerance: Option<f64>,
     /// `--top N` (metrics show: rows per section).
     pub top: Option<usize>,
     /// `--chrome` (metrics export: Chrome trace_event JSON).
@@ -167,7 +161,6 @@ impl Default for ParsedArgs {
             verify: false,
             collector: None,
             sample_every: None,
-            tolerance: None,
             top: None,
             chrome: false,
             folded: false,
@@ -233,20 +226,10 @@ pub fn parse_args(args: &[String]) -> Result<ParsedArgs, CliError> {
             "--sample-every" => {
                 parsed.sample_every = Some(parsed_value_of("--sample-every", &mut iter, |&n: &u64| n > 0)?)
             }
-            "--tolerance" => {
-                parsed.tolerance = Some(parsed_value_of("--tolerance", &mut iter, |&t: &f64| {
-                    t.is_finite() && t >= 0.0
-                })?)
-            }
             "--top" => parsed.top = Some(parsed_value_of("--top", &mut iter, |&n: &usize| n > 0)?),
             "--chrome" => parsed.chrome = true,
             "--folded" => parsed.folded = true,
             "--out" => parsed.out = Some(PathBuf::from(value_of("--out", &mut iter)?)),
-            // Legacy experiment aliases, kept working.
-            "--profile-then-advise" if parsed.experiment.is_none() => {
-                parsed.experiment = Some("advise".to_string())
-            }
-            "--adaptive" if parsed.experiment.is_none() => parsed.experiment = Some("adaptive".to_string()),
             flag if flag.starts_with('-') => {
                 return Err(CliError(format!("unknown flag: {flag}")));
             }
@@ -264,7 +247,7 @@ pub fn parse_args(args: &[String]) -> Result<ParsedArgs, CliError> {
 
 /// The full `--help` text: usage, flags, and one line per experiment.
 pub fn help_text() -> String {
-    let mut out = String::from(
+    let mut out = format!(
         "usage: repro <experiment> [flags]\n\
          \n\
          flags:\n\
@@ -280,8 +263,7 @@ pub fn help_text() -> String {
          \x20                   back with `repro metrics show|diff`)\n\
          \x20 --verify          trace replay: also run live and check bit-identity + speedup\n\
          \x20 --collector NAME  trace replay/diff: restrict to one collector (e.g. KG-N)\n\
-         \x20 --sample-every N  profile: time every Nth touch (default 64; counts are always exact)\n\
-         \x20 --tolerance PCT   bench diff: allowed throughput drop in percent (default 15)\n\
+         \x20 --sample-every N  profile: time every Nth touch (default {}; counts are always exact)\n\
          \x20 --top N           metrics show: rows per section, ranked by self-time/value\n\
          \x20 --chrome          metrics export: Chrome trace_event JSON (chrome://tracing, Perfetto)\n\
          \x20 --folded          metrics export: collapsed stacks (flamegraph.pl / speedscope)\n\
@@ -289,6 +271,7 @@ pub fn help_text() -> String {
          \x20 --help, -h        this text\n\
          \n\
          experiments:\n",
+        telemetry::DEFAULT_SAMPLE_EVERY
     );
     for (name, description) in EXPERIMENTS {
         out.push_str(&format!("  {name:<10} {description}\n"));
@@ -316,7 +299,6 @@ pub fn help_text() -> String {
          \x20 repro metrics diff A.kgmetrics B.kgmetrics\n\
          \x20 repro metrics export run.kgmetrics --chrome --out run.trace.json\n\
          \x20 repro profile --quick --sample-every 16\n\
-         \x20 repro bench diff BENCH_profile.json BENCH_profile.new.json --tolerance 15\n\
          \x20 repro check --quick --jobs 4\n\
          \x20 repro check broken --quick          # negative fixtures: exit 0 iff all detected\n\
          \x20 repro trace check run.kgtrace\n",
@@ -386,17 +368,11 @@ mod tests {
     }
 
     #[test]
-    fn profiler_and_bench_flags_parse() {
+    fn profiler_flags_parse() {
         let parsed = parse(&["profile", "--quick", "--sample-every", "16"]).unwrap();
         assert_eq!(parsed.experiment.as_deref(), Some("profile"));
         assert_eq!(parsed.sample_every, Some(16));
         assert!(parse(&["profile", "--sample-every", "0"]).is_err());
-        let parsed = parse(&["bench", "diff", "a.json", "b.json", "--tolerance", "12.5"]).unwrap();
-        assert_eq!(parsed.experiment.as_deref(), Some("bench"));
-        assert_eq!(parsed.positional, vec!["diff", "a.json", "b.json"]);
-        assert_eq!(parsed.tolerance, Some(12.5));
-        assert!(parse(&["bench", "diff", "a", "b", "--tolerance", "nan"]).is_err());
-        assert!(parse(&["bench", "diff", "a", "b", "--tolerance", "-3"]).is_err());
     }
 
     #[test]
@@ -427,23 +403,15 @@ mod tests {
     }
 
     #[test]
-    fn legacy_aliases_keep_working() {
-        assert_eq!(
-            parse(&["--profile-then-advise"]).unwrap().experiment.as_deref(),
-            Some("advise")
-        );
-        assert_eq!(
-            parse(&["--adaptive", "--quick"]).unwrap().experiment.as_deref(),
-            Some("adaptive")
-        );
-    }
-
-    #[test]
     fn help_lists_every_experiment() {
         let help = help_text();
         for (name, _) in EXPERIMENTS {
             assert!(help.contains(name), "help is missing {name}");
         }
+        assert!(
+            help.contains(&format!("(default {};", telemetry::DEFAULT_SAMPLE_EVERY)),
+            "--sample-every must document the cadence `repro profile` really uses"
+        );
         assert!(parse(&["--help"]).unwrap().help);
         assert!(parse(&["-h"]).unwrap().help);
     }

@@ -64,7 +64,6 @@
 
 pub mod adaptive;
 pub mod advise;
-pub mod benchdiff;
 pub mod check;
 pub mod cli;
 pub mod composition;
@@ -80,7 +79,6 @@ pub mod tables;
 pub mod traces;
 pub mod writes;
 
-pub use self::benchdiff::{diff_bench_files, BenchDiff, DEFAULT_TOLERANCE_PCT};
 pub use self::check::{broken_sweep, check_sweep, run_benchmark_checked, BrokenResults, CheckResults};
 pub use self::fleet::{fleet_comparison, FleetResults};
 pub use self::profile::{hot_path_profile, hot_path_profile_default, ProfileResults};

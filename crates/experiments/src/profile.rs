@@ -6,12 +6,12 @@
 //! with the sampled hot-path profiler enabled. The result is a per-stage
 //! cost table per collector: exact event counts (cadence-independent and
 //! bit-identical across reruns), extrapolated self-time, the share of the
-//! replay wall-clock, and per-stage event throughput. An `other` row
-//! closes the gap between the attributed stages and the measured
-//! wall-clock (replayer decode, heap logic, GC tracing outside the memory
-//! system), so every table sums to the full replay time. A second table
-//! splits the touch time by execution phase (application vs the GC
-//! phases), the profiler's answer to "who is paying for the simulator".
+//! replay wall-clock, and per-stage event throughput. Whatever the stages
+//! do not attribute (replayer decode, heap logic, GC tracing outside the
+//! memory system) is not invented as a row: the report prints attributed ÷
+//! wall per collector as a plain number. A second table splits the touch
+//! time by execution phase (application vs the GC phases), the profiler's
+//! answer to "who is paying for the simulator".
 
 use std::path::Path;
 use std::time::Instant;
@@ -32,9 +32,9 @@ pub const DEFAULT_BENCHMARK: &str = "lusearch";
 /// One attributed cost row of a collector's table.
 #[derive(Clone, Debug)]
 pub struct StageRow {
-    /// Stage label (`page-map`, …, or `other` for the unattributed rest).
+    /// Stage label (`page-map`, …).
     pub label: String,
-    /// Exact event count (0 for the `other` row, which has no events).
+    /// Exact event count.
     pub events: u64,
     /// Estimated self-time in nanoseconds.
     pub self_ns: u64,
@@ -62,14 +62,14 @@ pub struct CollectorProfile {
     pub collector: String,
     /// Replay wall-clock in nanoseconds.
     pub wall_ns: u64,
-    /// Stage rows, the five simulator stages then `other`.
+    /// Stage rows, one per simulator stage.
     pub stages: Vec<StageRow>,
     /// Phase rows (phases with zero touches are omitted).
     pub phases: Vec<PhaseRow>,
 }
 
 impl CollectorProfile {
-    /// Nanoseconds attributed across all stage rows (including `other`).
+    /// Nanoseconds attributed across all stage rows.
     pub fn attributed_ns(&self) -> u64 {
         self.stages.iter().map(|row| row.self_ns).sum()
     }
@@ -87,17 +87,6 @@ pub struct ProfileResults {
 }
 
 impl ProfileResults {
-    /// The smallest ratio of attributed time to wall-clock across the
-    /// collectors. ≥ 0.9 by construction: the `other` row absorbs the
-    /// unattributed remainder, so only rounding can lose time.
-    pub fn min_coverage(&self) -> f64 {
-        self.collectors
-            .iter()
-            .filter(|c| c.wall_ns > 0)
-            .map(|c| c.attributed_ns() as f64 / c.wall_ns as f64)
-            .fold(f64::INFINITY, f64::min)
-    }
-
     /// Formatted report: the per-stage cost table, then the per-phase
     /// attribution table.
     pub fn report(&self) -> String {
@@ -113,11 +102,7 @@ impl ProfileResults {
                 table.row(vec![
                     collector.collector.clone(),
                     row.label.clone(),
-                    if row.label == "other" {
-                        "-".to_string()
-                    } else {
-                        row.events.to_string()
-                    },
+                    row.events.to_string(),
                     format!("{:.3}", row.self_ns as f64 / 1e6),
                     format!("{:.1}", row.percent),
                     if row.events_per_sec > 0.0 {
@@ -145,10 +130,15 @@ impl ProfileResults {
         }
         out.push('\n');
         out.push_str(&phases.render());
-        out.push_str(&format!(
-            "\nattributed time covers ≥ {:.0}% of every replay's wall-clock\n",
-            (self.min_coverage() * 100.0).floor().min(100.0)
-        ));
+        out.push_str("\nattributed stage time ÷ replay wall-clock:");
+        for collector in &self.collectors {
+            out.push_str(&format!(
+                " {} {:.2}",
+                collector.collector,
+                collector.attributed_ns() as f64 / collector.wall_ns.max(1) as f64
+            ));
+        }
+        out.push('\n');
         out
     }
 }
@@ -156,37 +146,24 @@ impl ProfileResults {
 /// Builds the stage and phase rows for one collector from its profile and
 /// measured wall-clock.
 fn collector_profile(collector: &str, wall_ns: u64, profile: &TouchProfile) -> CollectorProfile {
-    let mut stages = Vec::new();
-    let mut stage_total = 0u64;
-    for stage in &profile.stages {
-        let self_ns = stage.estimated_self_ns();
-        stage_total += self_ns;
-        stages.push(StageRow {
-            label: stage.stage.label().to_string(),
-            events: stage.events,
-            self_ns,
-            percent: 0.0,
-            events_per_sec: if self_ns > 0 {
-                stage.events as f64 / (self_ns as f64 / 1e9)
-            } else {
-                0.0
-            },
-        });
-    }
-    // Replayer decode, heap logic and everything else outside the memory
-    // system's touch path; extrapolation jitter can push the stage total
-    // past the wall-clock on tiny runs, hence the saturation.
-    stages.push(StageRow {
-        label: "other".to_string(),
-        events: 0,
-        self_ns: wall_ns.saturating_sub(stage_total),
-        percent: 0.0,
-        events_per_sec: 0.0,
-    });
-    let base = wall_ns.max(stage_total).max(1) as f64;
-    for row in &mut stages {
-        row.percent = row.self_ns as f64 * 100.0 / base;
-    }
+    let stages = profile
+        .stages
+        .iter()
+        .map(|stage| {
+            let self_ns = stage.estimated_self_ns();
+            StageRow {
+                label: stage.stage.label().to_string(),
+                events: stage.events,
+                self_ns,
+                percent: self_ns as f64 * 100.0 / wall_ns.max(1) as f64,
+                events_per_sec: if self_ns > 0 {
+                    stage.events as f64 / (self_ns as f64 / 1e9)
+                } else {
+                    0.0
+                },
+            }
+        })
+        .collect();
     let phases = profile
         .phases
         .iter()
@@ -274,29 +251,19 @@ mod tests {
     }
 
     #[test]
-    fn profiles_every_collector_with_full_attribution() {
+    fn profiles_every_collector_stage_by_stage() {
         let dir = temp_dir("full");
         let config = ExperimentConfig::quick();
         let profile = benchmark("lu.fix").unwrap();
         let results = hot_path_profile(&config, &profile, &dir, 4);
         assert_eq!(results.collectors.len(), REPLAY_COLLECTORS.len());
         for collector in &results.collectors {
-            assert_eq!(collector.stages.len(), telemetry::STAGE_COUNT + 1);
-            assert_eq!(collector.stages.last().unwrap().label, "other");
-            assert!(collector
-                .stages
-                .iter()
-                .take(telemetry::STAGE_COUNT)
-                .any(|r| r.events > 0));
+            assert_eq!(collector.stages.len(), telemetry::STAGE_COUNT);
+            assert!(collector.stages.iter().any(|r| r.events > 0));
             assert!(!collector.phases.is_empty());
         }
-        assert!(
-            results.min_coverage() >= 0.9,
-            "attribution must cover ≥ 90% of the replay wall-clock, got {:.2}",
-            results.min_coverage()
-        );
         let report = results.report();
-        assert!(report.contains("events/sec") && report.contains("other"));
+        assert!(report.contains("events/sec") && report.contains("÷ replay wall-clock"));
         std::fs::remove_dir_all(&dir).ok();
     }
 

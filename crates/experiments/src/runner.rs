@@ -282,10 +282,19 @@ pub(crate) fn finalize(
     collector: String,
     heap: KingsguardHeap,
     wp: Option<WritePartitioningStats>,
-    dram_fraction: f64,
-    pcm_fraction: f64,
     config: &ExperimentConfig,
 ) -> ExperimentResult {
+    // Provisioned capacities of the paper's memory systems: 32 GB DRAM-only,
+    // 32 GB PCM-only, or hybrid 1 GB DRAM + 32 GB PCM (any topology mixing
+    // the two technologies, and the OS-partitioned WP baseline).
+    let topology = heap.constraints().topology;
+    let (dram_fraction, pcm_fraction) = if wp.is_some() || topology.nursery != topology.mature {
+        (1.0 / 32.0, 1.0)
+    } else if topology.nursery == MemoryKind::Dram {
+        (1.0, 0.0)
+    } else {
+        (0.0, 1.0)
+    };
     let report = heap.finish();
     let model = ExecutionModel::default();
     let time = model.breakdown(&report.gc.work, &report.memory);
@@ -373,22 +382,13 @@ fn run_benchmark_inner(
 ) -> ExperimentResult {
     let label = heap_config.label();
     let heap_config = heap_config_for(profile, heap_config, config);
-    // Provisioned capacities of the paper's memory systems: 32 GB DRAM-only,
-    // 32 GB PCM-only, or hybrid 1 GB DRAM + 32 GB PCM.
-    let (dram_fraction, pcm_fraction) = if heap_config.is_hybrid() {
-        (1.0 / 32.0, 1.0)
-    } else if heap_config.nursery_kind() == MemoryKind::Dram {
-        (1.0, 0.0)
-    } else {
-        (0.0, 1.0)
-    };
     let mut heap = KingsguardHeap::new(heap_config.clone(), config.memory_config());
     heap.enable_telemetry();
     if profiled {
         heap.enable_profiling(profile.name);
     }
     drive_workload(profile, &mut heap, &heap_config, config, |_, _| {});
-    finalize(profile, label, heap, None, dram_fraction, pcm_fraction, config)
+    finalize(profile, label, heap, None, config)
 }
 
 /// Runs `profile` on a PCM-only generational Immix heap managed by the OS
@@ -401,15 +401,7 @@ pub fn run_benchmark_with_wp(profile: &BenchmarkProfile, config: &ExperimentConf
     drive_workload(profile, &mut heap, &heap_config, config, |heap, progress| {
         heap.with_synced_memory(|mem| wp.advance(mem, progress.elapsed_ms));
     });
-    finalize(
-        profile,
-        "WP".to_string(),
-        heap,
-        Some(wp.stats()),
-        1.0 / 32.0,
-        1.0,
-        config,
-    )
+    finalize(profile, "WP".to_string(), heap, Some(wp.stats()), config)
 }
 
 /// Canonical trace file path for one workload: keyed by everything that

@@ -2,7 +2,7 @@
 
 use hybrid_mem::devices::{self, CPU_FREQ_GHZ, MEMORY_BANDWIDTH_GBPS};
 use hybrid_mem::MemoryKind;
-use kingsguard::HeapConfig;
+use kingsguard::{BarrierMode, HeapConfig};
 use workloads::{all_benchmarks, simulated_benchmarks};
 
 use crate::report::{collect_rows, mean, percent, TelemetryRollup, TextTable};
@@ -25,23 +25,14 @@ pub fn table1() -> String {
         HeapConfig::kg_w_no_loo(),
         HeapConfig::kg_w_no_loo_no_mdo(),
     ];
+    let yes_no = |flag: bool| if flag { "yes" } else { "no" }.to_string();
     for config in configs {
-        let is_kgw = config.has_observer();
+        let constraints = kingsguard::policy::from_config(&config).constraints();
         table.row(vec![
             config.label(),
-            if is_kgw { "yes" } else { "no" }.to_string(),
-            if is_kgw && config.kgw.metadata_optimization {
-                "yes"
-            } else {
-                "no"
-            }
-            .to_string(),
-            if is_kgw && config.kgw.large_object_optimization {
-                "yes"
-            } else {
-                "no"
-            }
-            .to_string(),
+            yes_no(constraints.barrier != BarrierMode::None),
+            yes_no(constraints.metadata_marks_in_dram),
+            yes_no(constraints.large_object_optimization),
         ]);
     }
     table.render()

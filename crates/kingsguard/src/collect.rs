@@ -21,28 +21,12 @@ use hybrid_mem::{Address, MemoryKind, Phase};
 use kingsguard_heap::object::{ObjectRef, ObjectShape};
 use kingsguard_heap::Handle;
 
+use crate::observer::{CheckPoint, CollectKind, HeapEvent};
 use crate::policy::SurvivorPlacement;
 use crate::runtime::{KingsguardHeap, Location};
-use crate::sanitizer::CheckPoint;
 use crate::stats::CompositionSample;
-use crate::tap::{CollectKind, HeapEvent};
 
 impl KingsguardHeap {
-    /// Returns `true` if the policy stores PCM mark state in DRAM side
-    /// tables (the metadata optimization).
-    fn uses_mdo(&self) -> bool {
-        self.policy.metadata_marks_in_dram()
-    }
-
-    /// Returns `true` for the policies that apply the written-object
-    /// movement of full collections: rescue of written PCM objects to DRAM
-    /// and the large-object PCM→DRAM move. KG-W uses them as its primary
-    /// mechanism; the per-site policies keep them as the fallback for
-    /// mispredicted sites.
-    fn uses_rescue(&self) -> bool {
-        self.policy.rescue_written_objects()
-    }
-
     /// Returns `true` if the object at `addr` overlaps a page fenced for
     /// retirement this collection (and must therefore be evacuated by the
     /// trace, whatever its write bit says).
@@ -95,7 +79,7 @@ impl KingsguardHeap {
         self.collect_young_impl();
     }
 
-    /// [`Self::collect_young`] without the record-tap marker: the entry used
+    /// [`Self::collect_young`] without the observer event: the entry used
     /// by allocation-pressure triggers, whose collections replay implicitly.
     pub(crate) fn collect_young_impl(&mut self) {
         self.enter_safepoint();
@@ -184,7 +168,7 @@ impl KingsguardHeap {
         // Re-evaluate the Large Object Optimization: devote part of the
         // nursery to large objects only while the large-object allocation
         // rate outpaces the nursery allocation rate (Section 4.2.4).
-        if self.policy.large_object_optimization() {
+        if self.constraints.large_object_optimization {
             self.loo_active = self.los_alloc_since_gc > self.nursery_alloc_since_gc;
         }
         self.los_alloc_since_gc = 0;
@@ -637,7 +621,7 @@ impl KingsguardHeap {
         if let Some(space) = self.los_dram.as_mut() {
             space.prepare_collection();
         }
-        if self.uses_mdo() {
+        if self.constraints.metadata_marks_in_dram {
             self.metadata.clear_object_marks(&mut self.mem, phase);
         }
         self.telemetry.span_exit();
@@ -796,7 +780,7 @@ impl KingsguardHeap {
                 let size = shape.size();
                 let written = obj.is_written(&mut self.mem, phase);
                 let endangered = self.on_dying_page(obj.address(), size);
-                let rescue = self.uses_rescue()
+                let rescue = self.constraints.rescue_written_objects
                     && written
                     && self.mature_primary.kind() == MemoryKind::Pcm
                     && self.mature_dram.is_some();
@@ -879,7 +863,10 @@ impl KingsguardHeap {
                 // (for KG-D, demotion is the signal that un-learns stale
                 // advice).
                 let site = self.stats.site_of(obj.address());
-                if self.uses_rescue() && !written && self.policy.demote_unwritten_dram(site) {
+                if self.constraints.rescue_written_objects
+                    && !written
+                    && self.policy.demote_unwritten_dram(site)
+                {
                     // Unwritten DRAM mature object: demote to PCM to exploit
                     // PCM capacity (Section 4.2.3).
                     let dst = self
@@ -920,7 +907,7 @@ impl KingsguardHeap {
                     .size_of(obj.address())
                     .unwrap_or_else(|| obj.size(&mut self.mem, phase));
                 let endangered = self.on_dying_page(obj.address(), size);
-                let move_to_dram = self.uses_rescue()
+                let move_to_dram = self.constraints.rescue_written_objects
                     && written
                     && self.los_primary.kind() == MemoryKind::Pcm
                     && self.los_dram.is_some();
@@ -1039,7 +1026,10 @@ impl KingsguardHeap {
     /// Records the object-mark store, in the DRAM mark table when MDO applies
     /// (PCM object larger than 16 bytes) and in the object header otherwise.
     fn account_object_mark(&mut self, obj: ObjectRef, space_kind: MemoryKind, phase: Phase) {
-        if self.uses_mdo() && space_kind == MemoryKind::Pcm && !obj.is_mdo_small(&mut self.mem, phase) {
+        if self.constraints.metadata_marks_in_dram
+            && space_kind == MemoryKind::Pcm
+            && !obj.is_mdo_small(&mut self.mem, phase)
+        {
             self.metadata.set_object_mark(&mut self.mem, obj, phase);
         } else {
             obj.set_marked(&mut self.mem, true, phase);

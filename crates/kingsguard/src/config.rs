@@ -209,53 +209,6 @@ impl HeapConfig {
         self
     }
 
-    /// Returns `true` if this configuration uses an observer space.
-    pub fn has_observer(&self) -> bool {
-        matches!(self.collector, CollectorKind::KingsguardWriters)
-    }
-
-    /// Returns `true` if this configuration maintains DRAM mature and DRAM
-    /// large spaces alongside the PCM ones (KG-W via the observer space,
-    /// KG-A via profile-guided pretenuring).
-    pub fn has_dram_mature(&self) -> bool {
-        matches!(
-            self.collector,
-            CollectorKind::KingsguardWriters | CollectorKind::KgAdvice | CollectorKind::KgDynamic
-        )
-    }
-
-    /// Returns `true` if this configuration has both DRAM and PCM spaces.
-    pub fn is_hybrid(&self) -> bool {
-        !matches!(self.collector, CollectorKind::GenImmix { .. })
-    }
-
-    /// Memory technology of the nursery.
-    pub fn nursery_kind(&self) -> MemoryKind {
-        match self.collector {
-            CollectorKind::GenImmix { memory } => memory,
-            _ => MemoryKind::Dram,
-        }
-    }
-
-    /// Memory technology of the (primary) mature space.
-    pub fn mature_kind(&self) -> MemoryKind {
-        match self.collector {
-            CollectorKind::GenImmix { memory } => memory,
-            _ => MemoryKind::Pcm,
-        }
-    }
-
-    /// Memory technology of metadata (mark tables, remset buffers).
-    pub fn metadata_kind(&self) -> MemoryKind {
-        match self.collector {
-            CollectorKind::GenImmix { memory } => memory,
-            CollectorKind::KingsguardNursery => MemoryKind::Pcm,
-            CollectorKind::KingsguardWriters | CollectorKind::KgAdvice | CollectorKind::KgDynamic => {
-                MemoryKind::Dram
-            }
-        }
-    }
-
     /// Short name used in reports ("DRAM-only", "PCM-only", "KG-N", "KG-W",
     /// "KG-W-LOO", ...).
     pub fn label(&self) -> String {
@@ -317,32 +270,10 @@ mod tests {
     }
 
     #[test]
-    fn placement_per_collector() {
-        assert_eq!(HeapConfig::gen_immix_pcm().nursery_kind(), MemoryKind::Pcm);
-        assert_eq!(HeapConfig::gen_immix_dram().mature_kind(), MemoryKind::Dram);
-        assert_eq!(HeapConfig::kg_n().nursery_kind(), MemoryKind::Dram);
-        assert_eq!(HeapConfig::kg_n().mature_kind(), MemoryKind::Pcm);
-        assert_eq!(HeapConfig::kg_n().metadata_kind(), MemoryKind::Pcm);
-        assert_eq!(HeapConfig::kg_w().metadata_kind(), MemoryKind::Dram);
-        assert!(HeapConfig::kg_w().has_observer());
-        assert!(!HeapConfig::kg_n().has_observer());
-        assert!(HeapConfig::kg_n().is_hybrid());
-        assert!(!HeapConfig::gen_immix_pcm().is_hybrid());
-    }
-
-    #[test]
     fn kg_a_configuration() {
         let config = HeapConfig::kg_a(AdviceTable::all_cold());
         assert_eq!(config.label(), "KG-A");
-        assert!(!config.has_observer(), "KG-A bypasses the observer space");
-        assert!(config.has_dram_mature());
-        assert!(config.is_hybrid());
-        assert_eq!(config.nursery_kind(), MemoryKind::Dram);
-        assert_eq!(config.mature_kind(), MemoryKind::Pcm);
-        assert_eq!(config.metadata_kind(), MemoryKind::Dram);
         assert!(config.advice.is_some());
-        assert!(HeapConfig::kg_w().has_dram_mature());
-        assert!(!HeapConfig::kg_n().has_dram_mature());
     }
 
     #[test]

@@ -49,20 +49,21 @@
 pub mod collect;
 pub mod config;
 pub mod mutator;
+pub mod observer;
 pub mod policy;
 pub mod runtime;
-pub mod sanitizer;
 pub mod stats;
-pub mod tap;
 
 pub use config::{CollectorKind, HeapConfig, KgwOptions};
 pub use mutator::{MutatorConfig, MutatorContext};
+pub use observer::{
+    CheckNote, CheckPoint, CollectKind, HeapEvent, HeapObserver, MutatorSnapshot, ObserverId,
+    ShardConservation,
+};
 pub use policy::{
     AdaptationEvent, AdaptationTrigger, BarrierMode, GenImmixPolicy, KgAdvicePolicy, KgDynamicParams,
-    KgDynamicPolicy, KgNurseryPolicy, KgWritersPolicy, LargePlacement, PlacementPolicy, SurvivorPlacement,
-    Topology,
+    KgDynamicPolicy, KgNurseryPolicy, KgWritersPolicy, LargePlacement, PlacementPolicy, PolicyConstraints,
+    SurvivorPlacement, Topology,
 };
 pub use runtime::{KingsguardHeap, Location, RunReport};
-pub use sanitizer::{CheckPoint, HeapSanitizer, MutatorSnapshot, SanitizerNote, ShardConservation};
 pub use stats::{CollectionCounters, CompositionSample, GcStats, WriteTarget};
-pub use tap::{CollectKind, HeapEvent};

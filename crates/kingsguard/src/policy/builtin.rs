@@ -4,7 +4,9 @@ use advice::{AdviceTable, SiteId};
 use hybrid_mem::MemoryKind;
 
 use crate::config::KgwOptions;
-use crate::policy::{BarrierMode, LargePlacement, PlacementPolicy, SurvivorPlacement, Topology};
+use crate::policy::{
+    BarrierMode, LargePlacement, PlacementPolicy, PolicyConstraints, SurvivorPlacement, Topology,
+};
 
 /// The generational Immix baseline: every space on one memory technology,
 /// no write rationing at all.
@@ -28,8 +30,8 @@ impl PlacementPolicy for GenImmixPolicy {
         }
     }
 
-    fn topology(&self) -> Topology {
-        Topology::single(self.memory)
+    fn constraints(&self) -> PolicyConstraints {
+        PolicyConstraints::new(Topology::single(self.memory))
     }
 }
 
@@ -43,8 +45,8 @@ impl PlacementPolicy for KgNurseryPolicy {
         "KG-N".to_string()
     }
 
-    fn topology(&self) -> Topology {
-        Topology::dram_nursery()
+    fn constraints(&self) -> PolicyConstraints {
+        PolicyConstraints::new(Topology::dram_nursery())
     }
 }
 
@@ -54,52 +56,44 @@ impl PlacementPolicy for KgNurseryPolicy {
 /// and demote unwritten DRAM objects.
 #[derive(Clone, Copy, Debug)]
 pub struct KgWritersPolicy {
-    opts: KgwOptions,
+    constraints: PolicyConstraints,
 }
 
 impl KgWritersPolicy {
     /// KG-W with the given feature toggles (Table 1 / Section 6.2).
     pub fn new(opts: KgwOptions) -> Self {
-        KgWritersPolicy { opts }
+        KgWritersPolicy {
+            constraints: PolicyConstraints {
+                barrier: BarrierMode::SetWritten,
+                monitor_primitive_writes: opts.monitor_primitives,
+                metadata_marks_in_dram: opts.metadata_optimization,
+                large_object_optimization: opts.large_object_optimization,
+                ..PolicyConstraints::new(Topology {
+                    observer: true,
+                    ..Topology::hybrid_rationing()
+                })
+            },
+        }
     }
 }
 
 impl PlacementPolicy for KgWritersPolicy {
     fn name(&self) -> String {
         let mut label = "KG-W".to_string();
-        if !self.opts.large_object_optimization {
+        if !self.constraints.large_object_optimization {
             label.push_str("-LOO");
         }
-        if !self.opts.metadata_optimization {
+        if !self.constraints.metadata_marks_in_dram {
             label.push_str("-MDO");
         }
-        if !self.opts.monitor_primitives {
+        if !self.constraints.monitor_primitive_writes {
             label.push_str("-PM");
         }
         label
     }
 
-    fn topology(&self) -> Topology {
-        Topology {
-            observer: true,
-            ..Topology::hybrid_rationing()
-        }
-    }
-
-    fn barrier(&self) -> BarrierMode {
-        BarrierMode::SetWritten
-    }
-
-    fn monitor_primitive_writes(&self) -> bool {
-        self.opts.monitor_primitives
-    }
-
-    fn metadata_marks_in_dram(&self) -> bool {
-        self.opts.metadata_optimization
-    }
-
-    fn large_object_optimization(&self) -> bool {
-        self.opts.large_object_optimization
+    fn constraints(&self) -> PolicyConstraints {
+        self.constraints
     }
 }
 
@@ -129,8 +123,8 @@ impl PlacementPolicy for KgAdvicePolicy {
         "KG-A".to_string()
     }
 
-    fn topology(&self) -> Topology {
-        Topology::hybrid_rationing()
+    fn constraints(&self) -> PolicyConstraints {
+        PolicyConstraints::SITE_RATIONING
     }
 
     fn survivor_placement(&mut self, site: SiteId, _written: bool) -> SurvivorPlacement {
@@ -153,14 +147,6 @@ impl PlacementPolicy for KgAdvicePolicy {
         // Advised-hot sites stay in DRAM across quiet periods — demoting
         // them would only churn the next rescue.
         !self.table.pretenure_to_dram(site)
-    }
-
-    fn barrier(&self) -> BarrierMode {
-        BarrierMode::FirstWriteOnly
-    }
-
-    fn needs_sites(&self) -> bool {
-        true
     }
 }
 
@@ -195,29 +181,12 @@ mod tests {
     }
 
     #[test]
-    fn kg_writers_labels_mirror_the_option_toggles() {
-        assert_eq!(KgWritersPolicy::new(KgwOptions::default()).name(), "KG-W");
-        let stripped = KgwOptions {
-            large_object_optimization: false,
-            metadata_optimization: false,
-            monitor_primitives: true,
-        };
-        assert_eq!(KgWritersPolicy::new(stripped).name(), "KG-W-LOO-MDO");
-    }
-
-    #[test]
     fn baseline_policies_never_ration() {
         let mut dram = GenImmixPolicy::new(MemoryKind::Dram);
-        assert!(!dram.rescue_written_objects());
-        assert_eq!(dram.barrier(), BarrierMode::None);
         assert_eq!(
             dram.survivor_placement(SiteId(3), true),
             SurvivorPlacement::Mature
         );
         assert_eq!(dram.large_placement(SiteId(3)), LargePlacement::Default);
-        let mut kg_n = KgNurseryPolicy;
-        assert!(!kg_n.rescue_written_objects());
-        assert!(!kg_n.demote_unwritten_dram(SiteId(1)));
-        assert!(!kg_n.needs_sites());
     }
 }

@@ -30,8 +30,7 @@ use advice::{AdviceTable, Placement, SiteId};
 use hybrid_mem::MemoryKind;
 
 use crate::policy::{
-    AdaptationEvent, AdaptationTrigger, BarrierMode, LargePlacement, PlacementPolicy, SurvivorPlacement,
-    Topology,
+    AdaptationEvent, AdaptationTrigger, LargePlacement, PlacementPolicy, PolicyConstraints, SurvivorPlacement,
 };
 use crate::stats::GcStats;
 
@@ -145,8 +144,8 @@ impl PlacementPolicy for KgDynamicPolicy {
         "KG-D".to_string()
     }
 
-    fn topology(&self) -> Topology {
-        Topology::hybrid_rationing()
+    fn constraints(&self) -> PolicyConstraints {
+        PolicyConstraints::SITE_RATIONING
     }
 
     fn survivor_placement(&mut self, site: SiteId, _written: bool) -> SurvivorPlacement {
@@ -167,14 +166,6 @@ impl PlacementPolicy for KgDynamicPolicy {
 
     // demote_unwritten_dram stays at the default `true`: demotion is the
     // feedback channel that un-learns stale advice, so KG-D never pins.
-
-    fn barrier(&self) -> BarrierMode {
-        BarrierMode::FirstWriteOnly
-    }
-
-    fn needs_sites(&self) -> bool {
-        true
-    }
 
     fn adaptation_counters(&self) -> Option<(u64, u64)> {
         Some((self.promotions, self.reversions))

@@ -65,7 +65,7 @@ pub struct Topology {
 
 impl Topology {
     /// Every space on a single memory technology (the GenImmix baselines).
-    pub fn single(memory: MemoryKind) -> Self {
+    pub const fn single(memory: MemoryKind) -> Self {
         Topology {
             nursery: memory,
             mature: memory,
@@ -76,7 +76,7 @@ impl Topology {
     }
 
     /// DRAM nursery over a PCM mature heap, no DRAM mature spaces (KG-N).
-    pub fn dram_nursery() -> Self {
+    pub const fn dram_nursery() -> Self {
         Topology {
             nursery: MemoryKind::Dram,
             mature: MemoryKind::Pcm,
@@ -88,7 +88,7 @@ impl Topology {
 
     /// DRAM nursery + DRAM mature/large spaces over a PCM mature heap, DRAM
     /// metadata (KG-A, KG-D; KG-W adds the observer space on top).
-    pub fn hybrid_rationing() -> Self {
+    pub const fn hybrid_rationing() -> Self {
         Topology {
             nursery: MemoryKind::Dram,
             mature: MemoryKind::Pcm,
@@ -141,18 +141,78 @@ pub enum BarrierMode {
     FirstWriteOnly,
 }
 
+/// The constant properties of a policy: everything the runtime needs to
+/// know about a collector that never changes during a run. Declared once per
+/// policy ([`PlacementPolicy::constraints`]), read once by
+/// [`crate::KingsguardHeap::with_policy`] and cached in the heap, so the
+/// allocation and store paths read plain fields instead of re-asking the
+/// policy.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct PolicyConstraints {
+    /// The space layout this policy requires.
+    pub topology: Topology,
+    /// The monitoring mode of the write barrier.
+    pub barrier: BarrierMode,
+    /// Whether primitive (non-reference) writes reach the monitoring half
+    /// of the barrier (KG-W vs KG-W–PM).
+    pub monitor_primitive_writes: bool,
+    /// Whether full collections rescue written PCM mature objects back to
+    /// DRAM and move written large PCM objects to the DRAM large space.
+    pub rescue_written_objects: bool,
+    /// Metadata Optimization: keep the mark state of PCM objects in DRAM
+    /// side tables.
+    pub metadata_marks_in_dram: bool,
+    /// Large Object Optimization: give large objects a chance to die in the
+    /// nursery while the large-object allocation rate outpaces the nursery's.
+    pub large_object_optimization: bool,
+    /// Whether the heap must maintain the address→site side table for this
+    /// policy (per-site policies only; the others skip the hot-path
+    /// bookkeeping).
+    pub needs_sites: bool,
+}
+
+impl PolicyConstraints {
+    /// The conservative base every policy starts from: no write monitoring,
+    /// no optimizations, no site tracking, and the written-object rescue
+    /// exactly when the topology has DRAM mature spaces to rescue into.
+    /// Policies override fields with struct-update syntax.
+    pub const fn new(topology: Topology) -> Self {
+        PolicyConstraints {
+            topology,
+            barrier: BarrierMode::None,
+            monitor_primitive_writes: true,
+            rescue_written_objects: topology.dram_mature,
+            metadata_marks_in_dram: false,
+            large_object_optimization: false,
+            needs_sites: false,
+        }
+    }
+
+    /// The per-site rationing collectors (KG-A, KG-D): DRAM mature spaces
+    /// without an observer space, the barrier as a first-write misprediction
+    /// detector, site tracking on.
+    pub const SITE_RATIONING: PolicyConstraints = PolicyConstraints {
+        barrier: BarrierMode::FirstWriteOnly,
+        needs_sites: true,
+        ..PolicyConstraints::new(Topology::hybrid_rationing())
+    };
+}
+
 /// A placement policy: the decisions a write-rationing collector is made of.
 ///
-/// Every hook has a conservative default, so a minimal policy only overrides
-/// [`PlacementPolicy::name`], [`PlacementPolicy::topology`] and the
-/// decisions it actually cares about — see the crate README for a worked
-/// example under 50 lines.
+/// The trait holds decisions and feedback only; a policy's constant
+/// properties are data, declared once in [`PolicyConstraints`]. Every hook
+/// but [`PlacementPolicy::name`] and [`PlacementPolicy::constraints`] has a
+/// conservative default, so a minimal policy only overrides the decisions it
+/// actually cares about — see the crate README for a worked example under
+/// 50 lines.
 pub trait PlacementPolicy: std::fmt::Debug + Send {
     /// Short collector label ("KG-W", "KG-D", ...).
     fn name(&self) -> String;
 
-    /// The space layout this policy requires.
-    fn topology(&self) -> Topology;
+    /// The policy's constant properties. Must not change during a run: the
+    /// heap reads this once at construction.
+    fn constraints(&self) -> PolicyConstraints;
 
     /// Placement of a small nursery survivor (after observer routing and
     /// large-object handling). `written` is the survivor's write bit.
@@ -171,54 +231,20 @@ pub trait PlacementPolicy: std::fmt::Debug + Send {
         written
     }
 
-    /// Whether full collections rescue written PCM mature objects back to
-    /// DRAM and move written large PCM objects to the DRAM large space.
-    fn rescue_written_objects(&self) -> bool {
-        self.topology().dram_mature
-    }
-
     /// Whether a full collection may demote this unwritten DRAM mature
-    /// object to PCM. KG-A pins advised-hot sites in DRAM so quiet periods
-    /// do not churn the next rescue; KG-D deliberately lets them demote —
-    /// demotion is the signal that un-learns stale advice.
+    /// object to PCM; only asked of policies whose
+    /// [`PolicyConstraints::rescue_written_objects`] is set. KG-A pins
+    /// advised-hot sites in DRAM so quiet periods do not churn the next
+    /// rescue; KG-D deliberately lets them demote — demotion is the signal
+    /// that un-learns stale advice.
     fn demote_unwritten_dram(&mut self, _site: SiteId) -> bool {
-        self.rescue_written_objects()
-    }
-
-    /// The monitoring mode of the write barrier.
-    fn barrier(&self) -> BarrierMode {
-        BarrierMode::None
-    }
-
-    /// Whether primitive (non-reference) writes reach the monitoring half
-    /// of the barrier (KG-W vs KG-W–PM).
-    fn monitor_primitive_writes(&self) -> bool {
         true
-    }
-
-    /// Metadata Optimization: keep the mark state of PCM objects in DRAM
-    /// side tables.
-    fn metadata_marks_in_dram(&self) -> bool {
-        false
-    }
-
-    /// Large Object Optimization: give large objects a chance to die in the
-    /// nursery while the large-object allocation rate outpaces the nursery's.
-    fn large_object_optimization(&self) -> bool {
-        false
-    }
-
-    /// Whether the heap must maintain the address→site side table for this
-    /// policy (per-site policies only; the others skip the hot-path
-    /// bookkeeping).
-    fn needs_sites(&self) -> bool {
-        false
     }
 
     /// Write-barrier event notification: the mutator wrote a post-nursery
     /// object of `site` residing on `kind` memory. Only delivered for
-    /// policies with [`PlacementPolicy::needs_sites`], and only for known
-    /// sites.
+    /// policies whose [`PolicyConstraints::needs_sites`] is set, and only
+    /// for known sites.
     fn on_mature_write(&mut self, _site: SiteId, _kind: MemoryKind) {}
 
     /// End-of-collection refresh point: called after every young and
@@ -309,9 +335,9 @@ pub struct AdaptationEvent {
     pub trigger: AdaptationTrigger,
 }
 
-/// Builds the built-in policy for `config.collector`. `CollectorKind`
-/// remains the thin constructor/CLI alias; everything behavioural lives in
-/// the returned policy.
+/// Builds the built-in policy for `config.collector` — the one place a
+/// `CollectorKind` is turned into collector properties; everything
+/// behavioural lives in the returned policy and its [`PolicyConstraints`].
 pub fn from_config(config: &HeapConfig) -> Box<dyn PlacementPolicy> {
     match config.collector {
         CollectorKind::GenImmix { memory } => Box::new(GenImmixPolicy::new(memory)),
@@ -334,66 +360,103 @@ pub fn from_config(config: &HeapConfig) -> Box<dyn PlacementPolicy> {
 mod tests {
     use super::*;
 
+    /// Table 1 as data: every constant of every built-in collector, pinned
+    /// in one place.
     #[test]
-    fn builtin_policies_match_their_collector_kinds() {
-        for (config, name) in [
-            (HeapConfig::gen_immix_dram(), "DRAM-only"),
-            (HeapConfig::gen_immix_pcm(), "PCM-only"),
-            (HeapConfig::kg_n(), "KG-N"),
-            (HeapConfig::kg_w(), "KG-W"),
-            (HeapConfig::kg_a(advice::AdviceTable::all_cold()), "KG-A"),
-            (HeapConfig::kg_d(), "KG-D"),
+    fn builtin_policies_declare_the_constraints_of_table_1() {
+        use BarrierMode::{FirstWriteOnly, None as NoBarrier, SetWritten};
+        use MemoryKind::{Dram, Pcm};
+        let topology = |nursery, mature, metadata, observer, dram_mature| Topology {
+            nursery,
+            mature,
+            metadata,
+            observer,
+            dram_mature,
+        };
+        let dram_nursery = topology(Dram, Pcm, Pcm, false, false);
+        let kg_w_topology = topology(Dram, Pcm, Dram, true, true);
+        let per_site = topology(Dram, Pcm, Dram, false, true);
+        let row = |topology, barrier, prims, rescue, mdo, loo, sites| PolicyConstraints {
+            topology,
+            barrier,
+            monitor_primitive_writes: prims,
+            rescue_written_objects: rescue,
+            metadata_marks_in_dram: mdo,
+            large_object_optimization: loo,
+            needs_sites: sites,
+        };
+        let all_cold = advice::AdviceTable::all_cold;
+        for (config, name, expected) in [
+            (
+                HeapConfig::gen_immix_dram(),
+                "DRAM-only",
+                row(
+                    topology(Dram, Dram, Dram, false, false),
+                    NoBarrier,
+                    true,
+                    false,
+                    false,
+                    false,
+                    false,
+                ),
+            ),
+            (
+                HeapConfig::gen_immix_pcm(),
+                "PCM-only",
+                row(
+                    topology(Pcm, Pcm, Pcm, false, false),
+                    NoBarrier,
+                    true,
+                    false,
+                    false,
+                    false,
+                    false,
+                ),
+            ),
+            (
+                HeapConfig::kg_n(),
+                "KG-N",
+                row(dram_nursery, NoBarrier, true, false, false, false, false),
+            ),
+            (
+                HeapConfig::kg_w(),
+                "KG-W",
+                row(kg_w_topology, SetWritten, true, true, true, true, false),
+            ),
+            (
+                HeapConfig::kg_w_no_loo(),
+                "KG-W-LOO",
+                row(kg_w_topology, SetWritten, true, true, true, false, false),
+            ),
+            (
+                HeapConfig::kg_w_no_loo_no_mdo(),
+                "KG-W-LOO-MDO",
+                row(kg_w_topology, SetWritten, true, true, false, false, false),
+            ),
+            (
+                HeapConfig::kg_w_no_primitive_monitoring(),
+                "KG-W-PM",
+                row(kg_w_topology, SetWritten, false, true, true, true, false),
+            ),
+            (
+                HeapConfig::kg_a(all_cold()),
+                "KG-A",
+                row(per_site, FirstWriteOnly, true, true, false, false, true),
+            ),
+            (
+                HeapConfig::kg_d(),
+                "KG-D",
+                row(per_site, FirstWriteOnly, true, true, false, false, true),
+            ),
+            (
+                HeapConfig::kg_d_with(all_cold()),
+                "KG-D",
+                row(per_site, FirstWriteOnly, true, true, false, false, true),
+            ),
         ] {
             let policy = from_config(&config);
             assert_eq!(policy.name(), name);
-            let topo = policy.topology();
-            assert_eq!(topo.nursery, config.nursery_kind());
-            assert_eq!(topo.mature, config.mature_kind());
-            assert_eq!(topo.metadata, config.metadata_kind());
-            assert_eq!(topo.observer, config.has_observer());
-            assert_eq!(topo.dram_mature, config.has_dram_mature());
+            assert_eq!(policy.constraints(), expected, "{name}");
         }
-    }
-
-    #[test]
-    fn barrier_modes_per_policy() {
-        assert_eq!(from_config(&HeapConfig::kg_n()).barrier(), BarrierMode::None);
-        assert_eq!(
-            from_config(&HeapConfig::gen_immix_dram()).barrier(),
-            BarrierMode::None
-        );
-        assert_eq!(
-            from_config(&HeapConfig::kg_w()).barrier(),
-            BarrierMode::SetWritten
-        );
-        assert_eq!(
-            from_config(&HeapConfig::kg_a(advice::AdviceTable::all_cold())).barrier(),
-            BarrierMode::FirstWriteOnly
-        );
-        assert_eq!(
-            from_config(&HeapConfig::kg_d()).barrier(),
-            BarrierMode::FirstWriteOnly
-        );
-    }
-
-    #[test]
-    fn kgw_option_toggles_flow_into_the_policy() {
-        let full = from_config(&HeapConfig::kg_w());
-        assert!(full.large_object_optimization());
-        assert!(full.metadata_marks_in_dram());
-        assert!(full.monitor_primitive_writes());
-        let stripped = from_config(&HeapConfig::kg_w_no_loo_no_mdo());
-        assert!(!stripped.large_object_optimization());
-        assert!(!stripped.metadata_marks_in_dram());
-        let no_pm = from_config(&HeapConfig::kg_w_no_primitive_monitoring());
-        assert!(!no_pm.monitor_primitive_writes());
-    }
-
-    #[test]
-    fn only_site_policies_track_sites() {
-        assert!(!from_config(&HeapConfig::kg_n()).needs_sites());
-        assert!(!from_config(&HeapConfig::kg_w()).needs_sites());
-        assert!(from_config(&HeapConfig::kg_a(advice::AdviceTable::all_cold())).needs_sites());
-        assert!(from_config(&HeapConfig::kg_d()).needs_sites());
     }
 }

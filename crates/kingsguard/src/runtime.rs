@@ -28,10 +28,11 @@ use kingsguard_heap::{
 
 use crate::config::HeapConfig;
 use crate::mutator::{MutatorConfig, MutatorContext, MutatorState, WriteEvent};
-use crate::policy::{self, BarrierMode, LargePlacement, PlacementPolicy};
-use crate::sanitizer::{CheckPoint, HeapSanitizer, MutatorSnapshot, ShardConservation};
+use crate::observer::{
+    CheckPoint, HeapEvent, HeapObserver, MutatorSnapshot, ObserverId, Observers, ShardConservation,
+};
+use crate::policy::{self, BarrierMode, LargePlacement, PlacementPolicy, PolicyConstraints};
 use crate::stats::{GcStats, WriteTarget};
-use crate::tap::{EventTap, HeapEvent};
 use telemetry::{Stage, Telemetry, TelemetryReport, TouchProfile, Value};
 
 /// Where an address lives within the heap. Exposed read-only through
@@ -101,6 +102,9 @@ pub struct KingsguardHeap {
     pub(crate) profiler: Option<SiteProfiler>,
     /// The placement policy making every DRAM-vs-PCM decision.
     pub(crate) policy: Box<dyn PlacementPolicy>,
+    /// The policy's constant properties, read once at construction so the
+    /// allocation and store paths never ask the policy for them.
+    pub(crate) constraints: PolicyConstraints,
     /// Per-context mutator state (TLAB, store buffer, counter shard); slot 0
     /// is the built-in default context backing the legacy heap methods.
     pub(crate) mutators: Vec<MutatorState>,
@@ -110,11 +114,9 @@ pub struct KingsguardHeap {
     /// retired (remapped off PCM) after the sweep, then cleared; empty
     /// outside a full collection and on fault-free runs.
     pub(crate) dying_pages: BTreeMap<u64, Vec<SiteId>>,
-    /// The (optional) heap-event record tap (see [`crate::tap`]).
-    pub(crate) tap: EventTap,
-    /// The (optional) installed invariant checker (see [`crate::sanitizer`]).
-    /// Passive like the tap; can be installed alongside one.
-    pub(crate) sanitizer: Option<Box<dyn HeapSanitizer>>,
+    /// The attached passive observers (see [`crate::observer`]): the trace
+    /// recorder, the shadow-heap sanitizer, or any other [`HeapObserver`].
+    pub(crate) observers: Observers,
     /// Test-only corruption switch: when set, draining a store buffer drops
     /// its events instead of replaying the barrier bookkeeping. See
     /// [`KingsguardHeap::debug_skip_barrier_bookkeeping_for_test`].
@@ -152,15 +154,17 @@ impl KingsguardHeap {
         Self::with_policy(config, memory_config, policy)
     }
 
-    /// Creates a heap governed by a custom [`PlacementPolicy`]. The policy's
-    /// [`policy::Topology`] decides which spaces exist and where they live;
-    /// `config.collector` is ignored (only the sizes are used).
+    /// Creates a heap governed by a custom [`PlacementPolicy`]. The
+    /// [`policy::Topology`] of the policy's [`PolicyConstraints`] decides
+    /// which spaces exist and where they live; `config.collector` is ignored
+    /// (only the sizes are used).
     pub fn with_policy(
         config: HeapConfig,
         memory_config: MemoryConfig,
         policy: Box<dyn PlacementPolicy>,
     ) -> Self {
-        let topology = policy.topology();
+        let constraints = policy.constraints();
+        let topology = constraints.topology;
         let mut mem = MemorySystem::new(memory_config);
 
         let nursery_base = mem.reserve_extent("nursery", config.nursery_bytes);
@@ -248,38 +252,35 @@ impl KingsguardHeap {
             nursery_alloc_since_gc: 0,
             profiler: None,
             policy,
+            constraints,
             mutators,
             dying_pages: BTreeMap::new(),
-            tap: EventTap::none(),
-            sanitizer: None,
+            observers: Observers::default(),
             skip_barrier_bookkeeping: false,
             telemetry: Telemetry::disabled(),
         }
     }
 
     // ------------------------------------------------------------------
-    // Heap-event record tap (see `crate::tap`)
+    // The observer seam (see `crate::observer`)
     // ------------------------------------------------------------------
 
-    /// Installs a heap-event tap: a passive observer invoked for every
-    /// mutator-visible API event in program order (see [`crate::tap`]). At
-    /// most one tap is installed; a second call replaces the first.
-    pub fn set_event_tap(&mut self, tap: Box<dyn FnMut(&HeapEvent)>) {
-        self.tap.set(tap);
+    /// Attaches a passive observer: it sees every mutator-visible API event
+    /// in program order, every TLAB carve, and every safepoint/GC checkpoint
+    /// (see [`crate::observer`]). Observers are independent; any number can
+    /// be attached, and each is notified in attachment order.
+    pub fn attach_observer(&mut self, observer: Box<dyn HeapObserver>) -> ObserverId {
+        self.observers.attach(observer)
     }
 
-    /// Removes the installed heap-event tap, if any.
-    pub fn clear_event_tap(&mut self) {
-        self.tap.clear();
+    /// Detaches the observer `id` names and hands it back; `None` if it was
+    /// already detached.
+    pub fn detach_observer(&mut self, id: ObserverId) -> Option<Box<dyn HeapObserver>> {
+        self.observers.detach(id)
     }
 
-    /// Returns `true` while a heap-event tap is installed.
-    pub fn has_event_tap(&self) -> bool {
-        self.tap.is_active()
-    }
-
-    /// Emits a workload progress marker through the tap (a no-op without a
-    /// tap). Workload drivers call this immediately before invoking their
+    /// Emits a workload progress marker to the observers (a no-op without
+    /// one). Workload drivers call this immediately before invoking their
     /// periodic hook so hook-driven baselines replay at the recorded stream
     /// positions.
     pub fn trace_hook_marker(&mut self, allocated_bytes: u64, total_bytes: u64, elapsed_ms: u64) {
@@ -295,55 +296,36 @@ impl KingsguardHeap {
         self.policy.as_ref()
     }
 
-    // ------------------------------------------------------------------
-    // Sanitizer hooks (see `crate::sanitizer` and the `kingsguard-check`
-    // crate)
-    // ------------------------------------------------------------------
-
-    /// Installs an invariant checker: a passive observer of the heap-event
-    /// stream that additionally verifies heap invariants at every
-    /// safepoint/GC checkpoint (see [`crate::sanitizer`]). At most one is
-    /// installed; a second call replaces the first. The sanitizer and the
-    /// record tap can be installed simultaneously.
-    pub fn set_sanitizer(&mut self, sanitizer: Box<dyn HeapSanitizer>) {
-        self.sanitizer = Some(sanitizer);
+    /// The policy's constant properties, as cached at construction.
+    pub fn constraints(&self) -> &PolicyConstraints {
+        &self.constraints
     }
 
-    /// Removes and returns the installed sanitizer, if any.
-    pub fn take_sanitizer(&mut self) -> Option<Box<dyn HeapSanitizer>> {
-        self.sanitizer.take()
-    }
-
-    /// Returns `true` while a sanitizer is installed.
-    pub fn has_sanitizer(&self) -> bool {
-        self.sanitizer.is_some()
-    }
-
-    /// Emits one mutator-visible heap event to the record tap and the
-    /// installed sanitizer. `make` is only evaluated when at least one
-    /// observer is installed, so unobserved hot paths pay two branches.
+    /// Emits one mutator-visible heap event to the attached observers.
+    /// `make` is only evaluated when there is one, so unobserved hot paths
+    /// pay a single branch.
     #[inline]
     pub(crate) fn emit_event(&mut self, make: impl FnOnce() -> HeapEvent) {
-        match self.sanitizer.as_mut() {
-            None => self.tap.emit(make),
-            Some(sanitizer) => {
-                let event = make();
-                self.tap.call(&event);
-                sanitizer.on_event(&event);
-            }
+        if !self.observers.is_empty() {
+            self.observers.on_event(&make());
         }
     }
 
-    /// Runs the installed sanitizer's checks at `point` (a no-op without
-    /// one) and surfaces each returned violation note as a deterministic
+    /// Runs the observers' checks at `point` (a no-op without observers)
+    /// and surfaces each returned violation note as a deterministic
     /// `check.violation` telemetry event plus the `check.violations`
     /// counter.
     pub(crate) fn run_checkpoint(&mut self, point: CheckPoint) {
-        let Some(mut sanitizer) = self.sanitizer.take() else {
+        if self.observers.is_empty() {
+            return;
+        }
+        // Checks read the heap, so the observers step outside it meanwhile.
+        let mut observers = std::mem::take(&mut self.observers);
+        let checked = observers.at_checkpoint(point, self);
+        self.observers = observers;
+        let Some(notes) = checked else {
             return;
         };
-        let notes = sanitizer.at_checkpoint(point, self);
-        self.sanitizer = Some(sanitizer);
         if self.telemetry.is_enabled() {
             self.telemetry.counter_add("check.checkpoints", 1);
             if !notes.is_empty() {
@@ -789,7 +771,7 @@ impl KingsguardHeap {
         self.run_checkpoint(CheckPoint::Safepoint);
     }
 
-    /// The safepoint body, shared by the public (tap-reported) entry point
+    /// The safepoint body, shared by the public (observer-reported) entry point
     /// and the internal callers (collection entries, `finish`) whose
     /// safepoints replay implicitly and therefore are not recorded.
     pub(crate) fn enter_safepoint(&mut self) {
@@ -849,7 +831,7 @@ impl KingsguardHeap {
                     self.record_write_demographics(src);
                 }
                 WriteEvent::Prim { src } => {
-                    if self.policy.monitor_primitive_writes() {
+                    if self.constraints.monitor_primitive_writes {
                         self.monitoring_barrier(src, false);
                     }
                     self.record_write_demographics(src);
@@ -973,7 +955,7 @@ impl KingsguardHeap {
     /// either a profiling run is recording per-site behaviour, or the
     /// policy needs sites for placement (KG-A, KG-D).
     pub(crate) fn tracks_sites(&self) -> bool {
-        self.profiler.is_some() || self.policy.needs_sites()
+        self.profiler.is_some() || self.constraints.needs_sites
     }
 
     /// The TLAB allocation fast path: bump the context's private window;
@@ -991,8 +973,9 @@ impl KingsguardHeap {
             }
             let chunk = self.mutators[m].config.tlab_bytes;
             if let Some(tlab) = self.nursery.carve_tlab(&mut self.mem, size, chunk) {
-                if let Some(sanitizer) = self.sanitizer.as_mut() {
-                    sanitizer.on_tlab_carve(m, tlab.cursor().raw(), tlab.remaining_bytes());
+                if !self.observers.is_empty() {
+                    self.observers
+                        .on_tlab_carve(m, tlab.cursor().raw(), tlab.remaining_bytes());
                 }
                 self.mutators[m].tlab = Some(tlab);
                 continue;
@@ -1003,7 +986,7 @@ impl KingsguardHeap {
 
     fn alloc_large(&mut self, m: usize, shape: ObjectShape, type_id: u16, site: SiteId) -> ObjectRef {
         self.stats.large_bytes_allocated += shape.size() as u64;
-        let use_loo = self.policy.large_object_optimization()
+        let use_loo = self.constraints.large_object_optimization
             && self.loo_active
             && shape.size() < self.nursery.free_bytes() / 2;
         if use_loo {
@@ -1026,7 +1009,7 @@ impl KingsguardHeap {
         // site-tracking policies can observe barrier events at all
         // (`on_mature_write` is gated on `needs_sites`), so the drain is
         // skipped on the static policies' hot path.
-        if self.policy.needs_sites() {
+        if self.constraints.needs_sites {
             self.drain_all_mutators();
             self.mem.set_active_shard(self.mutators[m].shard);
         }
@@ -1251,7 +1234,7 @@ impl KingsguardHeap {
     /// in the mode the policy selects. `is_reference` distinguishes
     /// reference from primitive monitoring for the work model.
     fn monitoring_barrier(&mut self, src: ObjectRef, _is_reference: bool) {
-        let mode = self.policy.barrier();
+        let mode = self.constraints.barrier;
         if mode == BarrierMode::None {
             return;
         }
@@ -1291,7 +1274,7 @@ impl KingsguardHeap {
                 }
             }
             // Write-barrier event notification for adaptive policies.
-            if self.policy.needs_sites() {
+            if self.constraints.needs_sites {
                 let site = self.stats.site_of(src.address());
                 if !site.is_unknown() {
                     let kind = self.mem.kind_of(src.address());
@@ -1335,7 +1318,7 @@ impl KingsguardHeap {
     }
 
     // ------------------------------------------------------------------
-    // Passive inspection (sanitizer support; see `crate::sanitizer`)
+    // Passive inspection (observer support; see `crate::observer`)
     //
     // None of these methods issues simulated memory traffic: the heap's own
     // statistics are bit-identical whether or not they are ever called.
@@ -1371,20 +1354,9 @@ impl KingsguardHeap {
         self.remset_observer.iter().collect()
     }
 
-    /// Returns `true` if this heap has an observer space (KG-W).
-    pub fn has_observer_space(&self) -> bool {
-        self.observer.is_some()
-    }
-
     /// The nursery's reserved region as `(base, capacity)` (passive).
     pub fn nursery_region(&self) -> (Address, usize) {
         (self.nursery.base(), self.nursery.capacity())
-    }
-
-    /// Returns `true` if `addr` lies in the observer space's region
-    /// (always `false` without one).
-    pub fn in_observer_region(&self, addr: Address) -> bool {
-        self.observer.as_ref().is_some_and(|o| o.in_region(addr))
     }
 
     /// Drain-discipline snapshot of every live mutator context (passive).
@@ -1472,7 +1444,7 @@ impl KingsguardHeap {
 
     /// Pokes `value` into reference slot `slot` of the object behind
     /// `handle`, bypassing the write barrier, the traffic accounting and
-    /// the tap/sanitizer event stream.
+    /// the observers' event stream.
     #[doc(hidden)]
     pub fn debug_corrupt_ref_slot_for_test(&mut self, handle: Handle, slot: usize, value: u64) {
         let obj = self.roots.get(handle);
@@ -1522,15 +1494,13 @@ impl KingsguardHeap {
         }
     }
 
-    /// Reports two overlapping TLAB carves to the sanitizer without
+    /// Reports two overlapping TLAB carves to the observers without
     /// performing them.
     #[doc(hidden)]
     pub fn debug_overlapping_tlab_carves_for_test(&mut self) {
         let (base, _) = self.nursery_region();
-        if let Some(sanitizer) = self.sanitizer.as_mut() {
-            sanitizer.on_tlab_carve(0, base.raw(), 256);
-            sanitizer.on_tlab_carve(1, base.raw() + 128, 256);
-        }
+        self.observers.on_tlab_carve(0, base.raw(), 256);
+        self.observers.on_tlab_carve(1, base.raw() + 128, 256);
     }
 
     /// Bytes of mature + large heap currently residing in PCM.
@@ -1846,7 +1816,7 @@ mod tests {
 
     #[test]
     fn custom_policies_plug_in_through_with_policy() {
-        use crate::policy::{BarrierMode, PlacementPolicy, Topology};
+        use crate::policy::{BarrierMode, PlacementPolicy, PolicyConstraints, Topology};
         use crate::runtime::Location;
 
         // The README's worked example: KG-N plus the rescue fallback, as a
@@ -1857,11 +1827,11 @@ mod tests {
             fn name(&self) -> String {
                 "KG-N+rescue".into()
             }
-            fn topology(&self) -> Topology {
-                Topology::hybrid_rationing()
-            }
-            fn barrier(&self) -> BarrierMode {
-                BarrierMode::FirstWriteOnly
+            fn constraints(&self) -> PolicyConstraints {
+                PolicyConstraints {
+                    barrier: BarrierMode::FirstWriteOnly,
+                    ..PolicyConstraints::new(Topology::hybrid_rationing())
+                }
             }
         }
 

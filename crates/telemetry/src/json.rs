@@ -1,8 +1,8 @@
 //! A minimal, dependency-free JSON reader.
 //!
 //! This is the parser behind the `.kgmetrics` JSON-lines format, promoted
-//! to a public module so the rest of the workspace (the `BENCH_*.json`
-//! regression diff, the Chrome-trace validator) can read JSON documents
+//! to a public module so the rest of the workspace (`kgbench compare`,
+//! the Chrome-trace validator) can read JSON documents
 //! without taking on an external dependency. It is a *reader*: rendering
 //! stays with each format's own writer so output layouts remain stable.
 //!

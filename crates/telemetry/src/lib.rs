@@ -5,8 +5,8 @@
 //! timers with nested phase attribution, and structured events — all behind
 //! a [`Telemetry`] handle that is a **true no-op when disabled**. Every
 //! recording method reduces to a single branch on an `Option` discriminant
-//! when telemetry is off (the same idiom as the heap-event tap), so
-//! untapped hot paths are unaffected and the simulation stays bit-identical
+//! when telemetry is off (the same idiom as the heap's observer seam), so
+//! unobserved hot paths are unaffected and the simulation stays bit-identical
 //! either way.
 //!
 //! The overhead story on the `touch` fast path mirrors the counter-shard
@@ -16,8 +16,8 @@
 //! accumulates and merges at safepoints, sampled into telemetry at GC
 //! boundaries and end of run. The only live instrumentation is span
 //! enter/exit around GC phases (a handful per collection) and rare policy
-//! adaptation events. The `telemetry` bench (`BENCH_telemetry.json`) pins
-//! the enabled-vs-disabled touch-path throughput delta.
+//! adaptation events. Every `kgbench` run reports the enabled-vs-disabled
+//! wall-clock delta as `telemetry.overhead_pct`.
 //!
 //! Lifecycle: create a handle with [`Telemetry::enabled`] (or leave the
 //! default [`Telemetry::disabled`]), record during the run, then snapshot

@@ -7,8 +7,8 @@
 //! Elephant-Tracks-style GC event streams — instead of something
 //! re-simulated from scratch for every (benchmark, collector) pair:
 //!
-//! * [`TraceRecorder`] taps the [`kingsguard::MutatorContext`] layer of a
-//!   live run (see [`kingsguard::tap`]) and captures the complete
+//! * [`TraceRecorder`] observes the [`kingsguard::MutatorContext`] layer of
+//!   a live run (see [`kingsguard::observer`]) and captures the complete
 //!   mutator-visible event vocabulary: site-tagged small and large
 //!   allocations, reference and primitive writes with their demographics,
 //!   reads, root releases, mutator spawn/retire (with each context's

@@ -1,17 +1,16 @@
 //! Recording: turning a live run into a [`Trace`].
 //!
-//! [`TraceRecorder::install`] attaches itself to a **fresh** heap through
-//! [`kingsguard::KingsguardHeap::set_event_tap`] and converts every
-//! [`kingsguard::HeapEvent`] into its persisted twin, replacing runtime
-//! [`kingsguard_heap::Handle`]s with stable allocation indices. Recording is
-//! completely passive — the tap observes the API stream without perturbing
-//! it — so a recorded run produces statistics bit-identical to an untapped
-//! run of the same workload.
+//! [`TraceRecorder::install`] attaches a [`kingsguard::HeapObserver`] to a
+//! **fresh** heap and converts every [`kingsguard::HeapEvent`] into its
+//! persisted twin, replacing runtime [`kingsguard_heap::Handle`]s with stable
+//! allocation indices. Recording is completely passive — the observer sees
+//! the API stream without perturbing it — so a recorded run produces
+//! statistics bit-identical to an unobserved run of the same workload.
 
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use kingsguard::{HeapEvent, KingsguardHeap};
+use kingsguard::{HeapEvent, HeapObserver, KingsguardHeap, ObserverId};
 
 use crate::event::{Trace, TraceEvent, TraceHeader};
 
@@ -155,10 +154,22 @@ impl RecorderInner {
     }
 }
 
+/// The observer attached to the heap; shares its state with the
+/// [`TraceRecorder`] the caller keeps.
+#[derive(Debug)]
+struct RecorderObserver(Rc<RefCell<RecorderInner>>);
+
+impl HeapObserver for RecorderObserver {
+    fn on_event(&mut self, event: &HeapEvent) {
+        self.0.borrow_mut().on_event(event);
+    }
+}
+
 /// Records the heap-event stream of one run. See the module docs.
 pub struct TraceRecorder {
     header: TraceHeader,
     inner: Rc<RefCell<RecorderInner>>,
+    observer: ObserverId,
 }
 
 impl TraceRecorder {
@@ -198,9 +209,12 @@ impl TraceRecorder {
                 .unwrap_or(0),
         };
         let inner = Rc::new(RefCell::new(RecorderInner::default()));
-        let tap_inner = Rc::clone(&inner);
-        heap.set_event_tap(Box::new(move |event| tap_inner.borrow_mut().on_event(event)));
-        TraceRecorder { header, inner }
+        let observer = heap.attach_observer(Box::new(RecorderObserver(Rc::clone(&inner))));
+        TraceRecorder {
+            header,
+            inner,
+            observer,
+        }
     }
 
     /// Number of events recorded so far.
@@ -210,9 +224,9 @@ impl TraceRecorder {
 
     /// Detaches the recorder from `heap` and returns the finished trace.
     pub fn finish(self, heap: &mut KingsguardHeap) -> Trace {
-        heap.clear_event_tap();
+        drop(heap.detach_observer(self.observer));
         let inner = Rc::try_unwrap(self.inner)
-            .expect("the heap's tap closure was dropped by clear_event_tap")
+            .expect("the heap's observer was just detached and dropped")
             .into_inner();
         Trace {
             header: self.header,
@@ -253,7 +267,6 @@ mod tests {
         heap.collect_young();
         heap.safepoint();
         let trace = recorder.finish(&mut heap);
-        assert!(!heap.has_event_tap());
         assert_eq!(trace.header.nursery_bytes, heap.config().nursery_bytes as u64);
         assert_eq!(trace.allocations(), 2);
         use crate::event::TraceEvent as E;

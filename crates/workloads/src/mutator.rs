@@ -464,7 +464,7 @@ impl SyntheticMutator {
             // ---- periodic hook -------------------------------------------
             if allocated >= next_hook {
                 next_hook += hook_interval;
-                // A recording tap gets a marker *before* the hook body runs,
+                // A recording observer gets a marker *before* the hook body runs,
                 // so replays re-run hook-driven work (e.g. the OS Write
                 // Partitioning baseline) at exactly this stream position.
                 heap.trace_hook_marker(allocated, total, allocated / Self::BYTES_PER_MS);
@@ -809,10 +809,10 @@ mod tests {
                 heap_config.label()
             );
         }
-        // And the recording run itself was unperturbed by the tap.
-        let mut untapped = heap_for(HeapConfig::kg_n());
-        mutator.run(&mut untapped);
-        assert_eq!(fingerprint(&untapped.finish()), recorded_live);
+        // And the recording run itself was unperturbed by the recorder.
+        let mut unobserved = heap_for(HeapConfig::kg_n());
+        mutator.run(&mut unobserved);
+        assert_eq!(fingerprint(&unobserved.finish()), recorded_live);
     }
 
     #[test]

@@ -16,8 +16,10 @@
 use experiments::runner::{run_benchmark, ExperimentConfig};
 use experiments::traces::{config_for, REPLAY_COLLECTORS};
 use hybrid_mem::MemoryKind;
-use kingsguard::{HeapConfig, KingsguardHeap};
-use workloads::{benchmark, StreamingConfig, StreamingWorkload, ALL_FIXTURES};
+use kingsguard::{HeapConfig, HeapEvent, HeapObserver, KingsguardHeap};
+use workloads::{
+    benchmark, StreamingConfig, StreamingWorkload, SyntheticMutator, WorkloadConfig, ALL_FIXTURES,
+};
 
 #[test]
 fn broken_fixtures_trip_exactly_their_expected_violations() {
@@ -90,6 +92,110 @@ fn streaming_workload_is_violation_free_for_every_collector() {
         );
         assert!(report.checkpoints > 0, "{label}: no checkpoints ran");
     }
+}
+
+/// A third-party observer: logs the event stream it is shown.
+#[derive(Debug)]
+struct EventLog(std::rc::Rc<std::cell::RefCell<Vec<HeapEvent>>>);
+
+impl HeapObserver for EventLog {
+    fn on_event(&mut self, event: &HeapEvent) {
+        self.0.borrow_mut().push(*event);
+    }
+}
+
+#[test]
+fn recorder_sanitizer_and_a_custom_observer_share_one_heap() {
+    use trace::TraceEvent as T;
+    let profile = benchmark("lusearch").expect("lusearch profile");
+    let scale = ExperimentConfig::quick().scale;
+    let mutator = SyntheticMutator::new(
+        profile.clone(),
+        WorkloadConfig {
+            scale,
+            ..Default::default()
+        },
+    );
+    let fresh_heap = || {
+        let budget = profile.scaled_heap_bytes(scale).max(2 << 20) as usize;
+        KingsguardHeap::new(
+            HeapConfig::kg_w().with_heap_budget(budget),
+            hybrid_mem::MemoryConfig::architecture_independent(),
+        )
+    };
+
+    let mut plain = fresh_heap();
+    mutator.run_multi(&mut plain, 2);
+    let plain = plain.finish();
+
+    let mut heap = fresh_heap();
+    let log = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
+    let log_id = heap.attach_observer(Box::new(EventLog(log.clone())));
+    let sanitizer = check::SanitizerHandle::install(&mut heap);
+    // Attaches the recorder, runs the workload, detaches the recorder.
+    let recorded = mutator.record_multi(&mut heap, 2);
+    let returned = heap.detach_observer(log_id).expect("the log is still attached");
+    assert!(
+        format!("{returned:?}").starts_with("EventLog"),
+        "the box comes back"
+    );
+    assert!(heap.detach_observer(log_id).is_none(), "an id detaches once");
+    drop(returned);
+    let observed = heap.finish();
+    let report = sanitizer.report();
+
+    let log = std::rc::Rc::try_unwrap(log)
+        .expect("the heap dropped its observer")
+        .into_inner();
+    assert!(
+        log.len() > 1_000,
+        "the workload emitted only {} events",
+        log.len()
+    );
+    assert_eq!(
+        report.events,
+        log.len() as u64,
+        "sanitizer and log saw different streams"
+    );
+    assert_eq!(
+        recorded.events.len(),
+        log.len(),
+        "recorder and log saw different streams"
+    );
+    for (index, (seen, persisted)) in log.iter().zip(&recorded.events).enumerate() {
+        let same = matches!(
+            (seen, persisted),
+            (HeapEvent::MutatorSpawned { .. }, T::Spawn { .. })
+                | (HeapEvent::MutatorRetired { .. }, T::Retire { .. })
+                | (HeapEvent::Alloc { .. }, T::Alloc { .. })
+                | (HeapEvent::WriteRef { .. }, T::WriteRef { .. })
+                | (HeapEvent::WritePrim { .. }, T::WritePrim { .. })
+                | (HeapEvent::ReadRef { .. }, T::ReadRef { .. })
+                | (HeapEvent::ReadPrim { .. }, T::ReadPrim { .. })
+                | (HeapEvent::Release { .. }, T::Release { .. })
+                | (HeapEvent::Safepoint, T::Safepoint)
+                | (HeapEvent::Collect { .. }, T::Collect { .. })
+                | (HeapEvent::HookMark { .. }, T::Hook { .. })
+        );
+        assert!(
+            same,
+            "event {index}: log saw {seen:?}, recorder persisted {persisted:?}"
+        );
+    }
+
+    assert!(report.is_clean(), "violations: {:#?}", report.violations);
+    assert!(report.checkpoints > 0);
+    let gc = |report: &kingsguard::RunReport| {
+        let gc = &report.gc;
+        (
+            (gc.nursery, gc.observer, gc.major),
+            (gc.bytes_allocated, gc.reference_writes, gc.primitive_writes),
+            (gc.remset_insertions, gc.writes_to_mature_objects),
+            (gc.pcm_to_dram_rescues, gc.dram_to_pcm_demotions),
+        )
+    };
+    assert_eq!(gc(&plain), gc(&observed));
+    assert_eq!(format!("{:?}", plain.memory), format!("{:?}", observed.memory));
 }
 
 fn record_streaming_trace(mutators: usize) -> trace::Trace {
