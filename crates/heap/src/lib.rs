@@ -17,7 +17,10 @@
 //!   DRAM mark-state tables of the paper's metadata optimization (MDO)
 //!   ([`metadata`]),
 //! * **remembered sets** ([`remset`]) and a **root table** with stable
-//!   handles ([`roots`]).
+//!   handles ([`roots`]),
+//! * **dense side metadata** ([`side`]): the per-object tables and address
+//!   bitmaps behind the remembered sets, the collectors' mark sets and the
+//!   per-object statistics — no hash map is keyed by a simulated address.
 //!
 //! The collectors themselves (GenImmix, KG-N, KG-W) live in the `kingsguard`
 //! crate.
@@ -32,6 +35,7 @@ pub mod metadata;
 pub mod object;
 pub mod remset;
 pub mod roots;
+pub mod side;
 pub mod space;
 pub mod tlab;
 
@@ -45,5 +49,6 @@ pub use object::{
 };
 pub use remset::RememberedSet;
 pub use roots::{Handle, RootTable};
+pub use side::{AddressBitmap, ObjectTable, LIVE_OBJECT_GRANULE, WORD_BYTES};
 pub use space::{SpaceId, SpaceUsage};
 pub use tlab::Tlab;

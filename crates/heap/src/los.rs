@@ -9,18 +9,25 @@
 //! (Section 4.2.4); the move itself is performed by the collector, which
 //! copies the object into the target space and lets the source copy die.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 
-use hybrid_mem::{Address, MemoryKind, MemorySystem, Phase, PAGE_SIZE};
+use hybrid_mem::{Address, DenseTable, MemoryKind, MemorySystem, PageId, Phase, PAGE_SIZE};
 
 use crate::object::{ObjectRef, ObjectShape};
 use crate::space::{SpaceId, SpaceUsage};
 
-#[derive(Clone, Copy, Debug)]
+/// The table entry of a large object's first page (`size` 0: no object
+/// starts on the page).
+#[derive(Clone, Copy, Debug, Default)]
 struct LargeInfo {
     size: usize,
-    pages: usize,
     marked: bool,
+}
+
+impl LargeInfo {
+    fn pages(&self) -> usize {
+        self.size.div_ceil(PAGE_SIZE)
+    }
 }
 
 /// Result of sweeping a large object space.
@@ -48,7 +55,11 @@ pub struct LargeObjectSpace {
     /// Pages fenced by PCM retirement: excluded from every future run so a
     /// retired page is never handed out (and remapped) again.
     retired_pages: BTreeSet<u64>,
-    objects: HashMap<u64, LargeInfo>,
+    /// The live objects, keyed by the page they start on (large objects
+    /// are page-aligned runs, so a page starts at most one).
+    objects: DenseTable<LargeInfo, PAGE_SIZE>,
+    live_objects: usize,
+    live_pages: usize,
     bytes_allocated_total: u64,
     treadmill_snaps: u64,
 }
@@ -64,7 +75,9 @@ impl LargeObjectSpace {
             cursor: base,
             free_runs: Vec::new(),
             retired_pages: BTreeSet::new(),
-            objects: HashMap::new(),
+            objects: DenseTable::new(),
+            live_objects: 0,
+            live_pages: 0,
             bytes_allocated_total: 0,
             treadmill_snaps: 0,
         }
@@ -82,12 +95,12 @@ impl LargeObjectSpace {
 
     /// Number of live (not yet swept) large objects.
     pub fn object_count(&self) -> usize {
-        self.objects.len()
+        self.live_objects
     }
 
     /// Bytes used by large objects (page-rounded).
     pub fn used_bytes(&self) -> usize {
-        self.objects.values().map(|info| info.pages * PAGE_SIZE).sum()
+        self.live_pages * PAGE_SIZE
     }
 
     /// Cumulative bytes ever allocated in this space.
@@ -116,12 +129,35 @@ impl LargeObjectSpace {
     /// Returns `true` if `addr` is the header address of a live large object
     /// in this space.
     pub fn contains(&self, addr: Address) -> bool {
-        self.objects.contains_key(&addr.raw())
+        self.info(addr).is_some()
     }
 
     /// Returns the registered size of the large object at `addr`, if any.
     pub fn size_of(&self, addr: Address) -> Option<usize> {
-        self.objects.get(&addr.raw()).map(|info| info.size)
+        self.info(addr).map(|info| info.size)
+    }
+
+    /// The entry of the live object whose header is at `addr`, if any.
+    fn info(&self, addr: Address) -> Option<&LargeInfo> {
+        if !addr.raw().is_multiple_of(PAGE_SIZE as u64) {
+            return None;
+        }
+        self.objects.get(addr.page().0).filter(|info| info.size != 0)
+    }
+
+    fn info_mut(&mut self, addr: Address) -> Option<&mut LargeInfo> {
+        if !addr.raw().is_multiple_of(PAGE_SIZE as u64) {
+            return None;
+        }
+        self.objects.get_mut(addr.page().0).filter(|info| info.size != 0)
+    }
+
+    /// Unregisters the object at `addr` and returns its entry, if any.
+    fn unregister(&mut self, addr: Address) -> Option<LargeInfo> {
+        let info = std::mem::take(self.info_mut(addr)?);
+        self.live_objects -= 1;
+        self.live_pages -= info.pages();
+        Some(info)
     }
 
     /// Returns a run to the free list, splitting it around retired pages so
@@ -236,17 +272,14 @@ impl LargeObjectSpace {
     /// Allocates raw, registered room for a large object copied from another
     /// space (KG-W's large-object move). The caller copies the bytes.
     pub fn alloc_raw(&mut self, mem: &mut MemorySystem, size: usize) -> Option<Address> {
-        let pages = size.div_ceil(PAGE_SIZE);
+        assert!(size > 0, "a large object has a header");
+        let info = LargeInfo { size, marked: false };
+        let pages = info.pages();
         let addr = self.take_run(pages)?;
         mem.map_pages(addr, pages, self.kind, self.id.raw());
-        self.objects.insert(
-            addr.raw(),
-            LargeInfo {
-                size,
-                pages,
-                marked: false,
-            },
-        );
+        *self.objects.entry(addr.page().0) = info;
+        self.live_objects += 1;
+        self.live_pages += pages;
         self.bytes_allocated_total += size as u64;
         Some(addr)
     }
@@ -262,7 +295,7 @@ impl LargeObjectSpace {
     /// Marks (snaps) a live large object. Returns `true` if it was newly
     /// marked. The snap updates two treadmill pointers, charged to `phase`.
     pub fn mark(&mut self, mem: &mut MemorySystem, obj: ObjectRef, phase: Phase) -> bool {
-        let Some(info) = self.objects.get_mut(&obj.address().raw()) else {
+        let Some(info) = self.info_mut(obj.address()) else {
             panic!("marking large object {obj:?} that is not in {}", self.id);
         };
         if info.marked {
@@ -277,50 +310,49 @@ impl LargeObjectSpace {
 
     /// Returns `true` if the object is currently marked.
     pub fn is_marked(&self, obj: ObjectRef) -> bool {
-        self.objects
-            .get(&obj.address().raw())
-            .map(|i| i.marked)
-            .unwrap_or(false)
+        self.info(obj.address()).is_some_and(|info| info.marked)
     }
 
     /// Removes a large object from this space without reclaiming its pages'
     /// contents first (used after the collector has copied it elsewhere).
     pub fn remove(&mut self, mem: &mut MemorySystem, obj: ObjectRef) {
-        if let Some(info) = self.objects.remove(&obj.address().raw()) {
-            mem.unmap_pages(obj.address(), info.pages);
-            self.push_free_run(obj.address(), info.pages);
+        if let Some(info) = self.unregister(obj.address()) {
+            mem.unmap_pages(obj.address(), info.pages());
+            self.push_free_run(obj.address(), info.pages());
         }
     }
 
     /// Sweeps the space: every unmarked object is reclaimed.
     pub fn sweep(&mut self, mem: &mut MemorySystem) -> LosSweepStats {
         let mut stats = LosSweepStats::default();
-        let mut dead: Vec<u64> = self
+        // Ascending reclamation order (the table's own) keeps the free list
+        // (and therefore subsequent allocation addresses) reproducible
+        // across runs.
+        let dead: Vec<Address> = self
             .objects
             .iter()
-            .filter(|(_, info)| !info.marked)
-            .map(|(&addr, _)| addr)
+            .filter(|(_, info)| info.size != 0 && !info.marked)
+            .map(|(page, _)| PageId(page).start())
             .collect();
-        // Deterministic reclamation order keeps the free list (and therefore
-        // subsequent allocation addresses) reproducible across runs.
-        dead.sort_unstable();
         for addr in dead {
-            let info = self.objects.remove(&addr).expect("dead object disappeared");
+            let info = self.unregister(addr).expect("dead object disappeared");
             stats.objects_freed += 1;
-            stats.bytes_freed += info.pages * PAGE_SIZE;
-            mem.unmap_pages(Address::new(addr), info.pages);
-            self.push_free_run(Address::new(addr), info.pages);
+            stats.bytes_freed += info.pages() * PAGE_SIZE;
+            mem.unmap_pages(addr, info.pages());
+            self.push_free_run(addr, info.pages());
         }
-        stats.objects_live = self.objects.len();
+        stats.objects_live = self.live_objects;
         stats.bytes_live = self.used_bytes();
         stats
     }
 
-    /// Iterates over the live large objects in this space.
+    /// Iterates over the live large objects in this space, in ascending
+    /// address order.
     pub fn iter_objects(&self) -> impl Iterator<Item = ObjectRef> + '_ {
         self.objects
-            .keys()
-            .map(|&addr| ObjectRef::from_address(Address::new(addr)))
+            .iter()
+            .filter(|(_, info)| info.size != 0)
+            .map(|(page, _)| ObjectRef::from_address(PageId(page).start()))
     }
 }
 

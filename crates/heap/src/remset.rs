@@ -6,15 +6,19 @@
 //! the nursery that point into the nursery, and `remset_observers` records
 //! slots outside the nursery *and* observer space that point into either.
 
-use std::collections::HashSet;
-
 use hybrid_mem::Address;
 
+use crate::side::AddressBitmap;
+
 /// A deduplicated set of slot addresses (object fields holding interesting
-/// pointers).
+/// pointers): a slot bitmap answers "already remembered?" and a log of the
+/// distinct slots, sorted when read, enumerates them (see [`crate::side`]
+/// for why both).
 #[derive(Debug, Default, Clone)]
 pub struct RememberedSet {
-    slots: HashSet<u64>,
+    present: AddressBitmap,
+    /// The distinct remembered slots, in insertion order.
+    log: Vec<Address>,
     inserts: u64,
 }
 
@@ -25,19 +29,24 @@ impl RememberedSet {
     }
 
     /// Records `slot`. Returns `true` if the slot was not already present.
+    #[inline]
     pub fn insert(&mut self, slot: Address) -> bool {
         self.inserts += 1;
-        self.slots.insert(slot.raw())
+        let new = self.present.insert(slot);
+        if new {
+            self.log.push(slot);
+        }
+        new
     }
 
     /// Number of distinct slots currently remembered.
     pub fn len(&self) -> usize {
-        self.slots.len()
+        self.log.len()
     }
 
     /// Returns `true` if no slots are remembered.
     pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
+        self.log.is_empty()
     }
 
     /// Total number of insert operations (including duplicates) — a proxy for
@@ -49,21 +58,24 @@ impl RememberedSet {
     /// Iterates over the remembered slots in ascending address order (a
     /// deterministic order keeps whole runs reproducible for a given seed).
     pub fn iter(&self) -> impl Iterator<Item = Address> + '_ {
-        let mut slots: Vec<u64> = self.slots.iter().copied().collect();
+        let mut slots = self.log.clone();
         slots.sort_unstable();
-        slots.into_iter().map(Address::new)
+        slots.into_iter()
     }
 
     /// Removes and returns all remembered slots in ascending address order.
     pub fn drain(&mut self) -> Vec<Address> {
         let slots: Vec<Address> = self.iter().collect();
-        self.slots.clear();
+        self.clear();
         slots
     }
 
     /// Discards all remembered slots.
     pub fn clear(&mut self) {
-        self.slots.clear();
+        for &slot in &self.log {
+            self.present.remove(slot);
+        }
+        self.log.clear();
     }
 }
 
@@ -101,6 +113,25 @@ mod tests {
         remset.clear();
         assert!(remset.is_empty());
         assert_eq!(remset.total_inserts(), 1);
+    }
+
+    #[test]
+    fn slots_read_back_ascending_whatever_the_insertion_order() {
+        let mut remset = RememberedSet::new();
+        for raw in [0x9000u64, 0x1008, 0x5_0000_0000, 0x1000, 0x9000] {
+            remset.insert(Address::new(raw));
+        }
+        let ascending: Vec<Address> = [0x1000u64, 0x1008, 0x9000, 0x5_0000_0000]
+            .into_iter()
+            .map(Address::new)
+            .collect();
+        assert_eq!(remset.iter().collect::<Vec<_>>(), ascending);
+        assert_eq!(remset.len(), 4);
+        assert_eq!(remset.drain(), ascending);
+        // A drained slot is new again.
+        assert!(remset.insert(Address::new(0x9000)));
+        remset.clear();
+        assert!(remset.insert(Address::new(0x9000)));
     }
 
     #[test]

@@ -69,15 +69,30 @@ impl ChunkedMemory {
     /// Reads a little-endian `u64` at `addr`.
     #[inline]
     pub fn read_u64(&self, addr: Address) -> u64 {
-        let mut buf = [0u8; 8];
-        self.read_bytes(addr, &mut buf);
-        u64::from_le_bytes(buf)
+        let (index, offset) = Self::chunk_index(addr);
+        if offset % 8 != 0 {
+            // Only an unaligned word can straddle two chunks; an aligned one
+            // is indexed once and loaded.
+            let mut buf = [0u8; 8];
+            self.read_bytes(addr, &mut buf);
+            return u64::from_le_bytes(buf);
+        }
+        match self.chunk(index) {
+            Some(chunk) => u64::from_le_bytes(chunk[offset..offset + 8].try_into().expect("8 bytes")),
+            None => 0,
+        }
     }
 
     /// Writes a little-endian `u64` at `addr`.
     #[inline]
     pub fn write_u64(&mut self, addr: Address, value: u64) {
-        self.write_bytes(addr, &value.to_le_bytes());
+        let (index, offset) = Self::chunk_index(addr);
+        if offset % 8 != 0 {
+            self.write_bytes(addr, &value.to_le_bytes());
+            return;
+        }
+        let chunk = self.chunk_mut(index);
+        chunk[offset..offset + 8].copy_from_slice(&value.to_le_bytes());
     }
 
     /// Reads `buf.len()` bytes starting at `addr` into `buf`.
@@ -193,6 +208,30 @@ mod tests {
         let mut out = [0u8; 16];
         mem.read_bytes(addr, &mut out);
         assert_eq!(&out[..], &data[..]);
+        assert_eq!(mem.resident_chunks(), 2);
+    }
+
+    #[test]
+    fn words_on_a_chunk_boundary() {
+        let mut mem = ChunkedMemory::new();
+        let boundary = CHUNK_SIZE as u64;
+        // An unaligned word straddling the boundary takes the byte path.
+        let straddling = Address::new(boundary - 3);
+        mem.write_u64(straddling, 0x0102_0304_0506_0708);
+        assert_eq!(mem.read_u64(straddling), 0x0102_0304_0506_0708);
+        assert_eq!(mem.resident_chunks(), 2);
+        let mut bytes = [0u8; 8];
+        mem.read_bytes(straddling, &mut bytes);
+        assert_eq!(bytes, 0x0102_0304_0506_0708u64.to_le_bytes());
+        // The aligned words either side of it are one chunk each and see
+        // the straddling word's bytes.
+        assert_eq!(mem.read_u64(Address::new(boundary - 8)), 0x0006_0708u64 << 40);
+        assert_eq!(mem.read_u64(Address::new(boundary)), 0x0001_0203_0405);
+        mem.write_u64(Address::new(boundary - 8), u64::MAX);
+        mem.write_u64(Address::new(boundary), 0);
+        assert_eq!(mem.read_u64(straddling), 0x00ff_ffff);
+        // An aligned read of a chunk never written materialises nothing.
+        assert_eq!(mem.read_u64(Address::new(9 * boundary)), 0);
         assert_eq!(mem.resident_chunks(), 2);
     }
 

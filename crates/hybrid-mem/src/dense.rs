@@ -163,10 +163,25 @@ impl<T: Default, const GRANULE: usize> DenseTable<T, GRANULE> {
         })
     }
 
+    /// Mutable access to every entry the table has grown over, defaults
+    /// included.
+    pub fn values_mut(&mut self) -> impl Iterator<Item = &mut T> + '_ {
+        self.slots.iter_mut().flat_map(|window| window.entries.iter_mut())
+    }
+
     /// Empties the table, keeping its allocations.
     pub fn clear(&mut self) {
         for window in &mut self.slots {
             window.entries.clear();
+        }
+    }
+
+    /// Resets every entry to its default in place: the windows stay grown,
+    /// so a table refilled over the same range (a per-collection bitmap)
+    /// never takes the growth path again.
+    pub fn reset(&mut self) {
+        for window in &mut self.slots {
+            window.entries.fill_with(T::default);
         }
     }
 
@@ -306,6 +321,29 @@ mod tests {
         assert_eq!(table.get(7), None);
         *table.entry(3) = 4;
         assert_eq!(table.iter().collect::<Vec<_>>(), vec![(3, &4)]);
+    }
+
+    #[test]
+    fn values_mut_visits_and_reset_zeroes_every_grown_entry_in_place() {
+        let mut table = Pages::new();
+        *table.entry(7) = 1;
+        *table.entry(9) = 2;
+        *table.entry(70_000) = 3;
+        for entry in table.values_mut() {
+            *entry += 1;
+        }
+        assert_eq!(
+            table.get(8),
+            Some(&1),
+            "values_mut visits grown-over defaults too"
+        );
+        assert_eq!(table.get(70_000), Some(&4));
+        table.reset();
+        assert_eq!(table.allocated_entries(), 4);
+        assert_eq!(table.get(7), Some(&0));
+        assert_eq!(table.get(8), Some(&0));
+        assert_eq!(table.get(70_000), Some(&0));
+        assert_eq!(table.get(6), None);
     }
 
     #[test]

@@ -381,6 +381,12 @@ impl MemorySystem {
     /// Selects the counter shard subsequent accesses are attributed to.
     /// Collector and runtime phases run on [`ShardId::BASE`].
     pub fn set_active_shard(&mut self, shard: ShardId) {
+        // Every mutator operation starts with this call and a K=1 run never
+        // changes shard. (An unregistered shard is never the active one, so
+        // it still reaches the controller's panic.)
+        if shard == self.controller.active_shard() {
+            return;
+        }
         self.controller.set_active_shard(shard);
         self.cache.set_active_shard(shard.index());
     }
@@ -829,6 +835,17 @@ mod tests {
         mem.merge_shard(shard);
         assert_eq!(mem.shard_stats(shard).writes(MemoryKind::Pcm), 0);
         assert_eq!(mem.stats().writes(MemoryKind::Pcm), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "unregistered shard")]
+    fn reselecting_the_active_shard_is_free_but_an_unregistered_one_still_panics() {
+        let mut mem = small_system();
+        let shard = mem.register_mutator_shard();
+        mem.set_active_shard(shard);
+        mem.set_active_shard(shard);
+        assert_eq!(mem.active_shard(), shard);
+        mem.set_active_shard(ShardId(shard.index() + 1));
     }
 
     #[test]

@@ -14,8 +14,6 @@
 //!   rescues written PCM mature objects back to DRAM (resetting their write
 //!   bit), and moves written large PCM objects to the DRAM large space.
 
-use std::collections::HashSet;
-
 use advice::SiteId;
 use hybrid_mem::{Address, MemoryKind, Phase};
 use kingsguard_heap::object::{ObjectRef, ObjectShape};
@@ -218,15 +216,14 @@ impl KingsguardHeap {
         let mut queue: Vec<ObjectRef> = Vec::new();
         let mut scanned: Vec<ObjectRef> = Vec::new();
         let mut nursery_live: Vec<ObjectRef> = Vec::new();
-        let mut nursery_marked: HashSet<u64> = HashSet::new();
+        self.nursery_marked.clear();
 
         self.telemetry.span_enter("gc.observer.roots");
         let entries: Vec<(Handle, ObjectRef)> = self.roots.iter().collect();
         for (handle, obj) in entries {
             let loc = self.locate(obj.address());
             if loc == Location::Nursery || loc == Location::Observer {
-                let new_obj =
-                    self.observer_trace(obj, phase, &mut queue, &mut nursery_live, &mut nursery_marked);
+                let new_obj = self.observer_trace(obj, phase, &mut queue, &mut nursery_live);
                 self.roots.set(handle, new_obj);
             }
         }
@@ -245,8 +242,7 @@ impl KingsguardHeap {
             }
             let loc = self.locate(value.address());
             if loc == Location::Nursery || loc == Location::Observer {
-                let new_obj =
-                    self.observer_trace(value, phase, &mut queue, &mut nursery_live, &mut nursery_marked);
+                let new_obj = self.observer_trace(value, phase, &mut queue, &mut nursery_live);
                 if new_obj != value {
                     self.mem.write_u64(slot, new_obj.address().raw(), phase);
                 }
@@ -266,8 +262,7 @@ impl KingsguardHeap {
                 if loc != Location::Nursery && loc != Location::Observer {
                     continue;
                 }
-                let new_target =
-                    self.observer_trace(target, phase, &mut queue, &mut nursery_live, &mut nursery_marked);
+                let new_target = self.observer_trace(target, phase, &mut queue, &mut nursery_live);
                 if new_target != target {
                     obj.write_ref_raw(&mut self.mem, i, new_target, phase);
                 }
@@ -314,7 +309,7 @@ impl KingsguardHeap {
         // evacuated to a mature space this collection, or an old mature
         // object) and whose final referent stays *inside* the region must be
         // remembered for the next observer collection.
-        let mut retained = kingsguard_heap::RememberedSet::new();
+        let mut retained: Vec<Address> = Vec::new();
         let nursery_base_in_scanned = scanned.clone();
         for obj in nursery_base_in_scanned {
             // Nursery objects were scanned in place; their final copy is the
@@ -341,7 +336,7 @@ impl KingsguardHeap {
                     final_obj.write_ref_raw(&mut self.mem, i, target, phase);
                 }
                 if outside_region && self.locate(target.address()) == Location::Observer {
-                    retained.insert(final_obj.ref_slot(i));
+                    retained.push(final_obj.ref_slot(i));
                 }
             }
         }
@@ -370,14 +365,17 @@ impl KingsguardHeap {
                 self.mem.write_u64(slot, current.address().raw(), phase);
             }
             if self.locate(current.address()) == Location::Observer {
-                retained.insert(slot);
+                retained.push(slot);
             }
+        }
+        self.remset_observer.clear();
+        for slot in retained {
+            self.remset_observer.insert(slot);
         }
         self.telemetry.span_exit();
 
         self.nursery.reset();
         self.remset_nursery.clear();
-        self.remset_observer = retained;
         self.survival_estimate = 0.5 * self.survival_estimate
             + 0.5
                 * if nursery_used > 0 {
@@ -523,14 +521,13 @@ impl KingsguardHeap {
         phase: Phase,
         queue: &mut Vec<ObjectRef>,
         nursery_live: &mut Vec<ObjectRef>,
-        nursery_marked: &mut HashSet<u64>,
     ) -> ObjectRef {
         if obj.is_null() {
             return obj;
         }
         match self.locate(obj.address()) {
             Location::Nursery => {
-                if nursery_marked.insert(obj.address().raw()) {
+                if self.nursery_marked.insert(obj.address()) {
                     nursery_live.push(obj);
                     queue.push(obj);
                 }
@@ -626,13 +623,13 @@ impl KingsguardHeap {
         }
         self.telemetry.span_exit();
 
-        let mut marked: HashSet<u64> = HashSet::new();
+        self.marked.clear();
         let mut queue: Vec<ObjectRef> = Vec::new();
 
         self.telemetry.span_enter("gc.major.roots");
         let entries: Vec<(Handle, ObjectRef)> = self.roots.iter().collect();
         for (handle, obj) in entries {
-            let new_obj = self.trace_major(obj, phase, &mut marked, &mut queue);
+            let new_obj = self.trace_major(obj, phase, &mut queue);
             if new_obj != obj {
                 self.roots.set(handle, new_obj);
             }
@@ -647,7 +644,7 @@ impl KingsguardHeap {
                 if target.is_null() {
                     continue;
                 }
-                let new_target = self.trace_major(target, phase, &mut marked, &mut queue);
+                let new_target = self.trace_major(target, phase, &mut queue);
                 if new_target != target {
                     obj.write_ref_raw(&mut self.mem, i, new_target, phase);
                 }
@@ -692,13 +689,7 @@ impl KingsguardHeap {
 
     /// Traces one object during a full-heap collection, applying the
     /// policy's between-space movement decisions.
-    fn trace_major(
-        &mut self,
-        obj: ObjectRef,
-        phase: Phase,
-        marked: &mut HashSet<u64>,
-        queue: &mut Vec<ObjectRef>,
-    ) -> ObjectRef {
+    fn trace_major(&mut self, obj: ObjectRef, phase: Phase, queue: &mut Vec<ObjectRef>) -> ObjectRef {
         if obj.is_null() {
             return obj;
         }
@@ -773,7 +764,7 @@ impl KingsguardHeap {
                 if obj.is_forwarded(&mut self.mem, phase) {
                     return obj.forwarding(&mut self.mem, phase);
                 }
-                if !marked.insert(obj.address().raw()) {
+                if !self.marked.insert(obj.address()) {
                     return obj;
                 }
                 let shape = obj.shape(&mut self.mem, phase);
@@ -850,7 +841,7 @@ impl KingsguardHeap {
                 if obj.is_forwarded(&mut self.mem, phase) {
                     return obj.forwarding(&mut self.mem, phase);
                 }
-                if !marked.insert(obj.address().raw()) {
+                if !self.marked.insert(obj.address()) {
                     return obj;
                 }
                 let shape = obj.shape(&mut self.mem, phase);
@@ -898,7 +889,7 @@ impl KingsguardHeap {
                 if obj.is_forwarded(&mut self.mem, phase) {
                     return obj.forwarding(&mut self.mem, phase);
                 }
-                if !marked.insert(obj.address().raw()) {
+                if !self.marked.insert(obj.address()) {
                     return obj;
                 }
                 let written = obj.is_written(&mut self.mem, phase);
@@ -979,7 +970,7 @@ impl KingsguardHeap {
                 obj
             }
             Location::LargeDram => {
-                if !marked.insert(obj.address().raw()) {
+                if !self.marked.insert(obj.address()) {
                     return obj;
                 }
                 self.los_dram

@@ -23,7 +23,8 @@ use advice::{SiteId, SiteProfile, SiteProfiler};
 use hybrid_mem::{Address, FaultEvent, MemoryConfig, MemoryKind, MemorySystem, PageId, Phase, ShardId};
 use kingsguard_heap::object::{ObjectRef, ObjectShape};
 use kingsguard_heap::{
-    CopySpace, Handle, ImmixSpace, LargeObjectSpace, MetadataSpace, RememberedSet, RootTable, SpaceId,
+    AddressBitmap, CopySpace, Handle, ImmixSpace, LargeObjectSpace, MetadataSpace, RememberedSet, RootTable,
+    SpaceId,
 };
 
 use crate::config::HeapConfig;
@@ -87,6 +88,12 @@ pub struct KingsguardHeap {
     pub(crate) roots: RootTable,
     pub(crate) remset_nursery: RememberedSet,
     pub(crate) remset_observer: RememberedSet,
+    /// The objects a full collection has reached in place (not copied) so
+    /// far; cleared, not reallocated, when the next one starts.
+    pub(crate) marked: AddressBitmap,
+    /// The same for the nursery objects an observer collection scans in
+    /// place before its second pass copies them.
+    pub(crate) nursery_marked: AddressBitmap,
     pub(crate) stats: GcStats,
     /// Exponential moving average of recent nursery survival (sizes the room
     /// the observer space reserves for incoming nursery survivors).
@@ -245,6 +252,8 @@ impl KingsguardHeap {
             roots: RootTable::new(),
             remset_nursery: RememberedSet::new(),
             remset_observer: RememberedSet::new(),
+            marked: AddressBitmap::new(),
+            nursery_marked: AddressBitmap::new(),
             stats: GcStats::default(),
             survival_estimate: 0.2,
             loo_active: false,
@@ -1588,6 +1597,7 @@ impl KingsguardHeap {
         let _ = self.mem.pump_faults();
         self.finalize_telemetry();
         let site_profile = self.profiler.take().map(SiteProfiler::finish);
+        self.stats.fold_object_tables();
         RunReport {
             gc: self.stats,
             memory: self.mem.stats(),
@@ -1805,7 +1815,7 @@ mod tests {
         let tagged = heap.alloc_site(ObjectShape::new(0, 64), 1, advice::SiteId(17));
         let obj = heap.resolve(tagged);
         assert_eq!(heap.stats().site_of(obj.address()), advice::SiteId::UNKNOWN);
-        assert!(heap.stats().object_sites.is_empty());
+        assert_eq!(heap.stats().object_sites.values().count(), 0);
         // KG-A and profiling runs do track.
         let kg_a = KingsguardHeap::new(
             HeapConfig::kg_a(advice::AdviceTable::all_cold()),

@@ -12,6 +12,7 @@ use std::collections::HashMap;
 use advice::SiteId;
 use hybrid_mem::timing::WorkCounts;
 use hybrid_mem::Address;
+use kingsguard_heap::{ObjectTable, LIVE_OBJECT_GRANULE, WORD_BYTES};
 
 /// Which generation a barrier-observed application write targeted.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -116,15 +117,24 @@ pub struct GcStats {
 
     /// Per-object write counts for non-nursery objects, keyed by the
     /// object's *current* address (entries are re-keyed when the collector
-    /// moves an object). Drives the Figure 2 "top N %" analysis.
-    pub mature_object_writes: HashMap<u64, u64>,
+    /// moves an object, and outlive the object). Drives the Figure 2
+    /// "top N %" analysis. Dense side metadata while the heap runs (see
+    /// [`kingsguard_heap::side`]); [`GcStats::fold_object_tables`] empties
+    /// it into [`GcStats::folded_write_counts`].
+    pub(crate) mature_object_writes: ObjectTable<WORD_BYTES>,
+    /// What a finished run keeps of `mature_object_writes`: the counts
+    /// alone, in ascending address order.
+    folded_write_counts: Vec<u32>,
 
     /// Allocation site of each tagged live object, keyed by the object's
     /// *current* address (re-keyed on every move, like
-    /// [`GcStats::mature_object_writes`]). Feeds the site profiler and the
-    /// KG-A placement decisions; objects allocated through the untagged
-    /// [`crate::KingsguardHeap::alloc`] entry point have no entry.
-    pub object_sites: HashMap<u64, u32>,
+    /// `mature_object_writes`). Feeds the site profiler and the KG-A
+    /// placement decisions; objects allocated through the untagged
+    /// [`crate::KingsguardHeap::alloc`] entry point have no entry
+    /// ([`SiteId::UNKNOWN`] is 0, the table's "no entry"). Only the running
+    /// heap reads it, and only for live objects — which is what lets it use
+    /// the coarser granule — so a finished run drops it.
+    pub(crate) object_sites: ObjectTable<LIVE_OBJECT_GRANULE>,
 
     /// Rescued objects per allocation site (cumulative; only populated for
     /// site-tracking policies). Adaptive policies consume this in
@@ -192,50 +202,55 @@ impl GcStats {
             WriteTarget::Nursery => self.writes_to_nursery_objects += 1,
             WriteTarget::Mature => {
                 self.writes_to_mature_objects += 1;
-                *self.mature_object_writes.entry(obj_addr.raw()).or_insert(0) += 1;
+                self.mature_object_writes.add(obj_addr, 1);
             }
         }
     }
 
     /// Re-keys the per-object write count and site tag of a moved object.
     pub fn object_moved(&mut self, from: Address, to: Address) {
-        if let Some(count) = self.mature_object_writes.remove(&from.raw()) {
-            *self.mature_object_writes.entry(to.raw()).or_insert(0) += count;
+        match self.mature_object_writes.take(from) {
+            0 => {}
+            // A dead object's count may linger at the recycled destination:
+            // the two merge, as they would under one hash key.
+            count => self.mature_object_writes.add(to, count),
         }
-        if !self.object_sites.is_empty() {
-            match self.object_sites.remove(&from.raw()) {
-                Some(site) => {
-                    self.object_sites.insert(to.raw(), site);
-                }
-                // The destination address may be recycled space previously
-                // occupied by a dead tagged object; an untagged arrival must
-                // clear that stale tag, not inherit it.
-                None => {
-                    self.object_sites.remove(&to.raw());
-                }
+        match self.object_sites.take(from) {
+            // The destination address may be recycled space previously
+            // occupied by a dead tagged object; an untagged arrival must
+            // clear that stale tag, not inherit it.
+            0 => {
+                self.object_sites.take(to);
             }
+            site => self.object_sites.set(to, site),
         }
     }
 
     /// Tags the object at `addr` with its allocation site.
     pub fn record_site(&mut self, addr: Address, site: SiteId) {
         if !site.is_unknown() {
-            self.object_sites.insert(addr.raw(), site.raw());
+            self.object_sites.set(addr, site.raw());
         } else {
             // The address may be recycled from a released site-tagged object;
             // drop the stale tag rather than misattribute the newcomer.
-            self.object_sites.remove(&addr.raw());
+            self.object_sites.take(addr);
         }
     }
 
     /// The allocation site of the object at `addr` ([`SiteId::UNKNOWN`] for
     /// untagged objects).
     pub fn site_of(&self, addr: Address) -> SiteId {
-        self.object_sites
-            .get(&addr.raw())
-            .copied()
-            .map(SiteId)
-            .unwrap_or(SiteId::UNKNOWN)
+        SiteId(self.object_sites.get(addr))
+    }
+
+    /// Shrinks the per-object tables to what a report needs — the write
+    /// counts as a flat list, no site tags — so a kept [`crate::RunReport`]
+    /// holds a few bytes per written object instead of tables spanning the
+    /// heap. Called once, by [`crate::KingsguardHeap::finish`].
+    pub(crate) fn fold_object_tables(&mut self) {
+        let writes = std::mem::take(&mut self.mature_object_writes);
+        self.folded_write_counts.extend(writes.values());
+        self.object_sites = ObjectTable::new();
     }
 
     /// Records a rescue of a known-site object (PCM → DRAM).
@@ -264,10 +279,15 @@ impl GcStats {
     /// `fraction` of mature objects (e.g. `0.02` reproduces the paper's
     /// "top 2 % of objects capture 81 % of mature writes").
     pub fn top_mature_writer_share(&self, fraction: f64) -> f64 {
-        if self.mature_object_writes.is_empty() {
-            return 0.0;
-        }
-        let mut counts: Vec<u64> = self.mature_object_writes.values().copied().collect();
+        // A running heap's counts are in the table, a finished run's in the
+        // folded list.
+        let mut counts: Vec<u64> = self
+            .folded_write_counts
+            .iter()
+            .copied()
+            .chain(self.mature_object_writes.values())
+            .map(u64::from)
+            .collect();
         counts.sort_unstable_by(|a, b| b.cmp(a));
         let total: u64 = counts.iter().sum();
         if total == 0 {
@@ -325,7 +345,10 @@ mod tests {
             stats.record_app_write(WriteTarget::Mature, Address::new(0x1000 + (i % 3) * 64));
         }
         assert!((stats.nursery_write_fraction() - 0.7).abs() < 1e-12);
-        assert_eq!(stats.mature_object_writes.len(), 3);
+        assert_eq!(
+            stats.mature_object_writes.values().collect::<Vec<_>>(),
+            [10, 10, 10]
+        );
     }
 
     #[test]
@@ -333,7 +356,7 @@ mod tests {
         let mut stats = GcStats::default();
         // One hot object gets 90 writes, 99 cold objects get one write each.
         for _ in 0..90 {
-            stats.record_app_write(WriteTarget::Mature, Address::new(0xdead));
+            stats.record_app_write(WriteTarget::Mature, Address::new(0xdea8));
         }
         for i in 0..99u64 {
             stats.record_app_write(WriteTarget::Mature, Address::new(0x1_0000 + i * 64));
@@ -352,10 +375,40 @@ mod tests {
         stats.record_app_write(WriteTarget::Mature, Address::new(0x100));
         stats.record_app_write(WriteTarget::Mature, Address::new(0x100));
         stats.object_moved(Address::new(0x100), Address::new(0x200));
-        assert_eq!(stats.mature_object_writes.get(&0x200), Some(&2));
-        assert!(!stats.mature_object_writes.contains_key(&0x100));
+        assert_eq!(stats.mature_object_writes.get(Address::new(0x200)), 2);
+        assert_eq!(stats.mature_object_writes.get(Address::new(0x100)), 0);
         // Moving an object with no recorded writes is harmless.
         stats.object_moved(Address::new(0x300), Address::new(0x400));
+        assert_eq!(stats.mature_object_writes.values().count(), 1);
+    }
+
+    #[test]
+    fn a_dead_neighbours_count_one_word_away_stays_its_own_entry() {
+        // Counts outlive their objects, and a recycled line can start a new
+        // object one word off a dead one: Figure 2 counts them as two.
+        let mut stats = GcStats::default();
+        stats.record_app_write(WriteTarget::Mature, Address::new(0x1008));
+        stats.record_app_write(WriteTarget::Mature, Address::new(0x1000));
+        stats.record_app_write(WriteTarget::Mature, Address::new(0x1000));
+        assert_eq!(stats.mature_object_writes.values().collect::<Vec<_>>(), [2, 1]);
+        assert!((stats.top_mature_writer_share(0.5) - 2.0 / 3.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn folding_keeps_the_write_distribution_and_drops_the_tables() {
+        let mut stats = GcStats::default();
+        for (addr, writes) in [(0x100u64, 5), (0x2000, 1), (0x4_0000_0000, 2)] {
+            for _ in 0..writes {
+                stats.record_app_write(WriteTarget::Mature, Address::new(addr));
+            }
+        }
+        stats.record_site(Address::new(0x100), SiteId(3));
+        let before = [0.02, 0.5, 1.0].map(|f| stats.top_mature_writer_share(f));
+        stats.fold_object_tables();
+        assert_eq!([0.02, 0.5, 1.0].map(|f| stats.top_mature_writer_share(f)), before);
+        assert_eq!(stats.folded_write_counts, [5, 1, 2]);
+        assert_eq!(stats.mature_object_writes.values().count(), 0);
+        assert_eq!(stats.site_of(Address::new(0x100)), SiteId::UNKNOWN);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Regenerates the golden numbers pinned in `tests/policy_conformance.rs`.
 //!
 //! Run with `cargo run --release --example golden_capture` and paste the
-//! output into the `GOLDEN` and `SIM_GOLDEN` tables **only** when the
+//! output into the `GOLDEN`, `SIM_GOLDEN` and `OBJECT_GOLDEN` tables **only** when the
 //! simulator or the workloads legitimately change behaviour; a
 //! placement-policy change that shifts `GOLDEN`, or a cache-model change
 //! that shifts `SIM_GOLDEN`, is a conformance regression, not a reason to
@@ -43,6 +43,36 @@ fn main() {
                 r.memory.writes(MemoryKind::Dram),
                 r.gc.pcm_to_dram_rescues,
                 r.gc.dram_to_pcm_demotions,
+            );
+        }
+    }
+    // The per-object statistics (Figure 2's write counts, the site tags
+    // behind rescue/demotion/advice), which none of the rows above reads.
+    println!("// OBJECT_GOLDEN");
+    for (name, config) in [
+        ("lusearch", ExperimentConfig::quick()),
+        ("pmd", ExperimentConfig::quick()),
+        ("lusearch", ExperimentConfig::quick().with_scale(512)),
+        ("pmd", ExperimentConfig::quick().with_scale(48)),
+    ] {
+        let profile = benchmark(name).unwrap();
+        for heap_config in [
+            HeapConfig::kg_n(),
+            HeapConfig::kg_w(),
+            HeapConfig::kg_a(advice::AdviceTable::all_cold()),
+            HeapConfig::kg_d(),
+        ] {
+            let r = run_benchmark(&profile, heap_config, &config);
+            println!(
+                "(\"{}\", {}, \"{}\", {:?}, {:?}, {}, {}, {}),",
+                name,
+                config.scale,
+                r.collector,
+                r.gc.top_mature_writer_share(0.02),
+                r.gc.top_mature_writer_share(0.10),
+                r.gc.pcm_to_dram_rescues,
+                r.gc.dram_to_pcm_demotions,
+                r.gc.advised_to_dram_objects,
             );
         }
     }

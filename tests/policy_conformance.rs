@@ -9,7 +9,8 @@
 //! with `cargo run --release --example golden_capture` if the simulator
 //! itself legitimately changes. `SIM_GOLDEN` does the same for simulation
 //! mode (the cache hierarchy on the path), which `GOLDEN`'s
-//! architecture-independent runs never exercise.
+//! architecture-independent runs never exercise, and `OBJECT_GOLDEN` for
+//! the per-object statistics neither of them reads.
 
 use advice::AdviceTable;
 use experiments::runner::{run_benchmark, ExperimentConfig, MeasurementMode};
@@ -100,6 +101,36 @@ const SIM_GOLDEN: &[SimGolden] = &[
     ("xalan", 64, "KG-A", 7096, 14757, 8049, 16811, 263771, 44247, [4098, 2942, 0, 0, 56]),
 ];
 
+/// One per-object-statistics golden row: (benchmark, scale, collector,
+/// top-2 % and top-10 % mature writer share, rescues, demotions, objects
+/// advised to DRAM).
+type ObjectGolden = (&'static str, u64, &'static str, f64, f64, u64, u64, u64);
+
+/// Captured from the `HashMap`-keyed per-object statistics immediately
+/// before they became dense side metadata. The shares are Figure 2's statistic, which device
+/// traffic does not show; the pmd rows at scale 48 (kgbench's `replay-gc`)
+/// are the ones where a dead object's write count lingers one word away
+/// from a later object's, so they also pin the tables' 8-byte granule.
+#[rustfmt::skip]
+const OBJECT_GOLDEN: &[ObjectGolden] = &[
+    ("lusearch", 2048, "KG-N", 0.7806019221041983, 0.8589529590288315, 0, 0, 0),
+    ("lusearch", 2048, "KG-W", 0.7806019221041983, 0.8589529590288315, 0, 0, 0),
+    ("lusearch", 2048, "KG-A", 0.7806019221041983, 0.8589529590288315, 0, 0, 0),
+    ("lusearch", 2048, "KG-D", 0.7806019221041983, 0.8589529590288315, 0, 0, 231),
+    ("pmd", 2048, "KG-N", 0.7040804792585057, 0.8115745450435176, 0, 0, 0),
+    ("pmd", 2048, "KG-W", 0.7040804792585057, 0.8115745450435176, 0, 0, 0),
+    ("pmd", 2048, "KG-A", 0.7040804792585057, 0.8115745450435176, 0, 0, 0),
+    ("pmd", 2048, "KG-D", 0.7040804792585057, 0.8115745450435176, 0, 0, 846),
+    ("lusearch", 512, "KG-N", 0.7861387613519683, 0.8665189425578438, 0, 0, 0),
+    ("lusearch", 512, "KG-W", 0.7800684177205088, 0.8636832780919649, 0, 0, 0),
+    ("lusearch", 512, "KG-A", 0.7870857562392598, 0.867077563137426, 692, 0, 0),
+    ("lusearch", 512, "KG-D", 0.7861041800779941, 0.8665189425578438, 36, 552, 5328),
+    ("pmd", 48, "KG-N", 0.7313640725111686, 0.8229212880327683, 0, 0, 0),
+    ("pmd", 48, "KG-W", 0.7301156588219514, 0.8229831928438038, 4587, 3878, 0),
+    ("pmd", 48, "KG-A", 0.7301362937589633, 0.8231792247454165, 8797, 6354, 0),
+    ("pmd", 48, "KG-D", 0.7307347069323071, 0.8229212880327683, 2767, 12214, 18196),
+];
+
 fn config_for(label: &str) -> HeapConfig {
     match label {
         "DRAM-only" => HeapConfig::gen_immix_dram(),
@@ -109,6 +140,7 @@ fn config_for(label: &str) -> HeapConfig {
         "KG-W-LOO-MDO" => HeapConfig::kg_w_no_loo_no_mdo(),
         "KG-W-PM" => HeapConfig::kg_w_no_primitive_monitoring(),
         "KG-A" => HeapConfig::kg_a(AdviceTable::all_cold()),
+        "KG-D" => HeapConfig::kg_d(),
         other => panic!("unknown collector label {other}"),
     }
 }
@@ -129,6 +161,29 @@ fn trait_based_collectors_reproduce_the_pre_refactor_stats_exactly() {
             ),
             (pcm, dram, rescues, demotions),
             "{name} @ scale {scale} under {label} diverged from the pre-refactor implementation"
+        );
+    }
+}
+
+/// The side-metadata conformance pin: how per-object write counts and site
+/// tags are stored may only move host time.
+#[test]
+fn per_object_statistics_reproduce_the_hash_keyed_tables_exactly() {
+    for &(name, scale, label, top2, top10, rescues, demotions, advised_dram) in OBJECT_GOLDEN {
+        let profile = benchmark(name).unwrap();
+        let config = ExperimentConfig::quick().with_scale(scale);
+        let result = run_benchmark(&profile, config_for(label), &config);
+        assert_eq!(result.collector, label);
+        assert_eq!(
+            (
+                result.gc.top_mature_writer_share(0.02),
+                result.gc.top_mature_writer_share(0.10),
+                result.gc.pcm_to_dram_rescues,
+                result.gc.dram_to_pcm_demotions,
+                result.gc.advised_to_dram_objects,
+            ),
+            (top2, top10, rescues, demotions, advised_dram),
+            "{name} @ scale {scale} under {label} diverged from the hash-keyed per-object statistics"
         );
     }
 }
