@@ -25,8 +25,9 @@
 //!   `.kgmetrics` file to a Chrome `trace_event` timeline (chrome://tracing,
 //!   Perfetto) or collapsed stacks (flamegraph.pl, speedscope).
 //! * `repro profile` replays one recorded trace under every collector with
-//!   the sampled hot-path profiler on and prints the per-stage simulator
-//!   cost table (events, self-time, share of wall-clock, events/sec).
+//!   the hot-path profiler on and prints exact events per simulator stage
+//!   and touches per execution phase beside each replay's wall-clock; exits
+//!   non-zero if the counts disagree with the run's device counters.
 //! * `repro fleet [--tenants N]` runs the multi-tenant fleet comparison:
 //!   the same N tenant heap sessions placed round-robin vs wear-levelled
 //!   across the PCM device's regions, with the shared advice store
@@ -323,11 +324,14 @@ fn run_profile(parsed: &ParsedArgs, hw: &ExperimentConfig) -> ExitCode {
         ..hw.clone()
     };
     let dir = parsed.trace_dir.clone();
-    let sample_every = parsed.sample_every.unwrap_or(telemetry::DEFAULT_SAMPLE_EVERY);
     let benchmark = workloads::benchmark(experiments::profile::DEFAULT_BENCHMARK)
         .expect("default profile benchmark exists");
-    let results = experiments::hot_path_profile(&config, &benchmark, &dir, sample_every);
+    let results = experiments::hot_path_profile(&config, &benchmark, &dir);
     println!("{}", results.report());
+    if let Err(broken) = results.check() {
+        eprintln!("error: profile counts do not add up: {broken}");
+        return ExitCode::FAILURE;
+    }
     ExitCode::SUCCESS
 }
 

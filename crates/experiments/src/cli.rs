@@ -44,7 +44,7 @@ pub const EXPERIMENTS: &[(&str, &str)] = &[
     ("metrics", ".kgmetrics telemetry files: show | diff | export"),
     (
         "profile",
-        "hot-path profiler: per-stage simulator cost under every collector (replayed)",
+        "hot-path profiler: exact per-stage and per-phase counts under every collector (replayed)",
     ),
     (
         "check",
@@ -129,8 +129,6 @@ pub struct ParsedArgs {
     pub verify: bool,
     /// `--collector NAME` (trace replay/diff).
     pub collector: Option<String>,
-    /// `--sample-every N` (profile experiment: time every Nth touch).
-    pub sample_every: Option<u64>,
     /// `--top N` (metrics show: rows per section).
     pub top: Option<usize>,
     /// `--chrome` (metrics export: Chrome trace_event JSON).
@@ -160,7 +158,6 @@ impl Default for ParsedArgs {
             telemetry_dir_set: false,
             verify: false,
             collector: None,
-            sample_every: None,
             top: None,
             chrome: false,
             folded: false,
@@ -223,9 +220,6 @@ pub fn parse_args(args: &[String]) -> Result<ParsedArgs, CliError> {
                 parsed.telemetry_dir_set = true;
             }
             "--collector" => parsed.collector = Some(value_of("--collector", &mut iter)?.clone()),
-            "--sample-every" => {
-                parsed.sample_every = Some(parsed_value_of("--sample-every", &mut iter, |&n: &u64| n > 0)?)
-            }
             "--top" => parsed.top = Some(parsed_value_of("--top", &mut iter, |&n: &usize| n > 0)?),
             "--chrome" => parsed.chrome = true,
             "--folded" => parsed.folded = true,
@@ -247,7 +241,7 @@ pub fn parse_args(args: &[String]) -> Result<ParsedArgs, CliError> {
 
 /// The full `--help` text: usage, flags, and one line per experiment.
 pub fn help_text() -> String {
-    let mut out = format!(
+    let mut out = String::from(
         "usage: repro <experiment> [flags]\n\
          \n\
          flags:\n\
@@ -263,7 +257,6 @@ pub fn help_text() -> String {
          \x20                   back with `repro metrics show|diff`)\n\
          \x20 --verify          trace replay: also run live and check bit-identity + speedup\n\
          \x20 --collector NAME  trace replay/diff: restrict to one collector (e.g. KG-N)\n\
-         \x20 --sample-every N  profile: time every Nth touch (default {}; counts are always exact)\n\
          \x20 --top N           metrics show: rows per section, ranked by self-time/value\n\
          \x20 --chrome          metrics export: Chrome trace_event JSON (chrome://tracing, Perfetto)\n\
          \x20 --folded          metrics export: collapsed stacks (flamegraph.pl / speedscope)\n\
@@ -271,7 +264,6 @@ pub fn help_text() -> String {
          \x20 --help, -h        this text\n\
          \n\
          experiments:\n",
-        telemetry::DEFAULT_SAMPLE_EVERY
     );
     for (name, description) in EXPERIMENTS {
         out.push_str(&format!("  {name:<10} {description}\n"));
@@ -298,7 +290,7 @@ pub fn help_text() -> String {
          \x20 repro metrics show target/telemetry/lusearch-KG-W.kgmetrics --top 10\n\
          \x20 repro metrics diff A.kgmetrics B.kgmetrics\n\
          \x20 repro metrics export run.kgmetrics --chrome --out run.trace.json\n\
-         \x20 repro profile --quick --sample-every 16\n\
+         \x20 repro profile --quick\n\
          \x20 repro check --quick --jobs 4\n\
          \x20 repro check broken --quick          # negative fixtures: exit 0 iff all detected\n\
          \x20 repro trace check run.kgtrace\n",
@@ -368,11 +360,12 @@ mod tests {
     }
 
     #[test]
-    fn profiler_flags_parse() {
-        let parsed = parse(&["profile", "--quick", "--sample-every", "16"]).unwrap();
+    fn the_profile_experiment_has_no_cadence_flag() {
+        let parsed = parse(&["profile", "--quick"]).unwrap();
         assert_eq!(parsed.experiment.as_deref(), Some("profile"));
-        assert_eq!(parsed.sample_every, Some(16));
-        assert!(parse(&["profile", "--sample-every", "0"]).is_err());
+        let err = parse(&["profile", "--quick", "--sample-every", "16"]).unwrap_err();
+        assert_eq!(err.to_string(), "unknown flag: --sample-every");
+        assert!(!help_text().contains("--sample-every"));
     }
 
     #[test]
@@ -408,10 +401,6 @@ mod tests {
         for (name, _) in EXPERIMENTS {
             assert!(help.contains(name), "help is missing {name}");
         }
-        assert!(
-            help.contains(&format!("(default {};", telemetry::DEFAULT_SAMPLE_EVERY)),
-            "--sample-every must document the cadence `repro profile` really uses"
-        );
         assert!(parse(&["--help"]).unwrap().help);
         assert!(parse(&["-h"]).unwrap().help);
     }

@@ -81,7 +81,7 @@ pub mod writes;
 
 pub use self::check::{broken_sweep, check_sweep, run_benchmark_checked, BrokenResults, CheckResults};
 pub use self::fleet::{fleet_comparison, FleetResults};
-pub use self::profile::{hot_path_profile, hot_path_profile_default, ProfileResults};
+pub use self::profile::{hot_path_profile, ProfileResults};
 pub use adaptive::{adaptive_comparison, AdaptiveResults};
 pub use advise::{profile_then_advise, profile_then_advise_jobs, AdviseResults};
 pub use faults::{fault_sweep, FaultResults};

@@ -3,22 +3,20 @@
 //! Records one heap-event trace for the chosen benchmark (reusing the
 //! trace subsystem, so a current recording is picked up instead of
 //! re-recorded) and replays it under every [`REPLAY_COLLECTORS`] entry
-//! with the sampled hot-path profiler enabled. The result is a per-stage
-//! cost table per collector: exact event counts (cadence-independent and
-//! bit-identical across reruns), extrapolated self-time, the share of the
-//! replay wall-clock, and per-stage event throughput. Whatever the stages
-//! do not attribute (replayer decode, heap logic, GC tracing outside the
-//! memory system) is not invented as a row: the report prints attributed ÷
-//! wall per collector as a plain number. A second table splits the touch
-//! time by execution phase (application vs the GC phases), the profiler's
-//! answer to "who is paying for the simulator".
+//! with the hot-path profiler on. The result is two tables of exact
+//! counts per collector — events per simulator stage, touches per
+//! execution phase (application vs the GC phases) — and the one timing the
+//! experiment can stand behind: each replay's whole wall-clock, also as
+//! ns per touch. What a single stage costs is `kgbench`'s job
+//! (`hybrid-mem.touch_ns.*`). [`ProfileResults::check`] holds the counts to
+//! the device counters of the same run.
 
 use std::path::Path;
 use std::time::Instant;
 
-use hybrid_mem::Phase;
+use hybrid_mem::{MemoryKind, Phase};
 use kingsguard::KingsguardHeap;
-use telemetry::{TouchProfile, DEFAULT_SAMPLE_EVERY};
+use telemetry::{Stage, STAGE_COUNT};
 use trace::TraceReplayer;
 use workloads::BenchmarkProfile;
 
@@ -26,52 +24,57 @@ use crate::report::TextTable;
 use crate::runner::{trace_path, ExperimentConfig};
 use crate::traces::{record_traces, sized_config, REPLAY_COLLECTORS};
 
-/// The benchmark `repro profile` drives by default.
+/// The benchmark `repro profile` drives.
 pub const DEFAULT_BENCHMARK: &str = "lusearch";
 
-/// One attributed cost row of a collector's table.
-#[derive(Clone, Debug)]
-pub struct StageRow {
-    /// Stage label (`page-map`, …).
-    pub label: String,
-    /// Exact event count.
-    pub events: u64,
-    /// Estimated self-time in nanoseconds.
-    pub self_ns: u64,
-    /// Share of the replay wall-clock, in percent.
-    pub percent: f64,
-    /// Events per second of self-time (0 when untimed).
-    pub events_per_sec: f64,
-}
-
-/// Touch time attributed to one execution phase.
-#[derive(Clone, Debug)]
-pub struct PhaseRow {
-    /// Phase label (`application`, `nursery-GC`, …).
-    pub label: String,
-    /// Exact touch count in this phase.
-    pub touches: u64,
-    /// Estimated touch time in nanoseconds.
-    pub est_ns: u64,
-}
-
-/// One collector's replay under the profiler.
+/// One collector's replay under the profiler, read from the finished run.
 #[derive(Clone, Debug)]
 pub struct CollectorProfile {
     /// Collector label.
     pub collector: String,
     /// Replay wall-clock in nanoseconds.
     pub wall_ns: u64,
-    /// Stage rows, one per simulator stage.
-    pub stages: Vec<StageRow>,
-    /// Phase rows (phases with zero touches are omitted).
-    pub phases: Vec<PhaseRow>,
+    /// Touches the memory system served.
+    pub touches: u64,
+    /// Events per simulator stage, in [`Stage::ALL`] order.
+    pub stage_events: [u64; STAGE_COUNT],
+    /// Touches per execution phase, in [`Phase::ALL`] order.
+    pub phase_touches: [u64; Phase::COUNT],
+    /// Device reads plus write-backs of the same run (page migrations, which
+    /// bypass the touch path, excluded).
+    pub device_accesses: u64,
 }
 
 impl CollectorProfile {
-    /// Nanoseconds attributed across all stage rows.
-    pub fn attributed_ns(&self) -> u64 {
-        self.stages.iter().map(|row| row.self_ns).sum()
+    /// See [`ProfileResults::check`].
+    fn check(&self) -> Result<(), String> {
+        let events = |stage: Stage| self.stage_events[stage as usize];
+        let (page_map, bookkeeping) = (events(Stage::PageMap), events(Stage::LineBookkeeping));
+        let by_phase: u64 = self.phase_touches.iter().sum();
+        let identities = [
+            (
+                "line-bookkeeping events = device reads + write-backs",
+                (bookkeeping, self.device_accesses),
+                bookkeeping == self.device_accesses,
+            ),
+            (
+                "page-map events >= line-bookkeeping events",
+                (page_map, bookkeeping),
+                page_map >= bookkeeping,
+            ),
+            (
+                "per-phase touches sum to the touch count",
+                (by_phase, self.touches),
+                by_phase == self.touches,
+            ),
+        ];
+        match identities.into_iter().find(|&(_, _, holds)| !holds) {
+            Some((identity, (left, right), _)) => Err(format!(
+                "{}: {identity} is broken: {left} vs {right}",
+                self.collector
+            )),
+            None => Ok(()),
+        }
     }
 }
 
@@ -80,121 +83,56 @@ impl CollectorProfile {
 pub struct ProfileResults {
     /// Benchmark whose trace was replayed.
     pub benchmark: String,
-    /// Sampling cadence (every Nth touch is timed).
-    pub sample_every: u64,
     /// One entry per replay collector, in [`REPLAY_COLLECTORS`] order.
     pub collectors: Vec<CollectorProfile>,
 }
 
 impl ProfileResults {
-    /// Formatted report: the per-stage cost table, then the per-phase
-    /// attribution table.
+    /// Formatted report: events per stage with the replay wall-clock, then
+    /// touches per phase.
     pub fn report(&self) -> String {
-        let mut table = TextTable::new(
+        let mut header = vec!["collector", "touches"];
+        header.extend(Stage::ALL.iter().map(|stage| stage.label()));
+        header.extend(["wall-ms", "wall-ns/touch"]);
+        let mut stages = TextTable::new(
             &format!(
-                "Hot-path profile: {} replayed under every collector (timed every {} touches)",
-                self.benchmark, self.sample_every
+                "Hot-path profile: {} replayed under every collector (exact events per stage)",
+                self.benchmark
             ),
-            &["collector", "stage", "events", "self-ms", "%", "events/sec"],
+            &header,
         );
+        let mut header = vec!["collector"];
+        header.extend(Phase::ALL.iter().map(|phase| phase.label()));
+        let mut phases = TextTable::new("Touches by execution phase (exact)", &header);
         for collector in &self.collectors {
-            for row in &collector.stages {
-                table.row(vec![
-                    collector.collector.clone(),
-                    row.label.clone(),
-                    row.events.to_string(),
-                    format!("{:.3}", row.self_ns as f64 / 1e6),
-                    format!("{:.1}", row.percent),
-                    if row.events_per_sec > 0.0 {
-                        format!("{:.0}", row.events_per_sec)
-                    } else {
-                        "-".to_string()
-                    },
-                ]);
-            }
-        }
-        let mut out = table.render();
-        let mut phases = TextTable::new(
-            "Touch time by execution phase (extrapolated from the sampled touches)",
-            &["collector", "phase", "touches", "est-ms"],
-        );
-        for collector in &self.collectors {
-            for row in &collector.phases {
-                phases.row(vec![
-                    collector.collector.clone(),
-                    row.label.clone(),
-                    row.touches.to_string(),
-                    format!("{:.3}", row.est_ns as f64 / 1e6),
-                ]);
-            }
-        }
-        out.push('\n');
-        out.push_str(&phases.render());
-        out.push_str("\nattributed stage time ÷ replay wall-clock:");
-        for collector in &self.collectors {
-            out.push_str(&format!(
-                " {} {:.2}",
-                collector.collector,
-                collector.attributed_ns() as f64 / collector.wall_ns.max(1) as f64
+            let mut row = vec![collector.collector.clone(), collector.touches.to_string()];
+            row.extend(collector.stage_events.iter().map(u64::to_string));
+            row.push(format!("{:.3}", collector.wall_ns as f64 / 1e6));
+            row.push(format!(
+                "{:.1}",
+                collector.wall_ns as f64 / collector.touches.max(1) as f64
             ));
+            stages.row(row);
+            let mut row = vec![collector.collector.clone()];
+            row.extend(collector.phase_touches.iter().map(u64::to_string));
+            phases.row(row);
         }
-        out.push('\n');
-        out
+        format!("{}\n{}", stages.render(), phases.render())
     }
-}
 
-/// Builds the stage and phase rows for one collector from its profile and
-/// measured wall-clock.
-fn collector_profile(collector: &str, wall_ns: u64, profile: &TouchProfile) -> CollectorProfile {
-    let stages = profile
-        .stages
-        .iter()
-        .map(|stage| {
-            let self_ns = stage.estimated_self_ns();
-            StageRow {
-                label: stage.stage.label().to_string(),
-                events: stage.events,
-                self_ns,
-                percent: self_ns as f64 * 100.0 / wall_ns.max(1) as f64,
-                events_per_sec: if self_ns > 0 {
-                    stage.events as f64 / (self_ns as f64 / 1e9)
-                } else {
-                    0.0
-                },
-            }
-        })
-        .collect();
-    let phases = profile
-        .phases
-        .iter()
-        .filter(|p| p.touches > 0)
-        .map(|p| PhaseRow {
-            label: Phase::ALL
-                .get(p.phase)
-                .map(|phase| phase.label().to_string())
-                .unwrap_or_else(|| format!("phase-{}", p.phase)),
-            touches: p.touches,
-            est_ns: p.estimated_ns(),
-        })
-        .collect();
-    CollectorProfile {
-        collector: collector.to_string(),
-        wall_ns,
-        stages,
-        phases,
+    /// Holds every collector's counts to the device counters of its own
+    /// run: line-bookkeeping events = device reads + write-backs, page-map
+    /// events ≥ line-bookkeeping events, per-phase touches sum to the touch
+    /// count. The error names the collector and the two numbers.
+    pub fn check(&self) -> Result<(), String> {
+        self.collectors.iter().try_for_each(CollectorProfile::check)
     }
 }
 
 /// Records (or reuses) `benchmark`'s trace in `dir`, then replays it under
-/// every comparison collector with the hot-path profiler timing every
-/// `sample_every`-th touch. Pass [`DEFAULT_SAMPLE_EVERY`] unless the run is
-/// so short that the default cadence would sample too few touches.
-pub fn hot_path_profile(
-    config: &ExperimentConfig,
-    profile: &BenchmarkProfile,
-    dir: &Path,
-    sample_every: u64,
-) -> ProfileResults {
+/// every comparison collector with telemetry and the hot-path profiler on,
+/// reading the counts from each finished run's report.
+pub fn hot_path_profile(config: &ExperimentConfig, profile: &BenchmarkProfile, dir: &Path) -> ProfileResults {
     let recording_config = sized_config("KG-N", profile, config);
     let path = trace_path(dir, profile.name, &recording_config, config, 1);
     let current = trace::load_trace(&path)
@@ -214,78 +152,94 @@ pub fn hot_path_profile(
             let heap_config = sized_config(label, profile, config);
             let start = Instant::now();
             let mut heap = KingsguardHeap::new(heap_config, config.memory_config());
-            heap.enable_hot_path_profiler(sample_every.max(1));
+            heap.enable_telemetry();
+            heap.enable_hot_path_profiler(telemetry::DEFAULT_SAMPLE_EVERY);
             TraceReplayer::new(&recorded)
                 .replay(&mut heap)
                 .unwrap_or_else(|err| panic!("replaying {} under {label} failed: {err}", profile.name));
-            let touch_profile = heap.hot_path_profile().expect("profiler enabled");
-            drop(heap.finish());
+            let report = heap.finish();
             let wall_ns = start.elapsed().as_nanos() as u64;
-            collector_profile(label, wall_ns, &touch_profile)
+            let counters = report.telemetry.expect("telemetry enabled");
+            let counter = |name: &str| {
+                counters
+                    .counter(name)
+                    .unwrap_or_else(|| panic!("{label}: the finished run has no {name} counter"))
+            };
+            CollectorProfile {
+                collector: label.to_string(),
+                wall_ns,
+                touches: counter("profile.touches"),
+                stage_events: Stage::ALL.map(|stage| counter(&format!("profile.events.{}", stage.label()))),
+                phase_touches: Phase::ALL.map(|phase| counter(&format!("profile.touches.{}", phase.label()))),
+                device_accesses: report.memory.total_reads()
+                    + report.memory.writeback_writes(MemoryKind::Dram)
+                    + report.memory.writeback_writes(MemoryKind::Pcm),
+            }
         })
         .collect();
     ProfileResults {
         benchmark: profile.name.to_string(),
-        sample_every: sample_every.max(1),
         collectors,
     }
-}
-
-/// [`hot_path_profile`] with the default benchmark and cadence.
-pub fn hot_path_profile_default(config: &ExperimentConfig, dir: &Path) -> ProfileResults {
-    let profile = workloads::benchmark(DEFAULT_BENCHMARK)
-        .unwrap_or_else(|| panic!("unknown default benchmark {DEFAULT_BENCHMARK}"));
-    hot_path_profile(config, &profile, dir, DEFAULT_SAMPLE_EVERY)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::path::PathBuf;
     use workloads::benchmark;
 
-    fn temp_dir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("kgprofile-{tag}-{}", std::process::id()));
+    #[test]
+    fn profiles_every_collector_exactly_and_the_gate_can_fail() {
+        let dir = std::env::temp_dir().join(format!("kgprofile-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        dir
-    }
-
-    #[test]
-    fn profiles_every_collector_stage_by_stage() {
-        let dir = temp_dir("full");
-        let config = ExperimentConfig::quick();
+        // Behind the caches, where the end-of-run flush is part of the count.
+        let config = ExperimentConfig {
+            mode: crate::MeasurementMode::Simulation,
+            ..ExperimentConfig::quick()
+        };
         let profile = benchmark("lu.fix").unwrap();
-        let results = hot_path_profile(&config, &profile, &dir, 4);
+        let results = hot_path_profile(&config, &profile, &dir);
         assert_eq!(results.collectors.len(), REPLAY_COLLECTORS.len());
-        for collector in &results.collectors {
-            assert_eq!(collector.stages.len(), telemetry::STAGE_COUNT);
-            assert!(collector.stages.iter().any(|r| r.events > 0));
-            assert!(!collector.phases.is_empty());
-        }
+        assert!(results.collectors.iter().all(|c| c.touches > 0));
+        assert_eq!(results.check(), Ok(()));
         let report = results.report();
-        assert!(report.contains("events/sec") && report.contains("÷ replay wall-clock"));
-        std::fs::remove_dir_all(&dir).ok();
-    }
+        assert!(report.contains("line-bookkeeping") && report.contains("wall-ns/touch"));
+        assert!(report.contains("nursery-GC"));
 
-    #[test]
-    fn event_counts_are_deterministic_across_reruns_and_cadences() {
-        let dir = temp_dir("det");
-        let config = ExperimentConfig::quick();
-        let profile = benchmark("lu.fix").unwrap();
-        let counts = |results: &ProfileResults| -> Vec<(String, Vec<u64>)> {
+        // Reruns reproduce every count.
+        let counts = |results: &ProfileResults| -> Vec<_> {
             results
                 .collectors
                 .iter()
-                .map(|c| (c.collector.clone(), c.stages.iter().map(|r| r.events).collect()))
+                .map(|c| (c.touches, c.stage_events, c.phase_touches, c.device_accesses))
                 .collect()
         };
-        let a = hot_path_profile(&config, &profile, &dir, 4);
-        let b = hot_path_profile(&config, &profile, &dir, 97);
         assert_eq!(
-            counts(&a),
-            counts(&b),
-            "per-stage event counts must not depend on the sampling cadence"
+            counts(&results),
+            counts(&hot_path_profile(&config, &profile, &dir))
         );
+
+        // Negative control: one stage count off by one trips the gate, and
+        // the message names the collector and both numbers.
+        let mut doctored = results.clone();
+        doctored.collectors[3].stage_events[Stage::LineBookkeeping as usize] += 1;
+        let victim = &doctored.collectors[3];
+        let message = doctored.check().unwrap_err();
+        assert_eq!(
+            message,
+            format!(
+                "{}: line-bookkeeping events = device reads + write-backs is broken: {} vs {}",
+                victim.collector,
+                victim.device_accesses + 1,
+                victim.device_accesses
+            )
+        );
+        let mut doctored = results.clone();
+        doctored.collectors[0].phase_touches[0] -= 1;
+        assert!(doctored.check().unwrap_err().contains("per-phase touches"));
+        let mut doctored = results;
+        doctored.collectors[5].stage_events[Stage::PageMap as usize] = 0;
+        assert!(doctored.check().unwrap_err().contains("page-map events >="));
         std::fs::remove_dir_all(&dir).ok();
     }
 }

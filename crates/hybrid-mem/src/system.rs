@@ -7,9 +7,7 @@
 //! of the touched page, runs the access through the cache hierarchy and
 //! accounts the resulting device traffic.
 
-use std::time::Instant;
-
-use telemetry::{Counted, Stage, StageSink, Timed, TouchMode, TouchProfile, TouchProfiler, Unprofiled};
+use telemetry::{Counted, Stage, StageSink, TouchProfile, TouchProfiler, Unprofiled};
 
 use crate::address::{
     align_up_usize, Address, PageId, CACHE_LINES_PER_PAGE, CACHE_LINE_SIZE, LINE_SIZE, PAGE_SIZE,
@@ -203,7 +201,7 @@ impl MemorySystem {
             controller: MemoryController::new(config.track_line_writes || config.fault.is_some()),
             cache,
             fault: config.fault.map(FaultModel::new),
-            profiler: TouchProfiler::disabled(),
+            profiler: TouchProfiler::default(),
             config,
             backing: ChunkedMemory::new(),
             page_map: PageMap::new(),
@@ -425,18 +423,14 @@ impl MemorySystem {
     // Hot-path profiling
     // ------------------------------------------------------------------
 
-    /// Enables the sampled hot-path profiler: every touch is counted per
-    /// stage and every `sample_every`-th touch is timed stage by stage
-    /// (see [`telemetry::TouchProfiler`]). The profiler only observes host
-    /// time — simulated traffic, wear and statistics are bit-identical
-    /// with it on or off.
-    pub fn enable_touch_profiler(&mut self, sample_every: u64) {
-        self.profiler = TouchProfiler::enabled(sample_every, Phase::COUNT);
-    }
-
-    /// `true` when the hot-path profiler is recording.
-    pub fn touch_profiler_enabled(&self) -> bool {
-        self.profiler.is_enabled()
+    /// Enables the hot-path profiler: every touch is counted per stage and
+    /// per phase (see [`telemetry::TouchProfiler`]). It never feeds back
+    /// into the simulation — traffic, wear and statistics are bit-identical
+    /// with it on or off. The argument is ignored: the profiler has nothing
+    /// to configure, and only the frozen `kgbench` call sites, which still
+    /// pass one, keep it in the signature.
+    pub fn enable_touch_profiler(&mut self, _sample_every: u64) {
+        self.profiler = TouchProfiler::enabled(Phase::COUNT);
     }
 
     /// Snapshots the hot-path profile; `None` when the profiler is off.
@@ -444,44 +438,19 @@ impl MemorySystem {
         self.profiler.profile()
     }
 
-    /// Runs one backing-store operation, counting (and, after a sampled
-    /// touch, timing) it as the [`Stage::BackingStore`] stage.
-    #[inline]
-    fn run_backing<R>(&mut self, sampled: bool, op: impl FnOnce(&mut ChunkedMemory) -> R) -> R {
-        if self.profiler.is_enabled() {
-            let start = sampled.then(Instant::now);
-            let result = op(&mut self.backing);
-            self.profiler
-                .backing_op(1, start.map(|t| t.elapsed().as_nanos() as u64));
-            result
-        } else {
-            op(&mut self.backing)
-        }
-    }
-
     /// Accounts one tagged access of `len` bytes: cache simulation per
-    /// touched line, then device accounting per memory-side event. Returns
-    /// `true` when the hot-path profiler sampled (timed) this touch, so
-    /// the access wrappers know to time the subsequent backing-store work.
-    fn touch(&mut self, addr: Address, len: usize, kind: AccessKind, phase: Phase) -> bool {
-        let mode = self.profiler.begin_touch(phase as usize);
-        match mode {
-            TouchMode::Off => self.touch_lines(addr, len, kind, phase, &mut Unprofiled),
-            TouchMode::Counting => {
-                let mut sink = Counted::default();
-                self.touch_lines(addr, len, kind, phase, &mut sink);
-                self.profiler.finish_touch(&sink.0, false);
-            }
-            TouchMode::Sampled => {
-                let mut sink = Timed::default();
-                self.touch_lines(addr, len, kind, phase, &mut sink);
-                self.profiler.finish_touch(&sink.0, true);
-            }
+    /// touched line, then device accounting per memory-side event.
+    fn touch(&mut self, addr: Address, len: usize, kind: AccessKind, phase: Phase) {
+        if self.profiler.begin_touch(phase as usize) {
+            let mut sink = Counted::default();
+            self.touch_lines(addr, len, kind, phase, &mut sink);
+            self.profiler.finish_touch(&sink.0);
+        } else {
+            self.touch_lines(addr, len, kind, phase, &mut Unprofiled);
         }
-        mode == TouchMode::Sampled
     }
 
-    /// The touch loop, written once: every profiler mode runs the same
+    /// The touch loop, written once: profiled or not, it runs the same
     /// simulation and differs only in what `sink` does around each stage
     /// (nothing at all when the profiler is off). Without caches it is a
     /// loop of its own that stages nothing — sharing the cached loop's event
@@ -560,8 +529,9 @@ impl MemorySystem {
     /// Panics if the page containing `addr` is not mapped.
     pub fn read_u64(&mut self, addr: Address, phase: Phase) -> u64 {
         assert!(self.page_map.is_mapped(addr), "read of unmapped address {addr}");
-        let sampled = self.touch(addr, 8, AccessKind::Read, phase);
-        self.run_backing(sampled, |backing| backing.read_u64(addr))
+        self.touch(addr, 8, AccessKind::Read, phase);
+        self.profiler.backing_op();
+        self.backing.read_u64(addr)
     }
 
     /// Writes a `u64` at `addr` on behalf of `phase`.
@@ -571,8 +541,9 @@ impl MemorySystem {
     /// Panics if the page containing `addr` is not mapped.
     pub fn write_u64(&mut self, addr: Address, value: u64, phase: Phase) {
         assert!(self.page_map.is_mapped(addr), "write of unmapped address {addr}");
-        let sampled = self.touch(addr, 8, AccessKind::Write, phase);
-        self.run_backing(sampled, |backing| backing.write_u64(addr, value));
+        self.touch(addr, 8, AccessKind::Write, phase);
+        self.profiler.backing_op();
+        self.backing.write_u64(addr, value);
     }
 
     /// Reads a `u64` at `addr` **without** simulating the access: no cache
@@ -612,8 +583,9 @@ impl MemorySystem {
         if buf.is_empty() {
             return;
         }
-        let sampled = self.touch(addr, buf.len(), AccessKind::Read, phase);
-        self.run_backing(sampled, |backing| backing.read_bytes(addr, buf));
+        self.touch(addr, buf.len(), AccessKind::Read, phase);
+        self.profiler.backing_op();
+        self.backing.read_bytes(addr, buf);
     }
 
     /// Writes `buf` starting at `addr`.
@@ -621,8 +593,9 @@ impl MemorySystem {
         if buf.is_empty() {
             return;
         }
-        let sampled = self.touch(addr, buf.len(), AccessKind::Write, phase);
-        self.run_backing(sampled, |backing| backing.write_bytes(addr, buf));
+        self.touch(addr, buf.len(), AccessKind::Write, phase);
+        self.profiler.backing_op();
+        self.backing.write_bytes(addr, buf);
     }
 
     /// Copies `len` bytes from `src` to `dst` on behalf of `phase`,
@@ -631,11 +604,10 @@ impl MemorySystem {
         if len == 0 {
             return;
         }
-        let sampled_src = self.touch(src, len, AccessKind::Read, phase);
-        let sampled_dst = self.touch(dst, len, AccessKind::Write, phase);
-        self.run_backing(sampled_src || sampled_dst, |backing| {
-            backing.copy(src, dst, len);
-        });
+        self.touch(src, len, AccessKind::Read, phase);
+        self.touch(dst, len, AccessKind::Write, phase);
+        self.profiler.backing_op();
+        self.backing.copy(src, dst, len);
     }
 
     /// Zeroes `len` bytes starting at `addr` (nursery zeroing, block reset).
@@ -643,8 +615,9 @@ impl MemorySystem {
         if len == 0 {
             return;
         }
-        let sampled = self.touch(addr, len, AccessKind::Write, phase);
-        self.run_backing(sampled, |backing| backing.fill(addr, len, 0));
+        self.touch(addr, len, AccessKind::Write, phase);
+        self.profiler.backing_op();
+        self.backing.fill(addr, len, 0);
     }
 
     /// Writes a single conceptual store without touching backing bytes.
@@ -667,9 +640,13 @@ impl MemorySystem {
         // Once a run, and accounting needs the rest of `self`: collect first.
         let mut events = Vec::new();
         self.cache.flush_all(|event| events.push(event));
+        // Not a touch, but the same stages run; a disabled profiler drops
+        // the tallies.
+        let mut sink = Counted::default();
         for event in events {
-            self.account(event, &mut Unprofiled);
+            self.account(event, &mut sink);
         }
+        self.profiler.finish_touch(&sink.0);
     }
 
     /// Takes a statistics snapshot (does not flush caches; call
@@ -933,18 +910,29 @@ mod tests {
 
     #[test]
     fn touch_profiler_does_not_perturb_simulation() {
-        // The touch loop exists once; every profiler mode (off, counting
-        // only, a mix, every touch timed) must simulate identically, with
-        // and without the cache model in front of the controller.
+        // The touch loop exists once; profiled and unprofiled it must
+        // simulate identically, with and without the cache model in front
+        // of the controller.
         for mut config in [MemoryConfig::hybrid(), MemoryConfig::architecture_independent()] {
             config.track_line_writes = true;
-            let observe = |sample_every: Option<u64>| {
+            let observe = |profiled: bool| {
                 let mut mem = MemorySystem::new(config.clone());
-                if let Some(sample_every) = sample_every {
-                    mem.enable_touch_profiler(sample_every);
+                if profiled {
+                    mem.enable_touch_profiler(telemetry::DEFAULT_SAMPLE_EVERY);
                 }
                 let shards = drive_mixed_workload(&mut mem);
-                assert_eq!(mem.touch_profile().is_some(), sample_every.is_some());
+                let profile = mem.touch_profile();
+                assert_eq!(profile.is_some(), profiled);
+                if let Some(profile) = profile {
+                    // Every device access was counted, the final flush's too.
+                    let stats = mem.stats();
+                    let events = |stage: Stage| profile.stages[stage as usize].events;
+                    assert_eq!(
+                        events(Stage::LineBookkeeping),
+                        stats.total_reads() + stats.total_writes()
+                    );
+                    assert_eq!(events(Stage::WearTracking), stats.total_writes());
+                }
                 format!(
                     "{:?} {:?} {:?} {:?} {:?}",
                     mem.stats(),
@@ -954,22 +942,18 @@ mod tests {
                     mem.shard_stats(shards[1]),
                 )
             };
-            let plain = observe(None);
-            for sample_every in [1 << 40, 3, 1] {
-                assert_eq!(
-                    plain,
-                    observe(Some(sample_every)),
-                    "simulation must be bit-identical with the profiler sampling every {sample_every}"
-                );
-            }
+            assert_eq!(
+                observe(false),
+                observe(true),
+                "simulation must be bit-identical with the profiler on"
+            );
         }
     }
 
     #[test]
     fn touch_profiler_counts_stage_events() {
         let mut mem = small_system();
-        // Huge cadence: every touch takes the counting arm, none are timed.
-        mem.enable_touch_profiler(1 << 40);
+        mem.enable_touch_profiler(telemetry::DEFAULT_SAMPLE_EVERY);
         let base = mem.reserve_extent("count", 1 << 20);
         mem.map_pages(base, 1, MemoryKind::Pcm, 0);
         for i in 0..10u64 {
@@ -977,8 +961,7 @@ mod tests {
         }
         let profile = mem.touch_profile().expect("profiler enabled");
         assert_eq!(profile.touches, 10);
-        assert_eq!(profile.sampled_touches, 0);
-        let events = |stage: Stage| profile.stages.iter().find(|s| s.stage == stage).unwrap().events;
+        let events = |stage: Stage| profile.stages[stage as usize].events;
         // Uncached mode: one cache-model pass, one page-map lookup and one
         // bookkeeping record per touched line; no line tracking configured.
         assert_eq!(events(Stage::CacheModel), 10);
@@ -987,30 +970,6 @@ mod tests {
         assert_eq!(events(Stage::WearTracking), 0);
         assert_eq!(events(Stage::BackingStore), 10);
         assert_eq!(profile.phases[Phase::Mutator as usize].touches, 10);
-    }
-
-    #[test]
-    fn sampled_touches_cover_every_event_at_cadence_one() {
-        let mut config = MemoryConfig::architecture_independent();
-        config.track_line_writes = true;
-        let mut mem = MemorySystem::new(config);
-        mem.enable_touch_profiler(1);
-        let base = mem.reserve_extent("sampled", 1 << 20);
-        mem.map_pages(base, 1, MemoryKind::Pcm, 0);
-        for i in 0..20u64 {
-            mem.write_u64(base.add(i as usize * 8), i, Phase::ObserverGc);
-        }
-        let profile = mem.touch_profile().expect("profiler enabled");
-        assert_eq!(profile.touches, 20);
-        assert_eq!(profile.sampled_touches, 20);
-        for stage in profile.stages {
-            assert_eq!(
-                stage.events, stage.sampled_events,
-                "cadence 1 must time every {} event",
-                stage.stage
-            );
-        }
-        assert_eq!(profile.phases[Phase::ObserverGc as usize].sampled_touches, 20);
     }
 
     #[test]

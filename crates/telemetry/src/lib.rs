@@ -40,8 +40,8 @@ pub use jsonl::{
     FILE_EXTENSION, SCHEMA_MIN_VERSION, SCHEMA_NAME, SCHEMA_VERSION,
 };
 pub use profiler::{
-    Counted, PhaseProfile, Stage, StageProfile, StageSink, StageTotals, Timed, TouchMode, TouchProfile,
-    TouchProfiler, Unprofiled, DEFAULT_SAMPLE_EVERY, STAGE_COUNT,
+    Counted, PhaseProfile, Stage, StageProfile, StageSink, StageTotals, TouchProfile, TouchProfiler,
+    Unprofiled, DEFAULT_SAMPLE_EVERY, STAGE_COUNT,
 };
 pub use timeline::{chrome_trace, folded_stacks, parse_folded, validate_chrome_trace, ChromeTraceStats};
 
@@ -348,12 +348,10 @@ impl Telemetry {
         self.inner.as_ref().map_or(0, |inner| inner.stack.len())
     }
 
-    /// Merges a pre-aggregated span (e.g. an extrapolated hot-path profile)
-    /// into the span table, as if `count` enter/exit pairs totalling
-    /// `total_ns` (of which `self_ns` was self time) had been recorded.
-    /// Does not touch the live span stack, so it composes with open spans.
-    #[inline]
-    pub fn span_record(&mut self, name: &'static str, count: u64, total_ns: u64, self_ns: u64) {
+    /// Test fixture: merges a span with chosen `count`/`total_ns`/`self_ns`
+    /// into the span table, for exporter tests that need exact weights.
+    #[cfg(test)]
+    pub(crate) fn span_record(&mut self, name: &'static str, count: u64, total_ns: u64, self_ns: u64) {
         if let Some(inner) = self.inner.as_mut() {
             let accum = inner.spans.entry(name).or_default();
             accum.count += count;
@@ -553,29 +551,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn span_record_merges_pre_aggregated_spans() {
-        let mut t = Telemetry::enabled();
-        t.span_record("touch", 10, 1_000, 400);
-        t.span_record("touch", 5, 500, 100);
-        t.span_enter("touch");
-        t.span_exit();
-        let report = t.report().unwrap();
-        let touch = report.span("touch").unwrap();
-        assert_eq!(touch.count, 16);
-        assert!(touch.total_ns >= 1_500);
-        // child_ns accumulated 600 + 400; self = total - child.
-        assert_eq!(touch.self_ns, touch.total_ns - 1_000);
-        // self_ns larger than total_ns saturates instead of underflowing.
-        let mut u = Telemetry::enabled();
-        u.span_record("odd", 1, 100, 200);
-        assert_eq!(u.report().unwrap().span("odd").unwrap().self_ns, 100);
-        // Disabled: single branch, no effect.
-        let mut d = Telemetry::disabled();
-        d.span_record("touch", 1, 1, 1);
-        assert!(d.report().is_none());
     }
 
     #[test]

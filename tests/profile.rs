@@ -1,10 +1,10 @@
 //! End-to-end tests of the hot-path profiler: it must be invisible to the
 //! simulation (bit-identical results on or off, for every collector) while
-//! attributing every touch.
+//! its exact counts add up to the device counters of the same run.
 
-use hybrid_mem::{MemoryConfig, MemoryKind};
+use hybrid_mem::{MemoryConfig, Phase};
 use kingsguard::{HeapConfig, KingsguardHeap};
-use telemetry::{TouchProfile, DEFAULT_SAMPLE_EVERY, STAGE_COUNT};
+use telemetry::{Stage, DEFAULT_SAMPLE_EVERY};
 use workloads::{benchmark, SyntheticMutator, WorkloadConfig};
 
 const SCALE: u64 = 2048;
@@ -20,28 +20,13 @@ fn collectors() -> Vec<HeapConfig> {
     ]
 }
 
-/// Every simulated-state statistic the acceptance bar cares about.
-fn fingerprint(report: &kingsguard::RunReport) -> Vec<u64> {
-    vec![
-        report.memory.writes(MemoryKind::Pcm),
-        report.memory.writes(MemoryKind::Dram),
-        report.memory.reads(MemoryKind::Pcm),
-        report.memory.reads(MemoryKind::Dram),
-        report.gc.remset_insertions,
-        report.gc.nursery.collections,
-        report.gc.observer.collections,
-        report.gc.major.collections,
-        report.gc.reference_writes,
-        report.gc.primitive_writes,
-        report.gc.writes_to_mature_objects,
-        report.gc.pcm_to_dram_rescues,
-    ]
+/// Every collector and memory-system statistic of a finished run.
+fn fingerprint(report: &kingsguard::RunReport) -> String {
+    format!("{:?} {:?}", report.gc, report.memory)
 }
 
-fn run_live(
-    heap_config: &HeapConfig,
-    profiler_cadence: Option<u64>,
-) -> (kingsguard::RunReport, Option<TouchProfile>) {
+/// One live lusearch run with telemetry on, with or without the profiler.
+fn run_live(heap_config: &HeapConfig, memory: &MemoryConfig, profiled: bool) -> kingsguard::RunReport {
     let profile = benchmark("lusearch").unwrap();
     let budget = profile.scaled_heap_bytes(SCALE).max(2 << 20) as usize;
     let mutator = SyntheticMutator::new(
@@ -51,55 +36,86 @@ fn run_live(
             seed: 11,
         },
     );
-    let mut heap = KingsguardHeap::new(
-        heap_config.clone().with_heap_budget(budget),
-        MemoryConfig::architecture_independent(),
-    );
-    if let Some(cadence) = profiler_cadence {
-        heap.enable_hot_path_profiler(cadence);
+    let mut heap = KingsguardHeap::new(heap_config.clone().with_heap_budget(budget), memory.clone());
+    heap.enable_telemetry();
+    if profiled {
+        heap.enable_hot_path_profiler(DEFAULT_SAMPLE_EVERY);
     }
     mutator.run(&mut heap);
-    let touch_profile = heap.hot_path_profile();
-    (heap.finish(), touch_profile)
+    heap.finish()
 }
 
+/// The `profile.*` counters of a finished run, in a fixed order.
+fn profile_counters(report: &kingsguard::RunReport) -> Vec<(String, u64)> {
+    let telemetry = report.telemetry.as_ref().expect("telemetry enabled");
+    telemetry
+        .counters
+        .iter()
+        .filter(|(name, _)| name.starts_with("profile."))
+        .map(|(name, value)| (name.to_string(), *value))
+        .collect()
+}
+
+/// Six collectors × {uncached, cached}: the profiler changes nothing it
+/// observes, and what it counts is what the devices saw. The cached half
+/// holds only because the end-of-run flush is counted too.
 #[test]
 fn hot_path_profiler_is_invisible_for_every_collector() {
-    for heap_config in collectors() {
-        let (disabled, no_profile) = run_live(&heap_config, None);
-        let (enabled, touch_profile) = run_live(&heap_config, Some(DEFAULT_SAMPLE_EVERY));
-        assert_eq!(
-            fingerprint(&disabled),
-            fingerprint(&enabled),
-            "the hot-path profiler perturbed the simulation under {}",
-            heap_config.label()
-        );
-        assert!(no_profile.is_none(), "a disabled profiler must report nothing");
-        let profile = touch_profile
-            .unwrap_or_else(|| panic!("{}: enabled run produced no profile", heap_config.label()));
-        assert!(profile.touches > 0, "{}", heap_config.label());
-        assert_eq!(profile.stages.len(), STAGE_COUNT, "{}", heap_config.label());
-        assert!(
-            profile.stages.iter().any(|s| s.events > 0),
-            "{}: no stage saw any events",
-            heap_config.label()
-        );
-    }
-}
+    let memories = [
+        ("uncached", MemoryConfig::architecture_independent()),
+        ("cached", MemoryConfig::hybrid_scaled(64)),
+    ];
+    for (mode, memory) in &memories {
+        for heap_config in collectors() {
+            let case = format!("{} {mode}", heap_config.label());
+            let disabled = run_live(&heap_config, memory, false);
+            let enabled = run_live(&heap_config, memory, true);
+            assert_eq!(
+                fingerprint(&disabled),
+                fingerprint(&enabled),
+                "{case}: the hot-path profiler perturbed the simulation"
+            );
+            assert_eq!(
+                profile_counters(&disabled),
+                [],
+                "{case}: a disabled profiler must report nothing"
+            );
 
-#[test]
-fn profiler_event_counts_do_not_depend_on_the_sampling_cadence() {
-    let config = HeapConfig::kg_w();
-    let (_, coarse) = run_live(&config, Some(1 << 20));
-    let (_, fine) = run_live(&config, Some(3));
-    let events = |p: &TouchProfile| -> Vec<u64> { p.stages.iter().map(|s| s.events).collect() };
-    let coarse = coarse.unwrap();
-    let fine = fine.unwrap();
-    assert_eq!(
-        events(&coarse),
-        events(&fine),
-        "event counts must be exact regardless of how often touches are timed"
-    );
-    assert_eq!(coarse.touches, fine.touches);
-    assert!(fine.sampled_touches > coarse.sampled_touches);
+            let telemetry = enabled.telemetry.as_ref().expect("telemetry enabled");
+            let counter = |name: &str| {
+                telemetry
+                    .counter(name)
+                    .unwrap_or_else(|| panic!("{case}: no {name} counter"))
+            };
+            let events = |stage: Stage| counter(&format!("profile.events.{}", stage.label()));
+            let device: u64 = [
+                "mem.reads.dram",
+                "mem.reads.pcm",
+                "mem.writes.dram",
+                "mem.writes.pcm",
+            ]
+            .into_iter()
+            .map(counter)
+            .sum();
+            assert!(device > 0, "{case}");
+            assert_eq!(
+                events(Stage::LineBookkeeping),
+                device,
+                "{case}: line-bookkeeping events vs device reads + writes"
+            );
+            assert!(events(Stage::PageMap) >= events(Stage::LineBookkeeping), "{case}");
+            let touches = counter("profile.touches");
+            let by_phase: u64 = Phase::ALL
+                .iter()
+                .map(|phase| counter(&format!("profile.touches.{}", phase.label())))
+                .sum();
+            assert_eq!(by_phase, touches, "{case}: per-phase touches vs profile.touches");
+
+            assert_eq!(
+                profile_counters(&enabled),
+                profile_counters(&run_live(&heap_config, memory, true)),
+                "{case}: a rerun must reproduce every count"
+            );
+        }
+    }
 }
