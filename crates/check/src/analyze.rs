@@ -24,7 +24,7 @@
 use std::collections::HashSet;
 use std::fmt::Write as _;
 
-use trace::{Trace, TraceEvent};
+use trace::{Trace, TraceEvent, TraceEvents};
 
 use crate::violation::CheckViolation;
 
@@ -261,10 +261,10 @@ impl Analyzer {
     }
 
     #[allow(clippy::too_many_lines)]
-    fn scan(&mut self, events: &[TraceEvent]) {
+    fn scan(&mut self, events: &TraceEvents) {
         self.analysis.events = events.len();
         for (index, event) in events.iter().enumerate() {
-            match *event {
+            match event {
                 TraceEvent::Spawn { ctx, .. } => {
                     let slot = ctx as usize;
                     if self.contexts.get(slot).is_some_and(|s| s.live) {
@@ -466,7 +466,7 @@ mod tests {
                 site_map_hash: 0,
                 fault_seed: 0,
             },
-            events,
+            events: events.into(),
         }
     }
 

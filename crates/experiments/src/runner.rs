@@ -536,24 +536,22 @@ fn record_replay_telemetry(
     stats: trace::ReplayStats,
     elapsed: std::time::Duration,
 ) {
-    let recorded_collects = recorded
-        .events
-        .iter()
-        .filter(|event| matches!(event, trace::TraceEvent::Collect { .. }))
-        .count() as u64;
-    let recorded_safepoints = recorded
-        .events
-        .iter()
-        .filter(|event| matches!(event, trace::TraceEvent::Safepoint))
-        .count() as u64;
+    if !heap.telemetry().is_enabled() {
+        return;
+    }
+    let (mut recorded_collects, mut recorded_safepoints) = (0u64, 0u64);
+    for event in recorded.events.iter() {
+        match event {
+            trace::TraceEvent::Collect { .. } => recorded_collects += 1,
+            trace::TraceEvent::Safepoint => recorded_safepoints += 1,
+            _ => {}
+        }
+    }
     let observed_collections = {
         let gc = heap.stats();
         gc.nursery.collections + gc.observer.collections + gc.major.collections
     };
     let telemetry = heap.telemetry_mut();
-    if !telemetry.is_enabled() {
-        return;
-    }
     telemetry.counter_set("replay.events", stats.events);
     telemetry.counter_set("replay.allocations", stats.allocations);
     telemetry.counter_set("replay.hooks", stats.hooks);
@@ -833,7 +831,7 @@ mod tests {
                 site_map_hash: workloads::site_map_hash() ^ 1,
                 fault_seed: 0,
             },
-            events: Vec::new(),
+            events: trace::TraceEvents::default(),
         };
         assert!(!trace_site_map_current(&stale));
         trace::save_trace(&stale, &path).unwrap();

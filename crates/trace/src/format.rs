@@ -53,15 +53,23 @@
 //! that the header's event count is read before it is vouched for, so the
 //! event buffer is reserved for no more events than the remaining bytes
 //! could encode.
+//!
+//! # The format and the events in memory
+//!
+//! A decoded trace holds its events as [`TraceEvents`]: 16-byte packed slots
+//! whose opcode and operand order are this file format's, so the decoder
+//! writes each event's varints straight into a slot and never builds the
+//! 40-byte [`crate::TraceEvent`] unless an operand is too wide for its field (see
+//! [`crate::event`]). That is a property of the in-memory stream alone:
+//! the bytes above are unchanged, [`FORMAT_VERSION`] with them, and a trace
+//! encodes to the same file whether its events were packed or wide.
 
 use std::fmt;
 use std::fs;
 use std::io;
 use std::path::Path;
 
-use kingsguard::{CollectKind, MutatorConfig};
-
-use crate::event::{Trace, TraceEvent, TraceHeader};
+use crate::event::{op, Operands, Trace, TraceEvents, TraceHeader};
 
 /// Leading magic bytes of every `.kgtrace` file.
 pub const FORMAT_MAGIC: &[u8; 8] = b"KGTRACE\0";
@@ -76,22 +84,6 @@ pub const FORMAT_MIN_VERSION: u32 = 1;
 
 /// Canonical file extension.
 pub const FILE_EXTENSION: &str = "kgtrace";
-
-const OP_SPAWN: u8 = 0;
-const OP_RETIRE: u8 = 1;
-const OP_ALLOC: u8 = 2;
-const OP_ALLOC_LARGE: u8 = 3;
-const OP_WRITE_REF: u8 = 4;
-const OP_WRITE_PRIM: u8 = 5;
-const OP_READ_REF: u8 = 6;
-const OP_READ_PRIM: u8 = 7;
-const OP_RELEASE: u8 = 8;
-const OP_SAFEPOINT: u8 = 9;
-const OP_COLLECT_YOUNG: u8 = 10;
-const OP_COLLECT_NURSERY: u8 = 11;
-const OP_COLLECT_OBSERVER: u8 = 12;
-const OP_COLLECT_FULL: u8 = 13;
-const OP_HOOK: u8 = 14;
 
 /// Everything that can go wrong reading or writing a trace.
 #[derive(Debug)]
@@ -197,97 +189,41 @@ fn push_u64(out: &mut Vec<u8>, value: u64) {
     out.extend_from_slice(&value.to_le_bytes());
 }
 
-fn encode_event(out: &mut Vec<u8>, event: &TraceEvent) {
-    match *event {
-        TraceEvent::Spawn { ctx, config } => {
-            out.push(OP_SPAWN);
-            push_varint(out, ctx as u64);
-            push_varint(out, config.tlab_bytes as u64);
-            push_varint(out, config.ssb_capacity as u64);
+/// Appends an event: its opcode, then the operands that opcode has, in
+/// field order.
+#[inline]
+fn encode_event(out: &mut Vec<u8>, event: Operands) {
+    let Operands { op, ctx, h, a, b, c } = event;
+    out.push(op);
+    let mut put = |operand: u64| push_varint(out, operand);
+    match op {
+        op::SPAWN | op::READ_REF => {
+            put(ctx as u64);
+            put(a);
+            put(b);
         }
-        TraceEvent::Retire { ctx } => {
-            out.push(OP_RETIRE);
-            push_varint(out, ctx as u64);
+        op::RETIRE => put(ctx as u64),
+        op::ALLOC | op::ALLOC_LARGE => {
+            put(ctx as u64);
+            put(h as u64);
+            put(a);
+            put(b);
+            put(c);
         }
-        TraceEvent::Alloc {
-            ctx,
-            ref_slots,
-            payload_bytes,
-            type_id,
-            site,
-            large,
-        } => {
-            out.push(if large { OP_ALLOC_LARGE } else { OP_ALLOC });
-            push_varint(out, ctx as u64);
-            push_varint(out, ref_slots as u64);
-            push_varint(out, payload_bytes as u64);
-            push_varint(out, type_id as u64);
-            push_varint(out, site as u64);
+        op::WRITE_REF | op::WRITE_PRIM | op::READ_PRIM => {
+            put(ctx as u64);
+            put(a);
+            put(b);
+            put(c);
         }
-        TraceEvent::WriteRef {
-            ctx,
-            src,
-            slot,
-            target,
-        } => {
-            out.push(OP_WRITE_REF);
-            push_varint(out, ctx as u64);
-            push_varint(out, src);
-            push_varint(out, slot as u64);
-            // 0 encodes a null store; allocation indices shift up by one.
-            push_varint(out, target.map(|t| t + 1).unwrap_or(0));
+        op::RELEASE => put(a),
+        op::HOOK => {
+            put(a);
+            put(b);
+            put(c);
         }
-        TraceEvent::WritePrim {
-            ctx,
-            src,
-            offset,
-            len,
-        } => {
-            out.push(OP_WRITE_PRIM);
-            push_varint(out, ctx as u64);
-            push_varint(out, src);
-            push_varint(out, offset);
-            push_varint(out, len);
-        }
-        TraceEvent::ReadRef { ctx, src, slot } => {
-            out.push(OP_READ_REF);
-            push_varint(out, ctx as u64);
-            push_varint(out, src);
-            push_varint(out, slot as u64);
-        }
-        TraceEvent::ReadPrim {
-            ctx,
-            src,
-            offset,
-            len,
-        } => {
-            out.push(OP_READ_PRIM);
-            push_varint(out, ctx as u64);
-            push_varint(out, src);
-            push_varint(out, offset);
-            push_varint(out, len);
-        }
-        TraceEvent::Release { obj } => {
-            out.push(OP_RELEASE);
-            push_varint(out, obj);
-        }
-        TraceEvent::Safepoint => out.push(OP_SAFEPOINT),
-        TraceEvent::Collect { kind } => out.push(match kind {
-            CollectKind::Young => OP_COLLECT_YOUNG,
-            CollectKind::Nursery => OP_COLLECT_NURSERY,
-            CollectKind::Observer => OP_COLLECT_OBSERVER,
-            CollectKind::Full => OP_COLLECT_FULL,
-        }),
-        TraceEvent::Hook {
-            allocated_bytes,
-            total_bytes,
-            elapsed_ms,
-        } => {
-            out.push(OP_HOOK);
-            push_varint(out, allocated_bytes);
-            push_varint(out, total_bytes);
-            push_varint(out, elapsed_ms);
-        }
+        // A safepoint or a collect: the opcode is the event.
+        _ => {}
     }
 }
 
@@ -325,6 +261,12 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 }
 
 /// Serializes a trace to the binary format.
+///
+/// # Panics
+///
+/// Panics on a [`crate::TraceEvent::WriteRef`] whose target is `Some(u64::MAX)`:
+/// targets are stored plus one, so that index has no encoding (and no
+/// decoder can have produced it).
 pub fn trace_to_bytes(trace: &Trace) -> Vec<u8> {
     let mut out = Vec::with_capacity(64 + trace.events.len() * 6);
     out.extend_from_slice(FORMAT_MAGIC);
@@ -338,7 +280,7 @@ pub fn trace_to_bytes(trace: &Trace) -> Vec<u8> {
     push_u64(&mut out, trace.header.site_map_hash);
     push_u64(&mut out, trace.header.fault_seed);
     push_u64(&mut out, trace.events.len() as u64);
-    for event in &trace.events {
+    for event in trace.events.operands() {
         encode_event(&mut out, event);
     }
     let checksum = fnv1a(&out);
@@ -459,78 +401,71 @@ impl<'a> Reader<'a> {
         T::try_from(value).map_err(|_| Stop::OutOfRange { what, value })
     }
 
-    /// Decodes the event at `self.pos`, which must be inside the input.
+    /// Decodes the event at `self.pos`, which must be inside the input, onto
+    /// the end of `events`: straight into a packed slot, one operand per
+    /// field (see [`crate::event`]), unless it is wide.
     #[inline(always)]
-    fn event(&mut self) -> Result<TraceEvent, Stop> {
+    fn event(&mut self, events: &mut TraceEvents) -> Result<(), Stop> {
         let opcode = self.bytes[self.pos];
         self.pos += 1;
-        let event = match opcode {
-            OP_SPAWN => TraceEvent::Spawn {
-                ctx: self.narrow("ctx")?,
-                config: MutatorConfig {
-                    tlab_bytes: self.narrow("tlab_bytes")?,
-                    ssb_capacity: self.narrow("ssb_capacity")?,
-                },
-            },
-            OP_RETIRE => TraceEvent::Retire {
-                ctx: self.narrow("ctx")?,
-            },
-            OP_ALLOC | OP_ALLOC_LARGE => TraceEvent::Alloc {
-                ctx: self.narrow("ctx")?,
-                ref_slots: self.narrow("ref_slots")?,
-                payload_bytes: self.narrow("payload_bytes")?,
-                type_id: self.narrow("type_id")?,
-                site: self.narrow("site")?,
-                large: opcode == OP_ALLOC_LARGE,
-            },
-            OP_WRITE_REF => TraceEvent::WriteRef {
-                ctx: self.narrow("ctx")?,
-                src: self.varint()?,
-                slot: self.narrow("slot")?,
-                target: match self.varint()? {
-                    0 => None,
-                    shifted => Some(shifted - 1),
-                },
-            },
-            OP_WRITE_PRIM => TraceEvent::WritePrim {
-                ctx: self.narrow("ctx")?,
-                src: self.varint()?,
-                offset: self.varint()?,
-                len: self.varint()?,
-            },
-            OP_READ_REF => TraceEvent::ReadRef {
-                ctx: self.narrow("ctx")?,
-                src: self.varint()?,
-                slot: self.narrow("slot")?,
-            },
-            OP_READ_PRIM => TraceEvent::ReadPrim {
-                ctx: self.narrow("ctx")?,
-                src: self.varint()?,
-                offset: self.varint()?,
-                len: self.varint()?,
-            },
-            OP_RELEASE => TraceEvent::Release { obj: self.varint()? },
-            OP_SAFEPOINT => TraceEvent::Safepoint,
-            OP_COLLECT_YOUNG => TraceEvent::Collect {
-                kind: CollectKind::Young,
-            },
-            OP_COLLECT_NURSERY => TraceEvent::Collect {
-                kind: CollectKind::Nursery,
-            },
-            OP_COLLECT_OBSERVER => TraceEvent::Collect {
-                kind: CollectKind::Observer,
-            },
-            OP_COLLECT_FULL => TraceEvent::Collect {
-                kind: CollectKind::Full,
-            },
-            OP_HOOK => TraceEvent::Hook {
-                allocated_bytes: self.varint()?,
-                total_bytes: self.varint()?,
-                elapsed_ms: self.varint()?,
-            },
+        // Operands are read in file order, which is field order.
+        let (ctx, h, a, b, c): (u32, u16, u64, u64, u64) = match opcode {
+            op::SPAWN => (
+                self.narrow("ctx")?,
+                0,
+                self.narrow::<usize>("tlab_bytes")? as u64,
+                self.narrow::<usize>("ssb_capacity")? as u64,
+                0,
+            ),
+            op::RETIRE => (self.narrow("ctx")?, 0, 0, 0, 0),
+            op::ALLOC | op::ALLOC_LARGE => (
+                self.narrow("ctx")?,
+                self.narrow("ref_slots")?,
+                self.narrow::<u32>("payload_bytes")? as u64,
+                self.narrow::<u16>("type_id")? as u64,
+                self.narrow::<u32>("site")? as u64,
+            ),
+            // The stored target is already the packed one: 0 for a null
+            // store, the index plus one otherwise.
+            op::WRITE_REF => (
+                self.narrow("ctx")?,
+                0,
+                self.varint()?,
+                self.narrow::<u32>("slot")? as u64,
+                self.varint()?,
+            ),
+            op::WRITE_PRIM | op::READ_PRIM => (
+                self.narrow("ctx")?,
+                0,
+                self.varint()?,
+                self.varint()?,
+                self.varint()?,
+            ),
+            op::READ_REF => (
+                self.narrow("ctx")?,
+                0,
+                self.varint()?,
+                self.narrow::<u32>("slot")? as u64,
+                0,
+            ),
+            op::RELEASE => (0, 0, self.varint()?, 0, 0),
+            op::SAFEPOINT
+            | op::COLLECT_YOUNG
+            | op::COLLECT_NURSERY
+            | op::COLLECT_OBSERVER
+            | op::COLLECT_FULL => (0, 0, 0, 0, 0),
+            op::HOOK => (0, 0, self.varint()?, self.varint()?, self.varint()?),
             other => return Err(Stop::UnknownOpcode(other)),
         };
-        Ok(event)
+        events.push_operands(Operands {
+            op: opcode,
+            ctx,
+            h,
+            a,
+            b,
+            c,
+        });
+        Ok(())
     }
 }
 
@@ -567,14 +502,13 @@ fn decode_content(content: &[u8], checksum: &mut Checksum) -> Result<Trace, Trac
     };
     let declared = reader.u64()?;
     // `declared` is not yet vouched for by the checksum: reserve no more
-    // than the input can hold (an event is at least its opcode byte).
+    // slots than the input can hold (an event is at least its opcode byte).
     let remaining = content.len() - reader.pos;
-    let mut events = Vec::with_capacity(declared.min(remaining as u64) as usize);
+    let mut events = TraceEvents::with_capacity(declared.min(remaining as u64) as usize);
     while reader.pos < content.len() {
         let offset = reader.pos;
-        match reader.event() {
-            Ok(event) => events.push(event),
-            Err(stop) => return Err(event_error(stop, events.len() as u64, offset, content.len())),
+        if let Err(stop) = reader.event(&mut events) {
+            return Err(event_error(stop, events.len() as u64, offset, content.len()));
         }
         // One event behind the decoder, the fold's serial multiply chain
         // overlaps the next event's decoding (see the module docs).
@@ -625,6 +559,11 @@ pub fn parse_trace(bytes: &[u8]) -> Result<Trace, TraceError> {
 /// rename, so concurrent recorders of the same deterministic trace (e.g.
 /// two collector runs under `--jobs`, which share a process id but not the
 /// per-write counter) never expose a half-written file.
+///
+/// # Panics
+///
+/// Panics, before anything is written, on a trace [`trace_to_bytes`] cannot
+/// encode.
 pub fn save_trace(trace: &Trace, path: &Path) -> Result<(), TraceError> {
     static WRITE_SERIAL: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
     if let Some(parent) = path.parent() {
@@ -648,6 +587,8 @@ pub fn load_trace(path: &Path) -> Result<Trace, TraceError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::TraceEvent;
+    use kingsguard::{CollectKind, MutatorConfig};
 
     fn sample_trace() -> Trace {
         Trace {
@@ -724,7 +665,8 @@ mod tests {
                 TraceEvent::Release { obj: 1 },
                 TraceEvent::Safepoint,
                 TraceEvent::Retire { ctx: 1 },
-            ],
+            ]
+            .into(),
         }
     }
 
@@ -760,9 +702,23 @@ mod tests {
                 site_map_hash: 0,
                 fault_seed: 0,
             },
-            events: Vec::new(),
+            events: TraceEvents::default(),
         };
         assert_eq!(parse_trace(&trace_to_bytes(&trace)).unwrap(), trace);
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot be encoded")]
+    fn a_reference_store_of_the_last_u64_index_is_refused_not_encoded_as_null() {
+        // `u64::MAX + 1` wraps to 0, which encodes a null store.
+        let mut trace = sample_trace();
+        trace.events.push(TraceEvent::WriteRef {
+            ctx: 0,
+            src: 0,
+            slot: 0,
+            target: Some(u64::MAX),
+        });
+        trace_to_bytes(&trace);
     }
 
     #[test]
@@ -892,13 +848,13 @@ mod tests {
                 site_map_hash: 0,
                 fault_seed: 0,
             },
-            events: Vec::new(),
+            events: TraceEvents::default(),
         };
         let mut bytes = trace_to_bytes(&empty);
         bytes.truncate(bytes.len() - 8); // drop checksum
         let count_at = 8 + 4 + 4 + 1 + 48;
         bytes[count_at..count_at + 8].copy_from_slice(&1u64.to_le_bytes());
-        bytes.push(OP_RELEASE);
+        bytes.push(op::RELEASE);
         bytes.extend_from_slice(&[0xFF; 10]);
         bytes.push(0x01);
         let checksum = fnv1a(&bytes);

@@ -15,6 +15,10 @@
 //!   TLAB/store-buffer configuration, so K-mutator interleavings and SSB
 //!   batching replay faithfully), explicit GC-safepoint markers and
 //!   workload hook markers.
+//! * [`TraceEvents`] holds the stream in memory at 16 bytes an event (a
+//!   packed slot per event, the rare event with an operand too wide for its
+//!   field kept whole beside them); [`TraceEvent`] is the value pushed into
+//!   it and yielded by its iterator.
 //! * The [`format`](mod@format) module persists the stream as a versioned, compact,
 //!   checksummed binary `.kgtrace` file with `.kgprof`-style corruption
 //!   handling (unknown versions, truncation and bit flips are rejected
@@ -70,7 +74,7 @@ pub mod format;
 pub mod record;
 pub mod replay;
 
-pub use event::{CollectKind, Trace, TraceEvent, TraceHeader};
+pub use event::{CollectKind, Trace, TraceEvent, TraceEvents, TraceHeader};
 pub use format::{
     load_trace, parse_trace, save_trace, trace_to_bytes, TraceError, FILE_EXTENSION, FORMAT_MAGIC,
     FORMAT_MIN_VERSION, FORMAT_VERSION,

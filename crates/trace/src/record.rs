@@ -12,7 +12,7 @@ use std::rc::Rc;
 
 use kingsguard::{HeapEvent, HeapObserver, KingsguardHeap, ObserverId};
 
-use crate::event::{Trace, TraceEvent, TraceHeader};
+use crate::event::{Trace, TraceEvent, TraceEvents, TraceHeader};
 
 /// Sentinel in the handle table for "no live allocation under this handle".
 const NO_ALLOC: u64 = u64::MAX;
@@ -34,7 +34,7 @@ pub struct TraceMeta {
 
 #[derive(Debug, Default)]
 struct RecorderInner {
-    events: Vec<TraceEvent>,
+    events: TraceEvents,
     /// Live root handle (raw index) → allocation index. Root handles are
     /// dense small integers (the root table reuses released slots), so a
     /// vector beats a hash map on this per-event hot path.
@@ -272,7 +272,7 @@ mod tests {
         use crate::event::TraceEvent as E;
         assert_eq!(
             trace.events,
-            vec![
+            TraceEvents::from(vec![
                 E::Alloc {
                     ctx: 0,
                     ref_slots: 1,
@@ -306,7 +306,7 @@ mod tests {
                     kind: kingsguard::CollectKind::Young,
                 },
                 E::Safepoint,
-            ]
+            ])
         );
     }
 
@@ -323,7 +323,7 @@ mod tests {
         let trace = recorder.finish(&mut heap);
         assert_eq!(
             trace.events.last(),
-            Some(&TraceEvent::WritePrim {
+            Some(TraceEvent::WritePrim {
                 ctx: 0,
                 src: 1,
                 offset: 0,
@@ -350,7 +350,7 @@ mod tests {
         ctx.write_prim(&mut heap, handle, 0, 8);
         ctx.retire(&mut heap);
         let trace = recorder.finish(&mut heap);
-        assert_eq!(trace.events[0], TraceEvent::Spawn { ctx: 1, config });
-        assert_eq!(trace.events.last(), Some(&TraceEvent::Retire { ctx: 1 }));
+        assert_eq!(trace.events.get(0), Some(TraceEvent::Spawn { ctx: 1, config }));
+        assert_eq!(trace.events.last(), Some(TraceEvent::Retire { ctx: 1 }));
     }
 }

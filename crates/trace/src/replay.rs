@@ -162,7 +162,7 @@ impl<'t> TraceReplayer<'t> {
         }
 
         // Allocation index → live handle (None once released).
-        let mut objects: Vec<Option<Handle>> = Vec::new();
+        let mut objects: Vec<Option<Handle>> = Vec::with_capacity(self.trace.allocations() as usize);
         // Context index → spawned context (slot 0 is the built-in default
         // context, driven through the legacy heap methods).
         let mut contexts: Vec<Option<MutatorContext>> = vec![None];
@@ -178,7 +178,7 @@ impl<'t> TraceReplayer<'t> {
 
         for (index, event) in self.trace.events.iter().enumerate() {
             let at = index as u64;
-            match *event {
+            match event {
                 TraceEvent::Spawn { ctx, config } => {
                     let spawned = heap.spawn_mutator_with(config);
                     let assigned = spawned.index() as u32;
@@ -458,7 +458,8 @@ mod tests {
                 src: 5,
                 offset: 0,
                 len: 8,
-            }],
+            }]
+            .into(),
         };
         let mut heap = fresh(HeapConfig::kg_n());
         assert!(matches!(

@@ -16,12 +16,36 @@ use std::collections::BTreeSet;
 
 use kingsguard::MutatorConfig;
 use sim_rng::{Rng, SeedableRng, SmallRng};
-use trace::{parse_trace, trace_to_bytes, CollectKind, Trace, TraceError, TraceEvent, TraceHeader};
+use trace::{
+    parse_trace, trace_to_bytes, CollectKind, Trace, TraceError, TraceEvent, TraceEvents, TraceHeader,
+};
 
-/// What a caller can observe of a parse: the trace, or the error's
-/// variant-and-fields (`Debug`) and message (`Display`).
-fn verdict(result: Result<Trace, TraceError>) -> Result<Trace, (String, String)> {
-    result.map_err(|err| (format!("{err:?}"), err.to_string()))
+/// A trace as the reference decoder returns it: the events in the plain
+/// vector `trace::Trace` held before the packed `trace::TraceEvents`.
+#[derive(Debug, PartialEq)]
+pub struct ReferenceTrace {
+    pub header: TraceHeader,
+    pub events: Vec<TraceEvent>,
+}
+
+impl From<Trace> for ReferenceTrace {
+    fn from(trace: Trace) -> Self {
+        ReferenceTrace {
+            events: trace.events.iter().collect(),
+            header: trace.header,
+        }
+    }
+}
+
+/// What a caller can observe of a parse: the trace (its events one by one,
+/// as `iter()` yields them), or the error's variant-and-fields (`Debug`) and
+/// message (`Display`).
+fn verdict<T: Into<ReferenceTrace>>(
+    result: Result<T, TraceError>,
+) -> Result<ReferenceTrace, (String, String)> {
+    result
+        .map(Into::into)
+        .map_err(|err| (format!("{err:?}"), err.to_string()))
 }
 
 /// Parses `bytes` with both decoders, asserts they agree and returns the
@@ -152,7 +176,7 @@ fn sample(contexts: u32, seed: u64) -> Trace {
             site_map_hash: rng.gen(),
             fault_seed: rng.gen(),
         },
-        events,
+        events: events.into(),
     }
 }
 
@@ -216,6 +240,61 @@ fn new_and_reference_decoders_agree_on_every_truncation_and_bit_flip() {
     assert_eq!(seen.iter().map(String::as_str).collect::<Vec<_>>(), expected);
 }
 
+#[test]
+fn events_on_either_side_of_the_packed_field_widths_decode_as_the_reference_does() {
+    // `parse_trace` writes 16-byte slots and keeps an event aside when an
+    // operand is too wide for its field; the reference knows neither. The
+    // samples above already carry 64-bit operands; this one adds the
+    // contexts and targets at the field edges, and re-stamped flips that
+    // push an operand across an edge.
+    let mut events = Vec::new();
+    for ctx in [0, 255, 256, u32::MAX] {
+        for operand in [u32::MAX as u64 - 1, u32::MAX as u64, u32::MAX as u64 + 1] {
+            events.extend([
+                TraceEvent::WriteRef {
+                    ctx,
+                    src: operand,
+                    slot: u32::MAX,
+                    target: Some(operand),
+                },
+                TraceEvent::ReadPrim {
+                    ctx,
+                    src: 1,
+                    offset: operand,
+                    len: operand,
+                },
+                TraceEvent::Spawn {
+                    ctx,
+                    config: MutatorConfig {
+                        tlab_bytes: operand as usize,
+                        ssb_capacity: 64,
+                    },
+                },
+                TraceEvent::Hook {
+                    allocated_bytes: operand,
+                    total_bytes: 8 << 30,
+                    elapsed_ms: 3,
+                },
+            ]);
+        }
+    }
+    let trace = Trace {
+        events: events.into(),
+        ..sample(0, 13)
+    };
+    let bytes = trace_to_bytes(&trace);
+    assert_eq!(parse_trace(&bytes).unwrap(), trace);
+    assert_eq!(agree(&bytes, "intact"), "Ok");
+    for pos in count_at(&trace) + 8..bytes.len() - 8 {
+        for bit in 0..8 {
+            let mut damaged = bytes.clone();
+            damaged[pos] ^= 1 << bit;
+            restamp(&mut damaged);
+            agree(&damaged, &format!("flip {pos}/{bit}, re-stamped"));
+        }
+    }
+}
+
 /// Offset of the `count` header field in a v2 file.
 fn count_at(trace: &Trace) -> usize {
     8 + 4 + 4 + trace.header.workload.len() + 48
@@ -224,8 +303,10 @@ fn count_at(trace: &Trace) -> usize {
 /// `trace` with `raw_events` as its event bytes, declaring `declared`
 /// events, under a valid checksum.
 fn forged(trace: &Trace, declared: u64, raw_events: &[u8]) -> Vec<u8> {
-    let mut empty = trace.clone();
-    empty.events.clear();
+    let empty = Trace {
+        header: trace.header.clone(),
+        events: TraceEvents::default(),
+    };
     let mut bytes = trace_to_bytes(&empty);
     bytes.truncate(bytes.len() - 8);
     let at = count_at(trace);
@@ -292,7 +373,10 @@ fn decoder_errors_behind_a_valid_checksum_match_the_reference_field_for_field() 
     // The widest operands there are still parse.
     let widest = [&[OP_RELEASE][..], &[0xFF; 9], &[0x01]].concat();
     let parsed = parse_trace(&forged(&trace, 1, &widest)).unwrap();
-    assert_eq!(parsed.events, [TraceEvent::Release { obj: u64::MAX }]);
+    assert_eq!(
+        parsed.events.iter().collect::<Vec<_>>(),
+        [TraceEvent::Release { obj: u64::MAX }]
+    );
     assert_eq!(agree(&forged(&trace, 1, &widest), "u64::MAX operand"), "Ok");
 }
 

@@ -9,7 +9,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use trace::{parse_trace, trace_to_bytes, Trace, TraceError, TraceEvent, TraceHeader};
+use trace::{parse_trace, trace_to_bytes, Trace, TraceError, TraceEvent, TraceEvents, TraceHeader};
 
 /// The system allocator, remembering the largest single request.
 struct Recording;
@@ -54,7 +54,7 @@ fn a_forged_event_count_reserves_no_more_than_the_file_could_hold() {
             site_map_hash: 0,
             fault_seed: 0,
         },
-        events: vec![TraceEvent::Safepoint; 100],
+        events: vec![TraceEvent::Safepoint; 100].into(),
     };
     let mut bytes = trace_to_bytes(&trace);
     // Forge the count and re-stamp the checksum (FNV-1a), so the count is
@@ -79,11 +79,11 @@ fn a_forged_event_count_reserves_no_more_than_the_file_could_hold() {
         }) => {}
         other => panic!("expected CountMismatch, got {other:?}"),
     }
-    // 100 one-byte events remain: room for those (a few KB; the bound
-    // leaves slack for whatever the test harness allocates meanwhile), not
-    // for the 2^24 the count used to be clamped to (640 MB of events).
+    // 100 one-byte events and nothing else remain: room for 100 16-byte
+    // slots (the bound leaves slack for whatever the test harness allocates
+    // meanwhile), not for the 2^24 events the count used to be clamped to.
     let bound = 64 << 10;
-    assert!(100 * std::mem::size_of::<TraceEvent>() < bound);
+    assert!(100 * TraceEvents::SLOT_BYTES < bound);
     assert!(
         largest <= bound,
         "parse_trace requested {largest} bytes at once for a {}-byte file (bound {bound})",

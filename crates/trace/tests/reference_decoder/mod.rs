@@ -3,11 +3,15 @@
 //! whose every step returns a full `TraceError`. Kept verbatim (only the
 //! `use` lines differ) as the oracle `tests/differential.rs` compares
 //! `trace::parse_trace` against: same `Ok(Trace)`, or the same error
-//! variant, fields and `Display` text, on every input.
+//! variant, fields and `Display` text, on every input. Its `Trace` is the
+//! test's `ReferenceTrace` — the events in a plain `Vec<TraceEvent>`, as
+//! `trace::Trace` held them when this code was current — so nothing here
+//! goes through the packed `trace::TraceEvents` it is the oracle for.
 
+use super::ReferenceTrace as Trace;
 use kingsguard::MutatorConfig;
 use trace::{
-    CollectKind, Trace, TraceError, TraceEvent, TraceHeader, FORMAT_MAGIC, FORMAT_MIN_VERSION, FORMAT_VERSION,
+    CollectKind, TraceError, TraceEvent, TraceHeader, FORMAT_MAGIC, FORMAT_MIN_VERSION, FORMAT_VERSION,
 };
 
 const OP_SPAWN: u8 = 0;

@@ -162,7 +162,7 @@ fn recorder_sanitizer_and_a_custom_observer_share_one_heap() {
         log.len(),
         "recorder and log saw different streams"
     );
-    for (index, (seen, persisted)) in log.iter().zip(&recorded.events).enumerate() {
+    for (index, (seen, persisted)) in log.iter().zip(recorded.events.iter()).enumerate() {
         let same = matches!(
             (seen, persisted),
             (HeapEvent::MutatorSpawned { .. }, T::Spawn { .. })
