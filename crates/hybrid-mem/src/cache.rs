@@ -14,23 +14,40 @@
 //!
 //! A level is two flat side arrays `sets × ways` long, set after set: one
 //! `u64` tag (the cache-line index) per way and, parallel to it, one byte of
-//! `dirty | phase << 1`. A probe of an 8-way set reads one 64-byte host
-//! cache line of tags; the metadata byte is only touched on a hit.
+//! `dirty | phase << 1`. These are **physical ways**: a line stays in the
+//! way it was installed at for as long as it is resident, and no hit,
+//! install or removal moves a tag.
 //!
 //! **An empty way** holds the tag `INVALID` (`u64::MAX`) and metadata 0,
 //! so there is no `valid` flag and a set dirty bit implies a real line.
-//! Line indices are byte addresses divided by 64 and so stay below 2⁵⁸;
-//! no access can match the sentinel.
+//! Line indices stay below [`ADDRESS_SPACE`]` / 64` (a line beyond it cannot
+//! be installed, see [`CacheHierarchy::access`]); no access can match the
+//! sentinel.
 //!
-//! **Way order is recency order.** Each set is kept most-recently-used
-//! first, with its empty ways at the end. A hit rotates the way to the front
-//! (a hit on way 0 — the common case — moves nothing); an install shifts the
-//! set right by one and whatever falls off the end is the victim, which is an
-//! empty way whenever the set has one and the least recently used line
-//! otherwise; removing a line closes the gap and parks `INVALID` at the
-//! end. That is exactly the order a per-way timestamp would record, so the
-//! replacement decisions are those of timestamped LRU with no `tick` to
-//! bump and no minimum to search for.
+//! **Recency is a word per set**, not a position: sixteen 4-bit ranks in one
+//! `u64`, rank 0 (the low nibble) naming the most recently used physical way
+//! and rank `ways - 1` the least — hence at most [`MAX_WAYS`] ways. A hit
+//! moves the way's nibble to rank 0, an install overwrites the way at the
+//! last rank and moves it to rank 0, and removing a line (it moves up a
+//! level) writes `INVALID` and moves the way to the last rank, so a set's
+//! empty ways always occupy its last ranks and an install takes an empty way
+//! whenever there is one. Each is a few shifts and masks. Rank order is
+//! the order per-way timestamps would sort in — every operation that would
+//! stamp a way with the newest tick moves it to rank 0 and leaves the others
+//! in their relative order — so the replacement decisions are those of
+//! timestamped LRU with no `tick` to bump and no minimum to search for.
+//!
+//! **A probe reads a way hint and verifies it; it never scans a set.** The
+//! hierarchy keeps one `u32` per line ever installed, in a [`DenseTable`]
+//! keyed by line: byte *k* is the physical way (plus one) the line was last
+//! installed at in level *k*. A line resident in a level sits where it was
+//! installed, so its hint names its way; a line that has left, or was never
+//! there, has a hint that names a way now holding some other tag (or no way
+//! at all). The probe therefore compares the hinted way's tag with the line
+//! and that compare alone decides hit or miss: correctness rests on the
+//! tags. Nothing ever clears a hint — evictions, removals and
+//! [`CacheHierarchy::flush_all`] leave the table alone; only an install
+//! writes it.
 //!
 //! **The set index** is `line & (sets - 1)` when the set count is a power of
 //! two (every shipped geometry) and `line % sets` otherwise, decided once at
@@ -45,8 +62,13 @@
 //! installed into (a dirty victim is pushed down until some level absorbs it
 //! or it falls out of the last one). With at most [`MAX_LEVELS`] levels a
 //! caller can stage one access's events in a `[MemEvent; MAX_LEVELS + 1]`.
+//! A flush emits each level's write-backs in physical-way order, which
+//! carries no meaning.
+//!
+//! [`ADDRESS_SPACE`]: crate::dense::ADDRESS_SPACE
 
 use crate::address::CACHE_LINE_SIZE;
+use crate::dense::DenseTable;
 use crate::system::Phase;
 
 /// Configuration of one cache level.
@@ -54,7 +76,7 @@ use crate::system::Phase;
 pub struct CacheLevelConfig {
     /// Total capacity in bytes.
     pub capacity_bytes: usize,
-    /// Associativity (ways per set).
+    /// Associativity (ways per set), from 1 to [`MAX_WAYS`].
     pub ways: usize,
 }
 
@@ -132,10 +154,16 @@ pub struct MemEvent {
 }
 
 /// The most levels a hierarchy may have, so that the events of one access
-/// fit a `[MemEvent; MAX_LEVELS + 1]` (see the module docs).
+/// fit a `[MemEvent; MAX_LEVELS + 1]` and a line's way hints one `u32` (see
+/// the module docs).
 pub const MAX_LEVELS: usize = 4;
 
-/// Tag of an empty way; no line index reaches it (they stay below 2⁵⁸).
+/// The most ways a level may have (the paper's LLC has this many): a set's
+/// recency order is sixteen 4-bit ranks in one `u64` (see the module docs).
+pub const MAX_WAYS: usize = 16;
+
+/// Tag of an empty way; no line index reaches it (they stay below
+/// `ADDRESS_SPACE / 64`).
 const INVALID: u64 = u64::MAX;
 /// The dirty bit of a way's metadata byte; the last writer sits above it.
 const DIRTY: u8 = 1;
@@ -158,6 +186,49 @@ fn write_back((line, meta): Victim) -> MemEvent {
     }
 }
 
+/// The recency word of a set nothing has touched: way `i` at rank `i`. All
+/// sixteen nibbles stay a permutation of the ways, those beyond the level's
+/// associativity never moving, so [`rank_of`] always finds its way.
+const IDENTITY_ORDER: u64 = 0xFEDC_BA98_7654_3210;
+/// The low bit of every nibble.
+const NIBBLES: u64 = 0x1111_1111_1111_1111;
+
+/// The physical way at `rank` of a recency word.
+#[inline]
+fn way_at(order: u64, rank: usize) -> usize {
+    (order >> (4 * rank)) as usize & 15
+}
+
+/// The rank `way` holds in a recency word: the position of the one nibble
+/// equal to it, found by zeroing that nibble and locating the lowest zero.
+#[inline]
+fn rank_of(order: u64, way: usize) -> usize {
+    let x = order ^ (way as u64 * NIBBLES);
+    // A zero nibble borrows into its top bit; nibbles below the lowest zero
+    // are at least 1 and borrow nothing, so the lowest mark is exact.
+    let zeros = x.wrapping_sub(NIBBLES) & !x & (NIBBLES << 3);
+    zeros.trailing_zeros() as usize / 4
+}
+
+/// Moves the way at `rank` to rank 0 (most recently used); the ranks below
+/// it move up by one.
+#[inline]
+fn promote(order: u64, rank: usize) -> u64 {
+    // Two shifts, because `4 * rank + 4` is 64 at rank 15.
+    let above = u64::MAX << (4 * rank) << 4;
+    let below = !(u64::MAX << (4 * rank));
+    order & above | (order & below) << 4 | way_at(order, rank) as u64
+}
+
+/// Moves the way at `rank` to rank `last` (least recently used); the ranks
+/// between them move down by one.
+#[inline]
+fn demote(order: u64, rank: usize, last: usize) -> u64 {
+    let keep = !(u64::MAX << (4 * rank)) | u64::MAX << (4 * last) << 4;
+    let between = u64::MAX << (4 * rank) << 4 & !(u64::MAX << (4 * last) << 4);
+    order & keep | (order & between) >> 4 | (way_at(order, rank) as u64) << (4 * last)
+}
+
 /// How a level maps a line to its set, decided once at construction.
 #[derive(Clone, Copy, Debug)]
 enum SetIndex {
@@ -167,140 +238,157 @@ enum SetIndex {
     Modulo(u64),
 }
 
-/// One level: flat tag and metadata arrays, each set most recently used
-/// first (see the module docs).
+/// One level: flat tag and metadata arrays of physical ways and one recency
+/// word per set (see the module docs).
 #[derive(Debug)]
 struct CacheLevel {
     tags: Vec<u64>,
     meta: Vec<u8>,
+    order: Vec<u64>,
     ways: usize,
     index: SetIndex,
+    /// Where this level's byte sits in a line's way hints.
+    hint_shift: u32,
     hits: u64,
     misses: u64,
 }
 
 impl CacheLevel {
-    fn new(config: CacheLevelConfig) -> Self {
+    fn new(level_idx: usize, config: CacheLevelConfig) -> Self {
         let sets = config.sets();
         CacheLevel {
             tags: vec![INVALID; sets * config.ways],
             meta: vec![0; sets * config.ways],
+            order: vec![IDENTITY_ORDER; sets],
             ways: config.ways,
             index: if sets.is_power_of_two() {
                 SetIndex::Mask(sets as u64 - 1)
             } else {
                 SetIndex::Modulo(sets as u64)
             },
+            hint_shift: 8 * level_idx as u32,
             hits: 0,
             misses: 0,
         }
     }
 
-    /// Index of way 0 of `line`'s set.
+    /// The set `line` maps to.
     #[inline]
-    fn set_start(&self, line: u64) -> usize {
-        let set = match self.index {
+    fn set_of(&self, line: u64) -> usize {
+        (match self.index {
             SetIndex::Mask(mask) => line & mask,
             SetIndex::Modulo(sets) => line % sets,
-        };
-        set as usize * self.ways
+        }) as usize
     }
 
-    /// The way of the set at `start` that holds `line`.
-    #[inline]
-    fn find(&self, start: usize, line: u64) -> Option<usize> {
-        self.tags[start..start + self.ways]
+    /// The way of `set` that holds `line`, by scanning: what the hinted
+    /// probe is checked against in debug builds.
+    fn find(&self, set: usize, line: u64) -> Option<usize> {
+        self.tags[set * self.ways..][..self.ways]
             .iter()
             .position(|&tag| tag == line)
     }
 
-    /// Makes `line` the most recently used way of the set at `start`: ways
-    /// `0..way` move one place towards the end, over the old way `way`.
+    /// The way of `set` that holds `line`: the one its `hints` name for this
+    /// level, if that way's tag agrees.
     #[inline]
-    fn place_in_front(&mut self, start: usize, way: usize, line: u64, meta: u8) {
-        let tags = &mut self.tags[start..=start + way];
-        let metas = &mut self.meta[start..=start + way];
-        for i in (0..way).rev() {
-            tags[i + 1] = tags[i];
-            metas[i + 1] = metas[i];
-        }
-        tags[0] = line;
-        metas[0] = meta;
+    fn probe(&self, set: usize, line: u64, hints: u32) -> Option<usize> {
+        let hint = (hints >> self.hint_shift) as usize & 0xFF;
+        let way = (hint != 0 && self.tags[set * self.ways + hint - 1] == line).then(|| hint - 1);
+        debug_assert_eq!(self.find(set, line), way, "way hint of line {line:#x}");
+        way
     }
 
-    /// Installs `line` in the set at `start`; returns the line that fell off
-    /// the end if it was dirty (an empty way or a clean line just goes).
+    /// Makes `way` the most recently used of `set`.
     #[inline]
-    fn install_at(&mut self, start: usize, line: u64, meta: u8) -> Option<Victim> {
+    fn make_most_recent(&mut self, set: usize, way: usize) {
+        let order = self.order[set];
+        self.order[set] = promote(order, rank_of(order, way));
+    }
+
+    /// Installs `line` over the least recently used way of `set` (an empty
+    /// one whenever there is one) and notes the way in `hints`; returns the
+    /// line it replaced if that was dirty.
+    #[inline]
+    fn install(&mut self, set: usize, line: u64, meta: u8, hints: &mut u32) -> Option<Victim> {
         let last = self.ways - 1;
-        let victim = (self.tags[start + last], self.meta[start + last]);
-        self.place_in_front(start, last, line, meta);
+        let order = self.order[set];
+        let way = way_at(order, last);
+        let slot = set * self.ways + way;
+        let victim = (self.tags[slot], self.meta[slot]);
+        self.tags[slot] = line;
+        self.meta[slot] = meta;
+        self.order[set] = promote(order, last);
+        *hints = *hints & !(0xFF << self.hint_shift) | (way as u32 + 1) << self.hint_shift;
         (victim.1 & DIRTY != 0).then_some(victim)
-    }
-
-    fn install(&mut self, line: u64, meta: u8) -> Option<Victim> {
-        self.install_at(self.set_start(line), line, meta)
     }
 
     /// An access by the core: on a hit the line becomes most recently used
     /// and a write marks it dirty by `phase`.
-    fn touch(&mut self, line: u64, write: bool, phase: Phase) -> bool {
-        let start = self.set_start(line);
-        let Some(way) = self.find(start, line) else {
+    fn touch(&mut self, line: u64, hints: u32, write: bool, phase: Phase) -> bool {
+        let set = self.set_of(line);
+        let Some(way) = self.probe(set, line, hints) else {
             self.misses += 1;
             return false;
         };
-        let meta = if write {
-            meta_of(true, phase)
-        } else {
-            self.meta[start + way]
-        };
-        self.place_in_front(start, way, line, meta);
+        if write {
+            self.meta[set * self.ways + way] = meta_of(true, phase);
+        }
+        self.make_most_recent(set, way);
         self.hits += 1;
         true
     }
 
     /// A probe on behalf of the levels above: a hit hands the line's
-    /// metadata over and removes it from this level (it moves up), closing
-    /// the gap and leaving the empty way at the end of the set.
-    fn take(&mut self, line: u64) -> Option<u8> {
-        let start = self.set_start(line);
-        let Some(way) = self.find(start, line) else {
+    /// metadata over and removes it from this level (it moves up), leaving
+    /// its way empty and least recently used.
+    fn take(&mut self, line: u64, hints: u32) -> Option<u8> {
+        let set = self.set_of(line);
+        let Some(way) = self.probe(set, line, hints) else {
             self.misses += 1;
             return None;
         };
-        let meta = self.meta[start + way];
-        let end = start + self.ways;
-        self.tags.copy_within(start + way + 1..end, start + way);
-        self.meta.copy_within(start + way + 1..end, start + way);
-        self.tags[end - 1] = INVALID;
-        self.meta[end - 1] = 0;
+        let slot = set * self.ways + way;
+        let meta = std::mem::take(&mut self.meta[slot]);
+        self.tags[slot] = INVALID;
+        let order = self.order[set];
+        self.order[set] = demote(order, rank_of(order, way), self.ways - 1);
         self.hits += 1;
         Some(meta)
     }
 
-    /// Takes in a dirty line evicted from the level above, in one scan of
-    /// the set: a copy already here is marked dirty (a hit), otherwise the
-    /// line is installed (a miss) and may push out a dirty victim of its own.
-    fn absorb(&mut self, (line, meta): Victim) -> Option<Victim> {
-        let start = self.set_start(line);
-        match self.find(start, line) {
+    /// Takes in a dirty line evicted from the level above: a copy already
+    /// here is marked dirty (a hit), otherwise the line is installed (a
+    /// miss) and may push out a dirty victim of its own.
+    fn absorb(&mut self, (line, meta): Victim, hints: &mut u32) -> Option<Victim> {
+        let set = self.set_of(line);
+        match self.probe(set, line, *hints) {
             Some(way) => {
                 self.hits += 1;
-                self.place_in_front(start, way, line, meta);
+                self.meta[set * self.ways + way] = meta;
+                self.make_most_recent(set, way);
                 None
             }
             None => {
                 self.misses += 1;
-                self.install_at(start, line, meta)
+                self.install(set, line, meta, hints)
             }
         }
     }
 
+    /// The lines of `set` most recently used first, `INVALID` for an empty
+    /// way.
+    #[cfg(test)]
+    fn by_recency(&self, set: usize) -> Vec<u64> {
+        (0..self.ways)
+            .map(|rank| self.tags[set * self.ways + way_at(self.order[set], rank)])
+            .collect()
+    }
+
     fn holds_dirty(&self, line: u64) -> bool {
-        let start = self.set_start(line);
-        self.find(start, line)
-            .is_some_and(|way| self.meta[start + way] & DIRTY != 0)
+        let set = self.set_of(line);
+        self.find(set, line)
+            .is_some_and(|way| self.meta[set * self.ways + way] & DIRTY != 0)
     }
 }
 
@@ -313,6 +401,10 @@ impl CacheLevel {
 pub struct CacheHierarchy {
     /// L1 first; empty for the pass-through hierarchy.
     levels: Vec<CacheLevel>,
+    /// Per line, the physical way (plus one) it was last installed at in
+    /// each level, level *k* in byte *k*; verified against the tag on every
+    /// use and never cleared (see the module docs).
+    hints: DenseTable<u32, CACHE_LINE_SIZE>,
     /// Per-shard tallies of accesses that hit in some level / missed all the
     /// way to memory (index = shard). Sharded alongside the controller's
     /// counters so multi-mutator runs get per-mutator locality for free.
@@ -327,8 +419,8 @@ impl CacheHierarchy {
     ///
     /// # Panics
     ///
-    /// Panics if a level has 0 ways or there are more than [`MAX_LEVELS`]
-    /// levels.
+    /// Panics if a level has 0 ways or more than [`MAX_WAYS`], or there are
+    /// more than [`MAX_LEVELS`] levels.
     pub fn new(config: &CacheConfig) -> Self {
         assert!(
             config.levels.len() <= MAX_LEVELS,
@@ -336,16 +428,24 @@ impl CacheHierarchy {
             config.levels.len()
         );
         for (i, level) in config.levels.iter().enumerate() {
+            let (name, bytes, ways) = (i + 1, level.capacity_bytes, level.ways);
             assert!(
-                level.ways > 0,
-                "cache level L{} ({} bytes) has {} ways; it needs at least one",
-                i + 1,
-                level.capacity_bytes,
-                level.ways
+                ways > 0,
+                "cache level L{name} ({bytes} bytes) has {ways} ways; it needs at least one"
+            );
+            assert!(
+                ways <= MAX_WAYS,
+                "cache level L{name} ({bytes} bytes) has {ways} ways; at most {MAX_WAYS}"
             );
         }
         CacheHierarchy {
-            levels: config.levels.iter().map(|&c| CacheLevel::new(c)).collect(),
+            levels: config
+                .levels
+                .iter()
+                .enumerate()
+                .map(|(i, &c)| CacheLevel::new(i, c))
+                .collect(),
+            hints: DenseTable::new(),
             shard_hits: vec![0],
             shard_misses: vec![0],
             active_shard: 0,
@@ -394,6 +494,14 @@ impl CacheHierarchy {
     /// Accesses cache line `line`, passing the memory-side events caused by
     /// the access (the miss fill, then dirty write-backs) to `sink` in
     /// order — at most `levels + 1` of them, none on a hit.
+    ///
+    /// # Panics
+    ///
+    /// With caching enabled, panics if `line` misses and lies at or beyond
+    /// [`ADDRESS_SPACE`]` / 64`, the end of the simulated address space: its
+    /// way hints cannot be recorded, so it cannot be installed.
+    ///
+    /// [`ADDRESS_SPACE`]: crate::dense::ADDRESS_SPACE
     #[inline]
     pub fn access(&mut self, line: u64, write: bool, phase: Phase, mut sink: impl FnMut(MemEvent)) {
         debug_assert!(line != INVALID, "line index {line:#x} is the empty-way sentinel");
@@ -401,8 +509,9 @@ impl CacheHierarchy {
             sink(MemEvent { line, write, phase });
             return;
         };
-        // The most recently used way of the L1 set: one compare, no move.
-        let front = l1.set_start(line);
+        // The most recently used way of the L1 set: one compare, no update.
+        let set = l1.set_of(line);
+        let front = set * l1.ways + way_at(l1.order[set], 0);
         if l1.tags[front] == line {
             if write {
                 l1.meta[front] = meta_of(true, phase);
@@ -414,21 +523,22 @@ impl CacheHierarchy {
         self.access_past_front(line, write, phase, &mut sink);
     }
 
-    /// Everything but the hit on L1's front way, out of line.
+    /// Everything but the hit on L1's most recently used way, out of line.
     #[inline(never)]
     fn access_past_front(&mut self, line: u64, write: bool, phase: Phase, sink: &mut impl FnMut(MemEvent)) {
-        if self.levels[0].touch(line, write, phase) {
+        let hints = self.hints.get(line).copied().unwrap_or(0);
+        if self.levels[0].touch(line, hints, write, phase) {
             self.shard_hits[self.active_shard] += 1;
             return;
         }
         // Probe the lower levels closest-first.
         for level_idx in 1..self.levels.len() {
-            if let Some(found) = self.levels[level_idx].take(line) {
+            if let Some(found) = self.levels[level_idx].take(line, hints) {
                 self.shard_hits[self.active_shard] += 1;
                 // Move the line up into the levels above (inclusive-style
                 // fill), preserving its dirty state from where it was found.
                 let meta = if write { meta_of(true, phase) } else { found };
-                self.fill(level_idx, line, meta, sink);
+                self.fill(level_idx, line, meta, hints, sink);
                 return;
             }
         }
@@ -440,25 +550,30 @@ impl CacheHierarchy {
             write: false,
             phase,
         });
-        self.fill(self.levels.len(), line, meta_of(write, phase), sink);
+        self.fill(self.levels.len(), line, meta_of(write, phase), hints, sink);
     }
 
     /// Installs `line` into levels `[0, to)` — dirty in L1 only — pushing
-    /// dirty victims downwards.
-    fn fill(&mut self, to: usize, line: u64, meta: u8, sink: &mut impl FnMut(MemEvent)) {
+    /// dirty victims downwards, and records the ways it went to over the
+    /// `hints` it was probed with.
+    fn fill(&mut self, to: usize, line: u64, meta: u8, mut hints: u32, sink: &mut impl FnMut(MemEvent)) {
         for level_idx in 0..to {
+            let level = &mut self.levels[level_idx];
             let meta = if level_idx == 0 { meta } else { meta & !DIRTY };
-            if let Some(victim) = self.levels[level_idx].install(line, meta) {
+            if let Some(victim) = level.install(level.set_of(line), line, meta, &mut hints) {
                 self.spill(level_idx + 1, victim, sink);
             }
         }
+        // A spill installs victims, never `line`: its entry is still the one
+        // the probe read.
+        *self.hints.entry(line) = hints;
     }
 
     /// Pushes a dirty victim into level `level_idx` and whatever that evicts
     /// further down; a victim falling out of the last level is written back.
     fn spill(&mut self, level_idx: usize, mut victim: Victim, sink: &mut impl FnMut(MemEvent)) {
         for level in &mut self.levels[level_idx..] {
-            match level.absorb(victim) {
+            match level.absorb(victim, self.hints.entry(victim.0)) {
                 Some(next) => victim = next,
                 None => return,
             }
@@ -469,7 +584,7 @@ impl CacheHierarchy {
     /// Flushes every dirty line to memory and empties the hierarchy, passing
     /// the write-backs to `sink` level by level from L1 down. Called at the
     /// end of a run so that pending writes are accounted; the order within a
-    /// level is that of the sets' ways and carries no meaning.
+    /// level is that of the sets' physical ways and carries no meaning.
     ///
     /// Each dirty line is written back once: a line has at most one dirty
     /// copy, the one closest to the core. (A copy turns dirty in L1 by a
@@ -660,11 +775,21 @@ mod tests {
         // middle by evicting: the victims must come out least recent first.
         let mut cache = CacheHierarchy::new(&one_level(1, 4));
         read_all(&mut cache, &[0, 1, 2, 3, 0, 2]);
-        assert_eq!(cache.levels[0].tags, [2, 0, 3, 1]);
+        assert_eq!(cache.levels[0].by_recency(0), [2, 0, 3, 1]);
         read_all(&mut cache, &[4]);
-        assert_eq!(cache.levels[0].tags, [4, 2, 0, 3], "1 was least recently used");
+        assert_eq!(
+            cache.levels[0].by_recency(0),
+            [4, 2, 0, 3],
+            "1 was least recently used"
+        );
+        assert_eq!(cache.levels[0].tags, [3, 2, 4, 0], "and 4 took its physical way");
         read_all(&mut cache, &[3]);
-        assert_eq!(cache.levels[0].tags, [3, 4, 2, 0], "a hit rotates to the front");
+        assert_eq!(
+            cache.levels[0].by_recency(0),
+            [3, 4, 2, 0],
+            "a hit moves to the front"
+        );
+        assert_eq!(cache.levels[0].tags, [3, 2, 4, 0], "without moving a tag");
         assert_eq!(cache.hits(), 3);
         assert_eq!(cache.llc_misses(), 5);
     }
@@ -684,15 +809,48 @@ mod tests {
             ],
         });
         read_all(&mut cache, &[0, 1, 2]);
-        assert_eq!(cache.levels[1].tags, [2, 1, 0, INVALID]);
+        assert_eq!(cache.levels[1].by_recency(0), [2, 1, 0, INVALID]);
         // 1 hits in L2 and moves up to L1; the clean 2 it replaces is dropped.
         let events = read_all(&mut cache, &[1]);
         assert!(events.is_empty());
-        assert_eq!(cache.levels[0].tags, [1]);
-        assert_eq!(cache.levels[1].tags, [2, 0, INVALID, INVALID]);
+        assert_eq!(cache.levels[0].by_recency(0), [1]);
+        assert_eq!(cache.levels[1].by_recency(0), [2, 0, INVALID, INVALID]);
         // The next install takes the empty way, not a victim.
         read_all(&mut cache, &[3]);
-        assert_eq!(cache.levels[1].tags, [3, 2, 0, INVALID]);
+        assert_eq!(cache.levels[1].by_recency(0), [3, 2, 0, INVALID]);
+    }
+
+    #[test]
+    fn recency_words_match_a_move_to_front_list_at_every_rank() {
+        for ways in 1..=MAX_WAYS {
+            // A scrambled starting order, so that way and rank differ.
+            let mut model: Vec<usize> = (0..ways).collect();
+            model.sort_by_key(|&way| (way * 11 + 5) % 16);
+            let mut order = IDENTITY_ORDER;
+            for (rank, &way) in model.iter().enumerate() {
+                order = order & !(15 << (4 * rank)) | (way as u64) << (4 * rank);
+            }
+            // Ranks beyond the associativity must come through untouched.
+            let beyond = |order: u64| order.checked_shr(4 * ways as u32).unwrap_or(0);
+            let check = |order: u64, model: &[usize], what: &str| {
+                for (rank, &way) in model.iter().enumerate() {
+                    assert_eq!(way_at(order, rank), way, "{what}, {ways} ways, rank {rank}");
+                    assert_eq!(rank_of(order, way), rank, "{what}, {ways} ways, way {way}");
+                }
+                assert_eq!(beyond(order), beyond(IDENTITY_ORDER), "{what}, {ways} ways");
+            };
+            check(order, &model, "the starting order");
+            for rank in 0..ways {
+                let way = model.remove(rank);
+                model.insert(0, way);
+                order = promote(order, rank);
+                check(order, &model, &format!("promote({rank})"));
+                let way = model.remove(rank);
+                model.push(way);
+                order = demote(order, rank, ways - 1);
+                check(order, &model, &format!("demote({rank})"));
+            }
+        }
     }
 
     #[test]
@@ -792,6 +950,26 @@ mod tests {
         let mut config = tiny_config();
         config.levels[1].ways = 0;
         CacheHierarchy::new(&config);
+    }
+
+    #[test]
+    #[should_panic(expected = "cache level L3 (81920 bytes) has 20 ways; at most 16")]
+    fn a_level_with_more_ways_than_a_recency_word_ranks_is_rejected_by_name() {
+        let mut config = CacheConfig::paper_default();
+        config.levels[2] = CacheLevelConfig {
+            capacity_bytes: 64 * 20 * CACHE_LINE_SIZE,
+            ways: 20,
+        };
+        CacheHierarchy::new(&config);
+    }
+
+    #[test]
+    #[should_panic(expected = "beyond the simulated 0x10000000000-byte address space")]
+    fn a_line_beyond_the_simulated_address_space_cannot_be_installed() {
+        let mut cache = CacheHierarchy::new(&tiny_config());
+        let end = crate::dense::ADDRESS_SPACE / CACHE_LINE_SIZE as u64;
+        cache.access(end - 1, true, Phase::Mutator, |_| {});
+        cache.access(end, false, Phase::Mutator, |_| {});
     }
 
     #[test]

@@ -15,9 +15,11 @@
 //! * a three-level set-associative write-back **cache hierarchy** that absorbs
 //!   and coalesces writes and remembers the phase that last wrote each cache
 //!   line ([`cache::CacheHierarchy`]) — side arrays as well: flat per-level
-//!   tag and metadata arrays with every set in recency order, so exact LRU
-//!   needs no timestamps, and memory-side events delivered to a caller's
-//!   sink without allocating,
+//!   tag and metadata arrays of physical ways, one word of 4-bit recency
+//!   ranks per set (exact LRU, no timestamps, no tag ever moves) and a
+//!   dense table of verified way hints per line (no set is ever scanned),
+//!   with memory-side events delivered to a caller's sink without
+//!   allocating,
 //! * a **memory controller** that counts reads and writes per device, per
 //!   page, per line and per GC phase ([`controller::MemoryController`]),
 //! * DRAM/PCM **device models** with the latency and energy parameters of the

@@ -9,17 +9,19 @@
 //! extent, at the first extent, across a 256 MB slot boundary and far away
 //! at 40 GB.
 //!
-//! **The cache model.** [`CacheHierarchy`] (flat way-ordered side arrays) is
-//! driven directly against [`ReferenceCache`] (the timestamped
-//! `Vec<Vec<Entry>>` hierarchy it replaced) and must emit the same events,
-//! access by access, on every geometry including a set count that is not a
-//! power of two.
+//! **The cache model.** [`CacheHierarchy`] (flat physical-way side arrays, a
+//! recency word per set, verified way hints in a dense table) is driven
+//! directly against [`ReferenceCache`] (the timestamped `Vec<Vec<Entry>>`
+//! hierarchy it replaced) and must emit the same events, access by access,
+//! on every geometry — including a set count that is not a power of two, the
+//! most ways and the most levels it takes — and wherever the footprint sits
+//! in the hint table: at line 0, across a 256 MB slot boundary, at 40 GB.
 
 mod reference_cache;
 
 use std::collections::HashMap;
 
-use hybrid_mem::cache::{CacheLevelConfig, MemEvent};
+use hybrid_mem::cache::{CacheLevelConfig, MemEvent, MAX_LEVELS};
 use hybrid_mem::{
     Address, CacheConfig, CacheHierarchy, MemoryConfig, MemoryKind, MemoryStats, MemorySystem, PageId, Phase,
     ShardId, CACHE_LINE_SIZE, LINE_SIZE, PAGE_SIZE,
@@ -28,14 +30,11 @@ use reference_cache::ReferenceCache;
 use sim_rng::{Rng, SeedableRng, SmallRng};
 
 const REGION_PAGES: usize = 6;
+/// A 256 MB slot boundary of the dense tables, past the first extent.
+const SLOT_BOUNDARY: u64 = (1 << 30) + (512 << 20);
 /// Region bases: low memory, the first extent, two pages short of a later
 /// slot boundary (so the region straddles two slots), and 40 GB.
-const REGIONS: [u64; 4] = [
-    0x1000,
-    1 << 30,
-    (1 << 30) + (512 << 20) - 2 * PAGE_SIZE as u64,
-    40 << 30,
-];
+const REGIONS: [u64; 4] = [0x1000, 1 << 30, SLOT_BOUNDARY - 2 * PAGE_SIZE as u64, 40 << 30];
 const LINES_PER_PAGE: u64 = (PAGE_SIZE / CACHE_LINE_SIZE) as u64;
 
 /// The reference: what the memory system computes, with hash maps.
@@ -358,36 +357,45 @@ fn one_page_at_40_gb_costs_one_chunk() {
     );
 }
 
-/// The geometries the cache model is checked on: the degenerate ones, a set
-/// count that is no power of two (`%` instead of a mask), and the shipped
-/// hierarchies.
-fn cache_geometries() -> Vec<(&'static str, CacheConfig)> {
+/// Lines in the footprint a geometry is driven with: a few times its last
+/// level, so every level keeps evicting.
+fn footprint_lines(config: &CacheConfig) -> u64 {
+    let last = config.levels.last().unwrap();
+    3 * (last.sets() * last.ways) as u64 + 7
+}
+
+/// The geometries the cache model is checked on, each with the first line of
+/// its footprint: the degenerate ones, a set count that is no power of two
+/// (`%` instead of a mask), the widest set and the deepest hierarchy the
+/// model takes, the shipped hierarchies, and one of those again with its
+/// footprint where the way-hint table has its edges (so its windows also
+/// grow downwards, in two slots at once and far from line 0).
+fn cache_geometries() -> Vec<(&'static str, CacheConfig, u64)> {
     let level = |sets: usize, ways: usize| CacheLevelConfig {
         capacity_bytes: sets * ways * CACHE_LINE_SIZE,
         ways,
     };
+    let levels = |levels: &[CacheLevelConfig]| CacheConfig {
+        levels: levels.to_vec(),
+    };
+    let deepest: [_; MAX_LEVELS] = [level(2, 2), level(4, 2), level(4, 4), level(8, 16)];
+    let small = CacheConfig::scaled(256);
+    let across_slots = (SLOT_BOUNDARY / CACHE_LINE_SIZE as u64) - footprint_lines(&small) / 2;
     vec![
-        (
-            "one direct-mapped level",
-            CacheConfig {
-                levels: vec![level(4, 1)],
-            },
-        ),
-        (
-            "2 ways x 2 sets",
-            CacheConfig {
-                levels: vec![level(2, 2)],
-            },
-        ),
+        ("one direct-mapped level", levels(&[level(4, 1)]), 0),
+        ("2 ways x 2 sets", levels(&[level(2, 2)]), 0),
         (
             "3 sets x 2 ways over 5 sets x 3 ways",
-            CacheConfig {
-                levels: vec![level(3, 2), level(5, 3)],
-            },
+            levels(&[level(3, 2), level(5, 3)]),
+            0,
         ),
-        ("scaled(16)", CacheConfig::scaled(16)),
-        ("scaled(256)", CacheConfig::scaled(256)),
-        ("paper_default", CacheConfig::paper_default()),
+        ("one 16-way set", levels(&[level(1, 16)]), 0),
+        ("MAX_LEVELS levels", levels(&deepest), 0),
+        ("scaled(16)", CacheConfig::scaled(16), 0),
+        ("scaled(256)", small.clone(), 0),
+        ("scaled(256) across a slot boundary", small.clone(), across_slots),
+        ("scaled(256) at 40 GB", small, REGIONS[3] / CACHE_LINE_SIZE as u64),
+        ("paper_default", CacheConfig::paper_default(), 0),
     ]
 }
 
@@ -409,13 +417,10 @@ fn assert_same_flush(cache: &mut CacheHierarchy, reference: &mut ReferenceCache,
 
 #[test]
 fn flat_cache_matches_the_timestamped_reference_access_by_access() {
-    for (name, config) in cache_geometries() {
-        let last = config.levels.last().unwrap();
-        let capacity_lines = (last.sets() * last.ways) as u64;
-        // Enough accesses to fill the last level several times over, from a
-        // footprint a few times its size so every level keeps evicting.
-        let accesses = (6 * capacity_lines).max(20_000);
-        let footprint = 3 * capacity_lines + 7;
+    for (name, config, first_line) in cache_geometries() {
+        // Enough accesses to fill the last level several times over.
+        let footprint = footprint_lines(&config);
+        let accesses = (2 * footprint).max(20_000);
         for seed in 0..3u64 {
             let mut rng = SmallRng::seed_from_u64(0xCAC4E + seed);
             let mut cache = CacheHierarchy::new(&config);
@@ -439,11 +444,12 @@ fn flat_cache_matches_the_timestamped_reference_access_by_access() {
                 }
                 // A moving hot window (L1 hits, way rotations) over uniform
                 // background traffic (conflict and capacity evictions).
-                let line = if rng.gen_range(0..10u32) < 6 {
-                    (hot + rng.gen_range(0..24u64)) % footprint
-                } else {
-                    rng.gen_range(0..footprint)
-                };
+                let line = first_line
+                    + if rng.gen_range(0..10u32) < 6 {
+                        (hot + rng.gen_range(0..24u64)) % footprint
+                    } else {
+                        rng.gen_range(0..footprint)
+                    };
                 let write = rng.gen_range(0..10u32) < 4;
                 let phase = Phase::ALL[rng.gen_range(0..Phase::COUNT)];
                 got.clear();
@@ -477,6 +483,53 @@ fn flat_cache_matches_the_timestamped_reference_access_by_access() {
             assert_same_flush(&mut cache, &mut reference, &format!("{context}, flushed twice"));
         }
     }
+}
+
+/// A way hint that has gone stale must fail its tag compare: the line it
+/// belongs to misses, whatever now sits in the way it names.
+#[test]
+fn a_stale_way_hint_misses_like_the_reference() {
+    let config = CacheConfig {
+        levels: vec![CacheLevelConfig {
+            capacity_bytes: 2 * CACHE_LINE_SIZE,
+            ways: 2,
+        }],
+    };
+    let mut models = (CacheHierarchy::new(&config), ReferenceCache::new(&config));
+    // One access on both models; returns the events they agree on.
+    let access =
+        |(cache, reference): &mut (CacheHierarchy, ReferenceCache), line: u64, write: bool, phase: Phase| {
+            let (mut got, mut want) = (Vec::new(), Vec::new());
+            cache.access(line, write, phase, |event| got.push(event));
+            reference.access(line, write, phase, &mut want);
+            assert_eq!(got, want, "events of line {line}");
+            got
+        };
+    let event = |line, write, phase| MemEvent { line, write, phase };
+    let fill = |line| vec![event(line, false, Phase::Mutator)];
+    let (a, b, c) = (10, 11, 12);
+    // A and C fill the one set; B then evicts A, the least recently used,
+    // and takes over its physical way. A's hint still names that way.
+    assert_eq!(access(&mut models, a, true, Phase::Mutator), fill(a));
+    assert_eq!(access(&mut models, c, false, Phase::Mutator), fill(c));
+    assert_eq!(
+        access(&mut models, b, false, Phase::Mutator),
+        [fill(b)[0], event(a, true, Phase::Mutator)]
+    );
+    // A again: a miss and a refetch (over C), not a hit on B's way.
+    assert_eq!(access(&mut models, a, false, Phase::Mutator), fill(a));
+    assert_eq!(access(&mut models, b, true, Phase::MajorGc), []);
+    // A flush empties the ways and leaves every hint behind.
+    let (mut got, mut want) = (Vec::new(), Vec::new());
+    models.0.flush_all(|event| got.push(event));
+    models.1.flush_all(&mut want);
+    assert_eq!(got, want);
+    assert_eq!(got, [event(b, true, Phase::MajorGc)]);
+    assert_eq!(access(&mut models, a, false, Phase::Mutator), fill(a));
+    assert_eq!(access(&mut models, b, false, Phase::Mutator), fill(b));
+    let (cache, reference) = models;
+    assert_eq!((cache.hits(), cache.llc_misses()), (1, 6));
+    assert_eq!((reference.hits(), reference.llc_misses()), (1, 6));
 }
 
 #[test]
