@@ -1,15 +1,15 @@
-//! Regenerates the golden numbers pinned in `tests/policy_conformance.rs`.
+//! Regenerates the four golden tables pinned in `tests/policy_conformance.rs`.
 //!
 //! Run with `cargo run --release --example golden_capture` and paste the
-//! output into the `GOLDEN`, `SIM_GOLDEN` and `OBJECT_GOLDEN` tables **only** when the
-//! simulator or the workloads legitimately change behaviour; a
-//! placement-policy change that shifts `GOLDEN`, or a cache-model change
-//! that shifts `SIM_GOLDEN`, is a conformance regression, not a reason to
-//! regenerate.
+//! output into the `GOLDEN`, `OBJECT_GOLDEN`, `GC_GOLDEN` and `SIM_GOLDEN`
+//! tables **only** when the simulator or the workloads legitimately change
+//! behaviour; a placement-policy change that shifts `GOLDEN`, a collector
+//! refactor that shifts `GC_GOLDEN`, or a cache-model change that shifts
+//! `SIM_GOLDEN`, is a conformance regression, not a reason to regenerate.
 
 use experiments::runner::{run_benchmark, ExperimentConfig, MeasurementMode};
 use hybrid_mem::{MemoryKind, Phase};
-use kingsguard::HeapConfig;
+use kingsguard::{GcStats, HeapConfig};
 use workloads::benchmark;
 
 fn collectors() -> [HeapConfig; 7] {
@@ -22,6 +22,55 @@ fn collectors() -> [HeapConfig; 7] {
         HeapConfig::kg_w_no_primitive_monitoring(),
         HeapConfig::kg_a(advice::AdviceTable::all_cold()),
     ]
+}
+
+/// `OBJECT_GOLDEN`'s and `GC_GOLDEN`'s (benchmark, scale) points.
+fn object_points() -> [(&'static str, ExperimentConfig); 4] {
+    [
+        ("lusearch", ExperimentConfig::quick()),
+        ("pmd", ExperimentConfig::quick()),
+        ("lusearch", ExperimentConfig::quick().with_scale(512)),
+        ("pmd", ExperimentConfig::quick().with_scale(48)),
+    ]
+}
+
+/// The counters `GC_GOLDEN` digests, in the order of the test's
+/// `gc_counters`.
+fn gc_counters(gc: &GcStats) -> Vec<u64> {
+    let mut counters = Vec::new();
+    for c in [gc.nursery, gc.observer, gc.major] {
+        counters.extend([c.collections, c.bytes_copied, c.objects_copied]);
+    }
+    counters.extend([
+        gc.nursery_survived_bytes,
+        gc.nursery_collected_bytes,
+        gc.observer_survived_bytes,
+        gc.observer_collected_bytes,
+        gc.observer_to_dram_bytes,
+        gc.observer_to_dram_objects,
+        gc.observer_to_pcm_bytes,
+        gc.observer_to_pcm_objects,
+        gc.advised_to_dram_bytes,
+        gc.advised_to_dram_objects,
+        gc.advised_to_pcm_bytes,
+        gc.advised_to_pcm_objects,
+        gc.pcm_to_dram_rescues,
+        gc.dram_to_pcm_demotions,
+        gc.large_pcm_to_dram_moves,
+        gc.work.gc_ops,
+        gc.composition.len() as u64,
+    ]);
+    counters
+}
+
+/// 64-bit FNV-1a over the little-endian bytes of `values`.
+fn fnv1a(values: &[u64]) -> u64 {
+    values
+        .iter()
+        .flat_map(|v| v.to_le_bytes())
+        .fold(0xcbf2_9ce4_8422_2325, |hash, byte| {
+            (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3)
+        })
 }
 
 fn main() {
@@ -49,12 +98,7 @@ fn main() {
     // The per-object statistics (Figure 2's write counts, the site tags
     // behind rescue/demotion/advice), which none of the rows above reads.
     println!("// OBJECT_GOLDEN");
-    for (name, config) in [
-        ("lusearch", ExperimentConfig::quick()),
-        ("pmd", ExperimentConfig::quick()),
-        ("lusearch", ExperimentConfig::quick().with_scale(512)),
-        ("pmd", ExperimentConfig::quick().with_scale(48)),
-    ] {
+    for (name, config) in object_points() {
         let profile = benchmark(name).unwrap();
         for heap_config in [
             HeapConfig::kg_n(),
@@ -73,6 +117,26 @@ fn main() {
                 r.gc.pcm_to_dram_rescues,
                 r.gc.dram_to_pcm_demotions,
                 r.gc.advised_to_dram_objects,
+            );
+        }
+    }
+    // The collector's own counters (copies per collection kind, placement
+    // counts, GC work), under every collector including KG-D.
+    println!("// GC_GOLDEN");
+    for (name, config) in object_points() {
+        let profile = benchmark(name).unwrap();
+        for heap_config in collectors().into_iter().chain([HeapConfig::kg_d()]) {
+            let r = run_benchmark(&profile, heap_config, &config);
+            let gc = &r.gc;
+            println!(
+                "(\"{}\", {}, \"{}\", {}, {}, {}, {:#018x}),",
+                name,
+                config.scale,
+                r.collector,
+                gc.work.gc_ops,
+                gc.nursery.bytes_copied + gc.observer.bytes_copied + gc.major.bytes_copied,
+                gc.composition.len(),
+                fnv1a(&gc_counters(gc)),
             );
         }
     }

@@ -1,6 +1,8 @@
 //! Sanitizer and trace-verifier integration suite.
 //!
-//! Three guarantees the `kingsguard-check` subsystem makes:
+//! The guarantees the `kingsguard-check` subsystem makes (the fault
+//! test below adds a fourth: page-retirement evacuation loses nothing and
+//! leaves the retired pages empty):
 //!
 //! 1. **Soundness of detection** — every deliberately broken mutator in
 //!    [`workloads::broken`] trips *exactly* its intended violation class,
@@ -92,6 +94,54 @@ fn streaming_workload_is_violation_free_for_every_collector() {
         );
         assert!(report.checkpoints > 0, "{label}: no checkpoints ran");
     }
+}
+
+/// The full collection's dying-page evacuation, watched by the sanitizer:
+/// lusearch at `--quick` scale under the `repro faults` schedule at the
+/// lowest endurance, ending with the sweep's maintenance collection, on
+/// every collector of the sweep. Each row pins (collector, objects
+/// evacuated, bytes evacuated, pages retired).
+#[test]
+fn fault_evacuation_is_violation_free_under_the_sanitizer() {
+    use experiments::faults::{sweep_fault_config, FAULT_COLLECTORS};
+    use hybrid_mem::{Endurance, MemoryConfig};
+
+    const EVACUATIONS: [(&str, u64, u64, u64); 4] = [
+        ("PCM-only", 624, 113432, 189),
+        ("KG-N", 624, 113432, 125),
+        ("KG-W", 2, 50872, 72),
+        ("KG-D", 383, 38752, 57),
+    ];
+    let config = ExperimentConfig::quick();
+    let profile = benchmark("lusearch").expect("lusearch profile");
+    let fault = sweep_fault_config(&config, Endurance::Low10M);
+    let mut seen = Vec::new();
+    for label in FAULT_COLLECTORS {
+        let budget = profile.scaled_heap_bytes(config.scale).max(2 << 20) as usize;
+        let mut heap = KingsguardHeap::new(
+            config_for(label).with_heap_budget(budget),
+            MemoryConfig::architecture_independent().with_faults(fault),
+        );
+        let sanitizer = check::SanitizerHandle::install(&mut heap);
+        let workload = WorkloadConfig {
+            scale: config.scale,
+            seed: config.seed,
+        };
+        SyntheticMutator::new(profile.clone(), workload).run_with(&mut heap, |_, _| {});
+        heap.collect_full();
+        let gc = heap.finish().gc;
+        let report = sanitizer.report();
+        assert!(report.is_clean(), "{label}: {:#?}", report.violations);
+        assert!(gc.fault_pages_retired > 0, "{label}: no page retired");
+        assert!(gc.fault_evacuated_objects > 0, "{label}: nothing evacuated");
+        seen.push((
+            label,
+            gc.fault_evacuated_objects,
+            gc.fault_evacuated_bytes,
+            gc.fault_pages_retired,
+        ));
+    }
+    assert_eq!(seen, EVACUATIONS);
 }
 
 /// A third-party observer: logs the event stream it is shown.

@@ -9,13 +9,15 @@
 //! with `cargo run --release --example golden_capture` if the simulator
 //! itself legitimately changes. `SIM_GOLDEN` does the same for simulation
 //! mode (the cache hierarchy on the path), which `GOLDEN`'s
-//! architecture-independent runs never exercise, and `OBJECT_GOLDEN` for
-//! the per-object statistics neither of them reads.
+//! architecture-independent runs never exercise, `OBJECT_GOLDEN` for
+//! the per-object statistics neither of them reads, and `GC_GOLDEN` for the
+//! collector's own counters (copies per collection kind, placement counts,
+//! GC work).
 
 use advice::AdviceTable;
 use experiments::runner::{run_benchmark, ExperimentConfig, MeasurementMode};
 use hybrid_mem::{MemoryKind, Phase};
-use kingsguard::HeapConfig;
+use kingsguard::{GcStats, HeapConfig};
 use workloads::benchmark;
 
 /// (benchmark, scale, collector, PCM writes, DRAM writes, rescues,
@@ -131,6 +133,91 @@ const OBJECT_GOLDEN: &[ObjectGolden] = &[
     ("pmd", 48, "KG-D", 0.7307347069323071, 0.8229212880327683, 2767, 12214, 18196),
 ];
 
+/// One collector-statistics golden row: (benchmark, scale, collector,
+/// `work.gc_ops`, bytes copied by all three collection kinds, composition
+/// samples, FNV-1a digest of [`gc_counters`]).
+type GcGolden = (&'static str, u64, &'static str, u64, u64, usize, u64);
+
+/// The `GcStats` counters the tables above do not read — which collection
+/// kind copied what, survival, observer tenure, advice, large-object moves
+/// and the GC work charged to the execution-time model — at
+/// `OBJECT_GOLDEN`'s four points under every collector. A collector
+/// refactor that keeps device traffic but charges a copy to the wrong
+/// counter moves these.
+#[rustfmt::skip]
+const GC_GOLDEN: &[GcGolden] = &[
+    ("lusearch", 2048, "DRAM-only", 51562, 220808, 7, 0xb9be8dd29abad93b),
+    ("lusearch", 2048, "PCM-only", 51562, 220808, 7, 0xb9be8dd29abad93b),
+    ("lusearch", 2048, "KG-N", 51562, 220808, 7, 0xb9be8dd29abad93b),
+    ("lusearch", 2048, "KG-W", 51562, 220808, 7, 0xb9be8dd29abad93b),
+    ("lusearch", 2048, "KG-W-LOO-MDO", 51562, 220808, 7, 0xb9be8dd29abad93b),
+    ("lusearch", 2048, "KG-W-PM", 51562, 220808, 7, 0xb9be8dd29abad93b),
+    ("lusearch", 2048, "KG-A", 51562, 220808, 7, 0xa17f60bb024acc9c),
+    ("lusearch", 2048, "KG-D", 51562, 220808, 7, 0xab3507a783095021),
+    ("pmd", 2048, "DRAM-only", 39325, 263528, 3, 0x5b1a3281e4d7626a),
+    ("pmd", 2048, "PCM-only", 39325, 263528, 3, 0x5b1a3281e4d7626a),
+    ("pmd", 2048, "KG-N", 39325, 263528, 3, 0x5b1a3281e4d7626a),
+    ("pmd", 2048, "KG-W", 39325, 263528, 3, 0x5b1a3281e4d7626a),
+    ("pmd", 2048, "KG-W-LOO-MDO", 39325, 263528, 3, 0x5b1a3281e4d7626a),
+    ("pmd", 2048, "KG-W-PM", 39325, 263528, 3, 0x5b1a3281e4d7626a),
+    ("pmd", 2048, "KG-A", 39325, 263528, 3, 0x8be8bd05d78df9d5),
+    ("pmd", 2048, "KG-D", 39325, 263528, 3, 0xc05e8d3d2fd4f255),
+    ("lusearch", 512, "DRAM-only", 229975, 1060768, 29, 0x250494465bf45145),
+    ("lusearch", 512, "PCM-only", 229975, 1060768, 29, 0x250494465bf45145),
+    ("lusearch", 512, "KG-N", 229975, 1060768, 29, 0x250494465bf45145),
+    ("lusearch", 512, "KG-W", 259283, 1248184, 28, 0x7515282dce652e7e),
+    ("lusearch", 512, "KG-W-LOO-MDO", 259283, 1248184, 28, 0x7515282dce652e7e),
+    ("lusearch", 512, "KG-W-PM", 259283, 1248184, 28, 0x48361471adad1e71),
+    ("lusearch", 512, "KG-A", 229975, 1285624, 29, 0x846807a1ce5e5e90),
+    ("lusearch", 512, "KG-D", 229975, 1120312, 29, 0x3fc15fb8d732a4ec),
+    ("pmd", 48, "DRAM-only", 650905, 2747656, 36, 0x18668ea9c3aca1d8),
+    ("pmd", 48, "PCM-only", 650905, 2747656, 36, 0x18668ea9c3aca1d8),
+    ("pmd", 48, "KG-N", 650905, 2747656, 36, 0x18668ea9c3aca1d8),
+    ("pmd", 48, "KG-W", 775297, 6261544, 32, 0xb8192fa420b83bd3),
+    ("pmd", 48, "KG-W-LOO-MDO", 775297, 6261544, 32, 0xb8192fa420b83bd3),
+    ("pmd", 48, "KG-W-PM", 775297, 5647216, 32, 0x933016b246340c51),
+    ("pmd", 48, "KG-A", 621906, 4555720, 35, 0x9606992b6a8b5fa7),
+    ("pmd", 48, "KG-D", 591710, 4281320, 34, 0x1ca392ee00e8159e),
+];
+
+/// The counters [`GC_GOLDEN`] digests, in a fixed order.
+fn gc_counters(gc: &GcStats) -> Vec<u64> {
+    let mut counters = Vec::new();
+    for c in [gc.nursery, gc.observer, gc.major] {
+        counters.extend([c.collections, c.bytes_copied, c.objects_copied]);
+    }
+    counters.extend([
+        gc.nursery_survived_bytes,
+        gc.nursery_collected_bytes,
+        gc.observer_survived_bytes,
+        gc.observer_collected_bytes,
+        gc.observer_to_dram_bytes,
+        gc.observer_to_dram_objects,
+        gc.observer_to_pcm_bytes,
+        gc.observer_to_pcm_objects,
+        gc.advised_to_dram_bytes,
+        gc.advised_to_dram_objects,
+        gc.advised_to_pcm_bytes,
+        gc.advised_to_pcm_objects,
+        gc.pcm_to_dram_rescues,
+        gc.dram_to_pcm_demotions,
+        gc.large_pcm_to_dram_moves,
+        gc.work.gc_ops,
+        gc.composition.len() as u64,
+    ]);
+    counters
+}
+
+/// 64-bit FNV-1a over the little-endian bytes of `values`.
+fn fnv1a(values: &[u64]) -> u64 {
+    values
+        .iter()
+        .flat_map(|v| v.to_le_bytes())
+        .fold(0xcbf2_9ce4_8422_2325, |hash, byte| {
+            (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3)
+        })
+}
+
 fn config_for(label: &str) -> HeapConfig {
     match label {
         "DRAM-only" => HeapConfig::gen_immix_dram(),
@@ -184,6 +271,30 @@ fn per_object_statistics_reproduce_the_hash_keyed_tables_exactly() {
             ),
             (top2, top10, rescues, demotions, advised_dram),
             "{name} @ scale {scale} under {label} diverged from the hash-keyed per-object statistics"
+        );
+    }
+}
+
+/// The collector's accounting pin: a rewrite of `collect.rs` may only move
+/// host time — every copy stays charged to the same collection kind,
+/// placement counter and GC work.
+#[test]
+fn collector_statistics_reproduce_the_pinned_counters_exactly() {
+    for &(name, scale, label, gc_ops, copied, samples, digest) in GC_GOLDEN {
+        let profile = benchmark(name).unwrap();
+        let config = ExperimentConfig::quick().with_scale(scale);
+        let gc = run_benchmark(&profile, config_for(label), &config).gc;
+        let total_copied = gc.nursery.bytes_copied + gc.observer.bytes_copied + gc.major.bytes_copied;
+        assert_eq!(
+            (
+                gc.work.gc_ops,
+                total_copied,
+                gc.composition.len(),
+                fnv1a(&gc_counters(&gc))
+            ),
+            (gc_ops, copied, samples, digest),
+            "{name} @ scale {scale} under {label} diverged from the pinned collector counters: {:?}",
+            gc_counters(&gc)
         );
     }
 }
