@@ -57,16 +57,22 @@ impl RememberedSet {
 
     /// Iterates over the remembered slots in ascending address order (a
     /// deterministic order keeps whole runs reproducible for a given seed).
+    /// Sorts a copy of the log on every call: the collector uses
+    /// [`RememberedSet::drain`] instead.
     pub fn iter(&self) -> impl Iterator<Item = Address> + '_ {
         let mut slots = self.log.clone();
         slots.sort_unstable();
         slots.into_iter()
     }
 
-    /// Removes and returns all remembered slots in ascending address order.
+    /// Removes and returns all remembered slots in ascending address order,
+    /// sorting the log in place rather than a copy of it.
     pub fn drain(&mut self) -> Vec<Address> {
-        let slots: Vec<Address> = self.iter().collect();
-        self.clear();
+        for &slot in &self.log {
+            self.present.remove(slot);
+        }
+        let mut slots = std::mem::take(&mut self.log);
+        slots.sort_unstable();
         slots
     }
 

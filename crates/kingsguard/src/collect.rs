@@ -1,40 +1,81 @@
-//! Collection algorithms: nursery, observer and full-heap collections.
+//! Collection algorithms: nursery, observer and full-heap collections on one
+//! tracing engine.
 //!
-//! * **Nursery collection** — copies live nursery objects to the observer
-//!   space (KG-W) or the mature space (GenImmix / KG-N), driven by roots and
-//!   the nursery remembered set.
-//! * **Observer collection** (KG-W, Section 4.2.1) — collects the nursery
-//!   and observer space together, in isolation of the mature spaces, using
-//!   the observer remembered set. Live observer objects move to the DRAM
-//!   mature space if their write bit is set and to the PCM mature space
-//!   otherwise; live nursery objects move into the freshly emptied observer
-//!   space.
-//! * **Full-heap collection** — traces the whole heap. KG-W additionally
-//!   moves unwritten DRAM mature objects to PCM (to exploit PCM capacity),
-//!   rescues written PCM mature objects back to DRAM (resetting their write
-//!   bit), and moves written large PCM objects to the DRAM large space.
+//! The three collections (Section 4.2) differ only in which spaces they
+//! condemn and where a survivor goes. Each traces its roots in place — the
+//! nursery collection also the nursery remembered set, the observer
+//! collection the observer one — and then the closure; one `trace_object`
+//! decides per source space, and one `evacuate` copies:
+//!
+//! | kind | condemned | source | action → destination |
+//! |---|---|---|---|
+//! | nursery | nursery | nursery | copy → observer space if it fits (KG-W); else large primary if large; else mature DRAM if advised there and it fits; else mature primary |
+//! | observer (KG-W) | nursery, observer | observer | copy → large primary if large; else mature DRAM if the policy tenures it there (by default: written) and it fits; else mature primary |
+//! | | | nursery | mark in place; pass 2 copies it into the emptied observer space, pass 3 patches references and rebuilds the observer remembered set |
+//! | full | whole heap | nursery, observer | copy → large primary if large; else mature DRAM if written or advised there and it fits; else mature primary |
+//! | | | mature primary | written PCM object, DRAM space present: rescue → mature DRAM, write bit reset; on a dying page: evacuate → mature DRAM if it fits, else mature primary; else mark in place |
+//! | | | mature DRAM | unwritten and the policy lets it go: demote → mature primary; else mark in place |
+//! | | | large primary | as mature primary, between the two large spaces |
+//! | | | large DRAM | mark in place |
 
 use advice::SiteId;
 use hybrid_mem::{Address, MemoryKind, Phase};
 use kingsguard_heap::object::{ObjectRef, ObjectShape};
-use kingsguard_heap::Handle;
 
 use crate::observer::{CheckPoint, CollectKind, HeapEvent};
 use crate::policy::SurvivorPlacement;
 use crate::runtime::{KingsguardHeap, Location};
 use crate::stats::CompositionSample;
 
+/// The trace state of one collection.
+struct Collection {
+    kind: CollectKind,
+    phase: Phase,
+    /// Copied or marked objects whose fields are still to be scanned.
+    queue: Vec<ObjectRef>,
+    /// Observer collection only: the objects the closure scanned (pass 3).
+    scanned: Vec<ObjectRef>,
+    /// Observer collection only: nursery objects marked in place (pass 2).
+    nursery_live: Vec<ObjectRef>,
+}
+
+/// Why an object is copied: selects what `evacuate` counts the copy as,
+/// besides what the collection copying it selects.
+#[derive(Clone, Copy)]
+enum Cause {
+    /// A young survivor promoted out of the nursery or observer space;
+    /// `advised` is the memory its site advice counts it under.
+    Promote { advised: Option<MemoryKind> },
+    /// An observer-space survivor tenured by an observer collection.
+    Tenure { to_dram: bool },
+    /// A written PCM object moved back to DRAM, its write bit reset.
+    Rescue { site: SiteId },
+    /// An unwritten DRAM mature object demoted to PCM.
+    Demotion { site: SiteId },
+    /// A live object forced off a page about to be retired.
+    DyingPage { site: SiteId },
+}
+
+/// The DRAM space paired with a primary mature or large space.
+fn dram_twin(primary: Location) -> Location {
+    if primary == Location::LargePrimary {
+        Location::LargeDram
+    } else {
+        Location::MatureDram
+    }
+}
+
+/// The pages the `size` bytes at `addr` overlap.
+fn pages(addr: Address, size: usize) -> std::ops::RangeInclusive<u64> {
+    addr.page().0..=addr.add(size.max(1) - 1).page().0
+}
+
 impl KingsguardHeap {
     /// Returns `true` if the object at `addr` overlaps a page fenced for
     /// retirement this collection (and must therefore be evacuated by the
     /// trace, whatever its write bit says).
     fn on_dying_page(&self, addr: Address, size: usize) -> bool {
-        if self.dying_pages.is_empty() {
-            return false;
-        }
-        let first = addr.page().0;
-        let last = addr.add(size.max(1) - 1).page().0;
-        (first..=last).any(|page| self.dying_pages.contains_key(&page))
+        !self.dying_pages.is_empty() && pages(addr, size).any(|page| self.dying_pages.contains_key(&page))
     }
 
     /// Records one forced evacuation: counts it and remembers the object's
@@ -43,24 +84,9 @@ impl KingsguardHeap {
     fn record_evacuation(&mut self, old_addr: Address, size: usize, site: SiteId) {
         self.stats.fault_evacuated_objects += 1;
         self.stats.fault_evacuated_bytes += size as u64;
-        let first = old_addr.page().0;
-        let last = old_addr.add(size.max(1) - 1).page().0;
-        for page in first..=last {
+        for page in pages(old_addr, size) {
             if let Some(sites) = self.dying_pages.get_mut(&page) {
                 sites.push(site);
-            }
-        }
-    }
-
-    /// Records a nursery survivor with the site profiler.
-    fn profile_nursery_survivor(&mut self, old_addr: Address, bytes: usize) {
-        if self.profiler.is_none() {
-            return;
-        }
-        let site = self.stats.site_of(old_addr);
-        if !site.is_unknown() {
-            if let Some(profiler) = self.profiler.as_mut() {
-                profiler.record_nursery_survivor(site, bytes as u64);
             }
         }
     }
@@ -81,23 +107,26 @@ impl KingsguardHeap {
     /// by allocation-pressure triggers, whose collections replay implicitly.
     pub(crate) fn collect_young_impl(&mut self) {
         self.enter_safepoint();
-        if let Some(observer) = self.observer.as_ref() {
-            let needed = self.nursery.used_bytes();
-            let available = observer.free_bytes();
-            if available < needed {
-                self.collect_observer_impl();
-            } else {
-                self.collect_nursery_impl();
-            }
+        let needed = self.nursery.used_bytes();
+        let observer_full = self.observer.as_ref().is_some_and(|o| o.free_bytes() < needed);
+        if observer_full {
+            self.collect_observer_impl();
         } else {
             self.collect_nursery_impl();
         }
         if self.mature_used_bytes() > self.config.heap_budget_bytes {
             self.collect_full_impl();
         }
+        // Kept asymmetry: after an escalated full collection, which did the
+        // same, this samples, updates the peaks and feeds the policy twice.
+        self.end_of_gc_feedback();
+    }
+
+    /// Ends every young and full collection: a composition sample, the peaks,
+    /// and the adaptive policies' refresh point (with this GC's counters).
+    fn end_of_gc_feedback(&mut self) {
         self.sample_composition();
         self.update_peaks();
-        // End-of-GC refresh point for adaptive policies.
         self.policy.on_gc_feedback(&self.stats);
         self.record_policy_adaptation();
     }
@@ -111,57 +140,14 @@ impl KingsguardHeap {
     }
 
     pub(crate) fn collect_nursery_impl(&mut self) {
-        self.enter_safepoint();
-        self.run_checkpoint(CheckPoint::PreCollect(CollectKind::Nursery));
-        self.telemetry.span_enter("gc.nursery");
-        let phase = Phase::NurseryGc;
+        let mut ctx = self.begin_collection(CollectKind::Nursery, "gc.nursery");
         self.stats.nursery.collections += 1;
         let collected = self.nursery.used_bytes() as u64;
         self.stats.nursery_collected_bytes += collected;
         let copied_before = self.stats.nursery.bytes_copied;
-
-        let mut queue: Vec<ObjectRef> = Vec::new();
-
-        self.telemetry.span_enter("gc.nursery.roots");
-        let entries: Vec<(Handle, ObjectRef)> = self.roots.iter().collect();
-        for (handle, obj) in entries {
-            if self.locate(obj.address()) == Location::Nursery {
-                let new_obj = self.forward_young(obj, false, phase, &mut queue);
-                self.roots.set(handle, new_obj);
-            }
-        }
-        self.telemetry.span_exit();
-
-        self.telemetry.span_enter("gc.nursery.remset");
-        let slots = self.remset_nursery.drain();
-        for slot in slots {
-            if !self.mem.is_mapped(slot) {
-                continue;
-            }
-            self.stats.work.gc_ops += 1;
-            let value = ObjectRef::from_address(Address::new(self.mem.read_u64(slot, phase)));
-            if value.is_null() {
-                continue;
-            }
-            if self.locate(value.address()) == Location::Nursery {
-                let new_obj = self.forward_young(value, false, phase, &mut queue);
-                self.mem.write_u64(slot, new_obj.address().raw(), phase);
-            }
-        }
-        self.telemetry.span_exit();
-
-        self.telemetry.span_enter("gc.nursery.copy");
-        self.process_young_queue(&mut queue, false, phase);
-        self.telemetry.span_exit();
-
-        let survived = self.stats.nursery.bytes_copied - copied_before;
-        self.stats.nursery_survived_bytes += survived;
-        let rate = if collected > 0 {
-            survived as f64 / collected as f64
-        } else {
-            0.0
-        };
-        self.survival_estimate = 0.5 * self.survival_estimate + 0.5 * rate;
+        self.span("gc.nursery.roots", |heap| heap.trace_roots(&mut ctx));
+        self.span("gc.nursery.remset", |heap| heap.trace_remset(&mut ctx));
+        self.span("gc.nursery.copy", |heap| heap.closure(&mut ctx));
 
         // Re-evaluate the Large Object Optimization: devote part of the
         // nursery to large objects only while the large-object allocation
@@ -169,16 +155,9 @@ impl KingsguardHeap {
         if self.constraints.large_object_optimization {
             self.loo_active = self.los_alloc_since_gc > self.nursery_alloc_since_gc;
         }
-        self.los_alloc_since_gc = 0;
-        self.nursery_alloc_since_gc = 0;
-
-        self.nursery.reset();
-        self.remset_nursery.clear();
+        self.reset_nursery(self.stats.nursery.bytes_copied - copied_before, collected);
         self.stats.work.gc_ops += collected / 64;
-        let pause_ns = self.telemetry.span_exit();
-        self.telemetry.record("gc.pause_ns", pause_ns);
-        self.telemetry.record("gc.pause.nursery_ns", pause_ns);
-        self.run_checkpoint(CheckPoint::PostCollect(CollectKind::Nursery));
+        self.end_collection(CollectKind::Nursery, "gc.pause.nursery_ns");
     }
 
     /// Collects the nursery and observer space together (KG-W only).
@@ -194,14 +173,12 @@ impl KingsguardHeap {
     }
 
     pub(crate) fn collect_observer_impl(&mut self) {
-        self.enter_safepoint();
         assert!(
             self.observer.is_some(),
             "observer collection requires an observer-space policy (KG-W)"
         );
-        self.run_checkpoint(CheckPoint::PreCollect(CollectKind::Observer));
-        self.telemetry.span_enter("gc.observer");
-        let phase = Phase::ObserverGc;
+        let mut ctx = self.begin_collection(CollectKind::Observer, "gc.observer");
+        let phase = ctx.phase;
         self.stats.observer.collections += 1;
         let observer_used = self.observer.as_ref().expect("observer space").used_bytes() as u64;
         let nursery_used = self.nursery.used_bytes() as u64;
@@ -213,92 +190,24 @@ impl KingsguardHeap {
         // evacuated to the mature spaces immediately; live nursery objects
         // are recorded (and scanned in place) but copied only in pass 2, so
         // that the observer space is fully empty before survivors re-fill it.
-        let mut queue: Vec<ObjectRef> = Vec::new();
-        let mut scanned: Vec<ObjectRef> = Vec::new();
-        let mut nursery_live: Vec<ObjectRef> = Vec::new();
         self.nursery_marked.clear();
-
-        self.telemetry.span_enter("gc.observer.roots");
-        let entries: Vec<(Handle, ObjectRef)> = self.roots.iter().collect();
-        for (handle, obj) in entries {
-            let loc = self.locate(obj.address());
-            if loc == Location::Nursery || loc == Location::Observer {
-                let new_obj = self.observer_trace(obj, phase, &mut queue, &mut nursery_live);
-                self.roots.set(handle, new_obj);
-            }
-        }
-        self.telemetry.span_exit();
-
-        self.telemetry.span_enter("gc.observer.remset");
-        let slots: Vec<Address> = self.remset_observer.iter().collect();
-        for slot in slots {
-            if !self.mem.is_mapped(slot) {
-                continue;
-            }
-            self.stats.work.gc_ops += 1;
-            let value = ObjectRef::from_address(Address::new(self.mem.read_u64(slot, phase)));
-            if value.is_null() {
-                continue;
-            }
-            let loc = self.locate(value.address());
-            if loc == Location::Nursery || loc == Location::Observer {
-                let new_obj = self.observer_trace(value, phase, &mut queue, &mut nursery_live);
-                if new_obj != value {
-                    self.mem.write_u64(slot, new_obj.address().raw(), phase);
-                }
-            }
-        }
-        self.telemetry.span_exit();
-
-        self.telemetry.span_enter("gc.observer.trace");
-        while let Some(obj) = queue.pop() {
-            let shape = obj.shape(&mut self.mem, phase);
-            for i in 0..shape.ref_slots as usize {
-                let target = obj.read_ref(&mut self.mem, i, phase);
-                if target.is_null() {
-                    continue;
-                }
-                let loc = self.locate(target.address());
-                if loc != Location::Nursery && loc != Location::Observer {
-                    continue;
-                }
-                let new_target = self.observer_trace(target, phase, &mut queue, &mut nursery_live);
-                if new_target != target {
-                    obj.write_ref_raw(&mut self.mem, i, new_target, phase);
-                }
-            }
-            self.stats.work.gc_ops += 1 + shape.ref_slots as u64;
-            scanned.push(obj);
-        }
-        self.telemetry.span_exit();
-
-        let observer_survived = self.stats.observer.bytes_copied - observer_copied_before;
-        self.stats.observer_survived_bytes += observer_survived;
+        self.span("gc.observer.roots", |heap| heap.trace_roots(&mut ctx));
+        let slots = self.span("gc.observer.remset", |heap| heap.trace_remset(&mut ctx));
+        self.span("gc.observer.trace", |heap| heap.closure(&mut ctx));
+        self.stats.observer_survived_bytes += self.stats.observer.bytes_copied - observer_copied_before;
 
         // Pass 2: the observer space is now fully evacuated; reset it and
-        // copy the live nursery objects into it.
+        // copy the live nursery objects into it (pass 3, not the queue,
+        // patches their fields).
         self.telemetry.span_enter("gc.observer.copy");
         self.observer.as_mut().expect("observer space").reset();
         let nursery_copied_before = self.stats.nursery.bytes_copied;
-        for &obj in &nursery_live {
-            let shape = obj.shape(&mut self.mem, phase);
-            let size = shape.size();
-            let dst = self
-                .observer
-                .as_mut()
-                .expect("observer space")
-                .alloc_for_copy(&mut self.mem, size)
-                .expect("observer space sized at twice the nursery always fits nursery survivors");
-            self.profile_nursery_survivor(obj.address(), size);
-            self.mem.copy(obj.address(), dst, size, phase);
-            let new_obj = ObjectRef::from_address(dst);
-            obj.set_forwarding(&mut self.mem, new_obj, phase);
-            self.stats.object_moved(obj.address(), dst);
-            self.stats.nursery.bytes_copied += size as u64;
-            self.stats.nursery.objects_copied += 1;
-            self.stats.work.gc_ops += 2 + size as u64 / 16;
+        for obj in std::mem::take(&mut ctx.nursery_live) {
+            let size = obj.shape(&mut self.mem, phase).size();
+            // Sized at twice the nursery, the observer space always fits.
+            let (dst, _) = self.alloc_copy(Location::Observer, false, size);
+            self.evacuate(&mut ctx, obj, dst, size, Cause::Promote { advised: None });
         }
-        self.stats.nursery_survived_bytes += self.stats.nursery.bytes_copied - nursery_copied_before;
         self.telemetry.span_exit();
 
         self.telemetry.span_enter("gc.observer.patch");
@@ -310,282 +219,42 @@ impl KingsguardHeap {
         // object) and whose final referent stays *inside* the region must be
         // remembered for the next observer collection.
         let mut retained: Vec<Address> = Vec::new();
-        let nursery_base_in_scanned = scanned.clone();
-        for obj in nursery_base_in_scanned {
+        for obj in std::mem::take(&mut ctx.scanned) {
             // Nursery objects were scanned in place; their final copy is the
             // forwarded address.
-            let final_obj = if self.locate(obj.address()) == Location::Nursery
-                && obj.is_forwarded(&mut self.mem, phase)
-            {
-                obj.forwarding(&mut self.mem, phase)
-            } else {
-                obj
-            };
-            let final_loc = self.locate(final_obj.address());
-            let outside_region = final_loc != Location::Nursery && final_loc != Location::Observer;
-            let shape = final_obj.shape(&mut self.mem, phase);
-            for i in 0..shape.ref_slots as usize {
-                let mut target = final_obj.read_ref(&mut self.mem, i, phase);
-                if target.is_null() {
-                    continue;
-                }
-                if self.locate(target.address()) == Location::Nursery
-                    && target.is_forwarded(&mut self.mem, phase)
-                {
-                    target = target.forwarding(&mut self.mem, phase);
-                    final_obj.write_ref_raw(&mut self.mem, i, target, phase);
-                }
-                if outside_region && self.locate(target.address()) == Location::Observer {
-                    retained.push(final_obj.ref_slot(i));
+            let obj = self.final_copy(obj, phase);
+            let outside_region =
+                !matches!(self.locate(obj.address()), Location::Nursery | Location::Observer);
+            let shape = obj.shape(&mut self.mem, phase);
+            for slot in (0..shape.ref_slots as usize).map(|i| obj.ref_slot(i)) {
+                if self.patch_slot(slot, phase) && outside_region {
+                    retained.push(slot);
                 }
             }
         }
-        let entries: Vec<(Handle, ObjectRef)> = self.roots.iter().collect();
-        for (handle, obj) in entries {
-            if self.locate(obj.address()) == Location::Nursery && obj.is_forwarded(&mut self.mem, phase) {
-                let new_obj = obj.forwarding(&mut self.mem, phase);
-                self.roots.set(handle, new_obj);
-            }
-        }
+        self.update_roots(|heap, obj| heap.final_copy(obj, phase));
         // Slots outside the region whose referent was just copied *into* the
         // observer space must stay remembered, otherwise the next observer
         // collection would miss them and leave stale pointers behind.
-        let slots: Vec<Address> = self.remset_observer.iter().collect();
         for slot in slots {
-            if !self.mem.is_mapped(slot) {
-                continue;
-            }
-            let value = ObjectRef::from_address(Address::new(self.mem.read_u64(slot, phase)));
-            if value.is_null() {
-                continue;
-            }
-            let mut current = value;
-            if self.locate(value.address()) == Location::Nursery && value.is_forwarded(&mut self.mem, phase) {
-                current = value.forwarding(&mut self.mem, phase);
-                self.mem.write_u64(slot, current.address().raw(), phase);
-            }
-            if self.locate(current.address()) == Location::Observer {
+            if self.mem.is_mapped(slot) && self.patch_slot(slot, phase) {
                 retained.push(slot);
             }
         }
-        self.remset_observer.clear();
         for slot in retained {
             self.remset_observer.insert(slot);
         }
         self.telemetry.span_exit();
 
-        self.nursery.reset();
         self.remset_nursery.clear();
-        self.survival_estimate = 0.5 * self.survival_estimate
-            + 0.5
-                * if nursery_used > 0 {
-                    (self.stats.nursery.bytes_copied - nursery_copied_before) as f64 / nursery_used as f64
-                } else {
-                    0.0
-                };
-        self.los_alloc_since_gc = 0;
-        self.nursery_alloc_since_gc = 0;
+        // Kept asymmetry: unlike a nursery collection, this resets the
+        // allocation counters without re-evaluating the LOO.
+        self.reset_nursery(
+            self.stats.nursery.bytes_copied - nursery_copied_before,
+            nursery_used,
+        );
         self.stats.work.gc_ops += (observer_used + nursery_used) / 64;
-        let pause_ns = self.telemetry.span_exit();
-        self.telemetry.record("gc.pause_ns", pause_ns);
-        self.telemetry.record("gc.pause.observer_ns", pause_ns);
-        self.run_checkpoint(CheckPoint::PostCollect(CollectKind::Observer));
-    }
-
-    /// Traces one object during a nursery collection (and the nursery part
-    /// of major collections of the non-observer collectors).
-    fn forward_young(
-        &mut self,
-        obj: ObjectRef,
-        include_observer: bool,
-        phase: Phase,
-        queue: &mut Vec<ObjectRef>,
-    ) -> ObjectRef {
-        if obj.is_null() {
-            return obj;
-        }
-        let loc = self.locate(obj.address());
-        let in_scope = match loc {
-            Location::Nursery => true,
-            Location::Observer => include_observer,
-            _ => false,
-        };
-        if !in_scope {
-            return obj;
-        }
-        if obj.is_forwarded(&mut self.mem, phase) {
-            return obj.forwarding(&mut self.mem, phase);
-        }
-        let shape = obj.shape(&mut self.mem, phase);
-        let written = obj.is_written(&mut self.mem, phase);
-        let size = shape.size();
-        let site = if self.tracks_sites() {
-            self.stats.site_of(obj.address())
-        } else {
-            SiteId::UNKNOWN
-        };
-        let dst = self.young_destination(loc, shape, written, site, phase);
-        self.profile_nursery_survivor(obj.address(), size);
-        self.mem.copy(obj.address(), dst, size, phase);
-        let new_obj = ObjectRef::from_address(dst);
-        obj.set_forwarding(&mut self.mem, new_obj, phase);
-        self.stats.object_moved(obj.address(), dst);
-        self.stats.nursery.bytes_copied += size as u64;
-        self.stats.nursery.objects_copied += 1;
-        self.stats.work.gc_ops += 2 + size as u64 / 16;
-        queue.push(new_obj);
-        new_obj
-    }
-
-    /// Chooses the destination of a live young object during a nursery
-    /// collection. KG-W routes survivors through the observer space; the
-    /// per-site policies pretenure them into DRAM or PCM mature space.
-    fn young_destination(
-        &mut self,
-        loc: Location,
-        shape: ObjectShape,
-        written: bool,
-        site: SiteId,
-        phase: Phase,
-    ) -> Address {
-        debug_assert_eq!(loc, Location::Nursery);
-        let size = shape.size();
-        if let Some(observer) = self.observer.as_mut() {
-            // Small objects always; a large object allocated in the nursery
-            // by LOO also gets copied to the observer space if it fits.
-            if let Some(addr) = observer.alloc_for_copy(&mut self.mem, size) {
-                return addr;
-            }
-        }
-        if shape.is_large() {
-            return self
-                .los_primary
-                .alloc_raw(&mut self.mem, size)
-                .expect("large object space exhausted during nursery collection");
-        }
-        match self.policy.survivor_placement(site, written) {
-            SurvivorPlacement::Mature => {}
-            SurvivorPlacement::AdvisedDram => {
-                let mut placed = None;
-                if let Some(mature_dram) = self.mature_dram.as_mut() {
-                    placed = mature_dram.alloc_for_copy(&mut self.mem, size);
-                }
-                if let Some(addr) = placed {
-                    self.stats.advised_to_dram_objects += 1;
-                    self.stats.advised_to_dram_bytes += size as u64;
-                    return addr;
-                }
-                // DRAM overflow: fall through to the primary mature space,
-                // counted as an advised-to-PCM placement (the same
-                // accounting as the large-allocation overflow path).
-                self.stats.advised_to_pcm_objects += 1;
-                self.stats.advised_to_pcm_bytes += size as u64;
-            }
-            SurvivorPlacement::AdvisedPcm => {
-                self.stats.advised_to_pcm_objects += 1;
-                self.stats.advised_to_pcm_bytes += size as u64;
-            }
-        }
-        self.mature_primary
-            .alloc_for_copy(&mut self.mem, size)
-            .unwrap_or_else(|| panic!("mature space exhausted during nursery collection (phase {phase})"))
-    }
-
-    fn process_young_queue(&mut self, queue: &mut Vec<ObjectRef>, include_observer: bool, phase: Phase) {
-        while let Some(obj) = queue.pop() {
-            let shape = obj.shape(&mut self.mem, phase);
-            for i in 0..shape.ref_slots as usize {
-                let target = obj.read_ref(&mut self.mem, i, phase);
-                if target.is_null() {
-                    continue;
-                }
-                let loc = self.locate(target.address());
-                let in_scope = loc == Location::Nursery || (include_observer && loc == Location::Observer);
-                if !in_scope {
-                    continue;
-                }
-                let new_target = self.forward_young(target, include_observer, phase, queue);
-                if new_target != target {
-                    obj.write_ref_raw(&mut self.mem, i, new_target, phase);
-                }
-            }
-            self.stats.work.gc_ops += 1 + shape.ref_slots as u64;
-        }
-    }
-
-    /// Pass-1 trace of an observer collection: evacuates observer objects to
-    /// the mature spaces; records nursery objects for pass 2.
-    fn observer_trace(
-        &mut self,
-        obj: ObjectRef,
-        phase: Phase,
-        queue: &mut Vec<ObjectRef>,
-        nursery_live: &mut Vec<ObjectRef>,
-    ) -> ObjectRef {
-        if obj.is_null() {
-            return obj;
-        }
-        match self.locate(obj.address()) {
-            Location::Nursery => {
-                if self.nursery_marked.insert(obj.address()) {
-                    nursery_live.push(obj);
-                    queue.push(obj);
-                }
-                obj
-            }
-            Location::Observer => {
-                if obj.is_forwarded(&mut self.mem, phase) {
-                    return obj.forwarding(&mut self.mem, phase);
-                }
-                let shape = obj.shape(&mut self.mem, phase);
-                let written = obj.is_written(&mut self.mem, phase);
-                let size = shape.size();
-                let dst = self.observer_destination(shape, written);
-                self.mem.copy(obj.address(), dst, size, phase);
-                let new_obj = ObjectRef::from_address(dst);
-                obj.set_forwarding(&mut self.mem, new_obj, phase);
-                self.stats.object_moved(obj.address(), dst);
-                self.stats.observer.bytes_copied += size as u64;
-                self.stats.observer.objects_copied += 1;
-                self.stats.work.gc_ops += 2 + size as u64 / 16;
-                queue.push(new_obj);
-                new_obj
-            }
-            _ => obj,
-        }
-    }
-
-    /// Chooses the destination of a live observer-space object: the policy
-    /// tenures it into the DRAM mature space (by default when its write bit
-    /// is set) or into PCM; large objects go straight to the PCM large
-    /// space without consulting the write bit (Section 4.2.4).
-    fn observer_destination(&mut self, shape: ObjectShape, written: bool) -> Address {
-        let size = shape.size();
-        if shape.is_large() {
-            let addr = self
-                .los_primary
-                .alloc_raw(&mut self.mem, size)
-                .expect("large object space exhausted during observer collection");
-            self.stats.observer_to_pcm_bytes += size as u64;
-            self.stats.observer_to_pcm_objects += 1;
-            return addr;
-        }
-        if self.policy.observer_tenure_to_dram(written) {
-            if let Some(space) = self.mature_dram.as_mut() {
-                if let Some(addr) = space.alloc_for_copy(&mut self.mem, size) {
-                    self.stats.observer_to_dram_bytes += size as u64;
-                    self.stats.observer_to_dram_objects += 1;
-                    return addr;
-                }
-            }
-        }
-        let addr = self
-            .mature_primary
-            .alloc_for_copy(&mut self.mem, size)
-            .expect("mature PCM space exhausted during observer collection");
-        self.stats.observer_to_pcm_bytes += size as u64;
-        self.stats.observer_to_pcm_objects += 1;
-        addr
+        self.end_collection(CollectKind::Observer, "gc.pause.observer_ns");
     }
 
     /// Full-heap collection.
@@ -597,10 +266,7 @@ impl KingsguardHeap {
     }
 
     pub(crate) fn collect_full_impl(&mut self) {
-        self.enter_safepoint();
-        self.run_checkpoint(CheckPoint::PreCollect(CollectKind::Full));
-        self.telemetry.span_enter("gc.major");
-        let phase = Phase::MajorGc;
+        let mut ctx = self.begin_collection(CollectKind::Full, "gc.major");
         self.stats.major.collections += 1;
 
         // Pump the PCM fault model while the heap sits at the safepoint:
@@ -610,56 +276,26 @@ impl KingsguardHeap {
         self.pump_faults_and_fence();
 
         self.telemetry.span_enter("gc.major.prepare");
-        self.mature_primary.prepare_collection();
-        if let Some(space) = self.mature_dram.as_mut() {
+        for space in std::iter::once(&mut self.mature_primary).chain(&mut self.mature_dram) {
             space.prepare_collection();
         }
-        self.los_primary.prepare_collection();
-        if let Some(space) = self.los_dram.as_mut() {
+        for space in std::iter::once(&mut self.los_primary).chain(&mut self.los_dram) {
             space.prepare_collection();
         }
         if self.constraints.metadata_marks_in_dram {
-            self.metadata.clear_object_marks(&mut self.mem, phase);
+            self.metadata.clear_object_marks(&mut self.mem, ctx.phase);
         }
         self.telemetry.span_exit();
 
         self.marked.clear();
-        let mut queue: Vec<ObjectRef> = Vec::new();
-
-        self.telemetry.span_enter("gc.major.roots");
-        let entries: Vec<(Handle, ObjectRef)> = self.roots.iter().collect();
-        for (handle, obj) in entries {
-            let new_obj = self.trace_major(obj, phase, &mut queue);
-            if new_obj != obj {
-                self.roots.set(handle, new_obj);
-            }
-        }
-        self.telemetry.span_exit();
-
-        self.telemetry.span_enter("gc.major.trace");
-        while let Some(obj) = queue.pop() {
-            let shape = obj.shape(&mut self.mem, phase);
-            for i in 0..shape.ref_slots as usize {
-                let target = obj.read_ref(&mut self.mem, i, phase);
-                if target.is_null() {
-                    continue;
-                }
-                let new_target = self.trace_major(target, phase, &mut queue);
-                if new_target != target {
-                    obj.write_ref_raw(&mut self.mem, i, new_target, phase);
-                }
-            }
-            self.stats.work.gc_ops += 1 + shape.ref_slots as u64;
-        }
-        self.telemetry.span_exit();
+        self.span("gc.major.roots", |heap| heap.trace_roots(&mut ctx));
+        self.span("gc.major.trace", |heap| heap.closure(&mut ctx));
 
         self.telemetry.span_enter("gc.major.sweep");
-        self.mature_primary.sweep(&mut self.mem);
-        if let Some(space) = self.mature_dram.as_mut() {
+        for space in std::iter::once(&mut self.mature_primary).chain(&mut self.mature_dram) {
             space.sweep(&mut self.mem);
         }
-        self.los_primary.sweep(&mut self.mem);
-        if let Some(space) = self.los_dram.as_mut() {
+        for space in std::iter::once(&mut self.los_primary).chain(&mut self.los_dram) {
             space.sweep(&mut self.mem);
         }
         self.nursery.reset();
@@ -672,180 +308,199 @@ impl KingsguardHeap {
         // Every live object left the dying pages during the trace; remap
         // them off PCM and tell the policy which sites were disturbed.
         self.finish_page_retirement();
-        self.sample_composition();
-        self.update_peaks();
-        // End-of-GC refresh point for adaptive policies: the rescue and
-        // demotion counters this collection produced are now visible.
-        self.policy.on_gc_feedback(&self.stats);
-        self.record_policy_adaptation();
-        let pause_ns = self.telemetry.span_exit();
-        self.telemetry.record("gc.pause_ns", pause_ns);
-        self.telemetry.record("gc.pause.major_ns", pause_ns);
-        // Major collections are rare: a good cadence for wear-distribution
-        // snapshots (and the heap is at a safepoint, so counts are complete).
-        self.record_wear_snapshot();
-        self.run_checkpoint(CheckPoint::PostCollect(CollectKind::Full));
+        self.end_of_gc_feedback();
+        self.end_collection(CollectKind::Full, "gc.pause.major_ns");
     }
 
-    /// Traces one object during a full-heap collection, applying the
-    /// policy's between-space movement decisions.
-    fn trace_major(&mut self, obj: ObjectRef, phase: Phase, queue: &mut Vec<ObjectRef>) -> ObjectRef {
-        if obj.is_null() {
+    /// Stops the world for a collection of `kind` and opens its `span`.
+    fn begin_collection(&mut self, kind: CollectKind, span: &'static str) -> Collection {
+        self.enter_safepoint();
+        self.run_checkpoint(CheckPoint::PreCollect(kind));
+        self.telemetry.span_enter(span);
+        let phase = match kind {
+            CollectKind::Nursery => Phase::NurseryGc,
+            CollectKind::Observer => Phase::ObserverGc,
+            _ => Phase::MajorGc,
+        };
+        Collection {
+            kind,
+            phase,
+            queue: Vec::new(),
+            scanned: Vec::new(),
+            nursery_live: Vec::new(),
+        }
+    }
+
+    /// Closes the collection's span, records its pause under `pause` and
+    /// runs the post-collection checkpoint.
+    fn end_collection(&mut self, kind: CollectKind, pause: &'static str) {
+        let pause_ns = self.telemetry.span_exit();
+        self.telemetry.record("gc.pause_ns", pause_ns);
+        self.telemetry.record(pause, pause_ns);
+        if kind == CollectKind::Full {
+            // Major collections are rare: a good cadence for wear-distribution
+            // snapshots (and the heap is at a safepoint, so counts are complete).
+            self.record_wear_snapshot();
+        }
+        self.run_checkpoint(CheckPoint::PostCollect(kind));
+    }
+
+    /// Runs `step` inside the telemetry span `name`.
+    fn span<R>(&mut self, name: &'static str, step: impl FnOnce(&mut Self) -> R) -> R {
+        self.telemetry.span_enter(name);
+        let result = step(self);
+        self.telemetry.span_exit();
+        result
+    }
+
+    /// Ends a young collection: the nursery is empty again, and its
+    /// survival feeds the moving average.
+    fn reset_nursery(&mut self, survived: u64, collected: u64) {
+        self.stats.nursery_survived_bytes += survived;
+        // Nothing survives an empty nursery: its rate is 0.
+        let rate = survived as f64 / collected.max(1) as f64;
+        self.survival_estimate = 0.5 * self.survival_estimate + 0.5 * rate;
+        self.los_alloc_since_gc = 0;
+        self.nursery_alloc_since_gc = 0;
+        self.nursery.reset();
+    }
+
+    /// Applies `update` to every root, in handle order, in place.
+    fn update_roots(&mut self, mut update: impl FnMut(&mut Self, ObjectRef) -> ObjectRef) {
+        let mut roots = std::mem::take(&mut self.roots);
+        roots.update_roots(|obj| update(self, obj));
+        self.roots = roots;
+    }
+
+    fn trace_roots(&mut self, ctx: &mut Collection) {
+        self.update_roots(|heap, obj| heap.trace_object(ctx, obj));
+    }
+
+    /// Drains the collection's remembered set (the nursery's or the
+    /// observer's) and traces its mapped slots in ascending address order.
+    /// Returns the slots, which the observer collection revisits in pass 3.
+    fn trace_remset(&mut self, ctx: &mut Collection) -> Vec<Address> {
+        let slots = match ctx.kind {
+            CollectKind::Nursery => self.remset_nursery.drain(),
+            _ => self.remset_observer.drain(),
+        };
+        for &slot in &slots {
+            if self.mem.is_mapped(slot) {
+                self.stats.work.gc_ops += 1;
+                self.trace_slot(ctx, slot);
+            }
+        }
+        slots
+    }
+
+    /// The transitive closure: scans the reference fields of every queued
+    /// object until the queue is empty.
+    fn closure(&mut self, ctx: &mut Collection) {
+        while let Some(obj) = ctx.queue.pop() {
+            let shape = obj.shape(&mut self.mem, ctx.phase);
+            for i in 0..shape.ref_slots as usize {
+                self.trace_slot(ctx, obj.ref_slot(i));
+            }
+            self.stats.work.gc_ops += 1 + shape.ref_slots as u64;
+            if ctx.kind == CollectKind::Observer {
+                ctx.scanned.push(obj);
+            }
+        }
+    }
+
+    /// Traces the reference in `slot`, if any, and writes the slot back
+    /// only if its referent moved.
+    fn trace_slot(&mut self, ctx: &mut Collection, slot: Address) {
+        let value = ObjectRef::from_address(Address::new(self.mem.read_u64(slot, ctx.phase)));
+        if !value.is_null() {
+            let new_value = self.trace_object(ctx, value);
+            if new_value != value {
+                self.mem.write_u64(slot, new_value.address().raw(), ctx.phase);
+            }
+        }
+    }
+
+    /// Traces one non-null reference and returns where its object lives
+    /// now, deciding per source space as the module docs' table says.
+    fn trace_object(&mut self, ctx: &mut Collection, obj: ObjectRef) -> ObjectRef {
+        let (kind, phase) = (ctx.kind, ctx.phase);
+        let from = self.locate(obj.address());
+        let young = matches!(from, Location::Nursery | Location::Observer);
+        let condemned = match kind {
+            CollectKind::Nursery => from == Location::Nursery,
+            CollectKind::Observer => young,
+            _ => from != Location::Other,
+        };
+        if !condemned {
             return obj;
         }
-        let loc = self.locate(obj.address());
-        match loc {
-            Location::Nursery | Location::Observer => {
-                if obj.is_forwarded(&mut self.mem, phase) {
-                    return obj.forwarding(&mut self.mem, phase);
-                }
-                let shape = obj.shape(&mut self.mem, phase);
-                let written = obj.is_written(&mut self.mem, phase);
-                let size = shape.size();
-                // Per-site policies pretenure young survivors by site advice
-                // even when the full collection (rather than a nursery
-                // collection) evacuates them.
-                let site = self.stats.site_of(obj.address());
-                let placement = self.policy.survivor_placement(site, written);
-                let advised_dram = placement == SurvivorPlacement::AdvisedDram;
-                let dst = if shape.is_large() {
-                    self.los_primary
-                        .alloc_raw(&mut self.mem, size)
-                        .unwrap_or_else(|| {
-                            panic!(
-                                "large object space exhausted during full collection \
-                             (copying {obj:?} at {loc:?}, {size} bytes, shape {shape:?})"
-                            )
-                        })
-                } else {
-                    let mut dram_dst = None;
-                    if written || advised_dram {
-                        if let Some(mature_dram) = self.mature_dram.as_mut() {
-                            dram_dst = mature_dram.alloc_for_copy(&mut self.mem, size);
-                        }
-                    }
-                    match dram_dst {
-                        Some(dst) => {
-                            if advised_dram {
-                                self.stats.advised_to_dram_objects += 1;
-                                self.stats.advised_to_dram_bytes += size as u64;
-                            }
-                            dst
-                        }
-                        // DRAM full or absent: place in PCM (for a written or
-                        // advised-hot object the rescue of a later collection
-                        // remains the safety net), with the same advised
-                        // accounting as the nursery-collection path.
-                        None => {
-                            if placement != SurvivorPlacement::Mature {
-                                self.stats.advised_to_pcm_objects += 1;
-                                self.stats.advised_to_pcm_bytes += size as u64;
-                            }
-                            self.mature_primary
-                                .alloc_for_copy(&mut self.mem, size)
-                                .expect("mature space exhausted during full collection")
-                        }
-                    }
-                };
-                if loc == Location::Nursery {
-                    self.profile_nursery_survivor(obj.address(), size);
-                }
-                self.mem.copy(obj.address(), dst, size, phase);
-                let new_obj = ObjectRef::from_address(dst);
-                obj.set_forwarding(&mut self.mem, new_obj, phase);
-                self.stats.object_moved(obj.address(), dst);
-                self.stats.major.bytes_copied += size as u64;
-                self.stats.major.objects_copied += 1;
-                self.mark_new_copy(new_obj, size, phase);
-                queue.push(new_obj);
-                new_obj
+        if kind == CollectKind::Observer && from == Location::Nursery {
+            if self.nursery_marked.insert(obj.address()) {
+                ctx.nursery_live.push(obj);
+                ctx.queue.push(obj);
             }
-            Location::MaturePrimary => {
-                if obj.is_forwarded(&mut self.mem, phase) {
-                    return obj.forwarding(&mut self.mem, phase);
-                }
-                if !self.marked.insert(obj.address()) {
-                    return obj;
-                }
-                let shape = obj.shape(&mut self.mem, phase);
-                let size = shape.size();
-                let written = obj.is_written(&mut self.mem, phase);
-                let endangered = self.on_dying_page(obj.address(), size);
-                let rescue = self.constraints.rescue_written_objects
+            return obj;
+        }
+        // Nothing leaves the DRAM large space: nothing there is forwarded.
+        if from != Location::LargeDram && obj.is_forwarded(&mut self.mem, phase) {
+            return obj.forwarding(&mut self.mem, phase);
+        }
+        if young {
+            let shape = obj.shape(&mut self.mem, phase);
+            let (dst, cause) = self.young_destination(ctx, obj, shape);
+            return self.evacuate(ctx, obj, dst, shape.size(), cause);
+        }
+        if !self.marked.insert(obj.address()) {
+            return obj;
+        }
+        let size = match from {
+            Location::MaturePrimary | Location::LargePrimary => {
+                let large = from == Location::LargePrimary;
+                let (written, size) = if large {
+                    let written = obj.is_written(&mut self.mem, phase);
+                    let size = self
+                        .los_primary
+                        .size_of(obj.address())
+                        .unwrap_or_else(|| obj.size(&mut self.mem, phase));
+                    (written, size)
+                } else {
+                    let size = obj.shape(&mut self.mem, phase).size();
+                    (obj.is_written(&mut self.mem, phase), size)
+                };
+                // The topology places both primary spaces on one memory and
+                // gives both a DRAM twin, or neither.
+                let topology = self.constraints.topology;
+                if self.constraints.rescue_written_objects
                     && written
-                    && self.mature_primary.kind() == MemoryKind::Pcm
-                    && self.mature_dram.is_some();
-                if rescue {
+                    && topology.mature == MemoryKind::Pcm
+                    && topology.dram_mature
+                {
                     // A written object was detected in PCM: move it back to
-                    // the DRAM mature space and reset its write bit.
-                    let site = self.stats.site_of(obj.address());
-                    let dst = self
-                        .mature_dram
-                        .as_mut()
-                        .expect("checked above")
-                        .alloc_for_copy(&mut self.mem, size)
-                        .expect("mature DRAM space exhausted during full collection");
-                    self.mem.copy(obj.address(), dst, size, phase);
-                    let new_obj = ObjectRef::from_address(dst);
-                    new_obj.clear_written(&mut self.mem, phase);
-                    obj.set_forwarding(&mut self.mem, new_obj, phase);
-                    self.stats.object_moved(obj.address(), dst);
-                    self.stats.pcm_to_dram_rescues += 1;
-                    self.stats.record_site_rescue(site);
-                    self.stats.major.bytes_copied += size as u64;
-                    self.stats.major.objects_copied += 1;
-                    self.mark_new_copy(new_obj, size, phase);
-                    if endangered {
-                        self.record_evacuation(obj.address(), size, site);
-                    }
-                    queue.push(new_obj);
-                    return new_obj;
+                    // DRAM and reset its write bit. Kept asymmetry: a large
+                    // rescue reports no site to the retirement feedback.
+                    let site = if large {
+                        SiteId::UNKNOWN
+                    } else {
+                        self.stats.site_of(obj.address())
+                    };
+                    let (dst, _) = self.alloc_copy(dram_twin(from), false, size);
+                    return self.evacuate(ctx, obj, dst, size, Cause::Rescue { site });
                 }
-                if endangered {
+                if self.on_dying_page(obj.address(), size) {
                     // Forced evacuation off a dying page: the object may be
                     // unwritten (or the collector may not rescue at all —
                     // KG-N, the PCM-only baseline), but its page is about
                     // to be retired. Prefer DRAM when the topology has it;
-                    // otherwise a fresh PCM line is safe, since the fence
-                    // guarantees the copy cannot land back on the page.
+                    // otherwise a fresh PCM line or run is safe, since the
+                    // fence guarantees the copy cannot land back on the page.
                     let site = self.stats.site_of(obj.address());
-                    let mut dst = None;
-                    if let Some(mature_dram) = self.mature_dram.as_mut() {
-                        dst = mature_dram.alloc_for_copy(&mut self.mem, size);
-                    }
-                    let dst = match dst {
-                        Some(dst) => dst,
-                        None => self
-                            .mature_primary
-                            .alloc_for_copy(&mut self.mem, size)
-                            .expect("mature space exhausted during page-retirement evacuation"),
-                    };
-                    self.mem.copy(obj.address(), dst, size, phase);
-                    let new_obj = ObjectRef::from_address(dst);
-                    obj.set_forwarding(&mut self.mem, new_obj, phase);
-                    self.record_evacuation(obj.address(), size, site);
-                    self.stats.object_moved(obj.address(), dst);
-                    self.stats.major.bytes_copied += size as u64;
-                    self.stats.major.objects_copied += 1;
-                    self.mark_new_copy(new_obj, size, phase);
-                    queue.push(new_obj);
-                    return new_obj;
+                    let (dst, _) = self.alloc_copy(from, true, size);
+                    return self.evacuate(ctx, obj, dst, size, Cause::DyingPage { site });
                 }
-                self.mature_primary
-                    .mark_lines(&mut self.mem, obj.address(), size, phase);
-                self.account_object_mark(obj, self.mature_primary.kind(), phase);
-                queue.push(obj);
-                obj
+                size
             }
             Location::MatureDram => {
-                if obj.is_forwarded(&mut self.mem, phase) {
-                    return obj.forwarding(&mut self.mem, phase);
-                }
-                if !self.marked.insert(obj.address()) {
-                    return obj;
-                }
-                let shape = obj.shape(&mut self.mem, phase);
-                let size = shape.size();
+                let size = obj.shape(&mut self.mem, phase).size();
                 let written = obj.is_written(&mut self.mem, phase);
                 // The policy decides whether an unwritten DRAM object may be
                 // demoted: KG-A pins advised-hot sites in DRAM even across
@@ -860,133 +515,217 @@ impl KingsguardHeap {
                 {
                     // Unwritten DRAM mature object: demote to PCM to exploit
                     // PCM capacity (Section 4.2.3).
-                    let dst = self
-                        .mature_primary
-                        .alloc_for_copy(&mut self.mem, size)
-                        .expect("mature PCM space exhausted during full collection");
-                    self.mem.copy(obj.address(), dst, size, phase);
-                    let new_obj = ObjectRef::from_address(dst);
-                    obj.set_forwarding(&mut self.mem, new_obj, phase);
-                    self.stats.object_moved(obj.address(), dst);
-                    self.stats.dram_to_pcm_demotions += 1;
-                    self.stats.record_site_demotion(site);
-                    self.stats.major.bytes_copied += size as u64;
-                    self.stats.major.objects_copied += 1;
-                    self.mark_new_copy(new_obj, size, phase);
-                    queue.push(new_obj);
-                    return new_obj;
+                    let (dst, _) = self.alloc_copy(Location::MaturePrimary, false, size);
+                    return self.evacuate(ctx, obj, dst, size, Cause::Demotion { site });
                 }
-                let space = self
-                    .mature_dram
-                    .as_mut()
-                    .expect("location implies DRAM mature space");
-                space.mark_lines(&mut self.mem, obj.address(), size, phase);
-                obj.set_marked(&mut self.mem, true, phase);
-                queue.push(obj);
-                obj
+                size
             }
-            Location::LargePrimary => {
-                if obj.is_forwarded(&mut self.mem, phase) {
-                    return obj.forwarding(&mut self.mem, phase);
-                }
-                if !self.marked.insert(obj.address()) {
-                    return obj;
-                }
-                let written = obj.is_written(&mut self.mem, phase);
-                let size = self
-                    .los_primary
-                    .size_of(obj.address())
-                    .unwrap_or_else(|| obj.size(&mut self.mem, phase));
-                let endangered = self.on_dying_page(obj.address(), size);
-                let move_to_dram = self.constraints.rescue_written_objects
-                    && written
-                    && self.los_primary.kind() == MemoryKind::Pcm
-                    && self.los_dram.is_some();
-                if move_to_dram {
-                    let dst = self
-                        .los_dram
-                        .as_mut()
-                        .expect("checked above")
-                        .alloc_raw(&mut self.mem, size)
-                        .expect("DRAM large object space exhausted during full collection");
-                    self.mem.copy(obj.address(), dst, size, phase);
-                    let new_obj = ObjectRef::from_address(dst);
-                    new_obj.clear_written(&mut self.mem, phase);
-                    obj.set_forwarding(&mut self.mem, new_obj, phase);
-                    self.stats.object_moved(obj.address(), dst);
-                    self.stats.large_pcm_to_dram_moves += 1;
-                    self.stats.major.bytes_copied += size as u64;
-                    self.stats.major.objects_copied += 1;
-                    self.los_dram
-                        .as_mut()
-                        .expect("checked above")
-                        .mark(&mut self.mem, new_obj, phase);
-                    if endangered {
-                        let site = self.stats.site_of(obj.address());
-                        self.record_evacuation(obj.address(), size, site);
-                    }
-                    queue.push(new_obj);
-                    return new_obj;
-                }
-                if endangered {
-                    // Forced evacuation of a large object overlapping a
-                    // dying page. Prefer the DRAM large space; fall back to
-                    // a fresh PCM run (the fenced page is carved out of the
-                    // free list, so the copy cannot overlap it).
-                    let site = self.stats.site_of(obj.address());
-                    let mut dst = None;
-                    if let Some(los_dram) = self.los_dram.as_mut() {
-                        dst = los_dram.alloc_raw(&mut self.mem, size);
-                    }
-                    let (dst, to_dram) = match dst {
-                        Some(dst) => (dst, true),
-                        None => (
-                            self.los_primary
-                                .alloc_raw(&mut self.mem, size)
-                                .expect("large object space exhausted during page-retirement evacuation"),
-                            false,
-                        ),
-                    };
-                    self.mem.copy(obj.address(), dst, size, phase);
-                    let new_obj = ObjectRef::from_address(dst);
-                    obj.set_forwarding(&mut self.mem, new_obj, phase);
-                    self.record_evacuation(obj.address(), size, site);
-                    self.stats.object_moved(obj.address(), dst);
-                    self.stats.major.bytes_copied += size as u64;
-                    self.stats.major.objects_copied += 1;
-                    if to_dram {
-                        self.los_dram
-                            .as_mut()
-                            .expect("checked above")
-                            .mark(&mut self.mem, new_obj, phase);
-                    } else {
-                        self.los_primary.mark(&mut self.mem, new_obj, phase);
-                    }
-                    queue.push(new_obj);
-                    return new_obj;
-                }
-                self.los_primary.mark(&mut self.mem, obj, phase);
-                queue.push(obj);
-                obj
+            // A large space marks whole objects, whatever their size.
+            _ => 0,
+        };
+        self.mark_live(obj, size, phase);
+        ctx.queue.push(obj);
+        obj
+    }
+
+    /// Chooses where a live young object goes and what the copy counts as.
+    fn young_destination(
+        &mut self,
+        ctx: &Collection,
+        obj: ObjectRef,
+        shape: ObjectShape,
+    ) -> (Address, Cause) {
+        let kind = ctx.kind;
+        let written = obj.is_written(&mut self.mem, ctx.phase);
+        let (size, large) = (shape.size(), shape.is_large());
+        let to = if large {
+            Location::LargePrimary
+        } else {
+            Location::MaturePrimary
+        };
+        if kind == CollectKind::Observer {
+            // The policy tenures an observer survivor into DRAM (by default
+            // when its write bit is set) or PCM; a large one goes straight to
+            // the PCM large space without consulting it (Section 4.2.4).
+            let prefer_dram = !large && self.policy.observer_tenure_to_dram(written);
+            let (dst, to_dram) = self.alloc_copy(to, prefer_dram, size);
+            return (dst, Cause::Tenure { to_dram });
+        }
+        if kind == CollectKind::Nursery {
+            // KG-W routes survivors through the observer space: small objects
+            // always, a large one the LOO allocated in the nursery if it fits.
+            if let Some(dst) = self.alloc_in(Location::Observer, size) {
+                return (dst, Cause::Promote { advised: None });
             }
-            Location::LargeDram => {
-                if !self.marked.insert(obj.address()) {
-                    return obj;
-                }
-                self.los_dram
-                    .as_mut()
-                    .expect("location implies DRAM large space")
-                    .mark(&mut self.mem, obj, phase);
-                queue.push(obj);
-                obj
-            }
-            Location::Other => obj,
+        }
+        // The per-site policies pretenure young survivors by site advice: a
+        // full collection asks about every one, a nursery collection about
+        // the small ones only. The full collection also keeps written
+        // survivors in DRAM; the nursery collection consults the policy only.
+        let placement = if large && kind == CollectKind::Nursery {
+            SurvivorPlacement::Mature
+        } else {
+            // An untracked heap tags no object, so this is the unknown site.
+            let site = self.stats.site_of(obj.address());
+            self.policy.survivor_placement(site, written)
+        };
+        let advised_dram = placement == SurvivorPlacement::AdvisedDram;
+        let prefer_dram = !large && (advised_dram || (kind == CollectKind::Full && written));
+        let (dst, in_dram) = self.alloc_copy(to, prefer_dram, size);
+        // Advice counts where a small object lands: in DRAM only if advised
+        // there, in PCM (a DRAM overflow included) if advised at all.
+        let advised = if large || placement == SurvivorPlacement::Mature {
+            None
+        } else if in_dram {
+            advised_dram.then_some(MemoryKind::Dram)
+        } else {
+            Some(MemoryKind::Pcm)
+        };
+        (dst, Cause::Promote { advised })
+    }
+
+    /// Allocates room for a `size`-byte copy in the space `to`; `None` if
+    /// the space is absent or full.
+    fn alloc_in(&mut self, to: Location, size: usize) -> Option<Address> {
+        let mem = &mut self.mem;
+        match to {
+            Location::Observer => self.observer.as_mut()?.alloc_for_copy(mem, size),
+            Location::MaturePrimary => self.mature_primary.alloc_for_copy(mem, size),
+            Location::MatureDram => self.mature_dram.as_mut()?.alloc_for_copy(mem, size),
+            Location::LargePrimary => self.los_primary.alloc_raw(mem, size),
+            Location::LargeDram => self.los_dram.as_mut()?.alloc_raw(mem, size),
+            Location::Nursery | Location::Other => unreachable!("no copy goes to {to:?}"),
         }
     }
 
-    /// Marks the destination of an object copied during a major collection so
-    /// that the post-trace sweep does not reclaim it.
-    fn mark_new_copy(&mut self, obj: ObjectRef, size: usize, phase: Phase) {
+    /// Allocates room for a `size`-byte copy in `to`, or first in its DRAM
+    /// twin when `prefer_dram` and the copy fits there; returns the address
+    /// and whether it is in the twin. Panics if `to` is absent or full.
+    fn alloc_copy(&mut self, to: Location, prefer_dram: bool, size: usize) -> (Address, bool) {
+        if prefer_dram {
+            if let Some(dst) = self.alloc_in(dram_twin(to), size) {
+                return (dst, true);
+            }
+        }
+        let dst = self
+            .alloc_in(to, size)
+            .unwrap_or_else(|| panic!("{to:?} space exhausted copying {size} bytes during a collection"));
+        (dst, false)
+    }
+
+    /// Copies `obj` to `dst`, the only place the collector copies an
+    /// object, and returns the copy, queued for scanning.
+    fn evacuate(
+        &mut self,
+        ctx: &mut Collection,
+        obj: ObjectRef,
+        dst: Address,
+        size: usize,
+        cause: Cause,
+    ) -> ObjectRef {
+        let (kind, phase) = (ctx.kind, ctx.phase);
+        let old = obj.address();
+        let from = self.locate(old);
+        // A nursery survivor is recorded with the site profiler.
+        if let (Location::Nursery, Some(profiler)) = (from, self.profiler.as_mut()) {
+            let site = self.stats.site_of(old);
+            if !site.is_unknown() {
+                profiler.record_nursery_survivor(site, size as u64);
+            }
+        }
+        self.mem.copy(old, dst, size, phase);
+        let copy = ObjectRef::from_address(dst);
+        if let Cause::Rescue { .. } = cause {
+            copy.clear_written(&mut self.mem, phase);
+        }
+        obj.set_forwarding(&mut self.mem, copy, phase);
+        self.stats.object_moved(old, dst);
+        if kind == CollectKind::Full {
+            self.mark_live(copy, size, phase);
+        }
+        if let Cause::Rescue { site } | Cause::DyingPage { site } = cause {
+            if self.on_dying_page(old, size) {
+                self.record_evacuation(old, size, site);
+            }
+        }
+
+        let stats = &mut self.stats;
+        let bytes = size as u64;
+        let counters = match (kind, cause) {
+            (CollectKind::Full, _) => &mut stats.major,
+            (_, Cause::Tenure { .. }) => &mut stats.observer,
+            _ => &mut stats.nursery,
+        };
+        counters.bytes_copied += bytes;
+        counters.objects_copied += 1;
+        // Kept asymmetry: a young collection charges the copy as GC work, a
+        // full collection does not.
+        if kind != CollectKind::Full {
+            stats.work.gc_ops += 2 + bytes / 16;
+        }
+        match cause {
+            Cause::Promote {
+                advised: Some(MemoryKind::Dram),
+            } => {
+                stats.advised_to_dram_objects += 1;
+                stats.advised_to_dram_bytes += bytes;
+            }
+            Cause::Promote {
+                advised: Some(MemoryKind::Pcm),
+            } => {
+                stats.advised_to_pcm_objects += 1;
+                stats.advised_to_pcm_bytes += bytes;
+            }
+            Cause::Tenure { to_dram: true } => {
+                stats.observer_to_dram_objects += 1;
+                stats.observer_to_dram_bytes += bytes;
+            }
+            Cause::Tenure { to_dram: false } => {
+                stats.observer_to_pcm_objects += 1;
+                stats.observer_to_pcm_bytes += bytes;
+            }
+            Cause::Rescue { .. } if from == Location::LargePrimary => stats.large_pcm_to_dram_moves += 1,
+            Cause::Rescue { site } => {
+                stats.pcm_to_dram_rescues += 1;
+                stats.record_site_rescue(site);
+            }
+            Cause::Demotion { site } => {
+                stats.dram_to_pcm_demotions += 1;
+                stats.record_site_demotion(site);
+            }
+            Cause::Promote { advised: None } | Cause::DyingPage { .. } => {}
+        }
+        ctx.queue.push(copy);
+        copy
+    }
+
+    /// Pass 3 of an observer collection: `obj` itself, or the copy pass 2
+    /// made of it if it is a nursery object.
+    fn final_copy(&mut self, obj: ObjectRef, phase: Phase) -> ObjectRef {
+        if self.locate(obj.address()) == Location::Nursery && obj.is_forwarded(&mut self.mem, phase) {
+            obj.forwarding(&mut self.mem, phase)
+        } else {
+            obj
+        }
+    }
+
+    /// Pass 3 of an observer collection: redirects the reference in `slot`
+    /// to its final copy; `true` if it now refers into the observer space.
+    fn patch_slot(&mut self, slot: Address, phase: Phase) -> bool {
+        let value = ObjectRef::from_address(Address::new(self.mem.read_u64(slot, phase)));
+        if value.is_null() {
+            return false;
+        }
+        let current = self.final_copy(value, phase);
+        if current != value {
+            self.mem.write_u64(slot, current.address().raw(), phase);
+        }
+        self.locate(current.address()) == Location::Observer
+    }
+
+    /// Marks a live object of a full collection — reached in place, or just
+    /// copied — so that the post-trace sweep does not reclaim it.
+    fn mark_live(&mut self, obj: ObjectRef, size: usize, phase: Phase) {
         match self.locate(obj.address()) {
             Location::MaturePrimary => {
                 self.mature_primary
