@@ -422,6 +422,8 @@ impl KingsguardHeap {
 
     /// Traces one non-null reference and returns where its object lives
     /// now, deciding per source space as the module docs' table says.
+    /// Inlined: most references lie outside the condemned spaces.
+    #[inline]
     fn trace_object(&mut self, ctx: &mut Collection, obj: ObjectRef) -> ObjectRef {
         let (kind, phase) = (ctx.kind, ctx.phase);
         let from = self.locate(obj.address());
@@ -535,7 +537,6 @@ impl KingsguardHeap {
         obj: ObjectRef,
         shape: ObjectShape,
     ) -> (Address, Cause) {
-        let kind = ctx.kind;
         let written = obj.is_written(&mut self.mem, ctx.phase);
         let (size, large) = (shape.size(), shape.is_large());
         let to = if large {
@@ -543,7 +544,7 @@ impl KingsguardHeap {
         } else {
             Location::MaturePrimary
         };
-        if kind == CollectKind::Observer {
+        if ctx.kind == CollectKind::Observer {
             // The policy tenures an observer survivor into DRAM (by default
             // when its write bit is set) or PCM; a large one goes straight to
             // the PCM large space without consulting it (Section 4.2.4).
@@ -551,7 +552,7 @@ impl KingsguardHeap {
             let (dst, to_dram) = self.alloc_copy(to, prefer_dram, size);
             return (dst, Cause::Tenure { to_dram });
         }
-        if kind == CollectKind::Nursery {
+        if ctx.kind == CollectKind::Nursery {
             // KG-W routes survivors through the observer space: small objects
             // always, a large one the LOO allocated in the nursery if it fits.
             if let Some(dst) = self.alloc_in(Location::Observer, size) {
@@ -562,7 +563,7 @@ impl KingsguardHeap {
         // full collection asks about every one, a nursery collection about
         // the small ones only. The full collection also keeps written
         // survivors in DRAM; the nursery collection consults the policy only.
-        let placement = if large && kind == CollectKind::Nursery {
+        let placement = if large && ctx.kind == CollectKind::Nursery {
             SurvivorPlacement::Mature
         } else {
             // An untracked heap tags no object, so this is the unknown site.
@@ -570,7 +571,7 @@ impl KingsguardHeap {
             self.policy.survivor_placement(site, written)
         };
         let advised_dram = placement == SurvivorPlacement::AdvisedDram;
-        let prefer_dram = !large && (advised_dram || (kind == CollectKind::Full && written));
+        let prefer_dram = !large && (advised_dram || (ctx.kind == CollectKind::Full && written));
         let (dst, in_dram) = self.alloc_copy(to, prefer_dram, size);
         // Advice counts where a small object lands: in DRAM only if advised
         // there, in PCM (a DRAM overflow included) if advised at all.
