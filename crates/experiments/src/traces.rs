@@ -73,6 +73,9 @@ pub struct RecordRow {
     pub allocations: u64,
     /// Encoded size in bytes.
     pub bytes: u64,
+    /// Bytes the decoded events take in memory
+    /// ([`trace::TraceEvents::memory_bytes`]).
+    pub memory_bytes: u64,
     /// Wall-clock of the recording run in milliseconds.
     pub record_ms: u64,
 }
@@ -94,7 +97,15 @@ impl RecordResults {
                 "Trace record: one .kgtrace per benchmark (K={} mutators)",
                 self.mutators
             ),
-            &["benchmark", "events", "objects", "KB", "record-ms", "file"],
+            &[
+                "benchmark",
+                "events",
+                "objects",
+                "file KB",
+                "in-memory KB",
+                "record-ms",
+                "file",
+            ],
         );
         for row in &self.rows {
             table.row(vec![
@@ -102,6 +113,7 @@ impl RecordResults {
                 row.events.to_string(),
                 row.allocations.to_string(),
                 format!("{:.1}", row.bytes as f64 / 1024.0),
+                format!("{:.1}", row.memory_bytes as f64 / 1024.0),
                 row.record_ms.to_string(),
                 row.path.display().to_string(),
             ]);
@@ -132,8 +144,7 @@ pub fn record_traces(
         };
         let record_ms = start.elapsed().as_millis() as u64;
         drop(heap.finish());
-        let bytes = trace::trace_to_bytes(&recorded).len() as u64;
-        trace::save_trace(&recorded, &path)
+        let bytes = trace::save_trace(&recorded, &path)
             .unwrap_or_else(|err| panic!("could not save {}: {err}", path.display()));
         RecordRow {
             benchmark: profile.name.to_string(),
@@ -141,6 +152,7 @@ pub fn record_traces(
             events: recorded.events.len() as u64,
             allocations: recorded.allocations(),
             bytes,
+            memory_bytes: recorded.events.memory_bytes() as u64,
             record_ms,
         }
     });
@@ -527,8 +539,12 @@ mod tests {
         let benchmarks = vec![benchmark("lu.fix").unwrap()];
         let recorded = record_traces(&config, &benchmarks, &dir, 1, 1);
         assert_eq!(recorded.rows.len(), 1);
-        assert!(recorded.rows[0].path.exists());
-        assert!(recorded.rows[0].events > 0);
+        let row = &recorded.rows[0];
+        assert!(row.path.exists());
+        assert!(row.events > 0);
+        assert_eq!(row.bytes, std::fs::metadata(&row.path).unwrap().len());
+        assert!(row.memory_bytes >= row.events * trace::TraceEvents::SLOT_BYTES as u64);
+        assert!(recorded.report().contains("in-memory KB"));
         let results = replay_traces(&config, &benchmarks, &dir, 1, 2, true);
         assert_eq!(results.rows.len(), REPLAY_COLLECTORS.len());
         assert_eq!(results.mismatches(), 0, "{}", results.report());

@@ -14,30 +14,42 @@
 //! [`TraceEvent`] is the *value* vocabulary — what is pushed, what iteration
 //! yields — but at 40 bytes (a `u64` beside an `Option<u64>`) it is not what
 //! a million-event trace should be stored as. [`TraceEvents`] stores one
-//! 16-byte slot per event:
+//! `u64` slot per event: the `.kgtrace` opcode in bits 0–3, the context in
+//! bits 4–7, and the opcode's other operands from bit 8 up, low field
+//! first, each at the width its opcode gives it (bits in brackets):
 //!
 //! ```text
-//! op   u8    the `.kgtrace` opcode (large allocations and the four collect
-//!            kinds have their own), or "wide"
-//! ctx  u8    the context operand
-//! h    u16   Alloc: ref_slots
-//! a    u32   Spawn: tlab_bytes   Alloc: payload_bytes   Hook: allocated_bytes
-//!            Release: obj        reads and writes: src
-//! b    u32   Spawn: ssb_capacity Alloc: type_id         Hook: total_bytes
-//!            ReadRef/WriteRef: slot   ReadPrim/WritePrim: offset
-//! c    u32   Alloc: site         Hook: elapsed_ms       ReadPrim/WritePrim: len
-//!            WriteRef: target + 1, 0 for a null store (as on disk)
+//! opcode                     bits 4-7   bits 8-63
+//! SPAWN                      ctx        tlab_bytes [28], ssb_capacity [28]
+//! RETIRE                     ctx        -
+//! ALLOC, ALLOC_LARGE         ctx        ref_slots [10], payload_bytes [20],
+//!                                       type_id [12], site [14]
+//! WRITE_REF                  ctx        src [26], slot [4], target + 1 [26]
+//!                                       (0 for a null store, as on disk)
+//! WRITE_PRIM, READ_PRIM      ctx        src [26], offset [22], len [8]
+//! READ_REF                   ctx        src [26], slot [30]
+//! RELEASE                    0          obj [56]
+//! SAFEPOINT, COLLECT_*       0          -
+//! HOOK                       never packed
+//! WIDE (15, in memory only)  0          index into the side list [56]
 //! ```
 //!
-//! **The wide rule.** An event with any operand too wide for its field — a
-//! context past 255, an allocation index or hook byte count past `u32`, a
-//! reference store whose `target + 1` does not fit (so `Some(u64::MAX)`
-//! is wide, never a null store) — is kept whole in a side list, and its
-//! slot holds the "wide" opcode and the event's index in that list. None of
-//! the recorded benchmark traces has such an event; the type is nevertheless
-//! lossless over everything the `.kgtrace` grammar allows.
+//! Packing and unpacking are one `match` on the opcode each, every shift in
+//! it a constant.
 //!
-//! **Equality is canonical.** Whatever fits is packed and unused fields are
+//! **The wide rule.** An event with any operand too wide for its field is
+//! kept whole in a side list, and its slot holds the WIDE opcode and the
+//! event's index in that list. That is a context of 16 or more, an
+//! allocation index of 2^26 or more in a read or write, any other operand
+//! past its width (a reference store whose `target + 1` does not fit, so
+//! `Some(u64::MAX)` is wide, never a null store), and every hook marker
+//! (three byte and millisecond counts that seldom fit anything narrow,
+//! and a few dozen of them a trace). In the recorded benchmark traces only
+//! the hook markers are wide; the
+//! type is nevertheless lossless over everything the `.kgtrace` grammar
+//! allows.
+//!
+//! **Equality is canonical.** Whatever fits is packed and unused bits are
 //! zero, so a sequence of events has exactly one representation and the
 //! derived `==` on slots and side list is `==` on the sequences, however
 //! each was built (pushed, collected, decoded).
@@ -155,7 +167,7 @@ impl TraceEvent {
     }
 }
 
-/// The `.kgtrace` opcodes, which are also the packed slots' opcodes.
+/// The `.kgtrace` opcodes, which are also the slots' opcodes.
 pub(crate) mod op {
     pub const SPAWN: u8 = 0;
     pub const RETIRE: u8 = 1;
@@ -173,56 +185,132 @@ pub(crate) mod op {
     pub const COLLECT_FULL: u8 = 13;
     pub const HOOK: u8 = 14;
     /// In memory only: the slot indexes the side list of wide events.
-    pub const WIDE: u8 = u8::MAX;
+    pub const WIDE: u8 = 15;
 }
 
-/// An event as the file format and the packed slots both see it: its
-/// opcode and its operands, one per packed field (the assignment is in the
-/// module docs), at full width. An opcode's operands are in the file in
-/// field order: `ctx`, `h`, `a`, `b`, `c`.
-#[derive(Clone, Copy)]
-pub(crate) struct Operands {
-    pub op: u8,
-    pub ctx: u32,
-    pub h: u16,
-    pub a: u64,
-    pub b: u64,
-    pub c: u64,
+/// A slot's context field starts here, above the 4-bit opcode.
+const CTX_SHIFT: u32 = 4;
+/// Contexts from this one up are wide.
+const CTX_LIMIT: u32 = 16;
+/// An opcode's other operands start here, low field first.
+const FIELDS_SHIFT: u32 = 8;
+
+/// Each opcode's operand widths in bits, in file order after the context
+/// (see the module docs).
+mod width {
+    pub const SPAWN: [u32; 2] = [28, 28];
+    pub const ALLOC: [u32; 4] = [10, 20, 12, 14];
+    pub const WRITE_REF: [u32; 3] = [26, 4, 26];
+    pub const PRIM: [u32; 3] = [26, 22, 8];
+    pub const READ_REF: [u32; 2] = [26, 30];
+    pub const RELEASE: [u32; 1] = [56];
 }
 
-impl Operands {
-    fn new(op: u8, ctx: u32, h: u16, a: u64, b: u64, c: u64) -> Operands {
-        Operands { op, ctx, h, a, b, c }
+const fn fits_a_slot<const N: usize>(widths: [u32; N]) -> bool {
+    let (mut bits, mut i) = (FIELDS_SHIFT, 0);
+    while i < N {
+        bits += widths[i];
+        i += 1;
+    }
+    bits <= u64::BITS
+}
+
+const _: () = assert!(
+    fits_a_slot(width::SPAWN)
+        && fits_a_slot(width::ALLOC)
+        && fits_a_slot(width::WRITE_REF)
+        && fits_a_slot(width::PRIM)
+        && fits_a_slot(width::READ_REF)
+        && fits_a_slot(width::RELEASE)
+);
+
+/// The slot of opcode `op` with context `ctx` and `fields` at `widths` bits
+/// each, or `None` if a value does not fit its field. Every caller passes
+/// one of the [`width`] constants, so once inlined each shift is a constant.
+#[inline(always)]
+fn pack<const N: usize>(op: u8, ctx: u32, widths: [u32; N], fields: [u64; N]) -> Option<u64> {
+    let mut word = op as u64 | (ctx as u64) << CTX_SHIFT;
+    let mut spill = (ctx >= CTX_LIMIT) as u64;
+    let mut shift = FIELDS_SHIFT;
+    for (field, width) in fields.into_iter().zip(widths) {
+        spill |= field >> width;
+        word |= field << shift;
+        shift += width;
+    }
+    (spill == 0).then_some(word)
+}
+
+/// The fields [`pack`] put into `word` at `widths`.
+#[inline(always)]
+fn unpack<const N: usize>(word: u64, widths: [u32; N]) -> [u64; N] {
+    let mut shift = FIELDS_SHIFT;
+    widths.map(|width| {
+        let field = word >> shift & ((1 << width) - 1);
+        shift += width;
+        field
+    })
+}
+
+impl TraceEvent {
+    /// The event's `.kgtrace` opcode.
+    #[inline(always)]
+    pub(crate) fn opcode(&self) -> u8 {
+        match self {
+            TraceEvent::Spawn { .. } => op::SPAWN,
+            TraceEvent::Retire { .. } => op::RETIRE,
+            TraceEvent::Alloc { large: false, .. } => op::ALLOC,
+            TraceEvent::Alloc { large: true, .. } => op::ALLOC_LARGE,
+            TraceEvent::WriteRef { .. } => op::WRITE_REF,
+            TraceEvent::WritePrim { .. } => op::WRITE_PRIM,
+            TraceEvent::ReadRef { .. } => op::READ_REF,
+            TraceEvent::ReadPrim { .. } => op::READ_PRIM,
+            TraceEvent::Release { .. } => op::RELEASE,
+            TraceEvent::Safepoint => op::SAFEPOINT,
+            TraceEvent::Collect {
+                kind: CollectKind::Young,
+            } => op::COLLECT_YOUNG,
+            TraceEvent::Collect {
+                kind: CollectKind::Nursery,
+            } => op::COLLECT_NURSERY,
+            TraceEvent::Collect {
+                kind: CollectKind::Observer,
+            } => op::COLLECT_OBSERVER,
+            TraceEvent::Collect {
+                kind: CollectKind::Full,
+            } => op::COLLECT_FULL,
+            TraceEvent::Hook { .. } => op::HOOK,
+        }
     }
 
-    /// The operands of `event`, or `None` for the one event that has none: a
-    /// reference store whose target is `u64::MAX`, which has no `target + 1`.
-    #[inline]
-    fn of(event: &TraceEvent) -> Option<Operands> {
-        Some(match *event {
-            TraceEvent::Spawn { ctx, config } => Operands::new(
-                op::SPAWN,
+    /// The event's slot, or `None` if it is wide.
+    #[inline(always)]
+    fn slot(&self) -> Option<u64> {
+        let op = self.opcode();
+        match *self {
+            TraceEvent::Spawn { ctx, config } => pack(
+                op,
                 ctx,
-                0,
-                config.tlab_bytes as u64,
-                config.ssb_capacity as u64,
-                0,
+                width::SPAWN,
+                [config.tlab_bytes as u64, config.ssb_capacity as u64],
             ),
-            TraceEvent::Retire { ctx } => Operands::new(op::RETIRE, ctx, 0, 0, 0, 0),
+            TraceEvent::Retire { ctx } => pack(op, ctx, [], []),
             TraceEvent::Alloc {
                 ctx,
                 ref_slots,
                 payload_bytes,
                 type_id,
                 site,
-                large,
-            } => Operands::new(
-                if large { op::ALLOC_LARGE } else { op::ALLOC },
+                large: _,
+            } => pack(
+                op,
                 ctx,
-                ref_slots,
-                payload_bytes as u64,
-                type_id as u64,
-                site as u64,
+                width::ALLOC,
+                [
+                    ref_slots as u64,
+                    payload_bytes as u64,
+                    type_id as u64,
+                    site as u64,
+                ],
             ),
             TraceEvent::WriteRef {
                 ctx,
@@ -230,182 +318,48 @@ impl Operands {
                 slot,
                 target,
             } => {
-                // 0 is a null store; allocation indices shift up by one.
+                // As on disk: 0 is a null store, indices shift up by one (so
+                // `Some(u64::MAX)` has no shifted form and is wide).
                 let shifted = match target {
                     None => 0,
                     Some(target) => target.checked_add(1)?,
                 };
-                Operands::new(op::WRITE_REF, ctx, 0, src, slot as u64, shifted)
+                pack(op, ctx, width::WRITE_REF, [src, slot as u64, shifted])
             }
             TraceEvent::WritePrim {
                 ctx,
                 src,
                 offset,
                 len,
-            } => Operands::new(op::WRITE_PRIM, ctx, 0, src, offset, len),
-            TraceEvent::ReadRef { ctx, src, slot } => {
-                Operands::new(op::READ_REF, ctx, 0, src, slot as u64, 0)
             }
-            TraceEvent::ReadPrim {
+            | TraceEvent::ReadPrim {
                 ctx,
                 src,
                 offset,
                 len,
-            } => Operands::new(op::READ_PRIM, ctx, 0, src, offset, len),
-            TraceEvent::Release { obj } => Operands::new(op::RELEASE, 0, 0, obj, 0, 0),
-            TraceEvent::Safepoint => Operands::new(op::SAFEPOINT, 0, 0, 0, 0, 0),
-            TraceEvent::Collect { kind } => Operands::new(
-                match kind {
-                    CollectKind::Young => op::COLLECT_YOUNG,
-                    CollectKind::Nursery => op::COLLECT_NURSERY,
-                    CollectKind::Observer => op::COLLECT_OBSERVER,
-                    CollectKind::Full => op::COLLECT_FULL,
-                },
-                0,
-                0,
-                0,
-                0,
-                0,
-            ),
-            TraceEvent::Hook {
-                allocated_bytes,
-                total_bytes,
-                elapsed_ms,
-            } => Operands::new(op::HOOK, 0, 0, allocated_bytes, total_bytes, elapsed_ms),
-        })
-    }
-
-    /// The event these operands stand for; each must be within its
-    /// [`TraceEvent`] field's range.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `op` is not a `.kgtrace` opcode.
-    #[inline(always)]
-    fn event(self) -> TraceEvent {
-        let Operands { op, ctx, h, a, b, c } = self;
-        match op {
-            op::SPAWN => TraceEvent::Spawn {
-                ctx,
-                config: MutatorConfig {
-                    tlab_bytes: a as usize,
-                    ssb_capacity: b as usize,
-                },
-            },
-            op::RETIRE => TraceEvent::Retire { ctx },
-            op::ALLOC | op::ALLOC_LARGE => TraceEvent::Alloc {
-                ctx,
-                ref_slots: h,
-                payload_bytes: a as u32,
-                type_id: b as u16,
-                site: c as u32,
-                large: op == op::ALLOC_LARGE,
-            },
-            op::WRITE_REF => TraceEvent::WriteRef {
-                ctx,
-                src: a,
-                slot: b as u32,
-                target: c.checked_sub(1),
-            },
-            op::WRITE_PRIM => TraceEvent::WritePrim {
-                ctx,
-                src: a,
-                offset: b,
-                len: c,
-            },
-            op::READ_REF => TraceEvent::ReadRef {
-                ctx,
-                src: a,
-                slot: b as u32,
-            },
-            op::READ_PRIM => TraceEvent::ReadPrim {
-                ctx,
-                src: a,
-                offset: b,
-                len: c,
-            },
-            op::RELEASE => TraceEvent::Release { obj: a },
-            op::SAFEPOINT => TraceEvent::Safepoint,
-            op::COLLECT_YOUNG => TraceEvent::Collect {
-                kind: CollectKind::Young,
-            },
-            op::COLLECT_NURSERY => TraceEvent::Collect {
-                kind: CollectKind::Nursery,
-            },
-            op::COLLECT_OBSERVER => TraceEvent::Collect {
-                kind: CollectKind::Observer,
-            },
-            op::COLLECT_FULL => TraceEvent::Collect {
-                kind: CollectKind::Full,
-            },
-            op::HOOK => TraceEvent::Hook {
-                allocated_bytes: a,
-                total_bytes: b,
-                elapsed_ms: c,
-            },
-            other => unreachable!("opcode {other} is not a .kgtrace opcode"),
+            } => pack(op, ctx, width::PRIM, [src, offset, len]),
+            TraceEvent::ReadRef { ctx, src, slot } => pack(op, ctx, width::READ_REF, [src, slot as u64]),
+            TraceEvent::Release { obj } => pack(op, 0, width::RELEASE, [obj]),
+            TraceEvent::Safepoint | TraceEvent::Collect { .. } => pack(op, 0, [], []),
+            TraceEvent::Hook { .. } => None,
         }
     }
 }
 
-/// One event in 16 bytes: [`Operands`] whose every value fits.
-#[derive(Clone, Copy, PartialEq, Eq)]
-struct Packed {
-    op: u8,
-    ctx: u8,
-    h: u16,
-    a: u32,
-    b: u32,
-    c: u32,
-}
-
-const _: () = assert!(std::mem::size_of::<Packed>() == 16);
-
-impl Packed {
-    /// The slot for `operands`, or `None` if one is too wide for its field.
-    #[inline(always)]
-    fn new(operands: Operands) -> Option<Packed> {
-        let Operands { op, ctx, h, a, b, c } = operands;
-        if ctx > u8::MAX as u32 || (a | b | c) > u32::MAX as u64 {
-            return None;
-        }
-        Some(Packed {
-            op,
-            ctx: ctx as u8,
-            h,
-            a: a as u32,
-            b: b as u32,
-            c: c as u32,
-        })
-    }
-
-    #[inline(always)]
-    fn operands(self) -> Operands {
-        Operands {
-            op: self.op,
-            ctx: self.ctx as u32,
-            h: self.h,
-            a: self.a as u64,
-            b: self.b as u64,
-            c: self.c as u64,
-        }
-    }
-}
-
-/// An event stream in memory: 16 bytes an event, lossless over everything
+/// An event stream in memory: 8 bytes an event, lossless over everything
 /// the `.kgtrace` grammar allows. See the module docs for the layout, the
 /// wide rule and why `==` compares the sequences.
 #[derive(Clone, Default, PartialEq, Eq)]
 pub struct TraceEvents {
-    slots: Vec<Packed>,
-    /// The events some operand of which does not fit a slot, in stream order.
+    slots: Vec<u64>,
+    /// The events that do not fit a slot, in stream order.
     wide: Vec<TraceEvent>,
     allocations: u64,
 }
 
 impl TraceEvents {
     /// Bytes one event takes in memory (wide events: that, and the event).
-    pub const SLOT_BYTES: usize = std::mem::size_of::<Packed>();
+    pub const SLOT_BYTES: usize = std::mem::size_of::<u64>();
 
     /// An empty stream with room for `events` events.
     pub fn with_capacity(events: usize) -> Self {
@@ -430,89 +384,130 @@ impl TraceEvents {
         self.allocations
     }
 
-    /// Appends `event`.
-    #[inline]
-    pub fn push(&mut self, event: TraceEvent) {
-        match Operands::of(&event) {
-            Some(operands) => self.push_operands(operands),
-            // A reference store (see `Operands::of`), so not an allocation.
-            None => self.push_wide(event),
-        }
+    /// Bytes the events take: a slot each, and each wide event whole beside
+    /// its slot (spare capacity not counted).
+    pub fn memory_bytes(&self) -> usize {
+        self.slots.len() * Self::SLOT_BYTES + self.wide.len() * std::mem::size_of::<TraceEvent>()
     }
 
-    /// Appends the event `operands` stand for, without building it unless it
-    /// is wide (the decoder's path, and `push`'s).
+    /// Appends `event`. The decoder pushes each event as it builds it, so
+    /// `slot`'s match folds away and only that opcode's packing remains.
     #[inline(always)]
-    pub(crate) fn push_operands(&mut self, operands: Operands) {
-        match Packed::new(operands) {
-            Some(slot) => self.slots.push(slot),
-            None => self.push_wide(operands.event()),
+    pub fn push(&mut self, event: TraceEvent) {
+        match event.slot() {
+            Some(word) => self.slots.push(word),
+            None => self.push_wide(event),
         }
-        self.allocations += matches!(operands.op, op::ALLOC | op::ALLOC_LARGE) as u64;
+        self.allocations += event.is_alloc() as u64;
     }
 
     #[cold]
     fn push_wide(&mut self, event: TraceEvent) {
-        let index = self.wide.len() as u64;
+        self.slots
+            .push(op::WIDE as u64 | (self.wide.len() as u64) << FIELDS_SHIFT);
         self.wide.push(event);
-        self.slots.push(Packed {
-            op: op::WIDE,
-            ctx: 0,
-            h: 0,
-            a: index as u32,
-            b: (index >> 32) as u32,
-            c: 0,
-        });
     }
 
-    /// The wide event `slot` (whose opcode is [`op::WIDE`]) indexes.
-    #[inline]
-    fn wide_event(&self, slot: Packed) -> &TraceEvent {
-        &self.wide[(slot.a as u64 | (slot.b as u64) << 32) as usize]
-    }
-
+    /// The event `word`, one of this stream's slots, stands for.
     #[inline(always)]
-    fn unpack(&self, slot: Packed) -> TraceEvent {
-        if slot.op == op::WIDE {
-            return *self.wide_event(slot);
+    fn event(&self, word: u64) -> TraceEvent {
+        let ctx = (word >> CTX_SHIFT) as u32 & (CTX_LIMIT - 1);
+        let op = word as u8 & op::WIDE;
+        match op {
+            op::SPAWN => {
+                let [tlab_bytes, ssb_capacity] = unpack(word, width::SPAWN);
+                TraceEvent::Spawn {
+                    ctx,
+                    config: MutatorConfig {
+                        tlab_bytes: tlab_bytes as usize,
+                        ssb_capacity: ssb_capacity as usize,
+                    },
+                }
+            }
+            op::RETIRE => TraceEvent::Retire { ctx },
+            op::ALLOC | op::ALLOC_LARGE => {
+                let [ref_slots, payload_bytes, type_id, site] = unpack(word, width::ALLOC);
+                TraceEvent::Alloc {
+                    ctx,
+                    ref_slots: ref_slots as u16,
+                    payload_bytes: payload_bytes as u32,
+                    type_id: type_id as u16,
+                    site: site as u32,
+                    large: op == op::ALLOC_LARGE,
+                }
+            }
+            op::WRITE_REF => {
+                let [src, slot, target] = unpack(word, width::WRITE_REF);
+                TraceEvent::WriteRef {
+                    ctx,
+                    src,
+                    slot: slot as u32,
+                    target: target.checked_sub(1),
+                }
+            }
+            op::WRITE_PRIM => {
+                let [src, offset, len] = unpack(word, width::PRIM);
+                TraceEvent::WritePrim {
+                    ctx,
+                    src,
+                    offset,
+                    len,
+                }
+            }
+            op::READ_REF => {
+                let [src, slot] = unpack(word, width::READ_REF);
+                TraceEvent::ReadRef {
+                    ctx,
+                    src,
+                    slot: slot as u32,
+                }
+            }
+            op::READ_PRIM => {
+                let [src, offset, len] = unpack(word, width::PRIM);
+                TraceEvent::ReadPrim {
+                    ctx,
+                    src,
+                    offset,
+                    len,
+                }
+            }
+            op::RELEASE => {
+                let [obj] = unpack(word, width::RELEASE);
+                TraceEvent::Release { obj }
+            }
+            op::SAFEPOINT => TraceEvent::Safepoint,
+            op::COLLECT_YOUNG => TraceEvent::Collect {
+                kind: CollectKind::Young,
+            },
+            op::COLLECT_NURSERY => TraceEvent::Collect {
+                kind: CollectKind::Nursery,
+            },
+            op::COLLECT_OBSERVER => TraceEvent::Collect {
+                kind: CollectKind::Observer,
+            },
+            op::COLLECT_FULL => TraceEvent::Collect {
+                kind: CollectKind::Full,
+            },
+            op::WIDE => self.wide[(word >> FIELDS_SHIFT) as usize],
+            // A hook marker is never packed.
+            other => unreachable!("opcode {other} has no slot"),
         }
-        slot.operands().event()
     }
 
     /// The event at `index`.
     pub fn get(&self, index: usize) -> Option<TraceEvent> {
-        self.slots.get(index).map(|&slot| self.unpack(slot))
+        self.slots.get(index).map(|&word| self.event(word))
     }
 
     /// The last event.
     pub fn last(&self) -> Option<TraceEvent> {
-        self.slots.last().map(|&slot| self.unpack(slot))
+        self.slots.last().map(|&word| self.event(word))
     }
 
     /// The events, in program order.
     #[inline]
     pub fn iter(&self) -> impl ExactSizeIterator<Item = TraceEvent> + '_ {
-        self.slots.iter().map(|&slot| self.unpack(slot))
-    }
-
-    /// The events as the encoder wants them: opcode and operands, no
-    /// [`TraceEvent`] in between.
-    ///
-    /// # Panics
-    ///
-    /// The iterator panics on the one event that has no operands (see
-    /// [`Operands::of`]) and so no encoding.
-    #[inline]
-    pub(crate) fn operands(&self) -> impl Iterator<Item = Operands> + '_ {
-        self.slots.iter().map(|&slot| {
-            if slot.op != op::WIDE {
-                return slot.operands();
-            }
-            let event = self.wide_event(slot);
-            Operands::of(event).unwrap_or_else(|| {
-                panic!("{event:?} cannot be encoded: no allocation index follows its target")
-            })
-        })
+        self.slots.iter().map(|&word| self.event(word))
     }
 }
 

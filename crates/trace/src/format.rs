@@ -56,20 +56,26 @@
 //!
 //! # The format and the events in memory
 //!
-//! A decoded trace holds its events as [`TraceEvents`]: 16-byte packed slots
-//! whose opcode and operand order are this file format's, so the decoder
-//! writes each event's varints straight into a slot and never builds the
-//! 40-byte [`crate::TraceEvent`] unless an operand is too wide for its field (see
-//! [`crate::event`]). That is a property of the in-memory stream alone:
-//! the bytes above are unchanged, [`FORMAT_VERSION`] with them, and a trace
-//! encodes to the same file whether its events were packed or wide.
+//! A decoded trace holds its events as [`TraceEvents`]: one 8-byte slot per
+//! event, whose opcode is this file format's and whose fields are the
+//! event's operands in file order, each at its opcode's width (see
+//! [`crate::event`]). Each arm of the decoder reads its opcode's varints
+//! into a [`crate::TraceEvent`] and pushes it then and there, so the push's
+//! match folds into the arm: what is left is that opcode's packing, a
+//! constant shift per field, and the 40-byte event is only ever stored when
+//! an operand is too wide for its field. That is a property of the
+//! in-memory stream alone: the bytes above are unchanged,
+//! [`FORMAT_VERSION`] with them, and a trace encodes to the same file
+//! whether its events were packed or wide.
 
 use std::fmt;
 use std::fs;
 use std::io;
 use std::path::Path;
 
-use crate::event::{op, Operands, Trace, TraceEvents, TraceHeader};
+use kingsguard::MutatorConfig;
+
+use crate::event::{op, CollectKind, Trace, TraceEvent, TraceEvents, TraceHeader};
 
 /// Leading magic bytes of every `.kgtrace` file.
 pub const FORMAT_MAGIC: &[u8; 8] = b"KGTRACE\0";
@@ -189,41 +195,88 @@ fn push_u64(out: &mut Vec<u8>, value: u64) {
     out.extend_from_slice(&value.to_le_bytes());
 }
 
-/// Appends an event: its opcode, then the operands that opcode has, in
-/// field order.
+/// Appends an event: its opcode, then its operands in file order.
+///
+/// # Panics
+///
+/// Panics on a reference store whose target is `u64::MAX` (see
+/// [`trace_to_bytes`]).
 #[inline]
-fn encode_event(out: &mut Vec<u8>, event: Operands) {
-    let Operands { op, ctx, h, a, b, c } = event;
-    out.push(op);
+fn encode_event(out: &mut Vec<u8>, event: TraceEvent) {
+    out.push(event.opcode());
     let mut put = |operand: u64| push_varint(out, operand);
-    match op {
-        op::SPAWN | op::READ_REF => {
+    match event {
+        TraceEvent::Spawn { ctx, config } => {
             put(ctx as u64);
-            put(a);
-            put(b);
+            put(config.tlab_bytes as u64);
+            put(config.ssb_capacity as u64);
         }
-        op::RETIRE => put(ctx as u64),
-        op::ALLOC | op::ALLOC_LARGE => {
+        TraceEvent::Retire { ctx } => put(ctx as u64),
+        TraceEvent::Alloc {
+            ctx,
+            ref_slots,
+            payload_bytes,
+            type_id,
+            site,
+            large: _,
+        } => {
             put(ctx as u64);
-            put(h as u64);
-            put(a);
-            put(b);
-            put(c);
+            put(ref_slots as u64);
+            put(payload_bytes as u64);
+            put(type_id as u64);
+            put(site as u64);
         }
-        op::WRITE_REF | op::WRITE_PRIM | op::READ_PRIM => {
+        TraceEvent::WriteRef {
+            ctx,
+            src,
+            slot,
+            target,
+        } => {
             put(ctx as u64);
-            put(a);
-            put(b);
-            put(c);
+            put(src);
+            put(slot as u64);
+            // 0 is a null store; allocation indices shift up by one.
+            put(match target {
+                None => 0,
+                Some(target) => target.checked_add(1).unwrap_or_else(|| {
+                    panic!("{event:?} cannot be encoded: no allocation index follows its target")
+                }),
+            });
         }
-        op::RELEASE => put(a),
-        op::HOOK => {
-            put(a);
-            put(b);
-            put(c);
+        TraceEvent::WritePrim {
+            ctx,
+            src,
+            offset,
+            len,
         }
-        // A safepoint or a collect: the opcode is the event.
-        _ => {}
+        | TraceEvent::ReadPrim {
+            ctx,
+            src,
+            offset,
+            len,
+        } => {
+            put(ctx as u64);
+            put(src);
+            put(offset);
+            put(len);
+        }
+        TraceEvent::ReadRef { ctx, src, slot } => {
+            put(ctx as u64);
+            put(src);
+            put(slot as u64);
+        }
+        TraceEvent::Release { obj } => put(obj),
+        TraceEvent::Hook {
+            allocated_bytes,
+            total_bytes,
+            elapsed_ms,
+        } => {
+            put(allocated_bytes);
+            put(total_bytes);
+            put(elapsed_ms);
+        }
+        // The opcode is the event.
+        TraceEvent::Safepoint | TraceEvent::Collect { .. } => {}
     }
 }
 
@@ -280,7 +333,7 @@ pub fn trace_to_bytes(trace: &Trace) -> Vec<u8> {
     push_u64(&mut out, trace.header.site_map_hash);
     push_u64(&mut out, trace.header.fault_seed);
     push_u64(&mut out, trace.events.len() as u64);
-    for event in trace.events.operands() {
+    for event in trace.events.iter() {
         encode_event(&mut out, event);
     }
     let checksum = fnv1a(&out);
@@ -402,69 +455,78 @@ impl<'a> Reader<'a> {
     }
 
     /// Decodes the event at `self.pos`, which must be inside the input, onto
-    /// the end of `events`: straight into a packed slot, one operand per
-    /// field (see [`crate::event`]), unless it is wide.
+    /// the end of `events`. Every arm pushes its own event, so each packs
+    /// with its opcode's constant shifts (see the module docs).
     #[inline(always)]
     fn event(&mut self, events: &mut TraceEvents) -> Result<(), Stop> {
         let opcode = self.bytes[self.pos];
         self.pos += 1;
-        // Operands are read in file order, which is field order.
-        let (ctx, h, a, b, c): (u32, u16, u64, u64, u64) = match opcode {
-            op::SPAWN => (
-                self.narrow("ctx")?,
-                0,
-                self.narrow::<usize>("tlab_bytes")? as u64,
-                self.narrow::<usize>("ssb_capacity")? as u64,
-                0,
-            ),
-            op::RETIRE => (self.narrow("ctx")?, 0, 0, 0, 0),
-            op::ALLOC | op::ALLOC_LARGE => (
-                self.narrow("ctx")?,
-                self.narrow("ref_slots")?,
-                self.narrow::<u32>("payload_bytes")? as u64,
-                self.narrow::<u16>("type_id")? as u64,
-                self.narrow::<u32>("site")? as u64,
-            ),
-            // The stored target is already the packed one: 0 for a null
-            // store, the index plus one otherwise.
-            op::WRITE_REF => (
-                self.narrow("ctx")?,
-                0,
-                self.varint()?,
-                self.narrow::<u32>("slot")? as u64,
-                self.varint()?,
-            ),
-            op::WRITE_PRIM | op::READ_PRIM => (
-                self.narrow("ctx")?,
-                0,
-                self.varint()?,
-                self.varint()?,
-                self.varint()?,
-            ),
-            op::READ_REF => (
-                self.narrow("ctx")?,
-                0,
-                self.varint()?,
-                self.narrow::<u32>("slot")? as u64,
-                0,
-            ),
-            op::RELEASE => (0, 0, self.varint()?, 0, 0),
-            op::SAFEPOINT
-            | op::COLLECT_YOUNG
-            | op::COLLECT_NURSERY
-            | op::COLLECT_OBSERVER
-            | op::COLLECT_FULL => (0, 0, 0, 0, 0),
-            op::HOOK => (0, 0, self.varint()?, self.varint()?, self.varint()?),
+        // Operands are read in file order: each event below lists its
+        // fields in that order, and a struct expression evaluates them so.
+        match opcode {
+            op::SPAWN => events.push(TraceEvent::Spawn {
+                ctx: self.narrow("ctx")?,
+                config: MutatorConfig {
+                    tlab_bytes: self.narrow("tlab_bytes")?,
+                    ssb_capacity: self.narrow("ssb_capacity")?,
+                },
+            }),
+            op::RETIRE => events.push(TraceEvent::Retire {
+                ctx: self.narrow("ctx")?,
+            }),
+            op::ALLOC | op::ALLOC_LARGE => events.push(TraceEvent::Alloc {
+                ctx: self.narrow("ctx")?,
+                ref_slots: self.narrow("ref_slots")?,
+                payload_bytes: self.narrow("payload_bytes")?,
+                type_id: self.narrow("type_id")?,
+                site: self.narrow("site")?,
+                large: opcode == op::ALLOC_LARGE,
+            }),
+            op::WRITE_REF => events.push(TraceEvent::WriteRef {
+                ctx: self.narrow("ctx")?,
+                src: self.varint()?,
+                slot: self.narrow("slot")?,
+                // Stored plus one: 0 is a null store.
+                target: self.varint()?.checked_sub(1),
+            }),
+            op::WRITE_PRIM => events.push(TraceEvent::WritePrim {
+                ctx: self.narrow("ctx")?,
+                src: self.varint()?,
+                offset: self.varint()?,
+                len: self.varint()?,
+            }),
+            op::READ_REF => events.push(TraceEvent::ReadRef {
+                ctx: self.narrow("ctx")?,
+                src: self.varint()?,
+                slot: self.narrow("slot")?,
+            }),
+            op::READ_PRIM => events.push(TraceEvent::ReadPrim {
+                ctx: self.narrow("ctx")?,
+                src: self.varint()?,
+                offset: self.varint()?,
+                len: self.varint()?,
+            }),
+            op::RELEASE => events.push(TraceEvent::Release { obj: self.varint()? }),
+            op::SAFEPOINT => events.push(TraceEvent::Safepoint),
+            op::COLLECT_YOUNG => events.push(TraceEvent::Collect {
+                kind: CollectKind::Young,
+            }),
+            op::COLLECT_NURSERY => events.push(TraceEvent::Collect {
+                kind: CollectKind::Nursery,
+            }),
+            op::COLLECT_OBSERVER => events.push(TraceEvent::Collect {
+                kind: CollectKind::Observer,
+            }),
+            op::COLLECT_FULL => events.push(TraceEvent::Collect {
+                kind: CollectKind::Full,
+            }),
+            op::HOOK => events.push(TraceEvent::Hook {
+                allocated_bytes: self.varint()?,
+                total_bytes: self.varint()?,
+                elapsed_ms: self.varint()?,
+            }),
             other => return Err(Stop::UnknownOpcode(other)),
-        };
-        events.push_operands(Operands {
-            op: opcode,
-            ctx,
-            h,
-            a,
-            b,
-            c,
-        });
+        }
         Ok(())
     }
 }
@@ -554,17 +616,18 @@ pub fn parse_trace(bytes: &[u8]) -> Result<Trace, TraceError> {
     decoded
 }
 
-/// Writes a trace to `path`, creating parent directories as needed. The
-/// write goes through a uniquely named sibling temporary file followed by a
-/// rename, so concurrent recorders of the same deterministic trace (e.g.
-/// two collector runs under `--jobs`, which share a process id but not the
-/// per-write counter) never expose a half-written file.
+/// Writes a trace to `path`, creating parent directories as needed, and
+/// returns the number of bytes written. The write goes through a uniquely
+/// named sibling temporary file followed by a rename, so concurrent
+/// recorders of the same deterministic trace (e.g. two collector runs under
+/// `--jobs`, which share a process id but not the per-write counter) never
+/// expose a half-written file.
 ///
 /// # Panics
 ///
 /// Panics, before anything is written, on a trace [`trace_to_bytes`] cannot
 /// encode.
-pub fn save_trace(trace: &Trace, path: &Path) -> Result<(), TraceError> {
+pub fn save_trace(trace: &Trace, path: &Path) -> Result<u64, TraceError> {
     static WRITE_SERIAL: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
     if let Some(parent) = path.parent() {
         if !parent.as_os_str().is_empty() {
@@ -573,9 +636,10 @@ pub fn save_trace(trace: &Trace, path: &Path) -> Result<(), TraceError> {
     }
     let serial = WRITE_SERIAL.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
     let tmp = path.with_extension(format!("{FILE_EXTENSION}.tmp-{}-{serial}", std::process::id()));
-    fs::write(&tmp, trace_to_bytes(trace))?;
+    let bytes = trace_to_bytes(trace);
+    fs::write(&tmp, &bytes)?;
     fs::rename(&tmp, path)?;
-    Ok(())
+    Ok(bytes.len() as u64)
 }
 
 /// Reads a trace back from `path`.
@@ -685,7 +749,9 @@ mod tests {
         let trace = sample_trace();
         let dir = std::env::temp_dir().join(format!("kgtrace-test-{}", std::process::id()));
         let path = dir.join("sample.kgtrace");
-        save_trace(&trace, &path).unwrap();
+        let written = save_trace(&trace, &path).unwrap();
+        assert_eq!(written, std::fs::metadata(&path).unwrap().len());
+        assert_eq!(written, trace_to_bytes(&trace).len() as u64);
         assert_eq!(load_trace(&path).unwrap(), trace);
         std::fs::remove_dir_all(&dir).ok();
     }

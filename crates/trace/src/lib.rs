@@ -15,10 +15,11 @@
 //!   TLAB/store-buffer configuration, so K-mutator interleavings and SSB
 //!   batching replay faithfully), explicit GC-safepoint markers and
 //!   workload hook markers.
-//! * [`TraceEvents`] holds the stream in memory at 16 bytes an event (a
-//!   packed slot per event, the rare event with an operand too wide for its
-//!   field kept whole beside them); [`TraceEvent`] is the value pushed into
-//!   it and yielded by its iterator.
+//! * [`TraceEvents`] holds the stream in memory at 8 bytes an event (one
+//!   `u64` slot per event, its operands bit-packed at widths chosen per
+//!   opcode; the rare event with an operand too wide for its field, and
+//!   every hook marker, kept whole beside them); [`TraceEvent`] is the
+//!   value pushed into it and yielded by its iterator.
 //! * The [`format`](mod@format) module persists the stream as a versioned, compact,
 //!   checksummed binary `.kgtrace` file with `.kgprof`-style corruption
 //!   handling (unknown versions, truncation and bit flips are rejected

@@ -240,52 +240,130 @@ fn new_and_reference_decoders_agree_on_every_truncation_and_bit_flip() {
     assert_eq!(seen.iter().map(String::as_str).collect::<Vec<_>>(), expected);
 }
 
+/// Every opcode's events with one operand at `value` (where the operand's
+/// type holds it and the file format has bytes for it) and the others 0,
+/// in context `ctx`.
+fn one_operand_events(ctx: u32, value: u64) -> Vec<TraceEvent> {
+    let prim = |src, offset, len| {
+        [
+            TraceEvent::WritePrim {
+                ctx,
+                src,
+                offset,
+                len,
+            },
+            TraceEvent::ReadPrim {
+                ctx,
+                src,
+                offset,
+                len,
+            },
+        ]
+    };
+    let spawn = |tlab_bytes: u64, ssb_capacity: u64| TraceEvent::Spawn {
+        ctx,
+        config: MutatorConfig {
+            tlab_bytes: tlab_bytes as usize,
+            ssb_capacity: ssb_capacity as usize,
+        },
+    };
+    let alloc = |ref_slots: u64, payload_bytes: u64, type_id: u64, site: u64| TraceEvent::Alloc {
+        ctx,
+        ref_slots: ref_slots as u16,
+        payload_bytes: payload_bytes as u32,
+        type_id: type_id as u16,
+        site: site as u32,
+        large: false,
+    };
+    let mut events = vec![
+        TraceEvent::WriteRef {
+            ctx,
+            src: value,
+            slot: 0,
+            target: None,
+        },
+        TraceEvent::ReadRef {
+            ctx,
+            src: value,
+            slot: 0,
+        },
+        TraceEvent::Release { obj: value },
+        TraceEvent::Hook {
+            allocated_bytes: value,
+            total_bytes: 0,
+            elapsed_ms: 0,
+        },
+        spawn(value, 0),
+        spawn(0, value),
+    ];
+    events.extend(prim(value, 0, 0));
+    events.extend(prim(0, value, 0));
+    events.extend(prim(0, 0, value));
+    // `Some(u64::MAX)` has no encoding (targets are stored + 1).
+    if value < u64::MAX {
+        events.push(TraceEvent::WriteRef {
+            ctx,
+            src: 0,
+            slot: 0,
+            target: Some(value),
+        });
+    }
+    if let Ok(slot) = u32::try_from(value) {
+        events.extend([
+            TraceEvent::WriteRef {
+                ctx,
+                src: 0,
+                slot,
+                target: None,
+            },
+            TraceEvent::ReadRef { ctx, src: 0, slot },
+            alloc(0, value, 0, 0),
+            alloc(0, 0, 0, value),
+        ]);
+    }
+    if value <= u16::MAX as u64 {
+        events.extend([alloc(value, 0, 0, 0), alloc(0, 0, value, 0)]);
+    }
+    events
+}
+
 #[test]
-fn events_on_either_side_of_the_packed_field_widths_decode_as_the_reference_does() {
-    // `parse_trace` writes 16-byte slots and keeps an event aside when an
-    // operand is too wide for its field; the reference knows neither. The
-    // samples above already carry 64-bit operands; this one adds the
-    // contexts and targets at the field edges, and re-stamped flips that
-    // push an operand across an edge.
-    let mut events = Vec::new();
-    for ctx in [0, 255, 256, u32::MAX] {
-        for operand in [u32::MAX as u64 - 1, u32::MAX as u64, u32::MAX as u64 + 1] {
-            events.extend([
-                TraceEvent::WriteRef {
-                    ctx,
-                    src: operand,
-                    slot: u32::MAX,
-                    target: Some(operand),
-                },
-                TraceEvent::ReadPrim {
-                    ctx,
-                    src: 1,
-                    offset: operand,
-                    len: operand,
-                },
-                TraceEvent::Spawn {
-                    ctx,
-                    config: MutatorConfig {
-                        tlab_bytes: operand as usize,
-                        ssb_capacity: 64,
-                    },
-                },
-                TraceEvent::Hook {
-                    allocated_bytes: operand,
-                    total_bytes: 8 << 30,
-                    elapsed_ms: 3,
-                },
-            ]);
-        }
+fn events_on_either_side_of_every_power_of_two_decode_as_the_reference_does() {
+    // `parse_trace` packs each opcode's operands at widths of its own and
+    // keeps an event aside when one does not fit; the reference knows
+    // neither. So every operand of every opcode here lies on either side of
+    // a power of two (2^k - 1 and 2^k, k in 0..=64, as far as its type
+    // reaches), one operand at a time, under contexts on either side of 16,
+    // 256 and `u32::MAX`; re-stamped flips in a sample of them push
+    // operands across the seams.
+    let contexts = [0, 15, 16, 255, 256, u32::MAX];
+    let mut edges: Vec<u64> = (0..=64u32)
+        .flat_map(|k| [(1u128 << k) - 1, 1u128 << k])
+        .filter_map(|value| u64::try_from(value).ok())
+        .collect();
+    edges.dedup();
+    let mut events: Vec<TraceEvent> = contexts
+        .iter()
+        .flat_map(|&ctx| one_operand_events(ctx, 0))
+        .collect();
+    for (i, &value) in edges.iter().enumerate() {
+        events.extend(one_operand_events(contexts[i % contexts.len()], value));
     }
     let trace = Trace {
-        events: events.into(),
+        events: events.clone().into(),
         ..sample(0, 13)
     };
     let bytes = trace_to_bytes(&trace);
     assert_eq!(parse_trace(&bytes).unwrap(), trace);
     assert_eq!(agree(&bytes, "intact"), "Ok");
-    for pos in count_at(&trace) + 8..bytes.len() - 8 {
+
+    let sampled = Trace {
+        events: events.into_iter().step_by(13).collect(),
+        ..sample(0, 13)
+    };
+    let bytes = trace_to_bytes(&sampled);
+    assert_eq!(agree(&bytes, "sample intact"), "Ok");
+    for pos in count_at(&sampled) + 8..bytes.len() - 8 {
         for bit in 0..8 {
             let mut damaged = bytes.clone();
             damaged[pos] ^= 1 << bit;

@@ -79,9 +79,10 @@ fn a_forged_event_count_reserves_no_more_than_the_file_could_hold() {
         }) => {}
         other => panic!("expected CountMismatch, got {other:?}"),
     }
-    // 100 one-byte events and nothing else remain: room for 100 16-byte
-    // slots (the bound leaves slack for whatever the test harness allocates
-    // meanwhile), not for the 2^24 events the count used to be clamped to.
+    // 100 one-byte events and nothing else remain: room for 100 8-byte
+    // slots, 800 bytes (the bound leaves slack for whatever the test harness
+    // allocates meanwhile), not for the 2^24 events the count used to be
+    // clamped to.
     let bound = 64 << 10;
     assert!(100 * TraceEvents::SLOT_BYTES < bound);
     assert!(

@@ -1,11 +1,12 @@
 //! Property tests of the heap-event trace subsystem: record → replay is
 //! bit-identical to the live run for every collector, across seeds, mutator
-//! counts K and store-buffer capacities, and the `.kgtrace` format
-//! round-trips byte-exactly through its binary encoding.
+//! counts K and store-buffer capacities, the `.kgtrace` format round-trips
+//! byte-exactly through its binary encoding, and the benchmark traces pack
+//! into 8-byte slots.
 
 use hybrid_mem::{MemoryConfig, MemoryKind};
 use kingsguard::{HeapConfig, KingsguardHeap, MutatorConfig};
-use trace::{Trace, TraceReplayer};
+use trace::{Trace, TraceEvent, TraceEvents, TraceReplayer};
 use workloads::{benchmark, SyntheticMutator, WorkloadConfig};
 
 const SCALE: u64 = 2048;
@@ -171,4 +172,55 @@ fn kgtrace_binary_round_trip_is_byte_exact_for_a_real_workload() {
     let stats = TraceReplayer::new(&parsed).replay(&mut replay_heap).unwrap();
     assert_eq!(stats.allocations, recorded.allocations());
     assert!(replay_heap.finish().gc.bytes_allocated > 0);
+}
+
+#[test]
+fn the_benchmark_traces_pack_every_event_but_the_hook_markers() {
+    // The traces kgbench records, at its two seeds: replay-mutator,
+    // replay-gc and live-sim-k4 (whose K contexts run with real TLABs and
+    // short store buffers).
+    let k_mutator = MutatorConfig {
+        tlab_bytes: 8192,
+        ssb_capacity: 64,
+    };
+    for seed in [7, 11] {
+        for (name, scale, k, memory) in [
+            ("lusearch", 512, 1, MemoryConfig::architecture_independent()),
+            ("pmd", 48, 1, MemoryConfig::architecture_independent()),
+            ("xalan", 192, 4, MemoryConfig::hybrid_scaled(16)),
+        ] {
+            let profile = benchmark(name).unwrap();
+            let budget = profile.scaled_heap_bytes(scale).max(2 << 20) as usize;
+            let mut heap = KingsguardHeap::new(HeapConfig::kg_n().with_heap_budget(budget), memory);
+            let mutator = SyntheticMutator::new(profile, WorkloadConfig { scale, seed });
+            let recorded = if k > 1 {
+                mutator.record_multi_configured(&mut heap, k, k_mutator)
+            } else {
+                mutator.record(&mut heap)
+            };
+            drop(heap.finish());
+
+            let events = &recorded.events;
+            let is_hook = |event: &TraceEvent| matches!(event, TraceEvent::Hook { .. });
+            let hooks = events.iter().filter(is_hook).count();
+            assert!(hooks > 0, "{name}: no hook marker");
+            // Hook markers are always wide; anything else in the side list
+            // is an operand past its field's width.
+            assert_eq!(
+                events.memory_bytes(),
+                events.len() * TraceEvents::SLOT_BYTES + hooks * std::mem::size_of::<TraceEvent>(),
+                "{name}@{scale} K={k} seed {seed}: wide events besides the hook markers: {:?}",
+                events
+                    .iter()
+                    .filter(|event| !is_hook(event))
+                    .filter(|&event| TraceEvents::from(vec![event]).memory_bytes() > TraceEvents::SLOT_BYTES)
+                    .take(8)
+                    .collect::<Vec<_>>()
+            );
+            let bytes = trace::trace_to_bytes(&recorded);
+            let parsed = trace::parse_trace(&bytes).expect("encoded trace parses");
+            assert_eq!(parsed, recorded, "{name}");
+            assert_eq!(trace::trace_to_bytes(&parsed), bytes, "{name}");
+        }
+    }
 }
