@@ -45,9 +45,8 @@
 //! `Some(u64::MAX)` is wide, never a null store), and every hook marker
 //! (three byte and millisecond counts that seldom fit anything narrow,
 //! and a few dozen of them a trace). In the recorded benchmark traces only
-//! the hook markers are wide; the
-//! type is nevertheless lossless over everything the `.kgtrace` grammar
-//! allows.
+//! the hook markers are wide; the type is nevertheless lossless over
+//! everything the `.kgtrace` grammar allows.
 //!
 //! **Equality is canonical.** Whatever fits is packed and unused bits are
 //! zero, so a sequence of events has exactly one representation and the
@@ -251,6 +250,17 @@ fn unpack<const N: usize>(word: u64, widths: [u32; N]) -> [u64; N] {
     })
 }
 
+/// A reference store's target as the file and the slots hold it: 0 for a
+/// null store, the allocation index plus one otherwise, and `None` for the
+/// one index that has no successor, `u64::MAX`.
+#[inline(always)]
+pub(crate) fn stored_target(target: Option<u64>) -> Option<u64> {
+    match target {
+        None => Some(0),
+        Some(target) => target.checked_add(1),
+    }
+}
+
 impl TraceEvent {
     /// The event's `.kgtrace` opcode.
     #[inline(always)]
@@ -317,15 +327,12 @@ impl TraceEvent {
                 src,
                 slot,
                 target,
-            } => {
-                // As on disk: 0 is a null store, indices shift up by one (so
-                // `Some(u64::MAX)` has no shifted form and is wide).
-                let shifted = match target {
-                    None => 0,
-                    Some(target) => target.checked_add(1)?,
-                };
-                pack(op, ctx, width::WRITE_REF, [src, slot as u64, shifted])
-            }
+            } => pack(
+                op,
+                ctx,
+                width::WRITE_REF,
+                [src, slot as u64, stored_target(target)?],
+            ),
             TraceEvent::WritePrim {
                 ctx,
                 src,

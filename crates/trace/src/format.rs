@@ -75,7 +75,7 @@ use std::path::Path;
 
 use kingsguard::MutatorConfig;
 
-use crate::event::{op, CollectKind, Trace, TraceEvent, TraceEvents, TraceHeader};
+use crate::event::{op, stored_target, CollectKind, Trace, TraceEvent, TraceEvents, TraceHeader};
 
 /// Leading magic bytes of every `.kgtrace` file.
 pub const FORMAT_MAGIC: &[u8; 8] = b"KGTRACE\0";
@@ -235,13 +235,9 @@ fn encode_event(out: &mut Vec<u8>, event: TraceEvent) {
             put(ctx as u64);
             put(src);
             put(slot as u64);
-            // 0 is a null store; allocation indices shift up by one.
-            put(match target {
-                None => 0,
-                Some(target) => target.checked_add(1).unwrap_or_else(|| {
-                    panic!("{event:?} cannot be encoded: no allocation index follows its target")
-                }),
-            });
+            put(stored_target(target).unwrap_or_else(|| {
+                panic!("{event:?} cannot be encoded: no allocation index follows its target")
+            }));
         }
         TraceEvent::WritePrim {
             ctx,
