@@ -2,12 +2,12 @@
 //! bit-identical to the live run for every collector, across seeds, mutator
 //! counts K and store-buffer capacities, the `.kgtrace` format round-trips
 //! byte-exactly through its binary encoding, and the benchmark traces pack
-//! into 8-byte slots.
+//! into 8-byte slots and encode to pinned bytes.
 
 use hybrid_mem::{MemoryConfig, MemoryKind};
 use kingsguard::{HeapConfig, KingsguardHeap, MutatorConfig};
 use trace::{Trace, TraceEvent, TraceEvents, TraceReplayer};
-use workloads::{benchmark, SyntheticMutator, WorkloadConfig};
+use workloads::{benchmark, StreamingConfig, StreamingWorkload, SyntheticMutator, WorkloadConfig};
 
 const SCALE: u64 = 2048;
 
@@ -174,6 +174,27 @@ fn kgtrace_binary_round_trip_is_byte_exact_for_a_real_workload() {
     assert!(replay_heap.finish().gc.bytes_allocated > 0);
 }
 
+/// FNV-1a over a byte string: the digest the trace-byte pins below use.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &byte| {
+        (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The encoded length and FNV-1a digest of every trace below, in the order
+/// the test records them: the three kgbench shapes at seed 7, then at seed
+/// 11, then the default streaming workload (K = 4). A change to how a
+/// workload drives a heap must leave these bytes alone.
+const TRACE_BYTE_PINS: [(&str, usize, u64); 7] = [
+    ("lusearch@512 K=1 seed 7", 4_240_136, 0x1380_09ef_e0f6_8073),
+    ("pmd@48 K=1 seed 7", 2_996_721, 0x4383_7cb8_f1f7_279f),
+    ("xalan@192 K=4 seed 7", 2_064_432, 0x5790_2586_0929_5244),
+    ("lusearch@512 K=1 seed 11", 4_270_904, 0x0cfa_45ac_eb10_eb2b),
+    ("pmd@48 K=1 seed 11", 3_007_175, 0x37ed_5161_34cd_4167),
+    ("xalan@192 K=4 seed 11", 2_034_553, 0x7bcf_b352_f550_c38b),
+    ("streaming K=4", 12_681, 0x56b3_bc2c_c92f_745f),
+];
+
 #[test]
 fn the_benchmark_traces_pack_every_event_but_the_hook_markers() {
     // The traces kgbench records, at its two seeds: replay-mutator,
@@ -183,6 +204,7 @@ fn the_benchmark_traces_pack_every_event_but_the_hook_markers() {
         tlab_bytes: 8192,
         ssb_capacity: 64,
     };
+    let mut traces = Vec::new();
     for seed in [7, 11] {
         for (name, scale, k, memory) in [
             ("lusearch", 512, 1, MemoryConfig::architecture_independent()),
@@ -199,28 +221,44 @@ fn the_benchmark_traces_pack_every_event_but_the_hook_markers() {
                 mutator.record(&mut heap)
             };
             drop(heap.finish());
-
-            let events = &recorded.events;
-            let is_hook = |event: &TraceEvent| matches!(event, TraceEvent::Hook { .. });
-            let hooks = events.iter().filter(is_hook).count();
-            assert!(hooks > 0, "{name}: no hook marker");
-            // Hook markers are always wide; anything else in the side list
-            // is an operand past its field's width.
-            assert_eq!(
-                events.memory_bytes(),
-                events.len() * TraceEvents::SLOT_BYTES + hooks * std::mem::size_of::<TraceEvent>(),
-                "{name}@{scale} K={k} seed {seed}: wide events besides the hook markers: {:?}",
-                events
-                    .iter()
-                    .filter(|event| !is_hook(event))
-                    .filter(|&event| TraceEvents::from(vec![event]).memory_bytes() > TraceEvents::SLOT_BYTES)
-                    .take(8)
-                    .collect::<Vec<_>>()
-            );
-            let bytes = trace::trace_to_bytes(&recorded);
-            let parsed = trace::parse_trace(&bytes).expect("encoded trace parses");
-            assert_eq!(parsed, recorded, "{name}");
-            assert_eq!(trace::trace_to_bytes(&parsed), bytes, "{name}");
+            traces.push((format!("{name}@{scale} K={k} seed {seed}"), recorded));
         }
     }
+    let mut streaming_heap = KingsguardHeap::new(
+        HeapConfig::kg_n().with_heap_budget(512 * 1024),
+        MemoryConfig::architecture_independent(),
+    );
+    let (_, streaming) = StreamingWorkload::new(StreamingConfig::default()).record(&mut streaming_heap);
+    drop(streaming_heap.finish());
+    traces.push(("streaming K=4".to_string(), streaming));
+
+    let mut pins = Vec::new();
+    for (name, recorded) in &traces {
+        let events = &recorded.events;
+        let is_hook = |event: &TraceEvent| matches!(event, TraceEvent::Hook { .. });
+        let hooks = events.iter().filter(is_hook).count();
+        assert_eq!(hooks > 0, !name.starts_with("streaming"), "{name}: hook markers");
+        // Hook markers are always wide; anything else in the side list
+        // is an operand past its field's width.
+        assert_eq!(
+            events.memory_bytes(),
+            events.len() * TraceEvents::SLOT_BYTES + hooks * std::mem::size_of::<TraceEvent>(),
+            "{name}: wide events besides the hook markers: {:?}",
+            events
+                .iter()
+                .filter(|event| !is_hook(event))
+                .filter(|&event| TraceEvents::from(vec![event]).memory_bytes() > TraceEvents::SLOT_BYTES)
+                .take(8)
+                .collect::<Vec<_>>()
+        );
+        let bytes = trace::trace_to_bytes(recorded);
+        let parsed = trace::parse_trace(&bytes).expect("encoded trace parses");
+        assert_eq!(&parsed, recorded, "{name}");
+        assert_eq!(trace::trace_to_bytes(&parsed), bytes, "{name}");
+        pins.push((name.as_str(), bytes.len(), fnv1a(&bytes)));
+    }
+    assert_eq!(
+        pins, TRACE_BYTE_PINS,
+        "recorded .kgtrace bytes moved (name, encoded length, FNV-1a digest)"
+    );
 }
