@@ -1,5 +1,4 @@
-//! kgcheck: heap sanitizer, trace lifetime verifier and cross-mutator race
-//! detector.
+//! kgcheck: heap sanitizer and trace lifetime verifier.
 //!
 //! The reproduction's results stand on two invariant families that nothing
 //! else continuously verifies: the *collector* invariants (no live
@@ -7,9 +6,8 @@
 //! remembered before a young trace, every write is seen by the barrier,
 //! counter shards conserve the controller totals, retired pages are empty)
 //! and the *trace* invariants (recorded `.kgtrace` streams are
-//! grammatically well-formed, handle lifetimes are sound and the
-//! K-mutator interleavings are data-race-free up to safepoint
-//! synchronization). This crate checks both, in two modes:
+//! grammatically well-formed and handle lifetimes are sound). This crate
+//! checks both, in two modes:
 //!
 //! * **Mode 1 — runtime sanitizer** ([`SanitizerHandle`]): installs a
 //!   shadow-heap checker on any [`kingsguard::KingsguardHeap`] through the
@@ -20,9 +18,7 @@
 //!   to an unsanitized one.
 //! * **Mode 2 — static trace analyzer** ([`analyze_trace`]): verifies a
 //!   recorded trace without instantiating the memory system — event
-//!   grammar, handle-lifetime analysis and a vector-clock happens-before
-//!   pass that reports conflicting same-object accesses from different
-//!   mutators with no interleaving safepoint edge.
+//!   grammar and handle-lifetime analysis.
 //!
 //! Both modes speak the same typed [`CheckViolation`] vocabulary, with
 //! site/handle/event-index provenance on every variant.
@@ -55,6 +51,6 @@ pub mod analyze;
 pub mod shadow;
 pub mod violation;
 
-pub use analyze::{analyze_trace, render_race_report, Access, RaceReport, TraceAnalysis};
+pub use analyze::{analyze_trace, TraceAnalysis};
 pub use shadow::{check_conservation, check_mutators, CheckReport, SanitizerHandle};
 pub use violation::CheckViolation;

@@ -534,10 +534,12 @@ fn run_trace(parsed: &ParsedArgs, hw: &ExperimentConfig) -> ExitCode {
                 "trace {path}: workload {:?}, {} event(s), {} allocation(s)",
                 recorded.header.workload, analysis.events, analysis.allocations
             );
-            print!("{}", check::render_race_report(&analysis));
-            // Races between recorded contexts are advisory (the recording
-            // heap interleaves contexts deterministically); grammar and
-            // lifetime violations mean the trace itself is unsound.
+            println!(
+                "{} mutator(s), {} sync point(s)",
+                analysis.mutators, analysis.sync_points
+            );
+            // Grammar and lifetime violations mean the trace itself is
+            // unsound.
             if !analysis.violations.is_empty() {
                 for violation in &analysis.violations {
                     println!("{violation}");

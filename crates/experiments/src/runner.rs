@@ -464,7 +464,7 @@ pub(crate) fn drive_workload(
     heap: &mut KingsguardHeap,
     heap_config: &HeapConfig,
     config: &ExperimentConfig,
-    mut hook: impl FnMut(&mut KingsguardHeap, workloads::MutatorProgress),
+    hook: impl FnMut(&mut KingsguardHeap, workloads::MutatorProgress),
 ) {
     let mutator = SyntheticMutator::new(profile.clone(), config.workload());
     let Some(dir) = &config.trace_dir else {
@@ -495,16 +495,7 @@ pub(crate) fn drive_workload(
         Ok(recorded) => {
             let started = std::time::Instant::now();
             let stats = TraceReplayer::new(&recorded)
-                .replay_with(heap, |heap, progress| {
-                    hook(
-                        heap,
-                        workloads::MutatorProgress {
-                            allocated_bytes: progress.allocated_bytes,
-                            total_bytes: progress.total_bytes,
-                            elapsed_ms: progress.elapsed_ms,
-                        },
-                    )
-                })
+                .replay_with(heap, hook)
                 .unwrap_or_else(|err| panic!("replaying {} failed: {err}", path.display()));
             record_replay_telemetry(heap, &recorded, stats, started.elapsed());
         }

@@ -21,7 +21,7 @@ use std::time::Instant;
 use advice::AdviceTable;
 use hybrid_mem::wear::WearSummary;
 use hybrid_mem::{MemoryConfig, MemoryKind, MemorySystem};
-use kingsguard::{HeapConfig, KingsguardHeap};
+use kingsguard::{HeapConfig, KingsguardHeap, MutatorConfig};
 use trace::{Trace, TraceError, TraceReplayer};
 use workloads::{simulated_benchmarks, BenchmarkProfile, SyntheticMutator};
 
@@ -138,7 +138,7 @@ pub fn record_traces(
         let mutator = SyntheticMutator::new(profile.clone(), config.workload());
         let start = Instant::now();
         let recorded = if mutators > 1 {
-            mutator.record_multi(&mut heap, mutators)
+            mutator.record_multi_configured(&mut heap, mutators, MutatorConfig::default())
         } else {
             mutator.record(&mut heap)
         };
@@ -360,7 +360,7 @@ pub fn replay_traces_filtered(
             let mutator = SyntheticMutator::new((*profile).clone(), config.workload());
             // The live run must use the driver the trace was recorded with.
             if mutators > 1 {
-                mutator.run_multi(&mut live_heap, mutators);
+                mutator.run_multi_configured(&mut live_heap, mutators, MutatorConfig::default(), |_, _| {});
             } else {
                 mutator.run(&mut live_heap);
             }

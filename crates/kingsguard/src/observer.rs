@@ -13,14 +13,12 @@
 //! * **checkpoints** ([`CheckPoint`]): the safepoint/GC boundaries at which
 //!   heap invariants must hold, with read access to the heap to verify them.
 //!
-//! The trace recorder (`trace` crate) consumes only the event stream: it
-//! records a workload once so the identical operation stream can be replayed
-//! against any [`crate::policy::PlacementPolicy`] without re-running workload
-//! logic. Because events are emitted at the [`crate::MutatorContext`] layer —
-//! each carries the context that performed it, and spawn events carry the
-//! context's [`MutatorConfig`] — store-buffer batching and K-mutator
-//! interleavings replay faithfully: every SSB drain point falls exactly
-//! where it fell during recording. The shadow-heap sanitizer
+//! Events are emitted at the [`crate::MutatorContext`] layer: each carries
+//! the context that performed it, and spawn events carry the context's
+//! [`MutatorConfig`]. So the stream names every call the `trace` crate's
+//! event vocabulary names, one for one (its hook markers aside, which issue
+//! no heap call), and a test-only converter there checks that applying an
+//! event issues exactly the call it names. The shadow-heap sanitizer
 //! (`kingsguard-check` crate) consumes all three.
 //!
 //! Observers MUST be passive: a checkpoint receives `&KingsguardHeap` and the
@@ -52,8 +50,8 @@ pub enum CollectKind {
 }
 
 /// One mutator-visible heap API event, in the heap's own vocabulary
-/// (handles and context indices). The trace subsystem converts handles to
-/// stable allocation indices when persisting.
+/// (handles and context indices; the `trace` crate's events name objects by
+/// allocation index instead).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum HeapEvent {
     /// A mutator context was spawned at slot `ctx` with `config`.
@@ -140,18 +138,6 @@ pub enum HeapEvent {
     Collect {
         /// Which entry point was called.
         kind: CollectKind,
-    },
-    /// A workload progress marker ([`KingsguardHeap::trace_hook_marker`]):
-    /// the point where a driver's periodic hook ran, so hook-driven baselines
-    /// (e.g. OS Write Partitioning) replay their work at the recorded stream
-    /// positions.
-    HookMark {
-        /// Bytes the workload had allocated at the marker.
-        allocated_bytes: u64,
-        /// Total bytes the workload will allocate.
-        total_bytes: u64,
-        /// The workload's nominal elapsed milliseconds at the marker.
-        elapsed_ms: u64,
     },
 }
 

@@ -121,8 +121,8 @@ pub struct KingsguardHeap {
     /// retired (remapped off PCM) after the sweep, then cleared; empty
     /// outside a full collection and on fault-free runs.
     pub(crate) dying_pages: BTreeMap<u64, Vec<SiteId>>,
-    /// The attached passive observers (see [`crate::observer`]): the trace
-    /// recorder, the shadow-heap sanitizer, or any other [`HeapObserver`].
+    /// The attached passive observers (see [`crate::observer`]): the
+    /// shadow-heap sanitizer, or any other [`HeapObserver`].
     pub(crate) observers: Observers,
     /// Test-only corruption switch: when set, draining a store buffer drops
     /// its events instead of replaying the barrier bookkeeping. See
@@ -286,18 +286,6 @@ impl KingsguardHeap {
     /// already detached.
     pub fn detach_observer(&mut self, id: ObserverId) -> Option<Box<dyn HeapObserver>> {
         self.observers.detach(id)
-    }
-
-    /// Emits a workload progress marker to the observers (a no-op without
-    /// one). Workload drivers call this immediately before invoking their
-    /// periodic hook so hook-driven baselines replay at the recorded stream
-    /// positions.
-    pub fn trace_hook_marker(&mut self, allocated_bytes: u64, total_bytes: u64, elapsed_ms: u64) {
-        self.emit_event(|| HeapEvent::HookMark {
-            allocated_bytes,
-            total_bytes,
-            elapsed_ms,
-        });
     }
 
     /// The placement policy governing this heap.

@@ -56,8 +56,10 @@
 //! None of this reaches the file: a trace encodes to the same
 //! [`crate::format`] bytes whether its events are packed or wide.
 
+use advice::SiteId;
 pub use kingsguard::CollectKind;
-use kingsguard::MutatorConfig;
+use kingsguard::{KingsguardHeap, MutatorConfig};
+use kingsguard_heap::ObjectShape;
 
 /// One persisted heap event. See [`crate::format`] for the encoding.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -146,8 +148,9 @@ pub enum TraceEvent {
         /// Which collection entry point was called.
         kind: CollectKind,
     },
-    /// A workload progress marker (the point where the driver's periodic
-    /// hook ran).
+    /// A workload progress marker: the point where the workload's periodic
+    /// hook runs. It issues no heap call; whoever applies the stream hands
+    /// it to the hook (see [`crate::ReplayProgress`]).
     Hook {
         /// Bytes the workload had allocated at the marker.
         allocated_bytes: u64,
@@ -159,6 +162,19 @@ pub enum TraceEvent {
 }
 
 impl TraceEvent {
+    /// The allocation, on context `ctx`, of an object of `shape` born at
+    /// `site`.
+    pub fn alloc(ctx: u32, shape: ObjectShape, type_id: u16, site: SiteId) -> Self {
+        TraceEvent::Alloc {
+            ctx,
+            ref_slots: shape.ref_slots,
+            payload_bytes: shape.payload_bytes,
+            type_id,
+            site: site.0,
+            large: shape.is_large(),
+        }
+    }
+
     /// Returns `true` for allocation events (the events that consume an
     /// allocation index).
     pub fn is_alloc(&self) -> bool {
@@ -565,6 +581,43 @@ pub struct TraceHeader {
     /// schedule for record-vs-replay bit-identity to hold, so this keys the
     /// staleness check exactly like the site-map hash.
     pub fault_seed: u64,
+}
+
+/// Workload provenance stamped into a trace header (the heap-derived
+/// fields — nursery and observer sizes, fault seed — are read from the
+/// recording heap itself).
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct TraceMeta {
+    /// Workload name.
+    pub workload: String,
+    /// RNG seed of the workload.
+    pub seed: u64,
+    /// Workload scale divisor.
+    pub scale: u64,
+    /// Hash of the workload's allocation-site map (`0` = unhashed).
+    pub site_map_hash: u64,
+}
+
+impl TraceMeta {
+    /// The header of a trace of this workload recorded on `heap`.
+    pub fn header(self, heap: &KingsguardHeap) -> TraceHeader {
+        TraceHeader {
+            workload: self.workload,
+            seed: self.seed,
+            scale: self.scale,
+            nursery_bytes: heap.config().nursery_bytes as u64,
+            observer_bytes: heap.config().observer_bytes as u64,
+            site_map_hash: self.site_map_hash,
+            // Provenance of the fault environment comes from the heap
+            // itself: a replay must install the same schedule (or none) for
+            // the recorded stream to reproduce bit-identically.
+            fault_seed: heap
+                .memory()
+                .fault_model()
+                .map(|model| model.config().seed)
+                .unwrap_or(0),
+        }
+    }
 }
 
 /// A fully decoded trace: header plus the event stream.

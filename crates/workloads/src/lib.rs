@@ -19,6 +19,14 @@
 //! Because the collectors only observe *where* objects live, *how long* they
 //! live and *where writes land*, reproducing those distributions reproduces
 //! the collector behaviour the paper reports, at a configurable scale.
+//!
+//! Each workload is an **event source**: it emits its program as
+//! [`trace::TraceEvent`]s, naming objects by allocation index, and needs
+//! nothing from the heap but its nursery and observer sizes. Running it
+//! feeds the events to a [`trace::Applier`], the one place an event becomes
+//! a heap call; recording it keeps the events as well; replaying a stored
+//! trace feeds the same applier. So live, recorded and replayed runs issue
+//! the same heap calls.
 
 #![forbid(unsafe_code)]
 

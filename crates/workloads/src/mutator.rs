@@ -1,118 +1,31 @@
 //! The synthetic mutator.
 //!
-//! Drives a [`KingsguardHeap`] so that the observable behaviour — allocation
-//! volume, object lifetimes, the nursery/mature split of writes, the
-//! concentration of mature writes in a few hot objects, large-object
-//! behaviour and inter-object pointer writes — matches the per-benchmark
-//! profile. Every allocation is tagged with a synthetic allocation site
-//! (see [`crate::sites`]) whose behaviour class is decided *before* the
-//! object is born, so per-site profiles collected from one run are
-//! predictive in the next. Everything is deterministic given the seed.
+//! A workload is an event source. [`SyntheticMutator::generate`] emits the
+//! benchmark's program as [`TraceEvent`]s — allocations named by allocation
+//! index, reference and primitive writes, releases and hook markers — so
+//! that the observable behaviour (allocation volume, object lifetimes, the
+//! nursery/mature split of writes, the concentration of mature writes in a
+//! few hot objects, large-object behaviour and inter-object pointer writes)
+//! matches the per-benchmark profile. It needs nothing from the heap but
+//! its nursery and observer sizes. Running the workload feeds the events to
+//! a [`trace::Applier`]; recording it keeps them as well; so live,
+//! recorded and replayed runs issue the same heap calls. Every allocation
+//! is tagged with a synthetic allocation site (see [`crate::sites`]) whose
+//! behaviour class is decided *before* the object is born, so per-site
+//! profiles collected from one run are predictive in the next. Everything
+//! is deterministic given the seed.
 
 use std::collections::VecDeque;
 
 use sim_rng::{Rng, SeedableRng, SmallRng};
 
 use advice::SiteId;
-use kingsguard::{KingsguardHeap, MutatorConfig, MutatorContext};
-use kingsguard_heap::{Handle, ObjectShape};
+use kingsguard::{KingsguardHeap, MutatorConfig};
+use kingsguard_heap::ObjectShape;
+use trace::{Applier, Trace, TraceEvent, TraceEvents};
 
 use crate::profile::BenchmarkProfile;
 use crate::sites::{site_for, AllocClass};
-
-/// How a workload issues heap operations: through the legacy single-mutator
-/// methods, or round-robin over K spawned [`MutatorContext`]s. The op
-/// *stream* is identical either way (one RNG, one global order), so the two
-/// drivers — and every K — produce identical aggregate statistics; only the
-/// context performing each operation changes.
-pub(crate) trait HeapOps {
-    /// Called once per workload iteration; multi-mutator drivers advance
-    /// their round-robin turn here.
-    fn next_turn(&mut self);
-    /// Site-tagged allocation.
-    fn alloc_site(
-        &mut self,
-        heap: &mut KingsguardHeap,
-        shape: ObjectShape,
-        type_id: u16,
-        site: SiteId,
-    ) -> Handle;
-    /// Reference store through the barrier.
-    fn write_ref(&mut self, heap: &mut KingsguardHeap, src: Handle, slot: usize, target: Option<Handle>);
-    /// Primitive store through the barrier.
-    fn write_prim(&mut self, heap: &mut KingsguardHeap, src: Handle, offset: usize, len: usize);
-}
-
-/// The legacy driver: every op goes through the heap's default context.
-pub(crate) struct LegacyOps;
-
-impl HeapOps for LegacyOps {
-    fn next_turn(&mut self) {}
-
-    fn alloc_site(
-        &mut self,
-        heap: &mut KingsguardHeap,
-        shape: ObjectShape,
-        type_id: u16,
-        site: SiteId,
-    ) -> Handle {
-        heap.alloc_site(shape, type_id, site)
-    }
-
-    fn write_ref(&mut self, heap: &mut KingsguardHeap, src: Handle, slot: usize, target: Option<Handle>) {
-        heap.write_ref(src, slot, target)
-    }
-
-    fn write_prim(&mut self, heap: &mut KingsguardHeap, src: Handle, offset: usize, len: usize) {
-        heap.write_prim(src, offset, len)
-    }
-}
-
-/// The multi-mutator driver: K interleaved mutator threads sharing one
-/// object graph, each iteration of the workload executing on the next
-/// context in round-robin order (a deterministic schedule, as the simulator
-/// requires).
-pub(crate) struct RoundRobinOps {
-    contexts: Vec<MutatorContext>,
-    turn: usize,
-}
-
-impl RoundRobinOps {
-    pub(crate) fn spawn(heap: &mut KingsguardHeap, mutators: usize, config: MutatorConfig) -> Self {
-        let contexts = (0..mutators.max(1))
-            .map(|_| heap.spawn_mutator_with(config))
-            .collect();
-        RoundRobinOps { contexts, turn: 0 }
-    }
-
-    fn current(&mut self) -> &mut MutatorContext {
-        &mut self.contexts[self.turn]
-    }
-}
-
-impl HeapOps for RoundRobinOps {
-    fn next_turn(&mut self) {
-        self.turn = (self.turn + 1) % self.contexts.len();
-    }
-
-    fn alloc_site(
-        &mut self,
-        heap: &mut KingsguardHeap,
-        shape: ObjectShape,
-        type_id: u16,
-        site: SiteId,
-    ) -> Handle {
-        self.current().alloc_site(heap, shape, type_id, site)
-    }
-
-    fn write_ref(&mut self, heap: &mut KingsguardHeap, src: Handle, slot: usize, target: Option<Handle>) {
-        self.current().write_ref(heap, src, slot, target)
-    }
-
-    fn write_prim(&mut self, heap: &mut KingsguardHeap, src: Handle, offset: usize, len: usize) {
-        self.current().write_prim(heap, src, offset, len)
-    }
-}
 
 /// Configuration of a synthetic workload run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -133,25 +46,16 @@ impl Default for WorkloadConfig {
     }
 }
 
-/// Progress snapshot passed to the per-chunk hook of
-/// [`SyntheticMutator::run_with`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct MutatorProgress {
-    /// Bytes allocated so far.
-    pub allocated_bytes: u64,
-    /// Total bytes the run will allocate.
-    pub total_bytes: u64,
-    /// Estimated elapsed wall-clock time of the (scaled) run in
-    /// milliseconds, assuming a nominal 4-core allocation rate of 256 MB/s.
-    /// Time-based policies such as the OS Write Partitioning baseline use
-    /// this clock, so they observe the same per-page write intensity per OS
-    /// quantum as a full-size run would.
-    pub elapsed_ms: u64,
-}
+/// Progress snapshot passed to the periodic hook of
+/// [`SyntheticMutator::run_with`]: the `trace` crate's progress type, which
+/// replays hand to the same hooks. Its `elapsed_ms` assumes
+/// [`SyntheticMutator::BYTES_PER_MS`].
+pub use trace::ReplayProgress as MutatorProgress;
 
 #[derive(Clone, Copy, Debug)]
 struct LiveObject {
-    handle: Handle,
+    /// Allocation index.
+    index: u64,
     expires_at: u64,
     ref_slots: u16,
     payload_bytes: u32,
@@ -183,7 +87,7 @@ impl SyntheticMutator {
         &self.profile
     }
 
-    /// Runs the workload to completion on `heap`.
+    /// Runs the workload to completion on a **fresh** `heap`.
     pub fn run(&self, heap: &mut KingsguardHeap) {
         self.run_with(heap, |_, _| {});
     }
@@ -196,37 +100,20 @@ impl SyntheticMutator {
         heap: &mut KingsguardHeap,
         hook: impl FnMut(&mut KingsguardHeap, MutatorProgress),
     ) {
-        self.drive(heap, &mut LegacyOps, hook);
+        self.drive(heap, 0, MutatorConfig::default(), hook, None);
     }
 
     /// Runs the workload over `mutators` interleaved mutator threads, each
-    /// with its own [`MutatorContext`] (TLAB, store buffer, counter shard),
-    /// sharing one object graph. The op stream and its global order are
-    /// identical to [`SyntheticMutator::run`], so in architecture-
-    /// independent mode (no cache hierarchy) aggregate statistics are
-    /// exactly independent of `mutators` — the conformance suite pins this.
-    /// With caches enabled, batching reorders the modeled metadata accesses
-    /// and totals may differ slightly between mutator counts.
-    pub fn run_multi(&self, heap: &mut KingsguardHeap, mutators: usize) {
-        self.run_multi_with(heap, mutators, |_, _| {});
-    }
-
-    /// [`SyntheticMutator::run_multi`] with the progress hook of
-    /// [`SyntheticMutator::run_with`]. Contexts use the default
-    /// [`MutatorConfig`] (exact TLABs, batched store buffers).
-    pub fn run_multi_with(
-        &self,
-        heap: &mut KingsguardHeap,
-        mutators: usize,
-        hook: impl FnMut(&mut KingsguardHeap, MutatorProgress),
-    ) {
-        self.run_multi_configured(heap, mutators, MutatorConfig::default(), hook);
-    }
-
-    /// [`SyntheticMutator::run_multi_with`] with an explicit per-context
-    /// configuration (store-buffer capacity, TLAB chunking). A final
-    /// safepoint drains every context before returning; the returned vector
-    /// holds each context's attributed device traffic, in spawn order.
+    /// with its own [`kingsguard::MutatorContext`] configured by `config`
+    /// (TLAB, store buffer, counter shard), sharing one object graph. The op
+    /// stream and its global order are identical to
+    /// [`SyntheticMutator::run`], so in architecture-independent mode (no
+    /// cache hierarchy) aggregate statistics are exactly independent of
+    /// `mutators` — the conformance suite pins this. With caches enabled,
+    /// batching reorders the modeled metadata accesses and totals may
+    /// differ slightly between mutator counts. A final safepoint drains
+    /// every context before returning; the returned vector holds each
+    /// context's attributed device traffic, in spawn order.
     pub fn run_multi_configured(
         &self,
         heap: &mut KingsguardHeap,
@@ -234,81 +121,111 @@ impl SyntheticMutator {
         config: MutatorConfig,
         hook: impl FnMut(&mut KingsguardHeap, MutatorProgress),
     ) -> Vec<hybrid_mem::ShardStats> {
-        let mut ops = RoundRobinOps::spawn(heap, mutators, config);
-        self.drive(heap, &mut ops, hook);
-        heap.safepoint();
-        ops.contexts.iter().map(|ctx| ctx.traffic(heap)).collect()
+        self.drive(heap, mutators.max(1), config, hook, None)
+            .traffic(heap)
     }
 
-    /// The [`trace::TraceMeta`] describing this workload (stamped into
-    /// recorded trace headers).
-    fn trace_meta(&self) -> trace::TraceMeta {
-        trace::TraceMeta {
-            workload: self.profile.name.to_string(),
-            seed: self.config.seed,
-            scale: self.config.scale,
-            site_map_hash: crate::sites::site_map_hash(),
-        }
-    }
-
-    /// Runs the workload to completion on a **fresh** `heap` while recording
-    /// the complete heap-event stream, and returns the recorded
-    /// [`trace::Trace`]. Recording is passive: the run's statistics are
-    /// bit-identical to [`SyntheticMutator::run`]. Replaying the trace with
-    /// [`trace::TraceReplayer`] against any collector reproduces that
-    /// collector's live run exactly while skipping workload generation —
-    /// record one trace per benchmark, replay it under every policy.
-    pub fn record(&self, heap: &mut KingsguardHeap) -> trace::Trace {
+    /// Runs the workload on a **fresh** `heap` like
+    /// [`SyntheticMutator::run`] and returns its events as a
+    /// [`trace::Trace`]. Replaying the trace with [`trace::TraceReplayer`]
+    /// against any collector reproduces that collector's live run exactly
+    /// while skipping workload generation — record one trace per benchmark,
+    /// replay it under every policy.
+    pub fn record(&self, heap: &mut KingsguardHeap) -> Trace {
         self.record_with(heap, |_, _| {})
     }
 
     /// [`SyntheticMutator::record`] with the progress hook of
-    /// [`SyntheticMutator::run_with`]. Hook positions are recorded as
-    /// markers, so hook-driven baselines (e.g. OS Write Partitioning)
-    /// replay their mid-run work at the same stream positions.
+    /// [`SyntheticMutator::run_with`]. The trace keeps the hook markers, so
+    /// hook-driven baselines (e.g. OS Write Partitioning) replay their
+    /// mid-run work at the same stream positions.
     pub fn record_with(
         &self,
         heap: &mut KingsguardHeap,
         hook: impl FnMut(&mut KingsguardHeap, MutatorProgress),
-    ) -> trace::Trace {
-        let recorder = trace::TraceRecorder::install(heap, self.trace_meta());
-        self.run_with(heap, hook);
-        recorder.finish(heap)
+    ) -> Trace {
+        self.record_driven(heap, 0, MutatorConfig::default(), hook)
     }
 
-    /// Records a [`SyntheticMutator::run_multi`] execution: the trace
-    /// captures the K-context round-robin interleaving and each context's
-    /// configuration, so the replay reproduces TLAB carving and store-buffer
-    /// drain points exactly.
-    pub fn record_multi(&self, heap: &mut KingsguardHeap, mutators: usize) -> trace::Trace {
-        self.record_multi_configured(heap, mutators, MutatorConfig::default())
-    }
-
-    /// [`SyntheticMutator::record_multi`] with an explicit per-context
-    /// configuration (store-buffer capacity, TLAB chunking).
+    /// Records a [`SyntheticMutator::run_multi_configured`] execution: the
+    /// trace captures the K-context round-robin interleaving and each
+    /// context's configuration, so the replay reproduces TLAB carving and
+    /// store-buffer drain points exactly.
     pub fn record_multi_configured(
         &self,
         heap: &mut KingsguardHeap,
         mutators: usize,
         config: MutatorConfig,
-    ) -> trace::Trace {
-        let recorder = trace::TraceRecorder::install(heap, self.trace_meta());
-        self.run_multi_configured(heap, mutators, config, |_, _| {});
-        recorder.finish(heap)
+    ) -> Trace {
+        self.record_driven(heap, mutators.max(1), config, |_, _| {})
     }
 
+    fn record_driven(
+        &self,
+        heap: &mut KingsguardHeap,
+        contexts: usize,
+        config: MutatorConfig,
+        hook: impl FnMut(&mut KingsguardHeap, MutatorProgress),
+    ) -> Trace {
+        let header = trace::TraceMeta {
+            workload: self.profile.name.to_string(),
+            seed: self.config.seed,
+            scale: self.config.scale,
+            site_map_hash: crate::sites::site_map_hash(),
+        }
+        .header(heap);
+        let mut events = TraceEvents::default();
+        self.drive(heap, contexts, config, hook, Some(&mut events));
+        Trace { header, events }
+    }
+
+    /// Feeds the generated stream to `heap` through an applier (and to
+    /// `recording`, when given).
     fn drive(
         &self,
         heap: &mut KingsguardHeap,
-        ops: &mut impl HeapOps,
-        mut hook: impl FnMut(&mut KingsguardHeap, MutatorProgress),
+        contexts: usize,
+        config: MutatorConfig,
+        hook: impl FnMut(&mut KingsguardHeap, MutatorProgress),
+        recording: Option<&mut TraceEvents>,
+    ) -> Applier {
+        let nursery_bytes = heap.config().nursery_bytes as u64;
+        let observer_bytes = heap.config().observer_bytes as u64;
+        let mut applier = Applier::new(heap).unwrap_or_else(|err| panic!("{err}"));
+        self.generate(
+            nursery_bytes,
+            observer_bytes,
+            contexts,
+            config,
+            applier.sink(heap, hook, recording),
+        );
+        applier
+    }
+
+    /// Emits the workload's event stream into `emit`, sizing object
+    /// lifetimes from the heap's nursery and observer sizes.
+    ///
+    /// With `contexts == 0` every event runs on the heap's built-in context
+    /// 0. Otherwise the stream first spawns contexts `1..=contexts` with
+    /// `config`, runs each iteration of the workload on the next one in
+    /// round-robin order (a deterministic schedule, as the simulator
+    /// requires) and ends with a safepoint. The op stream is the same
+    /// either way (one RNG, one global order); only the context performing
+    /// each operation changes.
+    pub fn generate(
+        &self,
+        nursery_bytes: u64,
+        observer_bytes: u64,
+        contexts: usize,
+        config: MutatorConfig,
+        emit: impl FnMut(TraceEvent),
     ) {
+        let mut out = Emitter::new(contexts, config, emit);
+
         let mut rng = SmallRng::seed_from_u64(self.config.seed ^ hash_name(self.profile.name));
         let profile = &self.profile;
         let total = profile.scaled_allocation_bytes(self.config.scale).max(1 << 20);
         let target_live = (profile.scaled_heap_bytes(self.config.scale) / 2).max(256 * 1024);
-        let nursery_bytes = heap.config().nursery_bytes as u64;
-        let observer_bytes = heap.config().observer_bytes as u64;
 
         // Short-lived objects (die within a fraction of a nursery) and
         // medium-lived objects (die while under observation) are kept in
@@ -329,6 +246,9 @@ impl SyntheticMutator {
         let mut next_hook = hook_interval;
 
         while allocated < total {
+            // Each iteration runs on the next mutator thread.
+            let ctx = out.next_ctx();
+
             // ---- behaviour class, then site, then allocation -------------
             // The lifetime/hotness class is rolled *before* the allocation
             // (a real allocation site fixes the behaviour of the objects
@@ -357,7 +277,7 @@ impl SyntheticMutator {
             };
             let size = shape.size() as u64;
             let type_id = if want_large { 200 } else { rng.gen_range(1u16..100) };
-            let handle = ops.alloc_site(heap, shape, type_id, site);
+            let index = out.alloc(ctx, shape, type_id, site);
             allocated += size;
             if want_large {
                 large_allocated += size;
@@ -365,7 +285,7 @@ impl SyntheticMutator {
 
             // ---- queue by lifetime class ---------------------------------
             let object = LiveObject {
-                handle,
+                index,
                 expires_at: 0,
                 ref_slots: shape.ref_slots,
                 payload_bytes: shape.payload_bytes,
@@ -407,24 +327,24 @@ impl SyntheticMutator {
             // the profile's nursery survival rate.
             if shape.ref_slots > 0 && rng.gen_bool(0.2) {
                 if let Some(donor) = young.back() {
-                    ops.write_ref(
-                        heap,
-                        handle,
-                        rng.gen_range(0..shape.ref_slots) as usize,
-                        Some(donor.handle),
-                    );
+                    (out.emit)(TraceEvent::WriteRef {
+                        ctx,
+                        src: index,
+                        slot: u32::from(rng.gen_range(0..shape.ref_slots)),
+                        target: Some(donor.index),
+                    });
                 }
             }
             if !mature.is_empty() && rng.gen_bool(0.1) {
                 let idx = rng.gen_range(0..mature.len());
                 let parent = mature[idx];
                 if parent.ref_slots > 0 {
-                    ops.write_ref(
-                        heap,
-                        parent.handle,
-                        rng.gen_range(0..parent.ref_slots) as usize,
-                        Some(handle),
-                    );
+                    (out.emit)(TraceEvent::WriteRef {
+                        ctx,
+                        src: parent.index,
+                        slot: u32::from(rng.gen_range(0..parent.ref_slots)),
+                        target: Some(index),
+                    });
                 }
             }
 
@@ -432,7 +352,7 @@ impl SyntheticMutator {
             for queue in [&mut young, &mut observed] {
                 while let Some(front) = queue.front() {
                     if front.expires_at <= allocated {
-                        heap.release(front.handle);
+                        (out.emit)(TraceEvent::Release { obj: front.index });
                         queue.pop_front();
                     } else {
                         break;
@@ -441,71 +361,54 @@ impl SyntheticMutator {
             }
             // ---- bound the long-lived working set ------------------------
             while mature_live_bytes > target_live {
-                if let Some(victim) = mature.pop_front() {
-                    mature_live_bytes -=
-                        ObjectShape::new(victim.ref_slots, victim.payload_bytes).size() as u64;
-                    heap.release(victim.handle);
-                } else if let Some(victim) = large_mature.pop() {
-                    mature_live_bytes -=
-                        ObjectShape::new(victim.ref_slots, victim.payload_bytes).size() as u64;
-                    heap.release(victim.handle);
-                } else {
+                let Some(victim) = mature.pop_front().or_else(|| large_mature.pop()) else {
                     break;
-                }
+                };
+                mature_live_bytes -= ObjectShape::new(victim.ref_slots, victim.payload_bytes).size() as u64;
+                (out.emit)(TraceEvent::Release { obj: victim.index });
             }
 
             // ---- issue application writes --------------------------------
             write_debt += size as f64 / 1024.0 * profile.writes_per_kb;
             while write_debt >= 1.0 {
                 write_debt -= 1.0;
-                self.issue_write(heap, ops, &mut rng, &young, &mature, &hot, &large_mature);
+                if let Some(write) = self.pick_write(&mut rng, ctx, &young, &mature, &hot, &large_mature) {
+                    (out.emit)(write);
+                }
             }
 
             // ---- periodic hook -------------------------------------------
             if allocated >= next_hook {
                 next_hook += hook_interval;
-                // A recording observer gets a marker *before* the hook body runs,
-                // so replays re-run hook-driven work (e.g. the OS Write
-                // Partitioning baseline) at exactly this stream position.
-                heap.trace_hook_marker(allocated, total, allocated / Self::BYTES_PER_MS);
-                hook(
-                    heap,
-                    MutatorProgress {
-                        allocated_bytes: allocated,
-                        total_bytes: total,
-                        elapsed_ms: allocated / Self::BYTES_PER_MS,
-                    },
-                );
+                (out.emit)(Self::hook(allocated, total));
             }
-
-            // ---- hand the next iteration to the next mutator thread ------
-            ops.next_turn();
         }
 
         // Final hook so observers see the end-of-run state.
-        heap.trace_hook_marker(allocated, total, allocated / Self::BYTES_PER_MS);
-        hook(
-            heap,
-            MutatorProgress {
-                allocated_bytes: allocated,
-                total_bytes: total,
-                elapsed_ms: allocated / Self::BYTES_PER_MS,
-            },
-        );
+        (out.emit)(Self::hook(allocated, total));
+        out.finish();
     }
 
-    /// Issues one application write according to the profile's demographics.
-    #[allow(clippy::too_many_arguments)]
-    fn issue_write(
+    /// The hook marker after `allocated` of `total` bytes.
+    fn hook(allocated: u64, total: u64) -> TraceEvent {
+        TraceEvent::Hook {
+            allocated_bytes: allocated,
+            total_bytes: total,
+            elapsed_ms: allocated / Self::BYTES_PER_MS,
+        }
+    }
+
+    /// Picks one application write according to the profile's
+    /// demographics (`None` when there is nothing to write).
+    fn pick_write(
         &self,
-        heap: &mut KingsguardHeap,
-        ops: &mut impl HeapOps,
         rng: &mut SmallRng,
+        ctx: u32,
         young: &VecDeque<LiveObject>,
         mature: &VecDeque<LiveObject>,
         hot: &[LiveObject],
         large_mature: &[LiveObject],
-    ) {
+    ) -> Option<TraceEvent> {
         let profile = &self.profile;
         let to_nursery = rng.gen_bool(profile.nursery_write_fraction) && !young.is_empty();
         let target = if to_nursery {
@@ -523,28 +426,86 @@ impl SyntheticMutator {
         } else if !young.is_empty() {
             young[rng.gen_range(0..young.len())]
         } else {
-            return;
+            return None;
         };
 
         let primitive = rng.gen_bool(profile.primitive_write_fraction) || target.ref_slots == 0;
         if primitive {
             if target.payload_bytes == 0 {
-                return;
+                return None;
             }
-            let offset = rng.gen_range(0..target.payload_bytes as usize);
-            ops.write_prim(heap, target.handle, offset, 8);
+            return Some(TraceEvent::WritePrim {
+                ctx,
+                src: target.index,
+                offset: rng.gen_range(0..target.payload_bytes as usize) as u64,
+                len: 8,
+            });
+        }
+        // Reference writes install pointers to the most recent young
+        // object or to another mature object.
+        let slot = u32::from(rng.gen_range(0..target.ref_slots));
+        let pointee = if rng.gen_bool(0.3) {
+            young.back().map(|o| o.index)
+        } else if !mature.is_empty() {
+            Some(mature[rng.gen_range(0..mature.len())].index)
         } else {
-            // Reference writes install pointers to the most recent young
-            // object or to another mature object.
-            let slot = rng.gen_range(0..target.ref_slots) as usize;
-            let pointee = if rng.gen_bool(0.3) {
-                young.back().map(|o| o.handle)
-            } else if !mature.is_empty() {
-                Some(mature[rng.gen_range(0..mature.len())].handle)
-            } else {
-                hot.first().map(|o| o.handle)
-            };
-            ops.write_ref(heap, target.handle, slot, pointee);
+            hot.first().map(|o| o.index)
+        };
+        Some(TraceEvent::WriteRef {
+            ctx,
+            src: target.index,
+            slot,
+            target: pointee,
+        })
+    }
+}
+
+/// A generator's sink, with its round-robin context schedule and its
+/// allocation counter.
+pub(crate) struct Emitter<F> {
+    pub(crate) emit: F,
+    contexts: u32,
+    turn: u32,
+    next_alloc: u64,
+}
+
+impl<F: FnMut(TraceEvent)> Emitter<F> {
+    /// Spawns contexts `1..=contexts`, each with `config`; with none, every
+    /// event runs on the heap's built-in context 0.
+    pub(crate) fn new(contexts: usize, config: MutatorConfig, mut emit: F) -> Self {
+        let contexts = contexts as u32;
+        for ctx in 1..=contexts {
+            emit(TraceEvent::Spawn { ctx, config });
+        }
+        Emitter {
+            emit,
+            contexts,
+            turn: 0,
+            next_alloc: 0,
+        }
+    }
+
+    /// The context whose turn it is; the turn passes on.
+    pub(crate) fn next_ctx(&mut self) -> u32 {
+        if self.contexts == 0 {
+            return 0;
+        }
+        self.turn += 1;
+        (self.turn - 1) % self.contexts + 1
+    }
+
+    /// Emits an allocation on `ctx` and returns its allocation index.
+    pub(crate) fn alloc(&mut self, ctx: u32, shape: ObjectShape, type_id: u16, site: SiteId) -> u64 {
+        (self.emit)(TraceEvent::alloc(ctx, shape, type_id, site));
+        self.next_alloc += 1;
+        self.next_alloc - 1
+    }
+
+    /// Ends a stream that spawned contexts with the safepoint that drains
+    /// them.
+    pub(crate) fn finish(mut self) {
+        if self.contexts > 0 {
+            (self.emit)(TraceEvent::Safepoint);
         }
     }
 }
@@ -749,7 +710,12 @@ mod tests {
             let heap_config = HeapConfig::kg_n()
                 .with_heap_budget(profile.scaled_heap_bytes(config.scale).max(2 << 20) as usize);
             let mut heap = KingsguardHeap::new(heap_config, MemoryConfig::architecture_independent());
-            SyntheticMutator::new(profile.clone(), config).run_multi(&mut heap, mutators);
+            SyntheticMutator::new(profile.clone(), config).run_multi_configured(
+                &mut heap,
+                mutators,
+                MutatorConfig::default(),
+                |_, _| {},
+            );
             let report = heap.finish();
             assert_eq!(
                 fingerprint(&report),
@@ -786,7 +752,7 @@ mod tests {
         let mutator = SyntheticMutator::new(profile.clone(), config);
         let mut record_heap = heap_for(HeapConfig::kg_n());
         let trace = mutator.record(&mut record_heap);
-        let recorded_live = fingerprint(&record_heap.finish());
+        drop(record_heap.finish());
         assert!(trace.allocations() > 0);
         // Replay under every collector; each must match its own live run.
         for heap_config in [
@@ -809,10 +775,6 @@ mod tests {
                 heap_config.label()
             );
         }
-        // And the recording run itself was unperturbed by the recorder.
-        let mut unobserved = heap_for(HeapConfig::kg_n());
-        mutator.run(&mut unobserved);
-        assert_eq!(fingerprint(&unobserved.finish()), recorded_live);
     }
 
     #[test]
@@ -821,7 +783,12 @@ mod tests {
         let heap_config =
             HeapConfig::kg_n().with_heap_budget(profile.scaled_heap_bytes(2048).max(2 << 20) as usize);
         let mut heap = KingsguardHeap::new(heap_config, MemoryConfig::architecture_independent());
-        SyntheticMutator::new(profile, quick_config()).run_multi(&mut heap, 3);
+        SyntheticMutator::new(profile, quick_config()).run_multi_configured(
+            &mut heap,
+            3,
+            MutatorConfig::default(),
+            |_, _| {},
+        );
         assert_eq!(heap.mutator_count(), 4, "default context plus three spawned");
         let report = heap.finish();
         assert!(report.gc.bytes_allocated > 0);

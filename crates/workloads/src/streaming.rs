@@ -12,19 +12,22 @@
 //! the demotion signal (KG-D) or keep pretenuring cold data into DRAM; a
 //! static profile replay cannot adapt at all.
 //!
-//! The workload drives the heap through the multi-mutator API: K interleaved
-//! mutator threads (round-robin, deterministic) each own a
-//! [`kingsguard::MutatorContext`], exactly like
-//! [`crate::SyntheticMutator::run_multi`], so aggregate statistics are
-//! independent of K.
+//! Like [`crate::SyntheticMutator`], the workload is an event source
+//! ([`StreamingWorkload::generate`]) that a run feeds to a
+//! [`trace::Applier`]. It runs on K interleaved mutator contexts
+//! (round-robin, deterministic), so aggregate statistics are independent of
+//! K.
 
 use std::collections::VecDeque;
 
 use sim_rng::{Rng, SeedableRng, SmallRng};
 
 use advice::SiteId;
-use kingsguard::{KingsguardHeap, MutatorConfig, MutatorContext};
-use kingsguard_heap::{Handle, ObjectShape};
+use kingsguard::{KingsguardHeap, MutatorConfig};
+use kingsguard_heap::ObjectShape;
+use trace::{Applier, Trace, TraceEvent, TraceEvents};
+
+use crate::mutator::Emitter;
 
 /// Allocation sites of the group-A vertex windows (write-hot in the first
 /// half of the run, cold afterwards). Disjoint from the synthetic DaCapo
@@ -95,43 +98,51 @@ impl StreamingWorkload {
         &self.config
     }
 
-    /// Runs the workload to completion on a **fresh** `heap` while
-    /// recording the heap-event stream (mutator spawns, interleaved
-    /// allocations/writes, the per-interval `collect_young` safepoints) as
-    /// a replayable [`trace::Trace`]. Recording is passive: the outcome and
-    /// statistics are bit-identical to [`StreamingWorkload::run`].
-    pub fn record(&self, heap: &mut KingsguardHeap) -> (StreamingOutcome, trace::Trace) {
-        let recorder = trace::TraceRecorder::install(
-            heap,
-            trace::TraceMeta {
-                workload: "streaming".to_string(),
-                seed: self.config.seed,
-                scale: self.config.scale,
-                site_map_hash: crate::sites::site_map_hash(),
-            },
-        );
-        let outcome = self.run(heap);
-        (outcome, recorder.finish(heap))
+    /// Runs the workload to completion on a **fresh** `heap` and reports
+    /// what happened.
+    pub fn run(&self, heap: &mut KingsguardHeap) -> StreamingOutcome {
+        self.drive(heap, None)
     }
 
-    /// Runs the workload to completion on `heap` and reports what happened.
-    pub fn run(&self, heap: &mut KingsguardHeap) -> StreamingOutcome {
+    /// Runs the workload like [`StreamingWorkload::run`] and also returns
+    /// its events (mutator spawns, interleaved allocations and writes, the
+    /// per-interval `collect_young` safepoints) as a replayable
+    /// [`trace::Trace`].
+    pub fn record(&self, heap: &mut KingsguardHeap) -> (StreamingOutcome, Trace) {
+        let header = trace::TraceMeta {
+            workload: "streaming".to_string(),
+            seed: self.config.seed,
+            scale: self.config.scale,
+            site_map_hash: crate::sites::site_map_hash(),
+        }
+        .header(heap);
+        let mut events = TraceEvents::default();
+        let outcome = self.drive(heap, Some(&mut events));
+        (outcome, Trace { header, events })
+    }
+
+    fn drive(&self, heap: &mut KingsguardHeap, recording: Option<&mut TraceEvents>) -> StreamingOutcome {
+        let mut applier = Applier::new(heap).unwrap_or_else(|err| panic!("{err}"));
+        self.generate(applier.sink(heap, |_, _| {}, recording))
+    }
+
+    /// Emits the workload's event stream into `emit` and reports what it
+    /// did. The stream spawns contexts `1..=K`, hands each operation to the
+    /// next context in turn, and ends with a safepoint.
+    pub fn generate(&self, emit: impl FnMut(TraceEvent)) -> StreamingOutcome {
         let config = self.config;
         let mut rng = SmallRng::seed_from_u64(config.seed);
-        let mutators = config.mutators.max(1);
-        let mut contexts: Vec<MutatorContext> = (0..mutators)
-            .map(|_| heap.spawn_mutator_with(MutatorConfig::default()))
-            .collect();
+        let mut out = Emitter::new(config.mutators.max(1), MutatorConfig::default(), emit);
         let mut outcome = StreamingOutcome::default();
-        let mut turn = 0usize;
 
         let intervals = (config.intervals_per_phase.max(1) * 2) as u64;
         let total = (256u64 << 20) / config.scale.max(1);
         let interval_bytes = (total / intervals).max(64 * 1024);
 
         // Vertex windows of the last few intervals stay resident (GraphChi's
-        // sliding shards); older windows are released and die.
-        let mut windows: VecDeque<(Vec<Handle>, Vec<Handle>)> = VecDeque::new();
+        // sliding shards); older windows are released and die. Objects are
+        // named by allocation index.
+        let mut windows: VecDeque<(Vec<u64>, Vec<u64>)> = VecDeque::new();
 
         for interval in 0..intervals {
             let in_phase_b = interval >= config.intervals_per_phase as u64;
@@ -139,31 +150,35 @@ impl StreamingWorkload {
             // Load this interval's vertex windows — both subgraph groups
             // allocate every interval; only the write behaviour flips at the
             // phase change.
-            let window_a = self.alloc_window(heap, &mut contexts, &mut turn, &mut rng, GROUP_A_SITES);
-            let window_b = self.alloc_window(heap, &mut contexts, &mut turn, &mut rng, GROUP_B_SITES);
+            let window_a = self.alloc_window(&mut out, &mut rng, GROUP_A_SITES);
+            let window_b = self.alloc_window(&mut out, &mut rng, GROUP_B_SITES);
             outcome.allocated_bytes +=
                 ((window_a.len() + window_b.len()) * Self::vertex_shape().size()) as u64;
             windows.push_back((window_a, window_b));
             if windows.len() > 3 {
                 let (old_a, old_b) = windows.pop_front().expect("length checked");
-                for handle in old_a.into_iter().chain(old_b) {
-                    heap.release(handle);
+                for obj in old_a.into_iter().chain(old_b) {
+                    (out.emit)(TraceEvent::Release { obj });
                 }
             }
 
             // Stream one shard of edges.
             let mut streamed = 0u64;
-            let mut shard_buffers: Vec<Handle> = Vec::new();
+            let mut shard_buffers: Vec<u64> = Vec::new();
             while streamed < interval_bytes {
-                let ctx = &mut contexts[turn % mutators];
-                turn += 1;
+                let ctx = out.next_ctx();
                 let shape = ObjectShape::primitive(rng.gen_range(9 * 1024..24 * 1024));
                 streamed += shape.size() as u64;
                 outcome.allocated_bytes += shape.size() as u64;
                 let site = SiteId(rng.gen_range(EDGE_BUFFER_SITES.start..EDGE_BUFFER_SITES.end));
-                let buffer = ctx.alloc_site(heap, shape, 210, site);
+                let buffer = out.alloc(ctx, shape, 210, site);
                 // The edge buffer is filled once (streamed in).
-                ctx.write_prim(heap, buffer, 0, 64);
+                (out.emit)(TraceEvent::WritePrim {
+                    ctx,
+                    src: buffer,
+                    offset: 0,
+                    len: 64,
+                });
                 shard_buffers.push(buffer);
 
                 // Each loaded buffer drives a burst of vertex updates on the
@@ -180,25 +195,31 @@ impl StreamingWorkload {
                         }
                     };
                     let target = window[rng.gen_range(0..window.len())];
-                    let ctx = &mut contexts[turn % mutators];
-                    turn += 1;
-                    ctx.write_prim(heap, target, rng.gen_range(0..192), 8);
+                    let ctx = out.next_ctx();
+                    (out.emit)(TraceEvent::WritePrim {
+                        ctx,
+                        src: target,
+                        offset: rng.gen_range(0..192usize) as u64,
+                        len: 8,
+                    });
                     *counter += 1;
                 }
             }
-            for buffer in shard_buffers {
-                heap.release(buffer);
+            for obj in shard_buffers {
+                (out.emit)(TraceEvent::Release { obj });
             }
 
             // Interval boundary: the shard swap is a natural safepoint (the
             // young collection also escalates to a full collection when the
             // accumulated shard garbage exceeds the budget, which is where
             // stale advised-DRAM vertex objects demote).
-            heap.collect_young();
+            (out.emit)(TraceEvent::Collect {
+                kind: trace::CollectKind::Young,
+            });
             outcome.intervals += 1;
         }
 
-        heap.safepoint();
+        out.finish();
         outcome
     }
 
@@ -207,20 +228,17 @@ impl StreamingWorkload {
         ObjectShape::new(0, 192)
     }
 
-    fn alloc_window(
+    fn alloc_window<F: FnMut(TraceEvent)>(
         &self,
-        heap: &mut KingsguardHeap,
-        contexts: &mut [MutatorContext],
-        turn: &mut usize,
+        out: &mut Emitter<F>,
         rng: &mut SmallRng,
         sites: std::ops::Range<u32>,
-    ) -> Vec<Handle> {
+    ) -> Vec<u64> {
         (0..self.config.window_objects.max(1))
             .map(|_| {
-                let ctx = &mut contexts[*turn % contexts.len()];
-                *turn += 1;
+                let ctx = out.next_ctx();
                 let site = SiteId(rng.gen_range(sites.start..sites.end));
-                ctx.alloc_site(heap, Self::vertex_shape(), 220, site)
+                out.alloc(ctx, Self::vertex_shape(), 220, site)
             })
             .collect()
     }

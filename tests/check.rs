@@ -11,14 +11,14 @@
 //!    a sanitized run is bit-identical to an unsanitized one for all six
 //!    collectors (the shadow checker reads through the passive inspection
 //!    API only).
-//! 3. **Determinism of the static analyzer** — `repro trace check` over a
-//!    freshly recorded multi-mutator trace produces a bit-identical race
-//!    report across analyses *and* across re-recordings.
+//! 3. **Determinism of the static analyzer** — a freshly recorded
+//!    multi-mutator trace is grammatically sound, re-records to the same
+//!    bytes and analyzes to the same counts.
 
 use experiments::runner::{run_benchmark, ExperimentConfig};
 use experiments::traces::{config_for, REPLAY_COLLECTORS};
 use hybrid_mem::MemoryKind;
-use kingsguard::{HeapConfig, HeapEvent, HeapObserver, KingsguardHeap};
+use kingsguard::{HeapConfig, HeapEvent, HeapObserver, KingsguardHeap, MutatorConfig};
 use workloads::{
     benchmark, StreamingConfig, StreamingWorkload, SyntheticMutator, WorkloadConfig, ALL_FIXTURES,
 };
@@ -175,15 +175,14 @@ fn recorder_sanitizer_and_a_custom_observer_share_one_heap() {
     };
 
     let mut plain = fresh_heap();
-    mutator.run_multi(&mut plain, 2);
+    mutator.run_multi_configured(&mut plain, 2, MutatorConfig::default(), |_, _| {});
     let plain = plain.finish();
 
     let mut heap = fresh_heap();
     let log = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
     let log_id = heap.attach_observer(Box::new(EventLog(log.clone())));
     let sanitizer = check::SanitizerHandle::install(&mut heap);
-    // Attaches the recorder, runs the workload, detaches the recorder.
-    let recorded = mutator.record_multi(&mut heap, 2);
+    let recorded = mutator.record_multi_configured(&mut heap, 2, MutatorConfig::default());
     let returned = heap.detach_observer(log_id).expect("the log is still attached");
     assert!(
         format!("{returned:?}").starts_with("EventLog"),
@@ -207,12 +206,18 @@ fn recorder_sanitizer_and_a_custom_observer_share_one_heap() {
         log.len() as u64,
         "sanitizer and log saw different streams"
     );
+    // Hook markers issue no heap call; every other recorded event is one.
+    let calls: Vec<T> = recorded
+        .events
+        .iter()
+        .filter(|event| !matches!(event, T::Hook { .. }))
+        .collect();
     assert_eq!(
-        recorded.events.len(),
+        calls.len(),
         log.len(),
-        "recorder and log saw different streams"
+        "the trace and the log saw different streams"
     );
-    for (index, (seen, persisted)) in log.iter().zip(recorded.events.iter()).enumerate() {
+    for (index, (seen, persisted)) in log.iter().zip(calls).enumerate() {
         let same = matches!(
             (seen, persisted),
             (HeapEvent::MutatorSpawned { .. }, T::Spawn { .. })
@@ -225,11 +230,10 @@ fn recorder_sanitizer_and_a_custom_observer_share_one_heap() {
                 | (HeapEvent::Release { .. }, T::Release { .. })
                 | (HeapEvent::Safepoint, T::Safepoint)
                 | (HeapEvent::Collect { .. }, T::Collect { .. })
-                | (HeapEvent::HookMark { .. }, T::Hook { .. })
         );
         assert!(
             same,
-            "event {index}: log saw {seen:?}, recorder persisted {persisted:?}"
+            "event {index}: log saw {seen:?}, the trace holds {persisted:?}"
         );
     }
 
@@ -263,7 +267,7 @@ fn record_streaming_trace(mutators: usize) -> trace::Trace {
 }
 
 #[test]
-fn multi_mutator_race_report_is_deterministic() {
+fn streaming_trace_analysis_is_deterministic() {
     let recorded = record_streaming_trace(4);
     let first = check::analyze_trace(&recorded);
     assert!(
@@ -273,31 +277,28 @@ fn multi_mutator_race_report_is_deterministic() {
     );
     assert_eq!(first.mutators, 5, "4 spawned contexts + the base context");
     assert!(first.sync_points > 0);
+    let counts = |analysis: &check::TraceAnalysis| {
+        (
+            analysis.events,
+            analysis.allocations,
+            analysis.mutators,
+            analysis.sync_points,
+        )
+    };
 
-    // Same trace, second analysis: bit-identical report.
-    let second = check::analyze_trace(&recorded);
-    assert_eq!(
-        check::render_race_report(&first),
-        check::render_race_report(&second)
-    );
-
-    // Fresh heap, fresh recording: still bit-identical.
+    // Fresh heap, fresh recording: the same bytes, the same analysis.
     let rerecorded = record_streaming_trace(4);
-    let third = check::analyze_trace(&rerecorded);
     assert_eq!(
-        check::render_race_report(&first),
-        check::render_race_report(&third)
+        trace::trace_to_bytes(&recorded),
+        trace::trace_to_bytes(&rerecorded)
     );
+    assert_eq!(counts(&check::analyze_trace(&rerecorded)), counts(&first));
 }
 
 #[test]
-fn single_mutator_trace_has_no_races() {
-    let recorded = record_streaming_trace(1);
-    let analysis = check::analyze_trace(&recorded);
+fn single_mutator_streaming_trace_is_grammatically_sound() {
+    let analysis = check::analyze_trace(&record_streaming_trace(1));
     assert!(analysis.violations.is_empty(), "{:#?}", analysis.violations);
-    assert!(
-        analysis.races.is_empty(),
-        "a single-context stream cannot race: {:#?}",
-        analysis.races
-    );
+    assert_eq!(analysis.mutators, 2, "1 spawned context + the base context");
+    assert!(analysis.sync_points > 0);
 }

@@ -359,7 +359,12 @@ fn mutator_context_runs_reproduce_the_goldens_for_any_mutator_count() {
                     seed: ExperimentConfig::quick().seed,
                 },
             );
-            workload.run_multi(&mut heap, mutators);
+            workload.run_multi_configured(
+                &mut heap,
+                mutators,
+                kingsguard::MutatorConfig::default(),
+                |_, _| {},
+            );
             let report = heap.finish();
             assert_eq!(
                 (

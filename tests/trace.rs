@@ -154,7 +154,7 @@ fn kgtrace_binary_round_trip_is_byte_exact_for_a_real_workload() {
         },
     );
     let mut heap = heap_for(&HeapConfig::kg_n(), budget);
-    let recorded = mutator.record_multi(&mut heap, 2);
+    let recorded = mutator.record_multi_configured(&mut heap, 2, MutatorConfig::default());
     drop(heap.finish());
     let bytes = trace::trace_to_bytes(&recorded);
     let parsed = trace::parse_trace(&bytes).expect("encoded trace parses");
