@@ -15,11 +15,11 @@
 //!
 //! Events are emitted at the [`crate::MutatorContext`] layer: each carries
 //! the context that performed it, and spawn events carry the context's
-//! [`MutatorConfig`]. So the stream names every call the `trace` crate's
-//! event vocabulary names, one for one (its hook markers aside, which issue
-//! no heap call), and a test-only converter there checks that applying an
-//! event issues exactly the call it names. The shadow-heap sanitizer
-//! (`kingsguard-check` crate) consumes all three.
+//! [`MutatorConfig`]. The `trace` crate's events are the same calls with
+//! objects named by allocation index (plus hook markers, which issue no
+//! call); a test there converts this stream back and checks that the two
+//! agree. The shadow-heap sanitizer (`kingsguard-check` crate) consumes all
+//! three.
 //!
 //! Observers MUST be passive: a checkpoint receives `&KingsguardHeap` and the
 //! heap's inspection API ([`KingsguardHeap::peek_u64`] and friends) never
