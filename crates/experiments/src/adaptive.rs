@@ -11,13 +11,13 @@
 //! KG-W.
 
 use std::path::Path;
+use std::sync::Arc;
 
 use kingsguard::HeapConfig;
-use workloads::simulated_benchmarks;
 
 use crate::advise::run_profiled_waves;
 use crate::report::{self, ratio, TextTable};
-use crate::runner::{ExperimentConfig, ExperimentResult};
+use crate::runner::{ExperimentConfig, ExperimentResult, Matrix};
 
 /// The collector labels of the comparison, in column order.
 pub const ADAPTIVE_CONFIGS: [&str; 5] = ["PCM-only", "KG-N", "KG-W", "KG-A", "KG-D"];
@@ -31,7 +31,7 @@ pub struct AdaptiveRow {
     /// Benchmark name.
     pub benchmark: String,
     /// Results in [`ADAPTIVE_CONFIGS`] order.
-    pub results: Vec<ExperimentResult>,
+    pub results: Vec<Arc<ExperimentResult>>,
 }
 
 impl AdaptiveRow {
@@ -130,19 +130,19 @@ impl AdaptiveResults {
 }
 
 /// Runs the adaptive comparison over `benchmarks`, fanning the
-/// (benchmark, collector) pairs over up to `jobs` worker threads. KG-D runs
-/// with no prior profile; the KG-A reference column reuses the
+/// (benchmark, collector) pairs over `config.jobs` worker threads. KG-D
+/// runs with no prior profile; the KG-A reference column reuses the
 /// profile→advise pipeline (its profiling runs double as the KG-N rows),
 /// writing the `.kgprof` files into `dir`.
 pub fn adaptive_comparison(
+    matrix: &Matrix,
     config: &ExperimentConfig,
     benchmarks: &[&str],
     dir: &Path,
-    jobs: usize,
 ) -> AdaptiveResults {
     // KG-D joins wave 2 with no advice seed: unlike KG-A, it learns its
     // table during the run.
-    let waves = run_profiled_waves(config, benchmarks, dir, jobs, |table| {
+    let waves = run_profiled_waves(matrix, config, benchmarks, dir, |table| {
         vec![
             HeapConfig::gen_immix_pcm(),
             HeapConfig::kg_w(),
@@ -153,7 +153,7 @@ pub fn adaptive_comparison(
     let rows = waves
         .into_iter()
         .map(|wave| {
-            let [pcm_only, kg_w, kg_a, kg_d]: [ExperimentResult; 4] =
+            let [pcm_only, kg_w, kg_a, kg_d]: [Arc<ExperimentResult>; 4] =
                 wave.results.try_into().expect("four wave-2 runs per benchmark");
             AdaptiveRow {
                 benchmark: wave.profile.name.to_string(),
@@ -162,11 +162,6 @@ pub fn adaptive_comparison(
         })
         .collect();
     AdaptiveResults { rows }
-}
-
-/// The default benchmark set: the paper's simulation subset.
-pub fn default_benchmarks() -> Vec<&'static str> {
-    simulated_benchmarks().iter().map(|p| p.name).collect()
 }
 
 #[cfg(test)]
@@ -184,7 +179,7 @@ mod tests {
     fn kg_d_adapts_online_and_stays_at_or_below_kg_n() {
         let dir = temp_dir("one");
         let config = ExperimentConfig::quick();
-        let results = adaptive_comparison(&config, &["lusearch"], &dir, 1);
+        let results = adaptive_comparison(&Matrix::default(), &config, &["lusearch"], &dir);
         assert_eq!(results.rows.len(), 1);
         let row = &results.rows[0];
         assert_eq!(row.results.len(), ADAPTIVE_CONFIGS.len());
@@ -210,8 +205,9 @@ mod tests {
     fn threaded_adaptive_comparison_matches_sequential() {
         let dir = temp_dir("jobs");
         let config = ExperimentConfig::quick();
-        let sequential = adaptive_comparison(&config, &["lu.fix", "pmd"], &dir, 1);
-        let threaded = adaptive_comparison(&config, &["lu.fix", "pmd"], &dir, 2);
+        let sequential = adaptive_comparison(&Matrix::default(), &config, &["lu.fix", "pmd"], &dir);
+        let threaded =
+            adaptive_comparison(&Matrix::default(), &config.with_jobs(2), &["lu.fix", "pmd"], &dir);
         for (a, b) in sequential.rows.iter().zip(&threaded.rows) {
             assert_eq!(a.benchmark, b.benchmark);
             for (ra, rb) in a.results.iter().zip(&b.results) {

@@ -11,16 +11,17 @@
 //! rationing without paying KG-W's observer-space tax.
 
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 use advice::{
     load_profile, save_profile, site_map_drift, AdviceTable, ClassifyParams, SiteMapDrift, SiteProfile,
 };
 use hybrid_mem::lifetime::Endurance;
 use kingsguard::HeapConfig;
-use workloads::{benchmark, simulated_benchmarks, site_map_hash, BenchmarkProfile};
+use workloads::{benchmark, site_map_hash, BenchmarkProfile};
 
 use crate::report::{self, ratio, TextTable};
-use crate::runner::{run_benchmark, run_benchmark_profiled, run_jobs, ExperimentConfig, ExperimentResult};
+use crate::runner::{run_jobs, Cell, ExperimentConfig, ExperimentResult, Matrix};
 
 /// The collector labels of the comparison, in column order.
 pub const ADVISE_CONFIGS: [&str; 4] = ["PCM-only", "KG-N", "KG-W", "KG-A"];
@@ -41,7 +42,7 @@ pub struct AdviseRow {
     /// Sites advised into DRAM.
     pub hot_sites: usize,
     /// Results in [`ADVISE_CONFIGS`] order.
-    pub results: Vec<ExperimentResult>,
+    pub results: Vec<Arc<ExperimentResult>>,
 }
 
 impl AdviseRow {
@@ -134,45 +135,37 @@ impl AdviseResults {
     }
 }
 
-/// Phase 1: runs `profile` under KG-N with site profiling and persists the
-/// profile to `<dir>/<benchmark>.kgprof`. Returns the profiling-run result
-/// (reusable as the KG-N row — profiling adds no simulated traffic) and the
-/// path written.
+/// Phase 1: runs `profile` under KG-N and persists the run's site profile
+/// to `<dir>/<benchmark>.kgprof`. Returns the run's result (the KG-N row:
+/// profiling adds no simulated traffic) and the path written.
 pub fn profile_workload(
+    matrix: &Matrix,
     profile: &BenchmarkProfile,
     config: &ExperimentConfig,
     dir: &Path,
-) -> (ExperimentResult, PathBuf) {
-    let mut result = run_benchmark_profiled(profile, HeapConfig::kg_n(), config);
+) -> (Arc<ExperimentResult>, PathBuf) {
+    let result = matrix.run(Cell::new(profile, HeapConfig::kg_n(), config));
+    let mut site_profile = result
+        .site_profile
+        .clone()
+        .expect("every run gathers a site profile");
     // Stamp the workload's site-map hash so a later program version whose
     // site map drifted can detect the mismatch (and still apply the advice
     // per-site instead of rejecting the file).
-    if let Some(site_profile) = result.site_profile.as_mut() {
-        site_profile.site_map_hash = Some(site_map_hash());
-    }
-    let site_profile = result
-        .site_profile
-        .as_ref()
-        .expect("profiled run returns a site profile");
+    site_profile.site_map_hash = Some(site_map_hash());
     let path = dir.join(format!("{}.kgprof", profile.name));
-    save_profile(site_profile, &path)
+    save_profile(&site_profile, &path)
         .unwrap_or_else(|err| panic!("cannot persist site profile to {}: {err}", path.display()));
     (result, path)
 }
 
 /// Phase 2: reloads the persisted profile and derives the KG-A advice table
-/// from it with profile-adaptive classification thresholds.
-pub fn advice_from_disk(path: &Path) -> (SiteProfile, AdviceTable) {
-    let (site_profile, table, _) = advice_from_disk_checked(path, site_map_hash());
-    (site_profile, table)
-}
-
-/// Like [`advice_from_disk`], but checks the profile's recorded site-map
-/// hash against `current_hash`. A drifted profile is *not* rejected: the
-/// drift is logged and the advice is applied per-site — sites whose ids
-/// survived the drift keep their advice, everything else falls back to the
-/// table's default (PCM) placement, where the rescue fallback corrects
-/// mispredictions.
+/// from it with profile-adaptive classification thresholds, checking the
+/// profile's recorded site-map hash against `current_hash`. A drifted
+/// profile is *not* rejected: the drift is logged and the advice is applied
+/// per-site — sites whose ids survived the drift keep their advice,
+/// everything else falls back to the table's default (PCM) placement,
+/// where the rescue fallback corrects mispredictions.
 pub fn advice_from_disk_checked(path: &Path, current_hash: u64) -> (SiteProfile, AdviceTable, SiteMapDrift) {
     let site_profile = load_profile(path)
         .unwrap_or_else(|err| panic!("cannot reload site profile {}: {err}", path.display()));
@@ -190,112 +183,83 @@ pub fn advice_from_disk_checked(path: &Path, current_hash: u64) -> (SiteProfile,
     (site_profile, table, drift)
 }
 
-/// Runs the full pipeline for one benchmark: profile, persist, reload,
-/// advise, and compare against the PCM-only and KG-W baselines.
-pub fn profile_then_advise_one(
-    profile: &BenchmarkProfile,
-    config: &ExperimentConfig,
-    dir: &Path,
-) -> AdviseRow {
-    let (kg_n, path) = profile_workload(profile, config, dir);
-    let (site_profile, table, _) = advice_from_disk_checked(&path, site_map_hash());
-    let kg_a = run_benchmark(profile, HeapConfig::kg_a(table.clone()), config);
-    let pcm_only = run_benchmark(profile, HeapConfig::gen_immix_pcm(), config);
-    let kg_w = run_benchmark(profile, HeapConfig::kg_w(), config);
-    AdviseRow {
-        benchmark: profile.name.to_string(),
-        profile_path: path,
-        sites: site_profile.sites.len(),
-        hot_sites: table.hot_sites(),
-        results: vec![pcm_only, kg_n, kg_w, kg_a],
-    }
-}
-
-/// Runs the pipeline over `benchmarks` (names resolved against the paper's
-/// profiles), writing profile files into `dir`.
-pub fn profile_then_advise(config: &ExperimentConfig, benchmarks: &[&str], dir: &Path) -> AdviseResults {
-    profile_then_advise_jobs(config, benchmarks, dir, 1)
-}
-
 /// One benchmark's output from [`run_profiled_waves`]: the profiling run
-/// (reusable as the KG-N row), the persisted profile and its derived advice,
-/// and the wave-2 results in the order the caller's `configs_for` listed
-/// their configurations.
+/// (the KG-N row), the persisted profile and its derived advice, and the
+/// wave-2 results in the order the caller's `configs_for` listed their
+/// configurations.
 pub(crate) struct ProfiledWave {
     pub(crate) profile: BenchmarkProfile,
-    pub(crate) kg_n: ExperimentResult,
+    pub(crate) kg_n: Arc<ExperimentResult>,
     pub(crate) path: PathBuf,
     pub(crate) site_profile: SiteProfile,
     pub(crate) table: AdviceTable,
-    pub(crate) results: Vec<ExperimentResult>,
+    pub(crate) results: Vec<Arc<ExperimentResult>>,
 }
 
 /// Shared two-wave orchestration of the advise and adaptive experiments,
-/// with the (benchmark, collector) pairs fanned out over up to `jobs`
+/// with the (benchmark, collector) pairs fanned out over `config.jobs`
 /// worker threads. Wave 1 profiles every benchmark under KG-N (each
 /// benchmark's advice must exist before its advised runs) and derives the
 /// advice table from disk; wave 2 runs every `configs_for(table)`
-/// configuration per benchmark. Each run owns its heap and memory system,
-/// so the results — and their order — are identical for any job count;
-/// only the wall-clock changes.
+/// configuration per benchmark into the matrix, from which the rows then
+/// read their results in order. Each run owns its heap and memory system,
+/// so the results are identical for any job count; only the wall-clock
+/// changes.
 pub(crate) fn run_profiled_waves(
+    matrix: &Matrix,
     config: &ExperimentConfig,
     benchmarks: &[&str],
     dir: &Path,
-    jobs: usize,
     configs_for: impl Fn(&AdviceTable) -> Vec<HeapConfig>,
 ) -> Vec<ProfiledWave> {
     let profiles: Vec<BenchmarkProfile> = benchmarks
         .iter()
         .map(|name| benchmark(name).unwrap_or_else(|| panic!("unknown benchmark {name}")))
         .collect();
-    // Wave 1: the profiling runs (reused as the KG-N rows).
-    let profiled = run_jobs(&profiles, jobs, |profile| profile_workload(profile, config, dir));
-    let advice: Vec<(SiteProfile, AdviceTable)> = profiled
+    // Wave 1: the profiling runs (the KG-N rows) and their advice.
+    let profiled = run_jobs(&profiles, config.jobs, |profile| {
+        let (kg_n, path) = profile_workload(matrix, profile, config, dir);
+        let (site_profile, table, _) = advice_from_disk_checked(&path, site_map_hash());
+        (kg_n, path, site_profile, table)
+    });
+    let cells: Vec<Vec<Cell>> = profiles
         .iter()
-        .map(|(_, path)| {
-            let (site_profile, table, _) = advice_from_disk_checked(path, site_map_hash());
-            (site_profile, table)
+        .zip(&profiled)
+        .map(|(profile, (.., table))| {
+            let configs = configs_for(table).into_iter();
+            configs.map(|heap| Cell::new(profile, heap, config)).collect()
         })
         .collect();
     // Wave 2: every remaining (benchmark, collector) pair.
-    let wave2: Vec<Vec<HeapConfig>> = advice.iter().map(|(_, table)| configs_for(table)).collect();
-    let counts: Vec<usize> = wave2.iter().map(Vec::len).collect();
-    let pairs: Vec<(usize, &HeapConfig)> = wave2
-        .iter()
-        .enumerate()
-        .flat_map(|(index, configs)| configs.iter().map(move |c| (index, c)))
-        .collect();
-    let mut ran: Vec<ExperimentResult> = run_jobs(&pairs, jobs, |(index, heap_config)| {
-        run_benchmark(&profiles[*index], (*heap_config).clone(), config)
-    });
+    run_jobs(&cells.concat(), config.jobs, |cell| matrix.run(cell.clone()));
     profiles
         .into_iter()
         .zip(profiled)
-        .zip(advice)
-        .zip(counts)
+        .zip(cells)
         .map(
-            |(((profile, (kg_n, path)), (site_profile, table)), count)| ProfiledWave {
+            |((profile, (kg_n, path, site_profile, table)), cells)| ProfiledWave {
                 profile,
                 kg_n,
                 path,
                 site_profile,
                 table,
-                results: ran.drain(..count).collect(),
+                results: cells.into_iter().map(|cell| matrix.run(cell)).collect(),
             },
         )
         .collect()
 }
 
-/// [`profile_then_advise`] with the (benchmark, collector) pairs fanned out
-/// over up to `jobs` worker threads (see `run_profiled_waves`).
-pub fn profile_then_advise_jobs(
+/// Runs the profile→advise pipeline over `benchmarks` (names resolved
+/// against the paper's profiles), writing profile files into `dir`: per
+/// benchmark, profile, persist, reload, advise, and compare against the
+/// PCM-only and KG-W baselines.
+pub fn profile_then_advise(
+    matrix: &Matrix,
     config: &ExperimentConfig,
     benchmarks: &[&str],
     dir: &Path,
-    jobs: usize,
 ) -> AdviseResults {
-    let waves = run_profiled_waves(config, benchmarks, dir, jobs, |table| {
+    let waves = run_profiled_waves(matrix, config, benchmarks, dir, |table| {
         vec![
             HeapConfig::gen_immix_pcm(),
             HeapConfig::kg_w(),
@@ -305,7 +269,7 @@ pub fn profile_then_advise_jobs(
     let rows = waves
         .into_iter()
         .map(|wave| {
-            let [pcm_only, kg_w, kg_a]: [ExperimentResult; 3] =
+            let [pcm_only, kg_w, kg_a]: [Arc<ExperimentResult>; 3] =
                 wave.results.try_into().expect("three wave-2 runs per benchmark");
             AdviseRow {
                 benchmark: wave.profile.name.to_string(),
@@ -317,12 +281,6 @@ pub fn profile_then_advise_jobs(
         })
         .collect();
     AdviseResults { rows }
-}
-
-/// The default benchmark set of the advise experiment: the paper's
-/// simulation subset (Figures 5–10).
-pub fn default_benchmarks() -> Vec<&'static str> {
-    simulated_benchmarks().iter().map(|p| p.name).collect()
 }
 
 #[cfg(test)]
@@ -339,8 +297,8 @@ mod tests {
     fn pipeline_round_trips_through_disk_and_runs_kg_a() {
         let dir = temp_dir("pipeline");
         let config = ExperimentConfig::quick();
-        let profile = benchmark("lusearch").unwrap();
-        let row = profile_then_advise_one(&profile, &config, &dir);
+        let results = profile_then_advise(&Matrix::default(), &config, &["lusearch"], &dir);
+        let row = &results.rows[0];
         assert!(row.profile_path.exists(), "profile file must be written");
         assert!(row.sites > 5, "profiling run must observe the site map");
         assert!(row.hot_sites > 0, "lusearch has write-hot sites");
@@ -369,8 +327,9 @@ mod tests {
     fn threaded_pipeline_matches_the_sequential_pipeline() {
         let dir = temp_dir("jobs");
         let config = ExperimentConfig::quick();
-        let sequential = profile_then_advise(&config, &["lu.fix", "pmd"], &dir);
-        let threaded = profile_then_advise_jobs(&config, &["lu.fix", "pmd"], &dir, 2);
+        let sequential = profile_then_advise(&Matrix::default(), &config, &["lu.fix", "pmd"], &dir);
+        let threaded =
+            profile_then_advise(&Matrix::default(), &config.with_jobs(2), &["lu.fix", "pmd"], &dir);
         assert_eq!(sequential.rows.len(), threaded.rows.len());
         for (a, b) in sequential.rows.iter().zip(&threaded.rows) {
             assert_eq!(a.benchmark, b.benchmark);
@@ -397,7 +356,7 @@ mod tests {
         let dir = temp_dir("drift");
         let config = ExperimentConfig::quick();
         let profile = benchmark("pmd").unwrap();
-        let (_, path) = profile_workload(&profile, &config, &dir);
+        let (_, path) = profile_workload(&Matrix::default(), &profile, &config, &dir);
         let current = workloads::site_map_hash();
         let (site_profile, _, drift) = advice_from_disk_checked(&path, current);
         assert_eq!(site_profile.site_map_hash, Some(current));
@@ -414,7 +373,7 @@ mod tests {
     fn advise_report_renders_all_rows() {
         let dir = temp_dir("report");
         let config = ExperimentConfig::quick();
-        let results = profile_then_advise(&config, &["lu.fix", "pmd"], &dir);
+        let results = profile_then_advise(&Matrix::default(), &config, &["lu.fix", "pmd"], &dir);
         assert_eq!(results.rows.len(), 2);
         let report = results.report();
         assert!(report.contains("lu.fix"));

@@ -6,7 +6,9 @@
 //!   one (or every) figure/table; `--scale N` shrinks the workloads,
 //!   `--quick` is the smoke-test configuration, `--jobs N` fans the
 //!   embarrassingly parallel per-benchmark runs over worker threads with
-//!   identical results and ordering.
+//!   identical results and ordering. The experiments of one invocation share
+//!   one run matrix: each distinct (benchmark, collector, mode, ...) cell
+//!   runs once, and the run and cell counts are printed on stderr.
 //! * `repro trace record|replay|diff` exposes the heap-event trace
 //!   subsystem: record one `.kgtrace` per benchmark, replay recorded traces
 //!   under every collector (`--verify` checks each replay bit-identical to
@@ -18,9 +20,10 @@
 //!   any `--jobs` fan-out — replays it instead of re-running workload
 //!   generation.
 //! * Passing `--telemetry-dir DIR` writes one `.kgmetrics` JSON-lines
-//!   telemetry file per run (GC-phase spans, pause histograms, cache and
-//!   wear snapshots); `repro metrics show|diff` renders one file or
-//!   compares two, failing when deterministic metrics drift.
+//!   telemetry file per cell (GC-phase spans, pause histograms, cache and
+//!   wear snapshots), named `{benchmark}-{collector}-{mode}.kgmetrics`;
+//!   `repro metrics show|diff` renders one file or compares two, failing
+//!   when deterministic metrics drift.
 //!   `repro metrics export <file> --chrome|--folded` converts any
 //!   `.kgmetrics` file to a Chrome `trace_event` timeline (chrome://tracing,
 //!   Perfetto) or collapsed stacks (flamegraph.pl, speedscope).
@@ -41,7 +44,7 @@ use std::path::Path;
 use std::process::ExitCode;
 
 use experiments::cli::{self, ParsedArgs};
-use experiments::runner::{panic_message, ExperimentConfig};
+use experiments::runner::{panic_message, ExperimentConfig, Matrix};
 use experiments::{
     adaptive, advise, composition, energy_time, faults, lifetime, mutators, tables, traces, writes,
 };
@@ -149,7 +152,6 @@ fn configs(parsed: &ParsedArgs) -> (ExperimentConfig, ExperimentConfig) {
 fn run(parsed: &ParsedArgs, experiment: &str) -> ExitCode {
     let (sim, hw) = configs(parsed);
     let profile_dir = parsed.profile_dir.clone();
-    let jobs = parsed.jobs;
     let mutator_threads = parsed.mutators.unwrap_or(4);
 
     if experiment == "trace" {
@@ -168,61 +170,41 @@ fn run(parsed: &ParsedArgs, experiment: &str) -> ExitCode {
         return run_check(parsed, &hw);
     }
 
+    // One matrix for the whole invocation: an experiment reads the runs an
+    // earlier one made instead of repeating them.
+    let matrix = Matrix::default();
+    let m = &matrix;
     let run_one = |name: &str| -> Option<String> {
         match name {
-            "fig1" => Some(lifetime::figure1(&sim).figure1_report()),
-            "fig5" => Some(lifetime::figure5(&sim).figure5_report()),
-            "fig2" => Some(writes::figure2(&hw).report()),
-            "fig6" => Some(writes::figure6(&sim).report()),
-            "fig7" => Some(writes::figure7(&sim).report()),
-            "fig8" => Some(energy_time::figure8(&sim).report()),
-            "fig9" => Some(energy_time::figure9(&sim).report()),
-            "fig10" => Some(writes::figure10(&sim).report()),
-            "fig11" => Some(writes::figure11(&hw).report()),
-            "fig12" => Some(energy_time::figure12(&hw).report()),
-            "fig13" => Some(composition::figure13(&hw).report()),
+            "fig1" => Some(lifetime::run(m, &sim).figure1_report()),
+            "fig5" => Some(lifetime::run(m, &sim).figure5_report()),
+            "fig2" => Some(writes::figure2(m, &hw).report()),
+            "fig6" => Some(writes::figure6(m, &sim).report()),
+            "fig7" => Some(writes::figure7(m, &sim).report()),
+            "fig8" => Some(energy_time::figure8(m, &sim).report()),
+            "fig9" => Some(energy_time::figure9(m, &sim).report()),
+            "fig10" => Some(writes::figure10(m, &sim).report()),
+            "fig11" => Some(writes::figure11(m, &hw).report()),
+            "fig12" => Some(energy_time::figure12(m, &hw).report()),
+            "fig13" => Some(composition::figure13(m, &hw).report()),
             "table1" => Some(tables::table1()),
             "table2" => Some(tables::table2()),
-            "table3" => Some(tables::table3(&sim).report()),
-            "table4" => Some(tables::table4(&hw, true).report()),
+            "table3" => Some(tables::table3(m, &sim).report()),
+            "table4" => Some(tables::table4(m, &hw, true).report()),
             "advise" => {
-                let benchmarks = advise::default_benchmarks();
-                Some(advise::profile_then_advise_jobs(&hw, &benchmarks, &profile_dir, jobs).report())
+                let benchmarks = experiments::default_benchmarks();
+                Some(advise::profile_then_advise(m, &hw, &benchmarks, &profile_dir).report())
             }
             "adaptive" => {
-                let benchmarks = adaptive::default_benchmarks();
-                Some(adaptive::adaptive_comparison(&hw, &benchmarks, &profile_dir, jobs).report())
+                let benchmarks = experiments::default_benchmarks();
+                Some(adaptive::adaptive_comparison(m, &hw, &benchmarks, &profile_dir).report())
             }
             "mutators" => {
-                let benchmarks = mutators::default_benchmarks();
+                let benchmarks = experiments::default_benchmarks();
                 Some(mutators::mutator_scaling(&hw, &benchmarks, mutator_threads).report())
             }
-            "faults" => Some(faults::fault_sweep(&hw, "lusearch").report()),
-            "headline" => {
-                let life = lifetime::run(&sim);
-                let wp = writes::figure7(&sim);
-                let hwv = writes::figure11(&hw);
-                let edp = energy_time::figure8(&sim);
-                Some(format!(
-                    "Headline results (paper's claims in parentheses)\n\
-                     KG-N lifetime improvement over PCM-only: {:.1}x (paper: ~5x)\n\
-                     KG-W lifetime improvement over PCM-only: {:.1}x (paper: ~11x)\n\
-                     KG-N PCM writes vs PCM-only: {:.2} (paper: ~0.19)\n\
-                     KG-W PCM writes vs PCM-only: {:.2} (paper: ~0.09)\n\
-                     WP PCM writes vs PCM-only: {:.2} (paper: ~0.31)\n\
-                     KG-W application PCM writes vs KG-N: {:.2} (paper: ~0.20)\n\
-                     KG-N EDP vs DRAM-only: {:.2} (paper: ~0.64)\n\
-                     KG-W EDP vs DRAM-only: {:.2} (paper: ~0.68)\n",
-                    life.average_kg_n_improvement(),
-                    life.average_kg_w_improvement(),
-                    wp.average_kg_n(),
-                    wp.average_kg_w(),
-                    wp.average_wp(),
-                    hwv.average_kg_w(),
-                    edp.average_kg_n(),
-                    edp.average_kg_w(),
-                ))
-            }
+            "faults" => Some(faults::fault_sweep(m, &hw, "lusearch").report()),
+            "headline" => Some(experiments::headline(m, &sim, &hw)),
             _ => None,
         }
     };
@@ -257,6 +239,13 @@ fn run(parsed: &ParsedArgs, experiment: &str) -> ExitCode {
                 failed.push(name.to_string());
             }
         }
+    }
+    if matrix.cells() > 0 {
+        eprintln!(
+            "run matrix: {} runs of {} distinct cells",
+            matrix.runs(),
+            matrix.cells()
+        );
     }
     if !failed.is_empty() {
         eprintln!(
@@ -444,7 +433,7 @@ fn run_trace(parsed: &ParsedArgs, hw: &ExperimentConfig) -> ExitCode {
     };
     let dir = parsed.trace_dir.clone();
     let mutators = parsed.mutators.unwrap_or(1).max(1);
-    let benchmarks = traces::default_benchmarks();
+    let benchmarks = workloads::simulated_benchmarks();
     let mode = parsed.positional.first().map(String::as_str);
     match mode {
         Some("record") => {
@@ -466,7 +455,7 @@ fn run_trace(parsed: &ParsedArgs, hw: &ExperimentConfig) -> ExitCode {
                     }
                 },
             };
-            let results = traces::replay_traces_filtered(
+            let results = traces::replay_traces(
                 &config,
                 &benchmarks,
                 &dir,

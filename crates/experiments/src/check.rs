@@ -16,9 +16,7 @@ use workloads::{
 };
 
 use crate::report::TextTable;
-use crate::runner::{
-    drive_workload, finalize, heap_config_for, run_jobs, ExperimentConfig, ExperimentResult,
-};
+use crate::runner::{run_jobs, Cell, ExperimentConfig, ExperimentResult};
 use crate::traces::{config_for, REPLAY_COLLECTORS};
 
 /// The synthetic benchmark the sweep drives on every collector: lusearch is
@@ -29,24 +27,24 @@ pub const SWEEP_BENCHMARK: &str = "lusearch";
 /// Runs `profile` under `heap_config` with the shadow-heap sanitizer
 /// installed, returning both the usual experiment result and the
 /// sanitizer's report. The sanitizer only observes (event stream + passive
-/// inspection), so the result is bit-identical to
-/// [`run_benchmark`](crate::runner::run_benchmark)
-/// on the same inputs.
+/// inspection), so the result is bit-identical to the
+/// [`Matrix`](crate::runner::Matrix) run of the same [`Cell`]. It runs
+/// outside the matrix: a matrix keeps results, not the sanitizer reports
+/// only this sweep reads.
 pub fn run_benchmark_checked(
     profile: &BenchmarkProfile,
     heap_config: HeapConfig,
     config: &ExperimentConfig,
 ) -> (ExperimentResult, CheckReport) {
-    let label = heap_config.label();
-    let heap_config = heap_config_for(profile, heap_config, config);
-    let mut heap = KingsguardHeap::new(heap_config.clone(), config.memory_config());
-    heap.enable_telemetry();
-    let handle = SanitizerHandle::install(&mut heap);
-    drive_workload(profile, &mut heap, &heap_config, config, |_, _| {});
-    // `finalize` consumes the heap via `finish`, which runs the finish
-    // checkpoint and drops the installed forwarder with the heap.
-    let result = finalize(profile, label, heap, None, config);
-    (result, handle.report())
+    let mut sanitizer = None;
+    let result = Cell::new(profile, heap_config, config)
+        .execute(|heap| sanitizer = Some(SanitizerHandle::install(heap)));
+    // The run's `finish` ran the finish checkpoint and dropped the
+    // installed forwarder with the heap.
+    let report = sanitizer
+        .expect("the sanitizer is attached before the run")
+        .report();
+    (result, report)
 }
 
 /// Runs the streaming graph-analytics workload under `heap_config` with the

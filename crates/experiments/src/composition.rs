@@ -4,7 +4,7 @@ use kingsguard::{CompositionSample, HeapConfig};
 use workloads::benchmark;
 
 use crate::report::{collect_rows, TelemetryRollup, TextTable};
-use crate::runner::{run_benchmark, ExperimentConfig};
+use crate::runner::{Cell, ExperimentConfig, Matrix};
 
 /// Heap-composition time series for one benchmark under KG-W.
 #[derive(Clone, Debug)]
@@ -72,23 +72,21 @@ impl CompositionResults {
 
 /// Figure 13: heap composition over time for Page Rank and eclipse under
 /// KG-W (the paper's two exemplars).
-pub fn figure13(config: &ExperimentConfig) -> CompositionResults {
-    figure13_for(config, &["pagerank", "eclipse"])
+pub fn figure13(matrix: &Matrix, config: &ExperimentConfig) -> CompositionResults {
+    figure13_for(matrix, config, &["pagerank", "eclipse"])
 }
 
 /// Heap composition over time for an arbitrary set of benchmarks.
-pub fn figure13_for(config: &ExperimentConfig, names: &[&str]) -> CompositionResults {
+pub fn figure13_for(matrix: &Matrix, config: &ExperimentConfig, names: &[&str]) -> CompositionResults {
     let (series, telemetry) = collect_rows(crate::runner::run_jobs(names, config.jobs, |name| {
         let profile = benchmark(name).unwrap_or_else(|| panic!("unknown benchmark {name}"));
-        let result = run_benchmark(&profile, HeapConfig::kg_w(), config);
-        let mut rollup = TelemetryRollup::default();
-        rollup.absorb(&result);
+        let result = matrix.run(Cell::new(&profile, HeapConfig::kg_w(), config));
         (
             CompositionSeries {
                 benchmark: profile.name.to_string(),
                 samples: result.gc.composition.clone(),
             },
-            rollup,
+            TelemetryRollup::of([&result]),
         )
     }));
     CompositionResults { series, telemetry }

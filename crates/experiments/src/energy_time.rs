@@ -6,7 +6,7 @@ use kingsguard::HeapConfig;
 use workloads::{all_benchmarks, simulated_benchmarks};
 
 use crate::report::{collect_rows, mean, ratio, TelemetryRollup, TextTable};
-use crate::runner::{run_benchmark, run_jobs, ExperimentConfig, ExperimentResult};
+use crate::runner::{run_jobs, Cell, ExperimentConfig, ExperimentResult, Matrix};
 
 // ---------------------------------------------------------------------------
 // Figure 8: energy-delay product
@@ -79,18 +79,15 @@ impl EdpResults {
 
 /// Figure 8: EDP of PCM-only, KG-N and KG-W relative to DRAM-only on the
 /// simulation subset.
-pub fn figure8(config: &ExperimentConfig) -> EdpResults {
+pub fn figure8(matrix: &Matrix, config: &ExperimentConfig) -> EdpResults {
     let benchmarks = simulated_benchmarks();
     let rows = run_jobs(&benchmarks, config.jobs, |profile| {
-        let dram = run_benchmark(profile, HeapConfig::gen_immix_dram(), config);
-        let pcm = run_benchmark(profile, HeapConfig::gen_immix_pcm(), config);
-        let kg_n = run_benchmark(profile, HeapConfig::kg_n(), config);
-        let kg_w = run_benchmark(profile, HeapConfig::kg_w(), config);
+        let run = |heap| matrix.run(Cell::new(profile, heap, config));
+        let dram = run(HeapConfig::gen_immix_dram());
+        let pcm = run(HeapConfig::gen_immix_pcm());
+        let kg_n = run(HeapConfig::kg_n());
+        let kg_w = run(HeapConfig::kg_w());
         let base = dram.edp.max(f64::MIN_POSITIVE);
-        let mut rollup = TelemetryRollup::default();
-        for result in [&dram, &pcm, &kg_n, &kg_w] {
-            rollup.absorb(result);
-        }
         (
             EdpRow {
                 benchmark: profile.name.to_string(),
@@ -98,7 +95,7 @@ pub fn figure8(config: &ExperimentConfig) -> EdpResults {
                 kg_n: kg_n.edp / base,
                 kg_w: kg_w.edp / base,
             },
-            rollup,
+            TelemetryRollup::of([&dram, &pcm, &kg_n, &kg_w]),
         )
     });
     let (rows, telemetry) = collect_rows(rows);
@@ -145,16 +142,6 @@ pub struct OverheadResults {
 }
 
 impl OverheadResults {
-    /// Average total KG-W overhead over DRAM-only (the paper reports ~40 %).
-    pub fn average_total(&self) -> f64 {
-        mean(&self.rows.iter().map(|r| r.total_pct()).collect::<Vec<_>>())
-    }
-
-    /// Average PCM-latency component (the paper reports ~25 %).
-    pub fn average_pcm(&self) -> f64 {
-        mean(&self.rows.iter().map(|r| r.pcm_pct).collect::<Vec<_>>())
-    }
-
     /// Renders the Figure 9 table.
     pub fn report(&self) -> String {
         let mut table = TextTable::new(
@@ -186,11 +173,11 @@ impl OverheadResults {
 
 /// Figure 9: decomposes KG-W's overhead over DRAM-only into PCM latency,
 /// remembered sets, collection work, write monitoring and other.
-pub fn figure9(config: &ExperimentConfig) -> OverheadResults {
+pub fn figure9(matrix: &Matrix, config: &ExperimentConfig) -> OverheadResults {
     let benchmarks = simulated_benchmarks();
     let rows = run_jobs(&benchmarks, config.jobs, |profile| {
-        let dram = run_benchmark(profile, HeapConfig::gen_immix_dram(), config);
-        let kg_w = run_benchmark(profile, HeapConfig::kg_w(), config);
+        let dram = matrix.run(Cell::new(profile, HeapConfig::gen_immix_dram(), config));
+        let kg_w = matrix.run(Cell::new(profile, HeapConfig::kg_w(), config));
         let base = dram.execution_time_s().max(f64::MIN_POSITIVE);
         let total_pct = (kg_w.execution_time_s() - dram.execution_time_s()) / base * 100.0;
         let pcm_pct = kg_w.time.pcm_s / base * 100.0;
@@ -198,9 +185,6 @@ pub fn figure9(config: &ExperimentConfig) -> OverheadResults {
         let gc_pct = (kg_w.time.gc_s - dram.time.gc_s).max(0.0) / base * 100.0;
         let monitoring_pct = kg_w.time.monitoring_s / base * 100.0;
         let other_pct = (total_pct - pcm_pct - remsets_pct - gc_pct - monitoring_pct).max(0.0);
-        let mut rollup = TelemetryRollup::default();
-        rollup.absorb(&dram);
-        rollup.absorb(&kg_w);
         (
             OverheadRow {
                 benchmark: profile.name.to_string(),
@@ -210,7 +194,7 @@ pub fn figure9(config: &ExperimentConfig) -> OverheadResults {
                 monitoring_pct,
                 other_pct,
             },
-            rollup,
+            TelemetryRollup::of([&dram, &kg_w]),
         )
     });
     let (rows, telemetry) = collect_rows(rows);
@@ -280,35 +264,29 @@ fn dram_hardware_time(result: &ExperimentResult) -> f64 {
 
 /// Figure 12: execution time of the KG-W variants relative to KG-N on DRAM
 /// hardware, for all 18 benchmarks.
-pub fn figure12(config: &ExperimentConfig) -> PerformanceResults {
+pub fn figure12(matrix: &Matrix, config: &ExperimentConfig) -> PerformanceResults {
     let config = ExperimentConfig {
         mode: crate::MeasurementMode::ArchitectureIndependent,
         ..config.clone()
     };
     let benchmarks = all_benchmarks();
     let rows = run_jobs(&benchmarks, config.jobs, |profile| {
-        let kg_n = run_benchmark(profile, HeapConfig::kg_n(), &config);
+        let run = |heap| matrix.run(Cell::new(profile, heap, &config));
+        let kg_n = run(HeapConfig::kg_n());
         let base = dram_hardware_time(&kg_n).max(f64::MIN_POSITIVE);
-        let configs = [
+        let results = [
             HeapConfig::kg_w(),
             HeapConfig::kg_w_no_loo(),
             HeapConfig::kg_w_no_loo_no_mdo(),
             HeapConfig::kg_w_no_primitive_monitoring(),
-        ];
-        let mut relative = [0.0f64; 4];
-        let mut rollup = TelemetryRollup::default();
-        rollup.absorb(&kg_n);
-        for (i, heap_config) in configs.into_iter().enumerate() {
-            let result = run_benchmark(profile, heap_config, &config);
-            rollup.absorb(&result);
-            relative[i] = dram_hardware_time(&result) / base;
-        }
+        ]
+        .map(run);
         (
             PerformanceRow {
                 benchmark: profile.name.to_string(),
-                relative,
+                relative: results.each_ref().map(|result| dram_hardware_time(result) / base),
             },
-            rollup,
+            TelemetryRollup::of(std::iter::once(&kg_n).chain(&results)),
         )
     });
     let (rows, telemetry) = collect_rows(rows);

@@ -19,29 +19,18 @@
 //! message) instead of taking the sweep down, and the sweep itself stays
 //! deterministic — same seed, same schedule, same table.
 
-use hybrid_mem::timing::ExecutionModel;
-use hybrid_mem::{years_to_first_uncorrectable, Endurance, FaultConfig};
-use kingsguard::{HeapConfig, KingsguardHeap};
-use workloads::{benchmark, SyntheticMutator};
+use hybrid_mem::{Endurance, FaultConfig};
+use workloads::benchmark;
 
 use crate::report::TextTable;
-use crate::runner::{heap_config_for, run_jobs_reporting, ExperimentConfig};
+use crate::runner::{run_jobs_reporting, Cell, ExperimentConfig, Matrix};
+use crate::traces::config_for;
 
 /// Collector labels of the sweep, in row order: the unprotected baseline,
 /// the paper's two static Kingsguard variants, and the online-adaptive
 /// KG-D (which additionally treats every retirement as a demotion signal
 /// for the page's allocation sites).
 pub const FAULT_COLLECTORS: [&str; 4] = ["PCM-only", "KG-N", "KG-W", "KG-D"];
-
-fn heap_config(label: &str) -> HeapConfig {
-    match label {
-        "PCM-only" => HeapConfig::gen_immix_pcm(),
-        "KG-N" => HeapConfig::kg_n(),
-        "KG-W" => HeapConfig::kg_w(),
-        "KG-D" => HeapConfig::kg_d(),
-        other => panic!("unknown fault-sweep collector {other:?}"),
-    }
-}
 
 /// The fault schedule one sweep cell runs under: accelerated wear around
 /// `endurance`, additionally boosted by the workload scale so the injected
@@ -95,41 +84,29 @@ pub struct FaultResults {
     pub cells: Vec<FaultCell>,
 }
 
-fn run_cell(config: &ExperimentConfig, benchmark_name: &str, label: &str, endurance: Endurance) -> FaultCell {
+fn run_cell(
+    matrix: &Matrix,
+    config: &ExperimentConfig,
+    benchmark_name: &str,
+    label: &str,
+    endurance: Endurance,
+) -> FaultCell {
     let profile = benchmark(benchmark_name)
         .unwrap_or_else(|| panic!("unknown fault-sweep benchmark {benchmark_name:?}"));
-    let fault = sweep_fault_config(config, endurance);
-    let cell_config = config.clone().with_faults(fault);
-    let heap_config = heap_config_for(&profile, heap_config(label), &cell_config);
-    let mut heap = KingsguardHeap::new(heap_config, cell_config.memory_config());
-    heap.enable_telemetry();
-    let mutator = SyntheticMutator::new(profile.clone(), cell_config.workload());
-    mutator.run_with(&mut heap, |_, _| {});
-    // End-of-run maintenance collection: short quick-scale runs can finish
-    // without a natural full GC, and only a full collection processes the
-    // fault backlog at a safepoint (evacuating live objects off dying pages
-    // before retiring them) — without it the wear accumulated late in the
-    // run would be reported as failed lines but never reach retirement.
-    heap.collect_full();
-    // Per-line device write counts feed the real-time lifetime projection;
-    // flush first so the tail of the run is on the device counters.
-    let line_writes = heap.with_synced_memory(|mem| {
-        mem.flush_caches();
-        mem.pcm_line_writes()
-    });
-    let report = heap.finish();
-    let elapsed_s = ExecutionModel::default()
-        .breakdown(&report.gc.work, &report.memory)
-        .total_s();
+    let cell_config = config.clone().with_faults(sweep_fault_config(config, endurance));
+    // A faulted cell ends with the maintenance collection that retires the
+    // pages its late wear failed (see `Cell`), and reports the real-time
+    // projection from its per-line write counts.
+    let result = matrix.run(Cell::new(&profile, config_for(label), &cell_config));
     FaultCell {
         collector: label.to_string(),
         endurance,
-        failed_lines: report.memory.failed_pcm_lines,
-        retired_pages: report.memory.retired_pcm_pages,
-        degraded_bytes: report.memory.degraded_pcm_bytes,
-        transient_faults: report.memory.transient_pcm_faults,
-        evacuated_objects: report.gc.fault_evacuated_objects,
-        years_to_uncorrectable: years_to_first_uncorrectable(&fault, &line_writes, elapsed_s),
+        failed_lines: result.memory.failed_pcm_lines,
+        retired_pages: result.memory.retired_pcm_pages,
+        degraded_bytes: result.memory.degraded_pcm_bytes,
+        transient_faults: result.memory.transient_pcm_faults,
+        evacuated_objects: result.gc.fault_evacuated_objects,
+        years_to_uncorrectable: result.years_to_uncorrectable,
         died: None,
     }
 }
@@ -137,13 +114,13 @@ fn run_cell(config: &ExperimentConfig, benchmark_name: &str, label: &str, endura
 /// Runs the endurance sweep: [`FAULT_COLLECTORS`] × [`Endurance::ALL`] over
 /// `benchmark_name`, fanned over `config.jobs` worker threads. Cells are
 /// crash-isolated; a panicking collector becomes a `died` row.
-pub fn fault_sweep(config: &ExperimentConfig, benchmark_name: &str) -> FaultResults {
+pub fn fault_sweep(matrix: &Matrix, config: &ExperimentConfig, benchmark_name: &str) -> FaultResults {
     let pairs: Vec<(Endurance, &str)> = Endurance::ALL
         .iter()
         .flat_map(|&endurance| FAULT_COLLECTORS.iter().map(move |&label| (endurance, label)))
         .collect();
     let (results, failures) = run_jobs_reporting(&pairs, config.jobs, |&(endurance, label)| {
-        run_cell(config, benchmark_name, label, endurance)
+        run_cell(matrix, config, benchmark_name, label, endurance)
     });
     let cells = results
         .into_iter()
@@ -257,8 +234,8 @@ mod tests {
     #[test]
     fn fault_sweep_is_deterministic_and_every_collector_survives() {
         let config = ExperimentConfig::quick();
-        let first = fault_sweep(&config, "lusearch");
-        let second = fault_sweep(&config.clone().with_jobs(3), "lusearch");
+        let first = fault_sweep(&Matrix::default(), &config, "lusearch");
+        let second = fault_sweep(&Matrix::default(), &config.clone().with_jobs(3), "lusearch");
         assert_eq!(first.cells.len(), FAULT_COLLECTORS.len() * Endurance::ALL.len());
         assert_eq!(first.survivors(), first.cells.len(), "no collector may die");
         for (a, b) in first.cells.iter().zip(&second.cells) {
@@ -320,7 +297,7 @@ mod tests {
     #[test]
     fn a_dying_cell_is_reported_not_fatal() {
         let config = ExperimentConfig::quick();
-        let results = fault_sweep(&config, "lusearch");
+        let results = fault_sweep(&Matrix::default(), &config, "lusearch");
         // Simulate a died cell through the same rendering path.
         let mut cells = results.cells.clone();
         cells[0].died = Some("mature space exhausted".to_string());
@@ -332,7 +309,7 @@ mod tests {
         assert!(doctored.report().contains("died: mature space exhausted"));
         // And an unknown benchmark panics inside the cell, which the sweep
         // converts into a died row instead of propagating.
-        let bad = fault_sweep(&config, "no-such-benchmark");
+        let bad = fault_sweep(&Matrix::default(), &config, "no-such-benchmark");
         assert_eq!(bad.survivors(), 0);
         assert!(bad.cells.iter().all(|cell| {
             cell.died
@@ -357,10 +334,10 @@ mod tests {
                 .with_telemetry_dir(&dir);
             // The PCM-nursery baseline churns PCM lines hardest, so the
             // schedule is guaranteed to fire.
-            let result = crate::runner::run_benchmark(&profile, HeapConfig::gen_immix_pcm(), &config);
+            let cell = Cell::new(&profile, kingsguard::HeapConfig::gen_immix_pcm(), &config);
+            let result = Matrix::default().run(cell.clone());
             assert!(result.memory.failed_pcm_lines > 0, "faults must actually fire");
-            let path = crate::runner::metrics_path(&dir, profile.name, "PCM-only");
-            docs.push(TelemetryDoc::load(&path).unwrap());
+            docs.push(TelemetryDoc::load(&cell.metrics_path(&dir)).unwrap());
         }
         let diff = diff_docs(&docs[0], &docs[1]);
         assert!(!diff.has_drift(), "fault metrics drifted: {:?}", diff.drift);

@@ -18,7 +18,7 @@ use ::fleet::{run_fleet, FleetConfig, FleetOutcome, PlacementStrategy};
 use telemetry::{fmt_ns, write_jsonl, RunMeta};
 
 use crate::report::TextTable;
-use crate::runner::{metrics_path, ExperimentConfig};
+use crate::runner::{metrics_path, ExperimentConfig, MeasurementMode};
 
 /// Fleet size when `--tenants` is not given.
 pub const DEFAULT_TENANTS: usize = 256;
@@ -60,10 +60,11 @@ pub fn fleet_comparison(config: &ExperimentConfig, tenants: usize) -> FleetResul
 }
 
 fn write_fleet_metrics(dir: &Path, outcome: &FleetOutcome) {
-    let path = metrics_path(dir, "fleet", outcome.strategy.label());
+    let path = metrics_path(dir, &format!("fleet-{}", outcome.strategy.label()));
     let meta = RunMeta {
         benchmark: "fleet".to_string(),
         collector: outcome.strategy.label().to_string(),
+        mode: MeasurementMode::ArchitectureIndependent.label().to_string(),
         seed: outcome.seed,
         scale: outcome.scale,
     };
@@ -255,8 +256,9 @@ mod tests {
             first.runs[0].failures
         );
         for strategy in [PlacementStrategy::RoundRobin, PlacementStrategy::WearLevelled] {
-            let load =
-                |dir: &Path| TelemetryDoc::load(&metrics_path(dir, "fleet", strategy.label())).unwrap();
+            let load = |dir: &Path| {
+                TelemetryDoc::load(&metrics_path(dir, &format!("fleet-{}", strategy.label()))).unwrap()
+            };
             let diff = diff_docs(&load(dir_a), &load(dir_b));
             assert!(
                 !diff.has_drift(),
@@ -284,8 +286,12 @@ mod tests {
 
     fn session(heap_config: HeapConfig, name: &str, scale: u64) -> (u64, Option<advice::AdviceTable>) {
         let profile = benchmark(name).expect("known benchmark");
+        let config = ExperimentConfig {
+            scale,
+            ..ExperimentConfig::quick()
+        };
         let mut heap = KingsguardHeap::new(
-            heap_config.with_heap_budget((profile.scaled_heap_bytes(scale)).max(2 << 20) as usize),
+            crate::runner::heap_config_for(&profile, heap_config, &config),
             MemoryConfig::architecture_independent(),
         );
         SyntheticMutator::new(profile, WorkloadConfig { scale, seed: 7 }).run(&mut heap);

@@ -2,14 +2,16 @@
 //!
 //! Each experiment module produces plain data rows plus a formatted text
 //! report so that results can be consumed programmatically (tests, Criterion
-//! benches) or read directly from the `repro` binary's output. The mapping
-//! from paper figure/table to module is listed in `DESIGN.md`.
+//! benches) or read directly from the `repro` binary's output. Every
+//! experiment reads its runs from one [`Matrix`], which runs each distinct
+//! (benchmark, collector, mode, ...) [`runner::Cell`] once, so the figures
+//! that compare the same collectors share their runs.
 //!
 //! | Experiment | Function |
 //! |---|---|
-//! | Figure 1 (PCM lifetime in years vs endurance) | [`lifetime::figure1`] |
+//! | Figure 1 (PCM lifetime in years vs endurance) | [`lifetime::run`] |
 //! | Figure 2 (write demographics) | [`writes::figure2`] |
-//! | Figure 5 (lifetime relative to PCM-only) | [`lifetime::figure5`] |
+//! | Figure 5 (lifetime relative to PCM-only) | [`lifetime::run`] |
 //! | Figure 6 (PCM writes relative to PCM-only) | [`writes::figure6`] |
 //! | Figure 7 (comparison with OS Write Partitioning) | [`writes::figure7`] |
 //! | Figure 8 (energy-delay product) | [`energy_time::figure8`] |
@@ -22,6 +24,7 @@
 //! | Table 2 (simulated system parameters) | [`tables::table2`] |
 //! | Table 3 (write-rate scaling) | [`tables::table3`] |
 //! | Table 4 (object demographics) | [`tables::table4`] |
+//! | The headline claims, side by side | [`headline`] |
 //!
 //! Beyond the paper, [`advise`] implements the two-phase profile→advise
 //! pipeline — a profiling run records per-site write profiles to disk and a
@@ -83,10 +86,47 @@ pub use self::check::{broken_sweep, check_sweep, run_benchmark_checked, BrokenRe
 pub use self::fleet::{fleet_comparison, FleetResults};
 pub use self::profile::{hot_path_profile, ProfileResults};
 pub use adaptive::{adaptive_comparison, AdaptiveResults};
-pub use advise::{profile_then_advise, profile_then_advise_jobs, AdviseResults};
+pub use advise::{profile_then_advise, AdviseResults};
 pub use faults::{fault_sweep, FaultResults};
 pub use mutators::{mutator_scaling, MutatorResults};
 pub use runner::{
-    run_jobs, run_jobs_reporting, ExperimentConfig, ExperimentResult, JobFailure, MeasurementMode,
+    run_jobs, run_jobs_reporting, Cell, ExperimentConfig, ExperimentResult, JobFailure, Matrix,
+    MeasurementMode,
 };
 pub use traces::{diff_traces, record_traces, replay_traces};
+
+/// The benchmarks of the advise, adaptive and mutators comparisons: the
+/// paper's simulation subset (Figures 5–10).
+pub fn default_benchmarks() -> Vec<&'static str> {
+    workloads::simulated_benchmarks().iter().map(|p| p.name).collect()
+}
+
+/// The paper's headline claims beside this reproduction's values, read
+/// from Figures 1/5, 7, 8 and 11: on a matrix that already ran those, it
+/// adds no run. `sim` and `hw` are the simulation-mode and
+/// architecture-independent configurations.
+pub fn headline(matrix: &Matrix, sim: &ExperimentConfig, hw: &ExperimentConfig) -> String {
+    let life = lifetime::run(matrix, sim);
+    let wp = writes::figure7(matrix, sim);
+    let hwv = writes::figure11(matrix, hw);
+    let edp = energy_time::figure8(matrix, sim);
+    format!(
+        "Headline results (paper's claims in parentheses)\n\
+         KG-N lifetime improvement over PCM-only: {:.1}x (paper: ~5x)\n\
+         KG-W lifetime improvement over PCM-only: {:.1}x (paper: ~11x)\n\
+         KG-N PCM writes vs PCM-only: {:.2} (paper: ~0.19)\n\
+         KG-W PCM writes vs PCM-only: {:.2} (paper: ~0.09)\n\
+         WP PCM writes vs PCM-only: {:.2} (paper: ~0.31)\n\
+         KG-W application PCM writes vs KG-N: {:.2} (paper: ~0.20)\n\
+         KG-N EDP vs DRAM-only: {:.2} (paper: ~0.64)\n\
+         KG-W EDP vs DRAM-only: {:.2} (paper: ~0.68)\n",
+        life.average_kg_n_improvement(),
+        life.average_kg_w_improvement(),
+        wp.average_kg_n(),
+        wp.average_kg_w(),
+        wp.average_wp(),
+        hwv.average_kg_w(),
+        edp.average_kg_n(),
+        edp.average_kg_w(),
+    )
+}

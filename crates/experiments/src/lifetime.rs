@@ -1,11 +1,13 @@
 //! Figure 1 and Figure 5: PCM lifetime.
 
+use std::sync::Arc;
+
 use hybrid_mem::lifetime::Endurance;
 use kingsguard::HeapConfig;
 use workloads::simulated_benchmarks;
 
 use crate::report::{mean, telemetry_summary, TextTable};
-use crate::runner::{run_benchmark, run_jobs, ExperimentConfig, ExperimentResult};
+use crate::runner::{run_jobs, Cell, ExperimentConfig, ExperimentResult, Matrix};
 
 /// One benchmark's lifetime results under the three collectors.
 #[derive(Clone, Debug)]
@@ -39,7 +41,7 @@ pub struct LifetimeResults {
     pub rows: Vec<LifetimeRow>,
     /// The underlying experiment results (PCM-only, KG-N, KG-W per
     /// benchmark), for reuse by other figures.
-    pub raw: Vec<ExperimentResult>,
+    pub raw: Vec<Arc<ExperimentResult>>,
 }
 
 impl LifetimeResults {
@@ -101,7 +103,7 @@ impl LifetimeResults {
             format!("{:.1}x", self.average_kg_w_improvement()),
         ]);
         let mut out = table.render();
-        if let Some(summary) = telemetry_summary(self.raw.iter()) {
+        if let Some(summary) = telemetry_summary(&self.raw) {
             out.push_str(&summary);
             out.push('\n');
         }
@@ -111,12 +113,13 @@ impl LifetimeResults {
 
 /// Runs the lifetime experiments (Figures 1 and 5) over the simulation
 /// subset.
-pub fn run(config: &ExperimentConfig) -> LifetimeResults {
+pub fn run(matrix: &Matrix, config: &ExperimentConfig) -> LifetimeResults {
     let benchmarks = simulated_benchmarks();
     let per_benchmark = run_jobs(&benchmarks, config.jobs, |profile| {
-        let pcm_only = run_benchmark(profile, HeapConfig::gen_immix_pcm(), config);
-        let kg_n = run_benchmark(profile, HeapConfig::kg_n(), config);
-        let kg_w = run_benchmark(profile, HeapConfig::kg_w(), config);
+        let run = |heap| matrix.run(Cell::new(profile, heap, config));
+        let pcm_only = run(HeapConfig::gen_immix_pcm());
+        let kg_n = run(HeapConfig::kg_n());
+        let kg_w = run(HeapConfig::kg_w());
         let endurance = Endurance::Mid30M.writes_per_cell();
         let row = LifetimeRow {
             benchmark: profile.name.to_string(),
@@ -133,14 +136,4 @@ pub fn run(config: &ExperimentConfig) -> LifetimeResults {
         raw.extend(results);
     }
     LifetimeResults { rows, raw }
-}
-
-/// Figure 1: lifetime in years per endurance level.
-pub fn figure1(config: &ExperimentConfig) -> LifetimeResults {
-    run(config)
-}
-
-/// Figure 5: lifetime relative to PCM-only.
-pub fn figure5(config: &ExperimentConfig) -> LifetimeResults {
-    run(config)
 }

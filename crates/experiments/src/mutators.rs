@@ -13,29 +13,16 @@
 //! streaming workload (phase change mid-run) under the same driver.
 
 use kingsguard::{HeapConfig, KingsguardHeap};
-use workloads::{benchmark, simulated_benchmarks, StreamingConfig, StreamingWorkload, SyntheticMutator};
+use workloads::{benchmark, StreamingConfig, StreamingWorkload, SyntheticMutator};
 
-use advice::AdviceTable;
 use hybrid_mem::{MemoryKind, ShardStats};
 
 use crate::report::TextTable;
-use crate::runner::{run_jobs, ExperimentConfig};
+use crate::runner::{heap_config_for, run_jobs, ExperimentConfig};
+use crate::traces::config_for;
 
 /// The collector labels of the comparison, in row order per benchmark.
 pub const MUTATOR_CONFIGS: [&str; 5] = ["PCM-only", "KG-N", "KG-W", "KG-A", "KG-D"];
-
-fn config_for(label: &str) -> HeapConfig {
-    match label {
-        "PCM-only" => HeapConfig::gen_immix_pcm(),
-        "KG-N" => HeapConfig::kg_n(),
-        "KG-W" => HeapConfig::kg_w(),
-        // All-cold advice keeps KG-A self-contained (no profiling run); the
-        // point here is the multi-mutator machinery, not advice quality.
-        "KG-A" => HeapConfig::kg_a(AdviceTable::all_cold()),
-        "KG-D" => HeapConfig::kg_d(),
-        other => panic!("unknown collector label {other}"),
-    }
-}
 
 /// One (benchmark, collector) comparison.
 #[derive(Clone, Debug)]
@@ -187,19 +174,12 @@ fn run_with_mutators(
     mutators: usize,
 ) -> (kingsguard::RunReport, Vec<ShardStats>) {
     let profile = benchmark(name).unwrap_or_else(|| panic!("unknown benchmark {name}"));
-    let budget = profile.scaled_heap_bytes(config.scale).max(2 << 20) as usize;
     let mut heap = KingsguardHeap::new(
-        heap_config.with_heap_budget(budget),
+        heap_config_for(&profile, heap_config, config),
         hybrid_mem::MemoryConfig::architecture_independent(),
     );
     heap.enable_telemetry();
-    let workload = SyntheticMutator::new(
-        profile,
-        workloads::WorkloadConfig {
-            scale: config.scale,
-            seed: config.seed,
-        },
-    );
+    let workload = SyntheticMutator::new(profile, config.workload());
     let traffic = workload.run_multi_configured(
         &mut heap,
         mutators,
@@ -272,11 +252,6 @@ pub fn mutator_scaling(config: &ExperimentConfig, benchmarks: &[&str], mutators:
         rows,
         streaming: streaming_row(config, mutators),
     }
-}
-
-/// The default benchmark set: the paper's simulation subset.
-pub fn default_benchmarks() -> Vec<&'static str> {
-    simulated_benchmarks().iter().map(|p| p.name).collect()
 }
 
 #[cfg(test)]

@@ -21,8 +21,8 @@ use trace::TraceReplayer;
 use workloads::BenchmarkProfile;
 
 use crate::report::TextTable;
-use crate::runner::{trace_path, ExperimentConfig};
-use crate::traces::{record_traces, sized_config, REPLAY_COLLECTORS};
+use crate::runner::{heap_config_for, trace_path, ExperimentConfig};
+use crate::traces::{config_for, record_traces, REPLAY_COLLECTORS};
 
 /// The benchmark `repro profile` drives.
 pub const DEFAULT_BENCHMARK: &str = "lusearch";
@@ -133,7 +133,7 @@ impl ProfileResults {
 /// every comparison collector with telemetry and the hot-path profiler on,
 /// reading the counts from each finished run's report.
 pub fn hot_path_profile(config: &ExperimentConfig, profile: &BenchmarkProfile, dir: &Path) -> ProfileResults {
-    let recording_config = sized_config("KG-N", profile, config);
+    let recording_config = heap_config_for(profile, config_for("KG-N"), config);
     let path = trace_path(dir, profile.name, &recording_config, config, 1);
     let current = trace::load_trace(&path)
         .ok()
@@ -149,7 +149,7 @@ pub fn hot_path_profile(config: &ExperimentConfig, profile: &BenchmarkProfile, d
     let collectors = REPLAY_COLLECTORS
         .iter()
         .map(|label| {
-            let heap_config = sized_config(label, profile, config);
+            let heap_config = heap_config_for(profile, config_for(label), config);
             let start = Instant::now();
             let mut heap = KingsguardHeap::new(heap_config, config.memory_config());
             heap.enable_telemetry();

@@ -1,6 +1,8 @@
 //! Plain-text table formatting for experiment reports, plus the per-row
 //! metric helpers shared by the advise and adaptive comparison tables.
 
+use std::sync::Arc;
+
 use hybrid_mem::lifetime::Endurance;
 
 use crate::runner::ExperimentResult;
@@ -11,7 +13,7 @@ pub const LIFETIME_ENDURANCE: Endurance = Endurance::Mid30M;
 
 /// Finds `collector`'s result within one comparison row.
 pub(crate) fn result_for<'a>(
-    results: &'a [ExperimentResult],
+    results: &'a [Arc<ExperimentResult>],
     benchmark: &str,
     collector: &str,
 ) -> &'a ExperimentResult {
@@ -34,7 +36,7 @@ pub(crate) fn lifetime_years(result: &ExperimentResult) -> f64 {
 /// Energy-delay product of `collector` relative to `baseline` within one
 /// comparison row (0.0 when the baseline's EDP is zero).
 pub(crate) fn edp_relative(
-    results: &[ExperimentResult],
+    results: &[Arc<ExperimentResult>],
     benchmark: &str,
     collector: &str,
     baseline: &str,
@@ -123,11 +125,6 @@ pub fn percent(value: f64) -> String {
     format!("{:.0}%", value * 100.0)
 }
 
-/// Formats a byte count in MB.
-pub fn mb(bytes: u64) -> String {
-    format!("{:.1}", bytes as f64 / (1 << 20) as f64)
-}
-
 /// Geometric-mean helper used for "Average" rows (the paper averages ratios).
 pub fn mean(values: &[f64]) -> f64 {
     if values.is_empty() {
@@ -192,6 +189,15 @@ pub struct TelemetryRollup {
 }
 
 impl TelemetryRollup {
+    /// The rollup of `results`.
+    pub(crate) fn of<R: AsRef<ExperimentResult>>(results: impl IntoIterator<Item = R>) -> Self {
+        let mut rollup = Self::default();
+        for result in results {
+            rollup.absorb(result.as_ref());
+        }
+        rollup
+    }
+
     /// Folds one run's telemetry in (a run without telemetry is skipped).
     pub fn absorb(&mut self, result: &ExperimentResult) {
         let Some(report) = result.telemetry.as_ref() else {
@@ -275,12 +281,8 @@ pub(crate) fn collect_rows<R>(pairs: Vec<(R, TelemetryRollup)>) -> (Vec<R>, Tele
 
 /// The end-of-run telemetry summary over retained results (see
 /// [`TelemetryRollup`] for the accumulating form).
-pub fn telemetry_summary<'a>(results: impl IntoIterator<Item = &'a ExperimentResult>) -> Option<String> {
-    let mut rollup = TelemetryRollup::default();
-    for result in results {
-        rollup.absorb(result);
-    }
-    rollup.line()
+pub fn telemetry_summary<R: AsRef<ExperimentResult>>(results: impl IntoIterator<Item = R>) -> Option<String> {
+    TelemetryRollup::of(results).line()
 }
 
 #[cfg(test)]
@@ -305,7 +307,6 @@ mod tests {
     fn formatting_helpers() {
         assert_eq!(ratio(0.191), "0.19");
         assert_eq!(percent(0.81), "81%");
-        assert_eq!(mb(32 << 20), "32.0");
         assert!((mean(&[1.0, 3.0]) - 2.0).abs() < 1e-12);
         assert_eq!(mean(&[]), 0.0);
     }
@@ -325,6 +326,7 @@ mod tests {
             scaling_factor: 1.0,
             site_profile: None,
             telemetry,
+            years_to_uncorrectable: None,
         }
     }
 
@@ -369,7 +371,7 @@ mod tests {
             "telemetry (2 runs): 4 GC pauses (p50 2.0us, p99 3.0ms, max 3.0ms), \
              0.00 M events/s, cache hit rate 75%"
         );
-        assert!(telemetry_summary(std::iter::empty()).is_none());
+        assert!(telemetry_summary(std::iter::empty::<ExperimentResult>()).is_none());
         assert!(telemetry_summary([result_with_telemetry(None)].iter()).is_none());
     }
 }

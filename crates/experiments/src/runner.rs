@@ -1,5 +1,15 @@
-//! Experiment runner: executes one (benchmark, collector) pair and derives
-//! every metric the paper reports from the run.
+//! Experiment runner: one run is a [`Cell`] (a benchmark under one
+//! collector, driver, measurement mode, scale, seed, cache scale and fault
+//! schedule), and a [`Matrix`] runs each distinct cell of a `repro`
+//! invocation once. Every figure, table and comparison asks the matrix for
+//! the cells it shows, so a (benchmark, collector, mode) cell that five
+//! figures compare is run once and reported once; `repro` prints the run
+//! and cell counts on stderr. The matrix keeps each cell's
+//! [`ExperimentResult`], from which every metric the paper reports is
+//! derived, and never a heap.
+//!
+//! When [`ExperimentConfig::telemetry_dir`] is set, each run writes one
+//! `.kgmetrics` report named after its cell ([`Cell::metrics_path`]).
 //!
 //! When [`ExperimentConfig::trace_dir`] is set, runs are **trace-backed**:
 //! the first run of a (benchmark, scale, seed, space-sizing) combination
@@ -13,12 +23,14 @@
 
 use std::fmt;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use advice::SiteProfile;
 use hybrid_mem::energy::{EnergyBreakdown, EnergyModel};
 use hybrid_mem::lifetime::LifetimeModel;
 use hybrid_mem::timing::{ExecutionModel, TimeBreakdown};
-use hybrid_mem::{FaultConfig, MemoryConfig, MemoryKind, MemoryStats, Phase};
+use hybrid_mem::{years_to_first_uncorrectable, FaultConfig, MemoryConfig, MemoryKind, MemoryStats, Phase};
 use kingsguard::{GcStats, HeapConfig, KingsguardHeap};
 use oswp::{WritePartitioning, WritePartitioningConfig, WritePartitioningStats};
 use trace::TraceReplayer;
@@ -34,6 +46,16 @@ pub enum MeasurementMode {
     /// the device counters (used for Figures 11–12 and Table 4, matching the
     /// paper's barrier-reported "real hardware" numbers of Section 6.2).
     ArchitectureIndependent,
+}
+
+impl MeasurementMode {
+    /// The mode's name in `.kgmetrics` file names and headers.
+    pub(crate) fn label(self) -> &'static str {
+        match self {
+            MeasurementMode::Simulation => "simulation",
+            MeasurementMode::ArchitectureIndependent => "arch-independent",
+        }
+    }
 }
 
 /// Configuration shared by all experiments.
@@ -60,8 +82,8 @@ pub struct ExperimentConfig {
     /// telemetry (it is host-side bookkeeping, bit-identical on or off, and
     /// feeds the pause columns of the experiment tables); when this is set,
     /// each run additionally writes its report as a JSON-lines file named
-    /// `{benchmark}-{collector}.kgmetrics`, and per-line write tracking is
-    /// forced on so wear-distribution snapshots are included.
+    /// after its cell ([`Cell::metrics_path`]), and per-line write tracking
+    /// is forced on so wear-distribution snapshots are included.
     pub telemetry_dir: Option<PathBuf>,
     /// Deterministic PCM fault injection. `None` (the default) runs
     /// fault-free and is bit-identical to builds that predate the fault
@@ -194,13 +216,18 @@ pub struct ExperimentResult {
     /// The profile's 4→32-core write-rate scaling factor (1.0 if the paper
     /// did not report one).
     pub scaling_factor: f64,
-    /// The per-site profile gathered by the run, when it was a profiling run
-    /// (see [`run_benchmark_profiled`]).
+    /// The per-site profile gathered by the run. Always present for runs
+    /// driven by this module: site profiling leaves the simulation
+    /// bit-identical, so every run profiles.
     pub site_profile: Option<SiteProfile>,
     /// The run's telemetry snapshot: GC-phase spans, pause histograms,
     /// device/cache counters and adaptation events (see the `telemetry`
     /// crate). Always present for runs driven by this module.
     pub telemetry: Option<telemetry::TelemetryReport>,
+    /// Real-time years until the first ECC-uncorrectable PCM page at the
+    /// run's per-line write rates. `None` for a fault-free run, and for a
+    /// faulted run in which no page would ever fail.
+    pub years_to_uncorrectable: Option<f64>,
 }
 
 impl ExperimentResult {
@@ -252,6 +279,12 @@ impl ExperimentResult {
     }
 }
 
+impl AsRef<ExperimentResult> for ExperimentResult {
+    fn as_ref(&self) -> &ExperimentResult {
+        self
+    }
+}
+
 /// Estimated 32-core PCM write rate of a raw [`kingsguard::RunReport`] in
 /// bytes/s: the same derivation `finalize` bakes into
 /// [`ExperimentResult::pcm_write_rate_32core`] (default execution model,
@@ -267,141 +300,276 @@ pub fn report_pcm_write_rate_32core(report: &kingsguard::RunReport, scaling_fact
     report.memory.bytes_written(MemoryKind::Pcm) as f64 / time * scaling_factor
 }
 
+/// `base` with the heap budget of `profile` at the configuration's scale:
+/// the paper's heap size (2× the minimum live size) divided by the scale,
+/// floored at 2 MB. Every heap this crate sizes from a profile goes
+/// through here.
 pub(crate) fn heap_config_for(
     profile: &BenchmarkProfile,
-    mut base: HeapConfig,
+    base: HeapConfig,
     config: &ExperimentConfig,
 ) -> HeapConfig {
-    let budget = profile.scaled_heap_bytes(config.scale).max(2 << 20) as usize;
-    base = base.with_heap_budget(budget);
-    base
+    base.with_heap_budget(profile.scaled_heap_bytes(config.scale).max(2 << 20) as usize)
 }
 
-pub(crate) fn finalize(
-    profile: &BenchmarkProfile,
-    collector: String,
-    heap: KingsguardHeap,
-    wp: Option<WritePartitioningStats>,
-    config: &ExperimentConfig,
-) -> ExperimentResult {
-    // Provisioned capacities of the paper's memory systems: 32 GB DRAM-only,
-    // 32 GB PCM-only, or hybrid 1 GB DRAM + 32 GB PCM (any topology mixing
-    // the two technologies, and the OS-partitioned WP baseline).
-    let topology = heap.constraints().topology;
-    let (dram_fraction, pcm_fraction) = if wp.is_some() || topology.nursery != topology.mature {
-        (1.0 / 32.0, 1.0)
-    } else if topology.nursery == MemoryKind::Dram {
-        (1.0, 0.0)
-    } else {
-        (0.0, 1.0)
-    };
-    let report = heap.finish();
-    let model = ExecutionModel::default();
-    let time = model.breakdown(&report.gc.work, &report.memory);
-    let energy_model = EnergyModel::default();
-    let energy = energy_model.breakdown(&report.memory, time.total_s(), dram_fraction, pcm_fraction);
-    let edp = energy.total_j() * time.total_s();
-    if let (Some(dir), Some(telemetry)) = (&config.telemetry_dir, &report.telemetry) {
-        let meta = telemetry::RunMeta {
-            benchmark: profile.name.to_string(),
-            collector: collector.clone(),
-            seed: config.seed,
-            scale: config.scale,
-        };
-        let path = metrics_path(dir, profile.name, &collector);
-        if let Err(err) = std::fs::create_dir_all(dir)
-            .map_err(telemetry::TelemetryError::from)
-            .and_then(|()| telemetry::write_jsonl(&path, &meta, telemetry))
-        {
-            eprintln!("warning: could not write telemetry {}: {err}", path.display());
+/// How a [`Cell`]'s workload reaches its heap.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Driver {
+    /// The workload alone.
+    Plain,
+    /// The OS Write Partitioning baseline (Section 6.1.3): the workload,
+    /// with the OS migrating pages between DRAM and PCM every quantum.
+    WritePartitioning,
+}
+
+/// One run of the evaluation: a benchmark under one collector and driver,
+/// in one measurement mode, at one scale, seed, cache scale and fault
+/// schedule. Two cells are equal when all of those agree; the rest of the
+/// [`ExperimentConfig`] (worker threads, trace and telemetry directories)
+/// says how and where a run happens, not what it computes.
+#[derive(Clone, Debug)]
+pub struct Cell {
+    profile: BenchmarkProfile,
+    heap: HeapConfig,
+    driver: Driver,
+    config: ExperimentConfig,
+}
+
+impl PartialEq for Cell {
+    fn eq(&self, other: &Cell) -> bool {
+        let (a, b) = (&self.config, &other.config);
+        (&self.profile, &self.heap, self.driver) == (&other.profile, &other.heap, other.driver)
+            && (a.mode, a.scale, a.seed, a.cache_scale, a.fault)
+                == (b.mode, b.scale, b.seed, b.cache_scale, b.fault)
+    }
+}
+
+impl Cell {
+    /// `profile` under the collector `heap` describes. The heap budget is
+    /// sized from the profile and the scale when the cell runs.
+    pub fn new(profile: &BenchmarkProfile, heap: HeapConfig, config: &ExperimentConfig) -> Cell {
+        Cell {
+            profile: profile.clone(),
+            heap,
+            driver: Driver::Plain,
+            config: config.clone(),
         }
     }
-    ExperimentResult {
-        benchmark: profile.name.to_string(),
-        collector,
-        gc: report.gc,
-        memory: report.memory,
-        time,
-        energy,
-        edp,
-        wp,
-        scaling_factor: profile.scaling_factor.unwrap_or(1.0),
-        site_profile: report.site_profile,
-        telemetry: report.telemetry,
-    }
-}
 
-/// Canonical telemetry file path for one (benchmark, collector) run.
-pub fn metrics_path(dir: &Path, benchmark: &str, collector: &str) -> PathBuf {
-    let sanitize = |s: &str| -> String {
-        s.chars()
-            .map(|c| {
-                if c.is_ascii_alphanumeric() || c == '-' || c == '.' {
-                    c
-                } else {
-                    '_'
+    /// `profile` on a PCM-only generational Immix heap managed by the OS
+    /// Write Partitioning baseline (Section 6.1.3).
+    pub fn write_partitioning(profile: &BenchmarkProfile, config: &ExperimentConfig) -> Cell {
+        Cell {
+            driver: Driver::WritePartitioning,
+            ..Cell::new(profile, HeapConfig::gen_immix_pcm(), config)
+        }
+    }
+
+    /// The collector label of the cell's result ("KG-N", "WP", ...).
+    pub(crate) fn label(&self) -> String {
+        match self.driver {
+            Driver::Plain => self.heap.label(),
+            Driver::WritePartitioning => "WP".to_string(),
+        }
+    }
+
+    /// The cell's `.kgmetrics` file in `dir`:
+    /// `{benchmark}-{collector}-{mode}.kgmetrics`. A cell with an advice
+    /// table or a fault schedule adds an 8-digit digest of them, because
+    /// the name shows neither and two such cells could otherwise share it.
+    pub fn metrics_path(&self, dir: &Path) -> PathBuf {
+        let mut stem = format!(
+            "{}-{}-{}",
+            self.profile.name,
+            self.label(),
+            self.config.mode.label()
+        );
+        if self.heap.advice.is_some() || self.config.fault.is_some() {
+            stem.push_str(&format!("-{:08x}", self.digest()));
+        }
+        metrics_path(dir, &stem)
+    }
+
+    /// FNV-1a over the fault schedule and the advice table (in site order:
+    /// the table's own iteration order varies between processes),
+    /// truncated to 32 bits.
+    fn digest(&self) -> u32 {
+        let mut text = format!("{:?}", self.config.fault);
+        if let Some(advice) = &self.heap.advice {
+            let mut sites: Vec<_> = advice.iter().collect();
+            sites.sort_by_key(|&(site, _)| site);
+            text.push_str(&format!("{:?}{sites:?}", advice.default_placement()));
+        }
+        let hash = text.bytes().fold(0xcbf2_9ce4_8422_2325_u64, |hash, byte| {
+            (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+        hash as u32
+    }
+
+    /// Runs the cell on a fresh heap. `attach` sees the heap before the
+    /// workload does (the sanitizer installs itself there).
+    ///
+    /// Every run collects telemetry and a per-site profile. Both are
+    /// host-side bookkeeping that leave the simulation bit-identical, so
+    /// one run serves the callers that read them and the callers that do
+    /// not. A faulted run ends with a maintenance collection: only a full
+    /// collection processes the fault backlog at a safepoint (evacuating
+    /// live objects off dying pages before retiring them), and a short run
+    /// can finish without one. Its per-line write counts, flushed first,
+    /// feed [`ExperimentResult::years_to_uncorrectable`].
+    pub(crate) fn execute(&self, attach: impl FnOnce(&mut KingsguardHeap)) -> ExperimentResult {
+        let heap_config = heap_config_for(&self.profile, self.heap.clone(), &self.config);
+        let mut heap = KingsguardHeap::new(heap_config.clone(), self.config.memory_config());
+        heap.enable_telemetry();
+        heap.enable_profiling(self.profile.name);
+        attach(&mut heap);
+        let mut wp = match self.driver {
+            Driver::Plain => None,
+            Driver::WritePartitioning => Some(WritePartitioning::new(WritePartitioningConfig::default())),
+        };
+        drive_workload(
+            &self.profile,
+            &mut heap,
+            &heap_config,
+            &self.config,
+            |heap, progress| {
+                if let Some(wp) = &mut wp {
+                    heap.with_synced_memory(|mem| wp.advance(mem, progress.elapsed_ms));
                 }
+            },
+        );
+        let line_writes = self.config.fault.map(|_| {
+            heap.collect_full();
+            heap.with_synced_memory(|mem| {
+                mem.flush_caches();
+                mem.pcm_line_writes()
             })
-            .collect()
-    };
-    dir.join(format!(
-        "{}-{}.{}",
-        sanitize(benchmark),
-        sanitize(collector),
-        telemetry::FILE_EXTENSION
-    ))
-}
-
-/// Runs `profile` under the collector described by `heap_config`.
-pub fn run_benchmark(
-    profile: &BenchmarkProfile,
-    heap_config: HeapConfig,
-    config: &ExperimentConfig,
-) -> ExperimentResult {
-    run_benchmark_inner(profile, heap_config, config, false)
-}
-
-/// Runs `profile` under `heap_config` with per-site profiling enabled: the
-/// returned result carries the [`SiteProfile`] in
-/// [`ExperimentResult::site_profile`]. Profiling is host-side bookkeeping —
-/// it adds no simulated memory traffic, so the run's metrics are identical
-/// to an unprofiled run.
-pub fn run_benchmark_profiled(
-    profile: &BenchmarkProfile,
-    heap_config: HeapConfig,
-    config: &ExperimentConfig,
-) -> ExperimentResult {
-    run_benchmark_inner(profile, heap_config, config, true)
-}
-
-fn run_benchmark_inner(
-    profile: &BenchmarkProfile,
-    heap_config: HeapConfig,
-    config: &ExperimentConfig,
-    profiled: bool,
-) -> ExperimentResult {
-    let label = heap_config.label();
-    let heap_config = heap_config_for(profile, heap_config, config);
-    let mut heap = KingsguardHeap::new(heap_config.clone(), config.memory_config());
-    heap.enable_telemetry();
-    if profiled {
-        heap.enable_profiling(profile.name);
+        });
+        let mut result = self.finalize(heap, wp.map(|wp| wp.stats()));
+        if let (Some(fault), Some(line_writes)) = (self.config.fault, line_writes) {
+            result.years_to_uncorrectable =
+                years_to_first_uncorrectable(&fault, &line_writes, result.execution_time_s());
+        }
+        result
     }
-    drive_workload(profile, &mut heap, &heap_config, config, |_, _| {});
-    finalize(profile, label, heap, None, config)
+
+    fn finalize(&self, heap: KingsguardHeap, wp: Option<WritePartitioningStats>) -> ExperimentResult {
+        // Provisioned capacities of the paper's memory systems: 32 GB
+        // DRAM-only, 32 GB PCM-only, or hybrid 1 GB DRAM + 32 GB PCM (any
+        // topology mixing the two technologies, and the OS-partitioned WP
+        // baseline).
+        let topology = heap.constraints().topology;
+        let (dram_fraction, pcm_fraction) = if wp.is_some() || topology.nursery != topology.mature {
+            (1.0 / 32.0, 1.0)
+        } else if topology.nursery == MemoryKind::Dram {
+            (1.0, 0.0)
+        } else {
+            (0.0, 1.0)
+        };
+        let report = heap.finish();
+        let model = ExecutionModel::default();
+        let time = model.breakdown(&report.gc.work, &report.memory);
+        let energy_model = EnergyModel::default();
+        let energy = energy_model.breakdown(&report.memory, time.total_s(), dram_fraction, pcm_fraction);
+        let edp = energy.total_j() * time.total_s();
+        let collector = self.label();
+        if let (Some(dir), Some(telemetry)) = (&self.config.telemetry_dir, &report.telemetry) {
+            let meta = telemetry::RunMeta {
+                benchmark: self.profile.name.to_string(),
+                collector: collector.clone(),
+                mode: self.config.mode.label().to_string(),
+                seed: self.config.seed,
+                scale: self.config.scale,
+            };
+            let path = self.metrics_path(dir);
+            if let Err(err) = std::fs::create_dir_all(dir)
+                .map_err(telemetry::TelemetryError::from)
+                .and_then(|()| telemetry::write_jsonl(&path, &meta, telemetry))
+            {
+                eprintln!("warning: could not write telemetry {}: {err}", path.display());
+            }
+        }
+        ExperimentResult {
+            benchmark: self.profile.name.to_string(),
+            collector,
+            gc: report.gc,
+            memory: report.memory,
+            time,
+            energy,
+            edp,
+            wp,
+            scaling_factor: self.profile.scaling_factor.unwrap_or(1.0),
+            site_profile: report.site_profile,
+            telemetry: report.telemetry,
+            years_to_uncorrectable: None,
+        }
+    }
 }
 
-/// Runs `profile` on a PCM-only generational Immix heap managed by the OS
-/// Write Partitioning baseline (Section 6.1.3).
-pub fn run_benchmark_with_wp(profile: &BenchmarkProfile, config: &ExperimentConfig) -> ExperimentResult {
-    let heap_config = heap_config_for(profile, HeapConfig::gen_immix_pcm(), config);
-    let mut heap = KingsguardHeap::new(heap_config.clone(), config.memory_config());
-    heap.enable_telemetry();
-    let mut wp = WritePartitioning::new(WritePartitioningConfig::default());
-    drive_workload(profile, &mut heap, &heap_config, config, |heap, progress| {
-        heap.with_synced_memory(|mem| wp.advance(mem, progress.elapsed_ms));
-    });
-    finalize(profile, "WP".to_string(), heap, Some(wp.stats()), config)
+/// `dir/{stem}.kgmetrics`, with every character of `stem` other than ASCII
+/// alphanumerics, `-` and `.` replaced by `_`.
+pub(crate) fn metrics_path(dir: &Path, stem: &str) -> PathBuf {
+    let stem: String = stem
+        .chars()
+        .map(|c| {
+            if c.is_ascii_alphanumeric() || c == '-' || c == '.' {
+                c
+            } else {
+                '_'
+            }
+        })
+        .collect();
+    dir.join(format!("{stem}.{}", telemetry::FILE_EXTENSION))
+}
+
+/// A cell's result, filled by the one run that computes it.
+type Slot = Arc<OnceLock<Arc<ExperimentResult>>>;
+
+/// The runs of one `repro` invocation. [`Matrix::run`] runs each distinct
+/// [`Cell`] once and hands every later request for it the kept result, so
+/// experiments that compare the same collectors on the same benchmarks
+/// share their runs. It keeps results, never heaps.
+#[derive(Debug, Default)]
+pub struct Matrix {
+    slots: Mutex<Vec<(Cell, Slot)>>,
+    runs: AtomicUsize,
+}
+
+impl Matrix {
+    /// The result of `cell`, running it if no earlier request did. A cell
+    /// that two workers request at once runs once: the second waits for
+    /// the first's result. A run that panics leaves its slot empty, so the
+    /// next request runs the cell again.
+    pub fn run(&self, cell: Cell) -> Arc<ExperimentResult> {
+        let slot = {
+            let mut slots = self.slots.lock().expect("no panic while the slot list is held");
+            match slots.iter().find(|(key, _)| *key == cell) {
+                Some((_, slot)) => Arc::clone(slot),
+                None => {
+                    let slot = Slot::default();
+                    slots.push((cell.clone(), Arc::clone(&slot)));
+                    slot
+                }
+            }
+        };
+        Arc::clone(slot.get_or_init(|| {
+            self.runs.fetch_add(1, Ordering::Relaxed);
+            Arc::new(cell.execute(|_| {}))
+        }))
+    }
+
+    /// Runs made so far.
+    pub fn runs(&self) -> usize {
+        self.runs.load(Ordering::Relaxed)
+    }
+
+    /// Distinct cells requested so far.
+    pub fn cells(&self) -> usize {
+        self.slots
+            .lock()
+            .expect("no panic while the slot list is held")
+            .len()
+    }
 }
 
 /// Canonical trace file path for one workload: keyed by everything that
@@ -459,7 +627,7 @@ pub fn trace_fault_schedule_current(recorded: &trace::Trace, config: &Experiment
 /// trace, recording it first (passively, so the recording run doubles as
 /// this collector's result) when none exists or the existing file is
 /// unreadable or stale.
-pub(crate) fn drive_workload(
+fn drive_workload(
     profile: &BenchmarkProfile,
     heap: &mut KingsguardHeap,
     heap_config: &HeapConfig,
@@ -678,30 +846,20 @@ where
         .collect()
 }
 
-/// Convenience: the Table 1 collector configurations plus the two baselines,
-/// as `(label, config)` pairs.
-pub fn standard_configs() -> Vec<(String, HeapConfig)> {
-    let configs = vec![
-        HeapConfig::gen_immix_dram(),
-        HeapConfig::gen_immix_pcm(),
-        HeapConfig::kg_n(),
-        HeapConfig::kg_w(),
-        HeapConfig::kg_w_no_loo(),
-        HeapConfig::kg_w_no_loo_no_mdo(),
-        HeapConfig::kg_w_no_primitive_monitoring(),
-    ];
-    configs.into_iter().map(|c| (c.label(), c)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use workloads::benchmark;
 
+    /// One run of `heap` on `profile`, on a matrix of its own.
+    fn run(profile: &BenchmarkProfile, heap: HeapConfig, config: &ExperimentConfig) -> Arc<ExperimentResult> {
+        Matrix::default().run(Cell::new(profile, heap, config))
+    }
+
     #[test]
     fn quick_run_produces_consistent_metrics() {
         let profile = benchmark("lu.fix").unwrap();
-        let result = run_benchmark(&profile, HeapConfig::kg_n(), &ExperimentConfig::quick());
+        let result = run(&profile, HeapConfig::kg_n(), &ExperimentConfig::quick());
         assert_eq!(result.collector, "KG-N");
         assert_eq!(result.benchmark, "lu.fix");
         assert!(result.gc.bytes_allocated > 0);
@@ -711,14 +869,16 @@ mod tests {
         assert!(result.pcm_write_rate_4core() > 0.0);
         assert!(result.pcm_lifetime_years(30_000_000).is_finite());
         assert!(result.pcm_write_rate_32core() >= result.pcm_write_rate_4core());
+        assert!(result.site_profile.is_some(), "every run profiles its sites");
+        assert_eq!(result.years_to_uncorrectable, None, "fault-free");
     }
 
     #[test]
     fn kg_n_writes_less_pcm_than_pcm_only() {
         let profile = benchmark("lusearch").unwrap();
         let config = ExperimentConfig::quick();
-        let pcm_only = run_benchmark(&profile, HeapConfig::gen_immix_pcm(), &config);
-        let kg_n = run_benchmark(&profile, HeapConfig::kg_n(), &config);
+        let pcm_only = run(&profile, HeapConfig::gen_immix_pcm(), &config);
+        let kg_n = run(&profile, HeapConfig::kg_n(), &config);
         assert!(
             kg_n.pcm_writes() < pcm_only.pcm_writes(),
             "KG-N must reduce PCM writes: {} vs {}",
@@ -733,10 +893,106 @@ mod tests {
         // WP is time-driven (10 ms quanta); use a scale at which the run
         // lasts long enough for several quanta to elapse.
         let config = ExperimentConfig::quick().with_scale(256);
-        let result = run_benchmark_with_wp(&profile, &config);
+        let result = Matrix::default().run(Cell::write_partitioning(&profile, &config));
         let wp = result.wp.expect("WP statistics present");
         assert!(wp.quanta > 0, "OS quanta must have elapsed");
         assert_eq!(result.collector, "WP");
+    }
+
+    #[test]
+    fn the_matrix_runs_each_distinct_cell_once() {
+        let profile = benchmark("lu.fix").unwrap();
+        let quick = ExperimentConfig::quick();
+        let matrix = Matrix::default();
+        let kg_n = Cell::new(&profile, HeapConfig::kg_n(), &quick);
+        let first = matrix.run(kg_n.clone());
+        // Worker threads and output directories are not part of the key.
+        let again = matrix.run(Cell::new(
+            &profile,
+            HeapConfig::kg_n(),
+            &quick.clone().with_jobs(4).with_trace_dir("unused"),
+        ));
+        assert!(Arc::ptr_eq(&first, &again));
+        assert_eq!((matrix.runs(), matrix.cells()), (1, 1));
+        // Every field that shapes a run is.
+        let distinct = [
+            Cell::new(&profile, HeapConfig::kg_w(), &quick),
+            Cell::new(&benchmark("pmd").unwrap(), HeapConfig::kg_n(), &quick),
+            Cell::write_partitioning(&profile, &quick),
+            Cell::new(&profile, HeapConfig::kg_n(), &quick.clone().with_scale(1024)),
+            Cell::new(
+                &profile,
+                HeapConfig::kg_n(),
+                &ExperimentConfig {
+                    mode: MeasurementMode::Simulation,
+                    ..quick.clone()
+                },
+            ),
+        ];
+        for cell in &distinct {
+            assert_ne!(*cell, kg_n, "{}", cell.label());
+        }
+        // Four workers asking for one cell at once share one run.
+        let barrier = std::sync::Barrier::new(4);
+        let shared = run_jobs(&[0, 1, 2, 3], 4, |_| {
+            barrier.wait();
+            matrix.run(distinct[0].clone())
+        });
+        assert!(shared.iter().all(|result| Arc::ptr_eq(result, &shared[0])));
+        assert_eq!((matrix.runs(), matrix.cells()), (2, 2));
+    }
+
+    #[test]
+    fn modes_and_advice_tables_get_their_own_metrics_files() {
+        let dir = Path::new("metrics");
+        let profile = benchmark("lusearch").unwrap();
+        let quick = ExperimentConfig::quick();
+        let sim = ExperimentConfig {
+            mode: MeasurementMode::Simulation,
+            ..quick.clone()
+        };
+        let path = |heap: HeapConfig, config: &ExperimentConfig| {
+            Cell::new(&profile, heap, config)
+                .metrics_path(dir)
+                .file_name()
+                .unwrap()
+                .to_string_lossy()
+                .into_owned()
+        };
+        assert_eq!(
+            path(HeapConfig::kg_w(), &quick),
+            "lusearch-KG-W-arch-independent.kgmetrics"
+        );
+        assert_eq!(
+            path(HeapConfig::kg_w(), &sim),
+            "lusearch-KG-W-simulation.kgmetrics"
+        );
+        assert_eq!(
+            Cell::write_partitioning(&profile, &sim).metrics_path(dir),
+            dir.join("lusearch-WP-simulation.kgmetrics")
+        );
+        // Advice tables and fault schedules are not in the name, so cells
+        // that carry them add a digest of them.
+        let cold = path(HeapConfig::kg_a(advice::AdviceTable::all_cold()), &quick);
+        let hot = path(
+            HeapConfig::kg_a(advice::AdviceTable::from_entries(
+                [(advice::SiteId(3), advice::Placement::DramMature)],
+                advice::Placement::PcmMature,
+            )),
+            &quick,
+        );
+        assert!(cold.starts_with("lusearch-KG-A-arch-independent-"), "{cold}");
+        assert_ne!(cold, hot);
+        let faulted = |seed| {
+            path(
+                HeapConfig::kg_n(),
+                &quick
+                    .clone()
+                    .with_faults(FaultConfig::accelerated(seed, hybrid_mem::Endurance::Low10M)),
+            )
+        };
+        assert_ne!(faulted(1), faulted(2));
+        assert_eq!(faulted(1), faulted(1));
     }
 
     #[test]
@@ -759,11 +1015,11 @@ mod tests {
             HeapConfig::kg_w(),
             HeapConfig::gen_immix_pcm(),
         ] {
-            let live = run_benchmark(&profile, heap_config.clone(), &live_config);
+            let live = run(&profile, heap_config.clone(), &live_config);
             // First traced run records (passively), second replays; both
             // must equal the live run bit-for-bit.
-            let recorded = run_benchmark(&profile, heap_config.clone(), &traced_config);
-            let replayed = run_benchmark(&profile, heap_config.clone(), &traced_config);
+            let recorded = run(&profile, heap_config.clone(), &traced_config);
+            let replayed = run(&profile, heap_config.clone(), &traced_config);
             assert_eq!(
                 fingerprint(&recorded),
                 fingerprint(&live),
@@ -782,17 +1038,17 @@ mod tests {
         assert_eq!(traces.len(), 1, "all collectors share one recorded trace");
         // The hook-driven OS Write Partitioning baseline replays its
         // mid-run migrations from the recorded hook markers.
-        let wp_live = run_benchmark_with_wp(&profile, &live_config);
-        let wp_replayed = run_benchmark_with_wp(&profile, &traced_config);
+        let wp_live = Matrix::default().run(Cell::write_partitioning(&profile, &live_config));
+        let wp_replayed = Matrix::default().run(Cell::write_partitioning(&profile, &traced_config));
         assert_eq!(fingerprint(&wp_replayed), fingerprint(&wp_live));
         assert_eq!(
             wp_replayed.wp.as_ref().map(|wp| wp.quanta),
             wp_live.wp.as_ref().map(|wp| wp.quanta),
         );
-        // Profiled (advise-pipeline) runs replay too, with the profile
-        // reproduced from the replayed site-tagged stream.
-        let profiled_live = run_benchmark_profiled(&profile, HeapConfig::kg_n(), &live_config);
-        let profiled_replayed = run_benchmark_profiled(&profile, HeapConfig::kg_n(), &traced_config);
+        // Replayed runs reproduce the site profile from the replayed
+        // site-tagged stream.
+        let profiled_live = run(&profile, HeapConfig::kg_n(), &live_config);
+        let profiled_replayed = run(&profile, HeapConfig::kg_n(), &traced_config);
         assert_eq!(
             profiled_replayed.site_profile.as_ref().map(|p| p.sites.len()),
             profiled_live.site_profile.as_ref().map(|p| p.sites.len()),
@@ -806,7 +1062,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let profile = benchmark("pmd").unwrap();
         let config = ExperimentConfig::quick().with_trace_dir(&dir);
-        let live = run_benchmark(&profile, HeapConfig::kg_n(), &ExperimentConfig::quick());
+        let live = run(&profile, HeapConfig::kg_n(), &ExperimentConfig::quick());
         // Plant a trace whose site-map hash no longer matches: well-formed,
         // but recorded "under an older program version". Its (empty) stream
         // must not be replayed.
@@ -826,7 +1082,7 @@ mod tests {
         };
         assert!(!trace_site_map_current(&stale));
         trace::save_trace(&stale, &path).unwrap();
-        let result = run_benchmark(&profile, HeapConfig::kg_n(), &config);
+        let result = run(&profile, HeapConfig::kg_n(), &config);
         assert_eq!(
             result.pcm_writes(),
             live.pcm_writes(),
@@ -854,11 +1110,12 @@ mod tests {
                 result.memory.failed_pcm_lines,
                 result.memory.retired_pcm_pages,
                 result.gc.fault_pages_retired,
+                result.years_to_uncorrectable.map(f64::to_bits),
             )
         };
-        let live = run_benchmark(&profile, HeapConfig::kg_n(), &live_config);
-        let recorded = run_benchmark(&profile, HeapConfig::kg_n(), &traced_config);
-        let replayed = run_benchmark(&profile, HeapConfig::kg_n(), &traced_config);
+        let live = run(&profile, HeapConfig::kg_n(), &live_config);
+        let recorded = run(&profile, HeapConfig::kg_n(), &traced_config);
+        let replayed = run(&profile, HeapConfig::kg_n(), &traced_config);
         assert_eq!(fingerprint(&recorded), fingerprint(&live), "recording is passive");
         assert_eq!(
             fingerprint(&replayed),
@@ -938,12 +1195,8 @@ mod tests {
         let profile = benchmark("lu.fix").unwrap();
         let config = ExperimentConfig::quick();
         let pairs: Vec<HeapConfig> = vec![HeapConfig::kg_n(), HeapConfig::gen_immix_pcm()];
-        let sequential = run_jobs(&pairs, 1, |c| {
-            run_benchmark(&profile, c.clone(), &config).pcm_writes()
-        });
-        let threaded = run_jobs(&pairs, 2, |c| {
-            run_benchmark(&profile, c.clone(), &config).pcm_writes()
-        });
+        let sequential = run_jobs(&pairs, 1, |c| run(&profile, c.clone(), &config).pcm_writes());
+        let threaded = run_jobs(&pairs, 2, |c| run(&profile, c.clone(), &config).pcm_writes());
         assert_eq!(sequential, threaded);
     }
 
@@ -952,28 +1205,28 @@ mod tests {
         // The figure/table experiments fan per-benchmark rows over
         // `config.jobs`; results and ordering must be identical to a
         // sequential run.
-        let sequential = crate::writes::figure6(&ExperimentConfig::quick());
-        let threaded = crate::writes::figure6(&ExperimentConfig::quick().with_jobs(3));
+        let sequential = crate::writes::figure6(&Matrix::default(), &ExperimentConfig::quick());
+        let threaded = crate::writes::figure6(&Matrix::default(), &ExperimentConfig::quick().with_jobs(3));
         assert_eq!(sequential.rows.len(), threaded.rows.len());
         for (a, b) in sequential.rows.iter().zip(&threaded.rows) {
             assert_eq!(a.benchmark, b.benchmark);
             assert_eq!(a.relative, b.relative);
         }
-    }
-
-    #[test]
-    fn standard_configs_cover_table1() {
-        let labels: Vec<String> = standard_configs().into_iter().map(|(l, _)| l).collect();
-        for expected in [
-            "DRAM-only",
-            "PCM-only",
-            "KG-N",
-            "KG-W",
-            "KG-W-LOO",
-            "KG-W-LOO-MDO",
-            "KG-W-PM",
-        ] {
-            assert!(labels.iter().any(|l| l == expected), "missing {expected}");
-        }
+        // On one matrix, `headline` reads only runs that Figures 1, 7, 8
+        // and 11 already made.
+        let sim = ExperimentConfig {
+            mode: MeasurementMode::Simulation,
+            ..ExperimentConfig::quick().with_jobs(2)
+        };
+        let hw = ExperimentConfig::quick().with_jobs(2);
+        let matrix = Matrix::default();
+        crate::lifetime::run(&matrix, &sim);
+        crate::writes::figure7(&matrix, &sim);
+        crate::energy_time::figure8(&matrix, &sim);
+        crate::writes::figure11(&matrix, &hw);
+        let runs = matrix.runs();
+        assert_eq!(runs, matrix.cells(), "each cell ran once");
+        crate::headline(&matrix, &sim, &hw);
+        assert_eq!(matrix.runs(), runs, "headline added runs");
     }
 }

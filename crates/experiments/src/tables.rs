@@ -5,8 +5,8 @@ use hybrid_mem::MemoryKind;
 use kingsguard::{BarrierMode, HeapConfig};
 use workloads::{all_benchmarks, simulated_benchmarks};
 
-use crate::report::{collect_rows, mean, percent, TelemetryRollup, TextTable};
-use crate::runner::{run_benchmark, run_benchmark_with_wp, run_jobs, ExperimentConfig};
+use crate::report::{collect_rows, percent, TelemetryRollup, TextTable};
+use crate::runner::{run_jobs, Cell, ExperimentConfig, Matrix};
 
 /// Table 1: collector configurations (a static description).
 pub fn table1() -> String {
@@ -108,17 +108,6 @@ pub struct WriteRateResults {
 }
 
 impl WriteRateResults {
-    /// Average estimated 32-core write rate in GB/s.
-    pub fn average_estimated_gbps(&self) -> f64 {
-        mean(
-            &self
-                .rows
-                .iter()
-                .map(|r| r.estimated_32core_gbps)
-                .collect::<Vec<_>>(),
-        )
-    }
-
     /// Renders the Table 3 report.
     pub fn report(&self) -> String {
         let mut table = TextTable::new(
@@ -145,14 +134,12 @@ impl WriteRateResults {
 }
 
 /// Table 3: write-rate estimation for the simulation subset.
-pub fn table3(config: &ExperimentConfig) -> WriteRateResults {
+pub fn table3(matrix: &Matrix, config: &ExperimentConfig) -> WriteRateResults {
     let benchmarks = simulated_benchmarks();
     let (rows, telemetry) = collect_rows(run_jobs(&benchmarks, config.jobs, |profile| {
-        let result = run_benchmark(profile, HeapConfig::gen_immix_pcm(), config);
+        let result = matrix.run(Cell::new(profile, HeapConfig::gen_immix_pcm(), config));
         let four_core = result.pcm_write_rate_4core() / 1e9;
         let scaling = profile.scaling_factor.unwrap_or(1.0);
-        let mut rollup = TelemetryRollup::default();
-        rollup.absorb(&result);
         (
             WriteRateRow {
                 benchmark: profile.name.to_string(),
@@ -161,7 +148,7 @@ pub fn table3(config: &ExperimentConfig) -> WriteRateResults {
                 estimated_32core_gbps: four_core * scaling,
                 paper_gbps: profile.paper_write_rate_gbps.unwrap_or(0.0),
             },
-            rollup,
+            TelemetryRollup::of([&result]),
         )
     }));
     WriteRateResults { rows, telemetry }
@@ -213,29 +200,6 @@ pub struct Table4Results {
 }
 
 impl Table4Results {
-    /// Average nursery survival across benchmarks (the paper reports ~17 %).
-    pub fn average_nursery_survival(&self) -> f64 {
-        mean(
-            &self
-                .rows
-                .iter()
-                .map(|r| r.nursery_survival_kg_w)
-                .collect::<Vec<_>>(),
-        )
-    }
-
-    /// Average fraction of observer survivors held in DRAM (the paper
-    /// reports ~10 % of objects).
-    pub fn average_held_in_dram_objects(&self) -> f64 {
-        mean(
-            &self
-                .rows
-                .iter()
-                .map(|r| r.held_in_dram_objects)
-                .collect::<Vec<_>>(),
-        )
-    }
-
     /// Renders the Table 4 report.
     pub fn report(&self) -> String {
         let mut table = TextTable::new(
@@ -290,7 +254,7 @@ impl Table4Results {
 ///
 /// When `include_wp` is `true`, the WP baseline is additionally run for the
 /// simulation subset to fill the "WP DRAM" column.
-pub fn table4(config: &ExperimentConfig, include_wp: bool) -> Table4Results {
+pub fn table4(matrix: &Matrix, config: &ExperimentConfig, include_wp: bool) -> Table4Results {
     let config = ExperimentConfig {
         mode: crate::MeasurementMode::ArchitectureIndependent,
         ..config.clone()
@@ -298,13 +262,10 @@ pub fn table4(config: &ExperimentConfig, include_wp: bool) -> Table4Results {
     let to_mb = |bytes: u64| bytes as f64 / (1 << 20) as f64;
     let benchmarks = all_benchmarks();
     let pairs = run_jobs(&benchmarks, config.jobs, |profile| {
-        let kg_n = run_benchmark(profile, HeapConfig::kg_n(), &config);
-        let kg_w = run_benchmark(profile, HeapConfig::kg_w(), &config);
-        let mut rollup = TelemetryRollup::default();
-        rollup.absorb(&kg_n);
-        rollup.absorb(&kg_w);
+        let kg_n = matrix.run(Cell::new(profile, HeapConfig::kg_n(), &config));
+        let kg_w = matrix.run(Cell::new(profile, HeapConfig::kg_w(), &config));
         let wp_dram_mb = if include_wp && profile.simulated {
-            let wp = run_benchmark_with_wp(profile, &config);
+            let wp = matrix.run(Cell::write_partitioning(profile, &config));
             wp.wp
                 .map(|s| to_mb((s.peak_dram_pages * hybrid_mem::PAGE_SIZE) as u64))
                 .unwrap_or(0.0)
@@ -332,7 +293,7 @@ pub fn table4(config: &ExperimentConfig, include_wp: bool) -> Table4Results {
             held_in_dram_bytes: kg_w.gc.observer_dram_fraction(),
             held_in_dram_objects: kg_w.gc.observer_dram_object_fraction(),
         };
-        (row, rollup)
+        (row, TelemetryRollup::of([&kg_n, &kg_w]))
     });
     let (rows, telemetry) = collect_rows(pairs);
     Table4Results {

@@ -23,19 +23,13 @@ use hybrid_mem::wear::WearSummary;
 use hybrid_mem::{MemoryConfig, MemoryKind, MemorySystem};
 use kingsguard::{HeapConfig, KingsguardHeap, MutatorConfig};
 use trace::{Trace, TraceError, TraceReplayer};
-use workloads::{simulated_benchmarks, BenchmarkProfile, SyntheticMutator};
+use workloads::{BenchmarkProfile, SyntheticMutator};
 
 use crate::report::TextTable;
-use crate::runner::{run_jobs, trace_path, ExperimentConfig};
+use crate::runner::{heap_config_for, run_jobs, trace_path, ExperimentConfig};
 
 /// Collector labels of the replay comparison, in row order per benchmark.
 pub const REPLAY_COLLECTORS: [&str; 6] = ["DRAM-only", "PCM-only", "KG-N", "KG-W", "KG-A", "KG-D"];
-
-/// The default benchmark set (the simulated subset, as in the other
-/// comparisons).
-pub fn default_benchmarks() -> Vec<BenchmarkProfile> {
-    simulated_benchmarks()
-}
 
 /// Heap configuration for one replay-comparison collector label.
 pub fn config_for(label: &str) -> HeapConfig {
@@ -50,10 +44,6 @@ pub fn config_for(label: &str) -> HeapConfig {
         "KG-D" => HeapConfig::kg_d(),
         other => panic!("unknown collector label {other}"),
     }
-}
-
-pub(crate) fn sized_config(label: &str, profile: &BenchmarkProfile, config: &ExperimentConfig) -> HeapConfig {
-    config_for(label).with_heap_budget(profile.scaled_heap_bytes(config.scale).max(2 << 20) as usize)
 }
 
 // ---------------------------------------------------------------------
@@ -132,7 +122,7 @@ pub fn record_traces(
     jobs: usize,
 ) -> RecordResults {
     let rows = run_jobs(benchmarks, jobs, |profile| {
-        let heap_config = sized_config("KG-N", profile, config);
+        let heap_config = heap_config_for(profile, config_for("KG-N"), config);
         let path = trace_path(dir, profile.name, &heap_config, config, mutators);
         let mut heap = KingsguardHeap::new(heap_config, config.memory_config());
         let mutator = SyntheticMutator::new(profile.clone(), config.workload());
@@ -285,30 +275,10 @@ fn run_fingerprint(report: &kingsguard::RunReport) -> (u64, u64, u64, u64, u64, 
 }
 
 /// Replays each benchmark's recorded trace (recording any that are missing)
-/// under every [`REPLAY_COLLECTORS`] entry, fanning (benchmark, collector)
-/// pairs over `jobs` workers. With `verify`, each replay is compared
-/// bit-for-bit against that collector's live run.
+/// under every label in `collectors` (a subset of [`REPLAY_COLLECTORS`]),
+/// fanning (benchmark, collector) pairs over `jobs` workers. With `verify`,
+/// each replay is compared bit-for-bit against that collector's live run.
 pub fn replay_traces(
-    config: &ExperimentConfig,
-    benchmarks: &[BenchmarkProfile],
-    dir: &Path,
-    mutators: usize,
-    jobs: usize,
-    verify: bool,
-) -> ReplayResults {
-    replay_traces_filtered(
-        config,
-        benchmarks,
-        dir,
-        mutators,
-        jobs,
-        verify,
-        &REPLAY_COLLECTORS,
-    )
-}
-
-/// [`replay_traces`] restricted to an explicit collector subset.
-pub fn replay_traces_filtered(
     config: &ExperimentConfig,
     benchmarks: &[BenchmarkProfile],
     dir: &Path,
@@ -324,7 +294,7 @@ pub fn replay_traces_filtered(
     let loaded: Vec<(&BenchmarkProfile, trace::Trace)> = benchmarks
         .iter()
         .map(|profile| {
-            let heap_config = sized_config("KG-N", profile, config);
+            let heap_config = heap_config_for(profile, config_for("KG-N"), config);
             let path = trace_path(dir, profile.name, &heap_config, config, mutators);
             let current = trace::load_trace(&path)
                 .ok()
@@ -346,7 +316,7 @@ pub fn replay_traces_filtered(
         .flat_map(|(profile, recorded)| collectors.iter().map(move |label| (*profile, recorded, *label)))
         .collect();
     let rows = run_jobs(&pairs, jobs, |(profile, recorded, label)| {
-        let heap_config = sized_config(label, profile, config);
+        let heap_config = heap_config_for(profile, config_for(label), config);
         let start = Instant::now();
         let mut heap = KingsguardHeap::new(heap_config.clone(), config.memory_config());
         TraceReplayer::new(recorded)
@@ -484,10 +454,10 @@ fn replay_side(trace: &Trace, collector: &str, config: &ExperimentConfig, path: 
     };
     // Size the heap budget like the recording runs: from the trace header's
     // workload, if it is a known benchmark; otherwise a generous default.
-    let budget = workloads::benchmark(&trace.header.workload)
-        .map(|p| p.scaled_heap_bytes(config.scale).max(2 << 20) as usize)
-        .unwrap_or(8 << 20);
-    let heap_config = config_for(collector).with_heap_budget(budget);
+    let heap_config = match workloads::benchmark(&trace.header.workload) {
+        Some(profile) => heap_config_for(&profile, config_for(collector), config),
+        None => config_for(collector).with_heap_budget(8 << 20),
+    };
     let mut heap = KingsguardHeap::new(heap_config, memory_config);
     TraceReplayer::new(trace)
         .replay(&mut heap)
@@ -545,7 +515,7 @@ mod tests {
         assert_eq!(row.bytes, std::fs::metadata(&row.path).unwrap().len());
         assert!(row.memory_bytes >= row.events * trace::TraceEvents::SLOT_BYTES as u64);
         assert!(recorded.report().contains("in-memory KB"));
-        let results = replay_traces(&config, &benchmarks, &dir, 1, 2, true);
+        let results = replay_traces(&config, &benchmarks, &dir, 1, 2, true, &REPLAY_COLLECTORS);
         assert_eq!(results.rows.len(), REPLAY_COLLECTORS.len());
         assert_eq!(results.mismatches(), 0, "{}", results.report());
         assert!(results.report().contains("exact"));
@@ -557,7 +527,7 @@ mod tests {
         let dir = temp_dir("on-demand");
         let config = ExperimentConfig::quick();
         let benchmarks = vec![benchmark("pmd").unwrap()];
-        let results = replay_traces(&config, &benchmarks, &dir, 1, 1, false);
+        let results = replay_traces(&config, &benchmarks, &dir, 1, 1, false, &REPLAY_COLLECTORS);
         assert_eq!(results.rows.len(), REPLAY_COLLECTORS.len());
         assert!(results.rows.iter().all(|r| r.exact.is_none()));
         assert!(results.total_replay_ms() < u64::MAX);

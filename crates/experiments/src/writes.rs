@@ -5,7 +5,7 @@ use kingsguard::HeapConfig;
 use workloads::{all_benchmarks, simulated_benchmarks};
 
 use crate::report::{collect_rows, mean, percent, ratio, TelemetryRollup, TextTable};
-use crate::runner::{run_benchmark, run_benchmark_with_wp, run_jobs, ExperimentConfig, ExperimentResult};
+use crate::runner::{run_jobs, Cell, ExperimentConfig, ExperimentResult, Matrix};
 
 // ---------------------------------------------------------------------------
 // Figure 2: write demographics
@@ -85,16 +85,14 @@ impl DemographicsResults {
 
 /// Figure 2: measures write demographics with the instrumented baseline
 /// generational collector on all 18 benchmarks.
-pub fn figure2(config: &ExperimentConfig) -> DemographicsResults {
+pub fn figure2(matrix: &Matrix, config: &ExperimentConfig) -> DemographicsResults {
     let config = ExperimentConfig {
         mode: crate::MeasurementMode::ArchitectureIndependent,
         ..config.clone()
     };
     let benchmarks = all_benchmarks();
     let (rows, telemetry) = collect_rows(run_jobs(&benchmarks, config.jobs, |profile| {
-        let result = run_benchmark(profile, HeapConfig::gen_immix_dram(), &config);
-        let mut rollup = TelemetryRollup::default();
-        rollup.absorb(&result);
+        let result = matrix.run(Cell::new(profile, HeapConfig::gen_immix_dram(), &config));
         (
             DemographicsRow {
                 benchmark: profile.name.to_string(),
@@ -102,7 +100,7 @@ pub fn figure2(config: &ExperimentConfig) -> DemographicsResults {
                 top10_share: result.gc.top_mature_writer_share(0.10),
                 top2_share: result.gc.top_mature_writer_share(0.02),
             },
-            rollup,
+            TelemetryRollup::of([&result]),
         )
     }));
     DemographicsResults { rows, telemetry }
@@ -160,31 +158,27 @@ impl WriteReductionResults {
 
 /// Figure 6: PCM writes of the four Kingsguard configurations relative to
 /// PCM-only, on the simulation subset.
-pub fn figure6(config: &ExperimentConfig) -> WriteReductionResults {
+pub fn figure6(matrix: &Matrix, config: &ExperimentConfig) -> WriteReductionResults {
     let benchmarks = simulated_benchmarks();
     let (rows, telemetry) = collect_rows(run_jobs(&benchmarks, config.jobs, |profile| {
-        let baseline = run_benchmark(profile, HeapConfig::gen_immix_pcm(), config);
+        let run = |heap| matrix.run(Cell::new(profile, heap, config));
+        let baseline = run(HeapConfig::gen_immix_pcm());
         let base_writes = baseline.pcm_writes().max(1) as f64;
-        let mut rollup = TelemetryRollup::default();
-        rollup.absorb(&baseline);
-        let configs = [
+        let results = [
             HeapConfig::kg_n(),
             HeapConfig::kg_w(),
             HeapConfig::kg_w_no_loo(),
             HeapConfig::kg_w_no_loo_no_mdo(),
-        ];
-        let mut relative = [0.0f64; 4];
-        for (i, heap_config) in configs.into_iter().enumerate() {
-            let result = run_benchmark(profile, heap_config, config);
-            rollup.absorb(&result);
-            relative[i] = result.pcm_writes() as f64 / base_writes;
-        }
+        ]
+        .map(run);
         (
             WriteReductionRow {
                 benchmark: profile.name.to_string(),
-                relative,
+                relative: results
+                    .each_ref()
+                    .map(|result| result.pcm_writes() as f64 / base_writes),
             },
-            rollup,
+            TelemetryRollup::of(std::iter::once(&baseline).chain(&results)),
         )
     }));
     WriteReductionResults { rows, telemetry }
@@ -279,18 +273,15 @@ impl WpComparisonResults {
 
 /// Figure 7: KG-N, KG-W and OS Write Partitioning PCM writes relative to
 /// PCM-only on the simulation subset.
-pub fn figure7(config: &ExperimentConfig) -> WpComparisonResults {
+pub fn figure7(matrix: &Matrix, config: &ExperimentConfig) -> WpComparisonResults {
     let benchmarks = simulated_benchmarks();
     let (rows, telemetry) = collect_rows(run_jobs(&benchmarks, config.jobs, |profile| {
-        let baseline = run_benchmark(profile, HeapConfig::gen_immix_pcm(), config);
+        let run = |heap| matrix.run(Cell::new(profile, heap, config));
+        let baseline = run(HeapConfig::gen_immix_pcm());
         let base_writes = baseline.pcm_writes().max(1) as f64;
-        let kg_n = run_benchmark(profile, HeapConfig::kg_n(), config);
-        let kg_w = run_benchmark(profile, HeapConfig::kg_w(), config);
-        let wp = run_benchmark_with_wp(profile, config);
-        let mut rollup = TelemetryRollup::default();
-        for result in [&baseline, &kg_n, &kg_w, &wp] {
-            rollup.absorb(result);
-        }
+        let kg_n = run(HeapConfig::kg_n());
+        let kg_w = run(HeapConfig::kg_w());
+        let wp = matrix.run(Cell::write_partitioning(profile, config));
         (
             WpComparisonRow {
                 benchmark: profile.name.to_string(),
@@ -303,7 +294,7 @@ pub fn figure7(config: &ExperimentConfig) -> WpComparisonResults {
                     .map(|s| (s.peak_dram_pages * hybrid_mem::PAGE_SIZE) as u64)
                     .unwrap_or(0),
             },
-            rollup,
+            TelemetryRollup::of([&baseline, &kg_n, &kg_w, &wp]),
         )
     }));
     WpComparisonResults { rows, telemetry }
@@ -388,18 +379,15 @@ fn origin_row(result: &ExperimentResult, normaliser: f64) -> WriteOriginRow {
 
 /// Figure 10: attributes PCM writes to the phase that last wrote each cache
 /// line, for KG-N and KG-W on the simulation subset.
-pub fn figure10(config: &ExperimentConfig) -> WriteOriginResults {
+pub fn figure10(matrix: &Matrix, config: &ExperimentConfig) -> WriteOriginResults {
     let benchmarks = simulated_benchmarks();
     let (pairs, telemetry) = collect_rows(run_jobs(&benchmarks, config.jobs, |profile| {
-        let kg_n = run_benchmark(profile, HeapConfig::kg_n(), config);
-        let kg_w = run_benchmark(profile, HeapConfig::kg_w(), config);
+        let kg_n = matrix.run(Cell::new(profile, HeapConfig::kg_n(), config));
+        let kg_w = matrix.run(Cell::new(profile, HeapConfig::kg_w(), config));
         let normaliser = kg_n.pcm_writes().max(1) as f64;
-        let mut rollup = TelemetryRollup::default();
-        rollup.absorb(&kg_n);
-        rollup.absorb(&kg_w);
         (
             [origin_row(&kg_n, normaliser), origin_row(&kg_w, normaliser)],
-            rollup,
+            TelemetryRollup::of([&kg_n, &kg_w]),
         )
     }));
     let rows = pairs.into_iter().flatten().collect();
@@ -475,22 +463,19 @@ impl HardwareWritesResults {
 
 /// Figure 11: barrier-level application PCM writes of KG-N-12, KG-W and
 /// KG-W–PM relative to KG-N, on all 18 benchmarks.
-pub fn figure11(config: &ExperimentConfig) -> HardwareWritesResults {
+pub fn figure11(matrix: &Matrix, config: &ExperimentConfig) -> HardwareWritesResults {
     let config = ExperimentConfig {
         mode: crate::MeasurementMode::ArchitectureIndependent,
         ..config.clone()
     };
     let benchmarks = all_benchmarks();
     let (rows, telemetry) = collect_rows(run_jobs(&benchmarks, config.jobs, |profile| {
-        let kg_n = run_benchmark(profile, HeapConfig::kg_n(), &config);
+        let run = |heap| matrix.run(Cell::new(profile, heap, &config));
+        let kg_n = run(HeapConfig::kg_n());
         let baseline = kg_n.pcm_app_writes().max(1) as f64;
-        let kg_n_12 = run_benchmark(profile, HeapConfig::kg_n_large_nursery(), &config);
-        let kg_w = run_benchmark(profile, HeapConfig::kg_w(), &config);
-        let kg_w_pm = run_benchmark(profile, HeapConfig::kg_w_no_primitive_monitoring(), &config);
-        let mut rollup = TelemetryRollup::default();
-        for result in [&kg_n, &kg_n_12, &kg_w, &kg_w_pm] {
-            rollup.absorb(result);
-        }
+        let kg_n_12 = run(HeapConfig::kg_n_large_nursery());
+        let kg_w = run(HeapConfig::kg_w());
+        let kg_w_pm = run(HeapConfig::kg_w_no_primitive_monitoring());
         (
             HardwareWritesRow {
                 benchmark: profile.name.to_string(),
@@ -498,7 +483,7 @@ pub fn figure11(config: &ExperimentConfig) -> HardwareWritesResults {
                 kg_w: kg_w.pcm_app_writes() as f64 / baseline,
                 kg_w_pm: kg_w_pm.pcm_app_writes() as f64 / baseline,
             },
-            rollup,
+            TelemetryRollup::of([&kg_n, &kg_n_12, &kg_w, &kg_w_pm]),
         )
     }));
     HardwareWritesResults { rows, telemetry }

@@ -2,10 +2,10 @@
 //!
 //! One file per run, in the same spirit as the `.kgprof`/`.kgtrace`
 //! formats: a header line carrying the schema name and version plus the run
-//! identity (benchmark, collector, seed, scale), followed by one JSON
-//! object per metric — counters, gauges, histograms, spans and structured
-//! events. Readers reject files whose version is outside the supported
-//! window, exactly like the binary trace format.
+//! identity (benchmark, collector, measurement mode, seed, scale), followed
+//! by one JSON object per metric — counters, gauges, histograms, spans and
+//! structured events. Readers reject files whose version is outside the
+//! supported window, exactly like the binary trace format.
 //!
 //! Every record is (explicitly or by kind) *deterministic* or *timing*:
 //! counters, deterministic gauges, histogram/span **counts** and
@@ -38,6 +38,10 @@ pub struct RunMeta {
     pub benchmark: String,
     /// Collector label (e.g. `KG-D`).
     pub collector: String,
+    /// Measurement mode (`simulation` or `arch-independent`). Empty in
+    /// files written before the header carried it; an empty mode matches
+    /// any mode when two documents are compared.
+    pub mode: String,
     /// Workload seed.
     pub seed: u64,
     /// Workload scale factor.
@@ -126,11 +130,12 @@ pub fn render_jsonl(meta: &RunMeta, report: &TelemetryReport) -> String {
     let mut out = String::new();
     out.push_str(&format!(
         "{{\"schema\":\"{}\",\"version\":{},\"benchmark\":\"{}\",\"collector\":\"{}\",\
-         \"seed\":{},\"scale\":{},\"elapsed_ns\":{}}}\n",
+         \"mode\":\"{}\",\"seed\":{},\"scale\":{},\"elapsed_ns\":{}}}\n",
         SCHEMA_NAME,
         SCHEMA_VERSION,
         json_escape(&meta.benchmark),
         json_escape(&meta.collector),
+        json_escape(&meta.mode),
         meta.seed,
         meta.scale,
         report.elapsed_ns,
@@ -281,6 +286,7 @@ impl TelemetryDoc {
             meta: RunMeta {
                 benchmark: require_str(&header, "benchmark", header_no)?,
                 collector: require_str(&header, "collector", header_no)?,
+                mode: header.str_field("mode").unwrap_or_default().to_string(),
                 seed: require_u64(&header, "seed", header_no)?,
                 scale: require_u64(&header, "scale", header_no)?,
             },
@@ -407,9 +413,14 @@ impl TelemetryDoc {
     pub fn summary_top(&self, top: Option<usize>) -> String {
         let mut out = String::new();
         out.push_str(&format!(
-            "telemetry run: {} / {} (seed {}, scale {}), schema v{}, elapsed {}\n",
+            "telemetry run: {} / {} ({}seed {}, scale {}), schema v{}, elapsed {}\n",
             self.meta.benchmark,
             self.meta.collector,
+            if self.meta.mode.is_empty() {
+                String::new()
+            } else {
+                format!("{}, ", self.meta.mode)
+            },
             self.meta.seed,
             self.meta.scale,
             self.version,
@@ -609,15 +620,21 @@ pub fn diff_docs(a: &TelemetryDoc, b: &TelemetryDoc) -> MetricsDiff {
     // Run identity: comparing different runs is almost always a mistake —
     // surface it as drift rather than silently comparing apples to oranges.
     diff.compared += 1;
-    if a.meta != b.meta {
+    let modes_match = a.meta.mode == b.meta.mode || a.meta.mode.is_empty() || b.meta.mode.is_empty();
+    if !modes_match
+        || (&a.meta.benchmark, &a.meta.collector, a.meta.seed, a.meta.scale)
+            != (&b.meta.benchmark, &b.meta.collector, b.meta.seed, b.meta.scale)
+    {
         diff.drift.push(format!(
-            "run identity: {}/{} seed {} scale {} != {}/{} seed {} scale {}",
+            "run identity: {}/{} ({}) seed {} scale {} != {}/{} ({}) seed {} scale {}",
             a.meta.benchmark,
             a.meta.collector,
+            a.meta.mode,
             a.meta.seed,
             a.meta.scale,
             b.meta.benchmark,
             b.meta.collector,
+            b.meta.mode,
             b.meta.seed,
             b.meta.scale,
         ));
@@ -742,6 +759,7 @@ mod tests {
         let meta = RunMeta {
             benchmark: "lusearch".to_string(),
             collector: "KG-D".to_string(),
+            mode: "arch-independent".to_string(),
             seed: 7,
             scale: 2048,
         };
@@ -842,6 +860,19 @@ mod tests {
     }
 
     #[test]
+    fn headers_without_a_mode_parse_and_match_either_mode() {
+        let (meta, report) = sample_report();
+        let text = render_jsonl(&meta, &report);
+        let current = TelemetryDoc::parse(&text).unwrap();
+        let older = TelemetryDoc::parse(&text.replacen("\"mode\":\"arch-independent\",", "", 1)).unwrap();
+        assert_eq!(older.meta.mode, "");
+        assert!(!diff_docs(&older, &current).has_drift());
+        let mut simulated = current.clone();
+        simulated.meta.mode = "simulation".to_string();
+        assert!(diff_docs(&simulated, &current).has_drift());
+    }
+
+    #[test]
     fn escaped_strings_round_trip() {
         let mut t = Telemetry::enabled();
         t.event("weird", true, || {
@@ -850,6 +881,7 @@ mod tests {
         let meta = RunMeta {
             benchmark: "bench \"q\"".to_string(),
             collector: "KG\\N".to_string(),
+            mode: "simu\"lation".to_string(),
             seed: 1,
             scale: 2,
         };

@@ -306,6 +306,7 @@ mod tests {
         let meta = RunMeta {
             benchmark: "lusearch".to_string(),
             collector: "KG-D".to_string(),
+            mode: "arch-independent".to_string(),
             seed: 7,
             scale: 2048,
         };

@@ -7,7 +7,7 @@
 //! refactor that shifts `GC_GOLDEN`, or a cache-model change that shifts
 //! `SIM_GOLDEN`, is a conformance regression, not a reason to regenerate.
 
-use experiments::runner::{run_benchmark, ExperimentConfig, MeasurementMode};
+use experiments::runner::{Cell, ExperimentConfig, Matrix, MeasurementMode};
 use hybrid_mem::{MemoryKind, Phase};
 use kingsguard::{GcStats, HeapConfig};
 use workloads::benchmark;
@@ -74,6 +74,10 @@ fn fnv1a(values: &[u64]) -> u64 {
 }
 
 fn main() {
+    let matrix = Matrix::default();
+    let run_benchmark = |profile: &workloads::BenchmarkProfile, heap_config, config: &ExperimentConfig| {
+        matrix.run(Cell::new(profile, heap_config, config))
+    };
     println!("// GOLDEN");
     for (name, config) in [
         ("lusearch", ExperimentConfig::quick()),

@@ -4,7 +4,7 @@
 //! Run with `cargo run --release --example heap_composition [benchmark...]`.
 
 use experiments::composition;
-use experiments::runner::ExperimentConfig;
+use experiments::runner::{ExperimentConfig, Matrix};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -14,7 +14,7 @@ fn main() {
         args.iter().map(String::as_str).collect()
     };
     let config = ExperimentConfig::architecture_independent();
-    let results = composition::figure13_for(&config, &names);
+    let results = composition::figure13_for(&Matrix::default(), &config, &names);
     print!("{}", results.report());
     for series in &results.series {
         println!(

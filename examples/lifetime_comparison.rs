@@ -3,7 +3,7 @@
 //!
 //! Run with `cargo run --release --example lifetime_comparison [benchmark]`.
 
-use experiments::runner::{run_benchmark, ExperimentConfig};
+use experiments::runner::{Cell, ExperimentConfig, Matrix};
 use hybrid_mem::lifetime::Endurance;
 use kingsguard::HeapConfig;
 use workloads::benchmark;
@@ -28,7 +28,7 @@ fn main() {
         HeapConfig::kg_n(),
         HeapConfig::kg_w(),
     ] {
-        let result = run_benchmark(&profile, heap_config, &config);
+        let result = Matrix::default().run(Cell::new(&profile, heap_config, &config));
         let years = result.pcm_lifetime_years(Endurance::Mid30M.writes_per_cell());
         let improvement = match baseline_years {
             None => {

@@ -3,7 +3,7 @@
 //!
 //! Run with `cargo run --release --example write_partitioning [benchmark]`.
 
-use experiments::runner::{run_benchmark, run_benchmark_with_wp, ExperimentConfig};
+use experiments::runner::{Cell, ExperimentConfig, Matrix};
 use hybrid_mem::MemoryKind;
 use kingsguard::HeapConfig;
 use workloads::benchmark;
@@ -13,10 +13,12 @@ fn main() {
     let profile = benchmark(&name).unwrap_or_else(|| panic!("unknown benchmark: {name}"));
     let config = ExperimentConfig::simulation();
 
-    let pcm_only = run_benchmark(&profile, HeapConfig::gen_immix_pcm(), &config);
-    let kg_n = run_benchmark(&profile, HeapConfig::kg_n(), &config);
-    let kg_w = run_benchmark(&profile, HeapConfig::kg_w(), &config);
-    let wp = run_benchmark_with_wp(&profile, &config);
+    let matrix = Matrix::default();
+    let run = |heap_config| matrix.run(Cell::new(&profile, heap_config, &config));
+    let pcm_only = run(HeapConfig::gen_immix_pcm());
+    let kg_n = run(HeapConfig::kg_n());
+    let kg_w = run(HeapConfig::kg_w());
+    let wp = matrix.run(Cell::write_partitioning(&profile, &config));
     let base = pcm_only.pcm_writes().max(1) as f64;
 
     println!("benchmark: {}", profile.name);

@@ -15,7 +15,7 @@
 //!    multi-mutator trace is grammatically sound, re-records to the same
 //!    bytes and analyzes to the same counts.
 
-use experiments::runner::{run_benchmark, ExperimentConfig};
+use experiments::runner::{Cell, ExperimentConfig, Matrix};
 use experiments::traces::{config_for, REPLAY_COLLECTORS};
 use hybrid_mem::MemoryKind;
 use kingsguard::{HeapConfig, HeapEvent, HeapObserver, KingsguardHeap, MutatorConfig};
@@ -50,7 +50,7 @@ fn sanitizer_is_passive_and_clean_for_every_collector() {
     let config = ExperimentConfig::quick();
     let profile = benchmark("lusearch").expect("lusearch profile");
     for label in REPLAY_COLLECTORS {
-        let base = run_benchmark(&profile, config_for(label), &config);
+        let base = Matrix::default().run(Cell::new(&profile, config_for(label), &config));
         let (checked, report) = experiments::run_benchmark_checked(&profile, config_for(label), &config);
         assert!(
             report.is_clean(),

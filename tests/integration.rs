@@ -2,24 +2,31 @@
 //! collectors and check the paper's qualitative claims end to end.
 
 use advice::{load_profile, parse_profile, profile_to_string, AdviceTable, ClassifyParams};
-use experiments::advise::{profile_then_advise_one, profile_workload};
-use experiments::runner::{run_benchmark, run_benchmark_with_wp, ExperimentConfig};
+use std::sync::Arc;
+
+use experiments::advise::{profile_then_advise, profile_workload};
+use experiments::runner::{Cell, ExperimentConfig, ExperimentResult, Matrix};
 use hybrid_mem::{MemoryConfig, MemoryKind, Phase};
 use kingsguard::{HeapConfig, KingsguardHeap};
 use kingsguard_heap::ObjectShape;
-use workloads::{benchmark, SyntheticMutator, WorkloadConfig};
+use workloads::{benchmark, BenchmarkProfile, SyntheticMutator, WorkloadConfig};
 
 fn quick() -> ExperimentConfig {
     ExperimentConfig::quick()
+}
+
+/// One run of `heap` on `profile`, on a matrix of its own.
+fn run(profile: &BenchmarkProfile, heap: HeapConfig, config: &ExperimentConfig) -> Arc<ExperimentResult> {
+    Matrix::default().run(Cell::new(profile, heap, config))
 }
 
 #[test]
 fn kingsguard_collectors_reduce_pcm_writes_versus_pcm_only() {
     for name in ["lusearch", "xalan", "bloat"] {
         let profile = benchmark(name).unwrap();
-        let pcm_only = run_benchmark(&profile, HeapConfig::gen_immix_pcm(), &quick());
-        let kg_n = run_benchmark(&profile, HeapConfig::kg_n(), &quick());
-        let kg_w = run_benchmark(&profile, HeapConfig::kg_w(), &quick());
+        let pcm_only = run(&profile, HeapConfig::gen_immix_pcm(), &quick());
+        let kg_n = run(&profile, HeapConfig::kg_n(), &quick());
+        let kg_w = run(&profile, HeapConfig::kg_w(), &quick());
         assert!(
             kg_n.pcm_writes() < pcm_only.pcm_writes(),
             "{name}: KG-N must reduce PCM writes ({} vs {})",
@@ -38,9 +45,9 @@ fn kingsguard_collectors_reduce_pcm_writes_versus_pcm_only() {
 #[test]
 fn kg_w_extends_pcm_lifetime_more_than_kg_n() {
     let profile = benchmark("lu.fix").unwrap();
-    let pcm_only = run_benchmark(&profile, HeapConfig::gen_immix_pcm(), &quick());
-    let kg_n = run_benchmark(&profile, HeapConfig::kg_n(), &quick());
-    let kg_w = run_benchmark(&profile, HeapConfig::kg_w(), &quick());
+    let pcm_only = run(&profile, HeapConfig::gen_immix_pcm(), &quick());
+    let kg_n = run(&profile, HeapConfig::kg_n(), &quick());
+    let kg_w = run(&profile, HeapConfig::kg_w(), &quick());
     let endurance = 30_000_000;
     let base = pcm_only.pcm_lifetime_years(endurance);
     assert!(kg_n.pcm_lifetime_years(endurance) > base);
@@ -52,7 +59,7 @@ fn kg_w_keeps_most_of_the_heap_in_pcm() {
     // The paper: KG-W still places ~68-80% of the heap in PCM; the DRAM
     // mature space stays small.
     let profile = benchmark("pmd").unwrap();
-    let kg_w = run_benchmark(&profile, HeapConfig::kg_w(), &quick());
+    let kg_w = run(&profile, HeapConfig::kg_w(), &quick());
     let pcm = kg_w.gc.peak_pcm_mapped as f64;
     let dram_mature = kg_w.gc.peak_mature_dram_used as f64;
     assert!(pcm > 0.0);
@@ -65,9 +72,9 @@ fn kg_w_keeps_most_of_the_heap_in_pcm() {
 #[test]
 fn dram_only_baseline_never_writes_pcm_and_pcm_only_never_writes_dram() {
     let profile = benchmark("antlr").unwrap();
-    let dram = run_benchmark(&profile, HeapConfig::gen_immix_dram(), &quick());
+    let dram = run(&profile, HeapConfig::gen_immix_dram(), &quick());
     assert_eq!(dram.pcm_writes(), 0);
-    let pcm = run_benchmark(&profile, HeapConfig::gen_immix_pcm(), &quick());
+    let pcm = run(&profile, HeapConfig::gen_immix_pcm(), &quick());
     assert_eq!(pcm.dram_writes(), 0);
 }
 
@@ -75,9 +82,9 @@ fn dram_only_baseline_never_writes_pcm_and_pcm_only_never_writes_dram() {
 fn write_partitioning_reduces_pcm_writes_but_less_than_kg_w() {
     let profile = benchmark("lusearch").unwrap();
     let config = ExperimentConfig::quick().with_scale(256);
-    let pcm_only = run_benchmark(&profile, HeapConfig::gen_immix_pcm(), &config);
-    let kg_w = run_benchmark(&profile, HeapConfig::kg_w(), &config);
-    let wp = run_benchmark_with_wp(&profile, &config);
+    let pcm_only = run(&profile, HeapConfig::gen_immix_pcm(), &config);
+    let kg_w = run(&profile, HeapConfig::kg_w(), &config);
+    let wp = Matrix::default().run(Cell::write_partitioning(&profile, &config));
     assert!(
         wp.pcm_writes() < pcm_only.pcm_writes(),
         "WP must reduce PCM writes"
@@ -91,8 +98,8 @@ fn write_partitioning_reduces_pcm_writes_but_less_than_kg_w() {
 #[test]
 fn primitive_monitoring_ablation_increases_pcm_writes() {
     let profile = benchmark("lusearch").unwrap();
-    let kg_w = run_benchmark(&profile, HeapConfig::kg_w(), &quick());
-    let kg_w_pm = run_benchmark(&profile, HeapConfig::kg_w_no_primitive_monitoring(), &quick());
+    let kg_w = run(&profile, HeapConfig::kg_w(), &quick());
+    let kg_w_pm = run(&profile, HeapConfig::kg_w_no_primitive_monitoring(), &quick());
     assert!(
         kg_w_pm.pcm_app_writes() >= kg_w.pcm_app_writes(),
         "dropping primitive monitoring must not reduce application PCM writes ({} vs {})",
@@ -105,7 +112,7 @@ fn primitive_monitoring_ablation_increases_pcm_writes() {
 fn observer_survivors_split_between_dram_and_pcm() {
     let profile = benchmark("pjbb").unwrap();
     // Needs a long enough run for the observer space to fill and be collected.
-    let kg_w = run_benchmark(&profile, HeapConfig::kg_w(), &quick().with_scale(512));
+    let kg_w = run(&profile, HeapConfig::kg_w(), &quick().with_scale(512));
     assert!(
         kg_w.gc.observer_to_pcm_objects > 0,
         "most observer survivors go to PCM"
@@ -124,7 +131,7 @@ fn observer_survivors_split_between_dram_and_pcm() {
 #[test]
 fn heap_composition_series_shows_pcm_dominating_dram() {
     let profile = benchmark("eclipse").unwrap();
-    let kg_w = run_benchmark(&profile, HeapConfig::kg_w(), &quick());
+    let kg_w = run(&profile, HeapConfig::kg_w(), &quick());
     assert!(!kg_w.gc.composition.is_empty());
     let peak_pcm = kg_w.gc.composition.iter().map(|s| s.pcm_bytes).max().unwrap();
     let peak_dram = kg_w.gc.composition.iter().map(|s| s.dram_bytes).max().unwrap();
@@ -170,7 +177,8 @@ fn profile_then_advise_pipeline_runs_end_to_end() {
     std::fs::create_dir_all(&dir).unwrap();
     let profile = benchmark("lusearch").unwrap();
     let config = quick();
-    let row = profile_then_advise_one(&profile, &config, &dir);
+    let results = profile_then_advise(&Matrix::default(), &config, &["lusearch"], &dir);
+    let row = &results.rows[0];
 
     // The on-disk profile round-trips exactly.
     let text = std::fs::read_to_string(&row.profile_path).unwrap();
@@ -178,8 +186,8 @@ fn profile_then_advise_pipeline_runs_end_to_end() {
     assert_eq!(profile_to_string(&reloaded), text);
     assert_eq!(reloaded.workload, "lusearch");
 
-    let pcm_only = run_benchmark(&profile, HeapConfig::gen_immix_pcm(), &config);
-    let kg_n = run_benchmark(&profile, HeapConfig::kg_n(), &config);
+    let pcm_only = run(&profile, HeapConfig::gen_immix_pcm(), &config);
+    let kg_n = run(&profile, HeapConfig::kg_n(), &config);
     let kg_a = &row.results[3];
     assert_eq!(kg_a.collector, "KG-A");
     assert!(
@@ -203,7 +211,7 @@ fn kg_a_advice_transfers_across_seeds() {
     std::fs::create_dir_all(&dir).unwrap();
     let profile = benchmark("pmd").unwrap();
     let profiling_config = ExperimentConfig::quick();
-    let (_, path) = profile_workload(&profile, &profiling_config, &dir);
+    let (_, path) = profile_workload(&Matrix::default(), &profile, &profiling_config, &dir);
     let site_profile = load_profile(&path).unwrap();
     let table = AdviceTable::from_profile(&site_profile, &ClassifyParams::for_profile(&site_profile));
 
@@ -211,8 +219,8 @@ fn kg_a_advice_transfers_across_seeds() {
         seed: 0xD1FF_5EED,
         ..ExperimentConfig::quick()
     };
-    let kg_n = run_benchmark(&profile, HeapConfig::kg_n(), &production_config);
-    let kg_a = run_benchmark(&profile, HeapConfig::kg_a(table), &production_config);
+    let kg_n = run(&profile, HeapConfig::kg_n(), &production_config);
+    let kg_a = run(&profile, HeapConfig::kg_a(table), &production_config);
     assert!(
         kg_a.pcm_write_rate_32core() <= kg_n.pcm_write_rate_32core(),
         "stale-seed advice must still ration writes: KG-A {} vs KG-N {}",
@@ -230,9 +238,9 @@ fn adaptive_kg_d_converges_without_a_profiling_run() {
     // KG-N's — the acceptance bound of the adaptive design.
     let profile = benchmark("lusearch").unwrap();
     let config = quick();
-    let kg_n = run_benchmark(&profile, HeapConfig::kg_n(), &config);
-    let kg_w = run_benchmark(&profile, HeapConfig::kg_w(), &config);
-    let kg_d = run_benchmark(&profile, HeapConfig::kg_d(), &config);
+    let kg_n = run(&profile, HeapConfig::kg_n(), &config);
+    let kg_w = run(&profile, HeapConfig::kg_w(), &config);
+    let kg_d = run(&profile, HeapConfig::kg_d(), &config);
     assert_eq!(kg_d.collector, "KG-D");
     assert_eq!(kg_d.gc.observer.collections, 0, "KG-D pays no observer-space tax");
     assert!(

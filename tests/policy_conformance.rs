@@ -15,10 +15,16 @@
 //! GC work).
 
 use advice::AdviceTable;
-use experiments::runner::{run_benchmark, ExperimentConfig, MeasurementMode};
+use experiments::runner::{Cell, ExperimentConfig, ExperimentResult, Matrix, MeasurementMode};
 use hybrid_mem::{MemoryKind, Phase};
 use kingsguard::{GcStats, HeapConfig};
-use workloads::benchmark;
+use std::sync::Arc;
+use workloads::{benchmark, BenchmarkProfile};
+
+/// One run of `heap` on `profile`, on a matrix of its own.
+fn run(profile: &BenchmarkProfile, heap: HeapConfig, config: &ExperimentConfig) -> Arc<ExperimentResult> {
+    Matrix::default().run(Cell::new(profile, heap, config))
+}
 
 /// (benchmark, scale, collector, PCM writes, DRAM writes, rescues,
 /// demotions) captured from the pre-refactor implementation.
@@ -237,7 +243,7 @@ fn trait_based_collectors_reproduce_the_pre_refactor_stats_exactly() {
     for &(name, scale, label, pcm, dram, rescues, demotions) in GOLDEN {
         let profile = benchmark(name).unwrap();
         let config = ExperimentConfig::quick().with_scale(scale);
-        let result = run_benchmark(&profile, config_for(label), &config);
+        let result = run(&profile, config_for(label), &config);
         assert_eq!(result.collector, label);
         assert_eq!(
             (
@@ -259,7 +265,7 @@ fn per_object_statistics_reproduce_the_hash_keyed_tables_exactly() {
     for &(name, scale, label, top2, top10, rescues, demotions, advised_dram) in OBJECT_GOLDEN {
         let profile = benchmark(name).unwrap();
         let config = ExperimentConfig::quick().with_scale(scale);
-        let result = run_benchmark(&profile, config_for(label), &config);
+        let result = run(&profile, config_for(label), &config);
         assert_eq!(result.collector, label);
         assert_eq!(
             (
@@ -283,7 +289,7 @@ fn collector_statistics_reproduce_the_pinned_counters_exactly() {
     for &(name, scale, label, gc_ops, copied, samples, digest) in GC_GOLDEN {
         let profile = benchmark(name).unwrap();
         let config = ExperimentConfig::quick().with_scale(scale);
-        let gc = run_benchmark(&profile, config_for(label), &config).gc;
+        let gc = run(&profile, config_for(label), &config).gc.clone();
         let total_copied = gc.nursery.bytes_copied + gc.observer.bytes_copied + gc.major.bytes_copied;
         assert_eq!(
             (
@@ -311,7 +317,7 @@ fn simulation_mode_reproduces_the_pre_rewrite_cache_model_exactly() {
             cache_scale,
             ..ExperimentConfig::quick()
         };
-        let result = run_benchmark(&profile, config_for(label), &config);
+        let result = run(&profile, config_for(label), &config);
         assert_eq!(result.collector, label);
         let memory = &result.memory;
         let pcm_phase_writes = memory.phase_writes(MemoryKind::Pcm);
@@ -394,8 +400,8 @@ fn kg_d_never_exceeds_kg_n_pcm_write_rate_on_stationary_workloads() {
                 seed,
                 ..ExperimentConfig::quick()
             };
-            let kg_n = run_benchmark(&profile, HeapConfig::kg_n(), &config);
-            let kg_d = run_benchmark(&profile, HeapConfig::kg_d(), &config);
+            let kg_n = run(&profile, HeapConfig::kg_n(), &config);
+            let kg_d = run(&profile, HeapConfig::kg_d(), &config);
             assert!(
                 kg_d.pcm_write_rate_32core() <= kg_n.pcm_write_rate_32core(),
                 "{name} seed {seed:#x}: KG-D rate {} exceeds KG-N {}",
@@ -411,20 +417,20 @@ fn kg_d_never_exceeds_kg_n_pcm_write_rate_on_stationary_workloads() {
 /// keep adapting (the stale table is a starting point, not a contract).
 #[test]
 fn kg_d_with_a_stale_seed_still_respects_the_kg_n_bound() {
-    use experiments::advise::{advice_from_disk, profile_workload};
+    use experiments::advise::{advice_from_disk_checked, profile_workload};
     let dir = std::env::temp_dir().join(format!("kingsguard-kgd-stale-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let profile = benchmark("lusearch").unwrap();
-    let (_, path) = profile_workload(&profile, &ExperimentConfig::quick(), &dir);
-    let (_, table) = advice_from_disk(&path);
+    let (_, path) = profile_workload(&Matrix::default(), &profile, &ExperimentConfig::quick(), &dir);
+    let (_, table, _) = advice_from_disk_checked(&path, workloads::site_map_hash());
     // "Stale": a different seed changes which concrete objects each site
     // produces, as a new program version would.
     let production = ExperimentConfig {
         seed: 0xBEEF,
         ..ExperimentConfig::quick()
     };
-    let kg_n = run_benchmark(&profile, HeapConfig::kg_n(), &production);
-    let kg_d = run_benchmark(&profile, HeapConfig::kg_d_with(table), &production);
+    let kg_n = run(&profile, HeapConfig::kg_n(), &production);
+    let kg_d = run(&profile, HeapConfig::kg_d_with(table), &production);
     assert!(
         kg_d.pcm_write_rate_32core() <= kg_n.pcm_write_rate_32core(),
         "stale-seeded KG-D rate {} exceeds KG-N {}",

@@ -4,7 +4,7 @@
 //! GC-phase spans, pause histograms, throughput gauges, cache hit rate and
 //! a wear snapshot, and two same-seed runs must diff with zero drift.
 
-use experiments::runner::{metrics_path, run_benchmark, ExperimentConfig};
+use experiments::runner::{Cell, ExperimentConfig, Matrix};
 use experiments::MeasurementMode;
 use hybrid_mem::{MemoryConfig, MemoryKind};
 use kingsguard::{HeapConfig, KingsguardHeap};
@@ -123,19 +123,24 @@ fn replayed_run_with_telemetry_dir_is_fully_observable() {
     let profile = benchmark("lusearch").unwrap();
 
     // First run records the heap-event trace; the second replays it.
-    run_benchmark(&profile, HeapConfig::kg_n(), &config);
-    let replayed = run_benchmark(&profile, HeapConfig::kg_w(), &config);
+    let matrix = Matrix::default();
+    matrix.run(Cell::new(&profile, HeapConfig::kg_n(), &config));
+    let kg_w = Cell::new(&profile, HeapConfig::kg_w(), &config);
+    let replayed = matrix.run(kg_w.clone());
     let report = replayed.telemetry.as_ref().expect("telemetry report");
     assert!(
         report.counter("replay.events").unwrap_or(0) > 0,
         "second run must have replayed the recorded trace"
     );
 
-    // The on-disk .kgmetrics file must carry the full picture.
-    let path = metrics_path(&tm_dir, "lusearch", "KG-W");
+    // The on-disk .kgmetrics file, named after the cell, must carry the
+    // full picture.
+    let path = kg_w.metrics_path(&tm_dir);
+    assert_eq!(path, tm_dir.join("lusearch-KG-W-simulation.kgmetrics"));
     let doc = TelemetryDoc::load(&path).expect("load .kgmetrics");
     assert_eq!(doc.meta.benchmark, "lusearch");
     assert_eq!(doc.meta.collector, "KG-W");
+    assert_eq!(doc.meta.mode, "simulation");
     assert!(doc.spans.contains_key("gc.nursery"), "per-phase GC spans");
     assert!(doc.spans.contains_key("gc.nursery.copy"), "nested phase spans");
     let pauses = &doc.hists["gc.pause_ns"];
@@ -163,12 +168,13 @@ fn same_seed_runs_diff_with_zero_drift() {
     let dir_a = temp_dir("drift-a");
     let dir_b = temp_dir("drift-b");
     let profile = benchmark("pmd").unwrap();
+    let cell = Cell::new(&profile, HeapConfig::kg_w(), &sim_quick());
     for dir in [&dir_a, &dir_b] {
         let config = sim_quick().with_telemetry_dir(dir);
-        run_benchmark(&profile, HeapConfig::kg_w(), &config);
+        Matrix::default().run(Cell::new(&profile, HeapConfig::kg_w(), &config));
     }
-    let a = TelemetryDoc::load(&metrics_path(&dir_a, "pmd", "KG-W")).unwrap();
-    let b = TelemetryDoc::load(&metrics_path(&dir_b, "pmd", "KG-W")).unwrap();
+    let a = TelemetryDoc::load(&cell.metrics_path(&dir_a)).unwrap();
+    let b = TelemetryDoc::load(&cell.metrics_path(&dir_b)).unwrap();
     let diff = diff_docs(&a, &b);
     assert!(
         !diff.has_drift(),
@@ -178,6 +184,39 @@ fn same_seed_runs_diff_with_zero_drift() {
     assert!(diff.report().contains(", 0 drifted"));
     std::fs::remove_dir_all(&dir_a).ok();
     std::fs::remove_dir_all(&dir_b).ok();
+}
+
+#[test]
+fn both_modes_of_one_pair_write_their_own_reports() {
+    let dir = temp_dir("modes");
+    let profile = benchmark("pmd").unwrap();
+    let matrix = Matrix::default();
+    let sim = sim_quick().with_telemetry_dir(&dir);
+    let hw = ExperimentConfig::quick().with_telemetry_dir(&dir);
+    for config in [&sim, &hw] {
+        matrix.run(Cell::new(&profile, HeapConfig::kg_w(), config));
+    }
+    assert_eq!((matrix.runs(), matrix.cells()), (2, 2));
+    let mut names: Vec<String> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|entry| entry.unwrap().file_name().to_string_lossy().into_owned())
+        .collect();
+    names.sort();
+    assert_eq!(
+        names,
+        [
+            "pmd-KG-W-arch-independent.kgmetrics",
+            "pmd-KG-W-simulation.kgmetrics"
+        ]
+    );
+    let load = |name: &str| TelemetryDoc::load(&dir.join(name)).unwrap();
+    let (arch, simulated) = (load(&names[0]), load(&names[1]));
+    assert_eq!(arch.meta.mode, "arch-independent");
+    assert_eq!(simulated.meta.mode, "simulation");
+    // Each keeps its own run: only the simulated one went through caches.
+    assert!(simulated.counters.get("cache.hits").is_some_and(|&hits| hits > 0));
+    assert!(diff_docs(&arch, &simulated).has_drift());
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
