@@ -13,7 +13,7 @@
 //! The pieces:
 //!
 //! * [`SiteId`] — a stable identifier for an allocation site, threaded
-//!   through `KingsguardHeap::alloc_site` alongside the type id,
+//!   through `MutatorContext::alloc_site` alongside the type id,
 //! * [`SiteProfiler`] — aggregates per-site allocation counts, bytes,
 //!   nursery survival and post-nursery write counts during a profiling run,
 //! * [`SiteProfile`] / [`profile_to_string`] / [`parse_profile`] — the

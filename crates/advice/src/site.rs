@@ -13,9 +13,9 @@ use std::fmt;
 pub struct SiteId(pub u32);
 
 impl SiteId {
-    /// The id used for allocations whose site is unknown (e.g. the legacy
-    /// `alloc` entry point). Advice tables fall back to their default
-    /// placement for this id.
+    /// The id used for allocations whose site is unknown (e.g. those made
+    /// through `MutatorContext::alloc`). Advice tables fall back to their
+    /// default placement for this id.
     pub const UNKNOWN: SiteId = SiteId(0);
 
     /// Returns `true` for the unknown site.

@@ -4,8 +4,9 @@
 //! instantiating the memory system:
 //!
 //! * **event grammar** — every event must reference a spawned, still-live
-//!   context and an allocated object, spawns must not collide, slot indices
-//!   must lie inside the object's recorded shape;
+//!   context and an allocated object, spawns must not collide, context 0
+//!   is never retired (so never re-spawned), slot indices must lie inside
+//!   the object's recorded shape;
 //! * **handle lifetimes** — use-after-release, double-release and
 //!   write-to-unallocated are reported with the event index of both the use
 //!   and the earlier release.
@@ -24,7 +25,7 @@ pub struct TraceAnalysis {
     pub events: usize,
     /// Allocation events (== objects).
     pub allocations: usize,
-    /// Contexts that participated (spawn events plus the base context).
+    /// Contexts that participated (spawn events plus context 0).
     pub mutators: usize,
     /// Global synchronization points (safepoints and collections).
     pub sync_points: usize,
@@ -62,8 +63,8 @@ struct Analyzer {
 
 impl Analyzer {
     fn new() -> Self {
-        // The base context (slot 0) exists before recording starts; the
-        // trace carries no spawn event for it.
+        // Context 0 exists before recording starts and outlives it; the
+        // trace carries no spawn or retire event for it.
         Analyzer {
             contexts: vec![CtxState {
                 live: true,
@@ -157,6 +158,10 @@ impl Analyzer {
                     self.contexts[slot].live = true;
                     self.analysis.mutators += 1;
                 }
+                TraceEvent::Retire { ctx: 0 } => self
+                    .analysis
+                    .violations
+                    .push(CheckViolation::PermanentContext { event: index }),
                 TraceEvent::Retire { ctx } => {
                     if self.ctx_ok(ctx, index) {
                         self.contexts[ctx as usize] = CtxState {
@@ -390,6 +395,17 @@ mod tests {
             spawn(2),
         ]));
         assert_eq!(kinds(&analysis), vec!["dangling-context", "duplicate-spawn"]);
+    }
+
+    #[test]
+    fn context_0_can_be_neither_retired_nor_re_spawned() {
+        let analysis = analyze_trace(&trace_of(vec![
+            alloc(0, 0),
+            TraceEvent::Retire { ctx: 0 },
+            spawn(0),
+            alloc(0, 0),
+        ]));
+        assert_eq!(kinds(&analysis), vec!["permanent-context", "duplicate-spawn"]);
     }
 
     #[test]

@@ -29,10 +29,11 @@
 //!
 //! let mut heap = KingsguardHeap::new(HeapConfig::kg_w(), Default::default());
 //! let sanitizer = check::SanitizerHandle::install(&mut heap);
-//! let list = heap.alloc(ObjectShape::new(1, 16), 1);
+//! let mut m = heap.default_mutator().unwrap();
+//! let list = m.alloc(&mut heap, ObjectShape::new(1, 16), 1);
 //! for _ in 0..2_000 {
-//!     let node = heap.alloc(ObjectShape::new(1, 24), 2);
-//!     heap.write_ref(list, 0, Some(node));
+//!     let node = m.alloc(&mut heap, ObjectShape::new(1, 24), 2);
+//!     m.write_ref(&mut heap, list, 0, Some(node));
 //!     heap.release(node);
 //! }
 //! heap.safepoint();

@@ -201,6 +201,12 @@ pub enum CheckViolation {
         /// Index of the retire event.
         retired_at: usize,
     },
+    /// Context 0 was retired: it has no spawn event and lives as long as
+    /// the heap.
+    PermanentContext {
+        /// Index of the offending retire event.
+        event: usize,
+    },
     /// A context slot was spawned while still live.
     DuplicateSpawn {
         /// Index of the offending spawn event.
@@ -242,6 +248,7 @@ impl CheckViolation {
             CheckViolation::UnknownObject { .. } => "unknown-object",
             CheckViolation::UnknownContext { .. } => "unknown-context",
             CheckViolation::DanglingContext { .. } => "dangling-context",
+            CheckViolation::PermanentContext { .. } => "permanent-context",
             CheckViolation::DuplicateSpawn { .. } => "duplicate-spawn",
             CheckViolation::SlotOutOfBounds { .. } => "slot-out-of-bounds",
         }
@@ -369,6 +376,9 @@ impl fmt::Display for CheckViolation {
                 f,
                 "event {event} comes from context {ctx} retired at event {retired_at}"
             ),
+            CheckViolation::PermanentContext { event } => {
+                write!(f, "event {event} retires context 0, which lives as long as the heap")
+            }
             CheckViolation::DuplicateSpawn { event, ctx } => {
                 write!(f, "event {event} re-spawns live context {ctx}")
             }

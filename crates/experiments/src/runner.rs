@@ -639,7 +639,7 @@ fn drive_workload(
         mutator.run_with(heap, hook);
         return;
     };
-    // The figure/table drivers run the legacy single-mutator stream.
+    // The figure/table drivers run the single-mutator stream on context 0.
     let path = trace_path(dir, profile.name, heap_config, config, 1);
     match trace::load_trace(&path).map_err(Some).and_then(|recorded| {
         if !trace_site_map_current(&recorded) {

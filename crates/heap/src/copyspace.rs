@@ -17,8 +17,6 @@ pub struct CopySpace {
     id: SpaceId,
     kind: MemoryKind,
     bump: BumpAllocator,
-    objects_allocated: u64,
-    bytes_allocated: u64,
 }
 
 impl CopySpace {
@@ -30,8 +28,6 @@ impl CopySpace {
             id,
             kind,
             bump: BumpAllocator::new(base, capacity),
-            objects_allocated: 0,
-            bytes_allocated: 0,
         }
     }
 
@@ -64,16 +60,6 @@ impl CopySpace {
     /// Remaining free bytes.
     pub fn free_bytes(&self) -> usize {
         self.bump.remaining_bytes()
-    }
-
-    /// Cumulative bytes allocated in this space over the whole run.
-    pub fn total_bytes_allocated(&self) -> u64 {
-        self.bytes_allocated
-    }
-
-    /// Cumulative objects allocated in this space over the whole run.
-    pub fn total_objects_allocated(&self) -> u64 {
-        self.objects_allocated
     }
 
     /// Returns `true` if `addr` points into currently allocated memory of
@@ -121,8 +107,6 @@ impl CopySpace {
         mem.zero(addr, size, phase);
         let obj = ObjectRef::from_address(addr);
         obj.initialize(mem, shape, type_id, phase);
-        self.objects_allocated += 1;
-        self.bytes_allocated += size as u64;
         obj
     }
 
@@ -159,26 +143,6 @@ impl CopySpace {
             mapped_bytes: self.bump.mapped_bytes(),
         }
     }
-
-    /// Iterates over the objects currently allocated in this space, in
-    /// allocation order. The callback receives each object; iteration uses
-    /// the object sizes stored in headers, so it must only be called while
-    /// the space contains a valid sequence of objects (not mid-copy).
-    pub fn iter_objects(
-        &self,
-        mem: &mut MemorySystem,
-        phase: Phase,
-        mut visit: impl FnMut(&mut MemorySystem, ObjectRef),
-    ) {
-        let mut cursor = self.bump.base();
-        let end = self.bump.cursor();
-        while cursor < end {
-            let obj = ObjectRef::from_address(cursor);
-            let size = obj.size(mem, phase);
-            visit(mem, obj);
-            cursor = cursor.add(size);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -202,7 +166,6 @@ mod tests {
         let obj = space.alloc(&mut mem, shape, 5, Phase::Mutator).unwrap();
         assert_eq!(obj.shape(&mut mem, Phase::Mutator), shape);
         assert_eq!(space.used_bytes(), shape.size());
-        assert_eq!(space.total_objects_allocated(), 1);
         assert!(space.contains(obj.address()));
         assert_eq!(mem.kind_of(obj.address()), MemoryKind::Dram);
     }
@@ -220,43 +183,22 @@ mod tests {
     }
 
     #[test]
-    fn reset_allows_reuse_but_keeps_cumulative_counters() {
+    fn reset_allows_reuse() {
         let (mut mem, mut space) = setup(8192);
         space
             .alloc(&mut mem, ObjectShape::new(0, 100), 0, Phase::Mutator)
             .unwrap();
-        let total = space.total_bytes_allocated();
         space.reset();
         assert_eq!(space.used_bytes(), 0);
-        assert_eq!(space.total_bytes_allocated(), total);
         assert!(space
             .alloc(&mut mem, ObjectShape::new(0, 100), 0, Phase::Mutator)
             .is_some());
-        assert!(space.total_bytes_allocated() > total);
     }
 
     #[test]
-    fn iter_objects_visits_allocation_order() {
-        let (mut mem, mut space) = setup(64 * 1024);
-        let a = space
-            .alloc(&mut mem, ObjectShape::new(1, 8), 1, Phase::Mutator)
-            .unwrap();
-        let b = space
-            .alloc(&mut mem, ObjectShape::new(0, 64), 2, Phase::Mutator)
-            .unwrap();
-        let c = space
-            .alloc(&mut mem, ObjectShape::new(3, 0), 3, Phase::Mutator)
-            .unwrap();
-        let mut seen = Vec::new();
-        space.iter_objects(&mut mem, Phase::MajorGc, |_, obj| seen.push(obj));
-        assert_eq!(seen, vec![a, b, c]);
-    }
-
-    #[test]
-    fn alloc_for_copy_does_not_zero_or_count_objects() {
+    fn alloc_for_copy_reserves_room_in_the_space() {
         let (mut mem, mut space) = setup(8192);
         let addr = space.alloc_for_copy(&mut mem, 128).unwrap();
-        assert_eq!(space.total_objects_allocated(), 0);
         assert!(space.contains(addr));
     }
 
@@ -279,7 +221,6 @@ mod tests {
             );
         }
         assert_eq!(space.used_bytes(), space2.used_bytes());
-        assert_eq!(space2.total_objects_allocated(), 4);
     }
 
     #[test]

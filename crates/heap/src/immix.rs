@@ -103,7 +103,6 @@ pub struct ImmixSpace {
     cursor_block: Option<usize>,
     /// Next line to scan for holes in the cursor block.
     scan_line: usize,
-    bytes_allocated_total: u64,
 }
 
 impl ImmixSpace {
@@ -128,7 +127,6 @@ impl ImmixSpace {
             limit: Address::ZERO,
             cursor_block: None,
             scan_line: 0,
-            bytes_allocated_total: 0,
         }
     }
 
@@ -147,11 +145,6 @@ impl ImmixSpace {
         self.max_blocks
     }
 
-    /// Number of blocks currently acquired (mapped at least once).
-    pub fn blocks_in_use(&self) -> usize {
-        self.blocks.iter().filter(|b| b.mapped).count()
-    }
-
     /// Bytes of occupied lines (live data plus allocation since the last
     /// sweep). This is the figure used for heap-composition plots.
     pub fn used_bytes(&self) -> usize {
@@ -160,11 +153,6 @@ impl ImmixSpace {
             .filter(|b| b.mapped)
             .map(|b| b.occupied_lines() * LINE_SIZE)
             .sum()
-    }
-
-    /// Cumulative bytes ever bump-allocated into this space.
-    pub fn total_bytes_allocated(&self) -> u64 {
-        self.bytes_allocated_total
     }
 
     /// Current usage snapshot.
@@ -230,7 +218,6 @@ impl ImmixSpace {
                 self.cursor = self.cursor.add(size);
                 let block_index = self.cursor_block.expect("cursor implies a block");
                 self.mark_occupied(block_index, result, size);
-                self.bytes_allocated_total += size as u64;
                 return Some(result);
             }
             // Slow path: find the next hole in the cursor block, or move on
@@ -386,11 +373,6 @@ impl ImmixSpace {
         self.scan_line = 0;
     }
 
-    /// Number of lines fenced by page retirement.
-    pub fn retired_lines(&self) -> usize {
-        self.blocks.iter().map(|b| b.retired.count_ones() as usize).sum()
-    }
-
     /// Returns `true` if any byte of `[addr, addr + size)` lies on a line
     /// retired by [`ImmixSpace::retire_page`]. Objects never span blocks, so
     /// the whole extent is resolved within `addr`'s block. Passive — used by
@@ -452,6 +434,18 @@ impl ImmixSpace {
 mod tests {
     use super::*;
     use hybrid_mem::MemoryConfig;
+
+    impl ImmixSpace {
+        /// Number of blocks currently acquired (mapped at least once).
+        fn blocks_in_use(&self) -> usize {
+            self.blocks.iter().filter(|b| b.mapped).count()
+        }
+
+        /// Number of lines fenced by page retirement.
+        fn retired_lines(&self) -> usize {
+            self.blocks.iter().map(|b| b.retired.count_ones() as usize).sum()
+        }
+    }
 
     fn setup(capacity: usize) -> (MemorySystem, ImmixSpace) {
         let mut mem = MemorySystem::new(MemoryConfig::architecture_independent());
@@ -601,6 +595,5 @@ mod tests {
         let usage = space.usage();
         assert_eq!(usage.mapped_bytes, BLOCK_SIZE);
         assert!(usage.used_bytes >= LINE_SIZE);
-        assert!(space.total_bytes_allocated() >= 100);
     }
 }

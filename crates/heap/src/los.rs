@@ -60,7 +60,6 @@ pub struct LargeObjectSpace {
     objects: DenseTable<LargeInfo, PAGE_SIZE>,
     live_objects: usize,
     live_pages: usize,
-    bytes_allocated_total: u64,
     treadmill_snaps: u64,
 }
 
@@ -78,7 +77,6 @@ impl LargeObjectSpace {
             objects: DenseTable::new(),
             live_objects: 0,
             live_pages: 0,
-            bytes_allocated_total: 0,
             treadmill_snaps: 0,
         }
     }
@@ -101,11 +99,6 @@ impl LargeObjectSpace {
     /// Bytes used by large objects (page-rounded).
     pub fn used_bytes(&self) -> usize {
         self.live_pages * PAGE_SIZE
-    }
-
-    /// Cumulative bytes ever allocated in this space.
-    pub fn total_bytes_allocated(&self) -> u64 {
-        self.bytes_allocated_total
     }
 
     /// Number of treadmill snap operations performed (allocation + tracing).
@@ -280,7 +273,6 @@ impl LargeObjectSpace {
         *self.objects.entry(addr.page().0) = info;
         self.live_objects += 1;
         self.live_pages += pages;
-        self.bytes_allocated_total += size as u64;
         Some(addr)
     }
 
@@ -344,15 +336,6 @@ impl LargeObjectSpace {
         stats.objects_live = self.live_objects;
         stats.bytes_live = self.used_bytes();
         stats
-    }
-
-    /// Iterates over the live large objects in this space, in ascending
-    /// address order.
-    pub fn iter_objects(&self) -> impl Iterator<Item = ObjectRef> + '_ {
-        self.objects
-            .iter()
-            .filter(|(_, info)| info.size != 0)
-            .map(|(page, _)| ObjectRef::from_address(PageId(page).start()))
     }
 }
 
@@ -496,17 +479,5 @@ mod tests {
             ObjectRef::from_address(Address::new(0x1234)),
             Phase::MajorGc,
         );
-    }
-
-    #[test]
-    fn iter_objects_lists_live_objects() {
-        let (mut mem, mut los) = setup();
-        let a = los.alloc(&mut mem, big_shape(), 0, Phase::Mutator).unwrap();
-        let b = los.alloc(&mut mem, big_shape(), 0, Phase::Mutator).unwrap();
-        let mut seen: Vec<_> = los.iter_objects().collect();
-        seen.sort();
-        let mut expect = vec![a, b];
-        expect.sort();
-        assert_eq!(seen, expect);
     }
 }

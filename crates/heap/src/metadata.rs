@@ -39,7 +39,6 @@ pub struct MetadataSpace {
     mark_tables: DenseTable<Address, MARK_TABLE_REGION>,
     remset_buffer: Option<Address>,
     remset_cursor: usize,
-    table_bytes: u64,
 }
 
 impl MetadataSpace {
@@ -52,7 +51,6 @@ impl MetadataSpace {
             mark_tables: DenseTable::new(),
             remset_buffer: None,
             remset_cursor: 0,
-            table_bytes: 0,
         }
     }
 
@@ -64,11 +62,6 @@ impl MetadataSpace {
     /// Bytes of metadata allocated so far.
     pub fn used_bytes(&self) -> usize {
         self.bump.used_bytes()
-    }
-
-    /// Bytes consumed by mark-state tables alone.
-    pub fn mark_table_bytes(&self) -> u64 {
-        self.table_bytes
     }
 
     /// Usage snapshot.
@@ -98,7 +91,6 @@ impl MetadataSpace {
             return table;
         }
         let table = self.alloc_table(mem, MARK_TABLE_BYTES);
-        self.table_bytes += MARK_TABLE_BYTES as u64;
         *self.mark_tables.entry(region) = table;
         table
     }
@@ -124,14 +116,6 @@ impl MetadataSpace {
         true
     }
 
-    /// Reads the out-of-object mark state for `obj`.
-    pub fn object_mark(&mut self, mem: &mut MemorySystem, obj: ObjectRef, phase: Phase) -> bool {
-        let addr = self.mark_entry_addr(mem, obj);
-        let mut byte = [0u8];
-        mem.read_bytes(addr, &mut byte, phase);
-        byte[0] != 0
-    }
-
     /// Clears the mark-state tables at the start of a major collection.
     /// The clearing writes are charged to the collector (`phase`).
     pub fn clear_object_marks(&mut self, mem: &mut MemorySystem, phase: Phase) {
@@ -139,11 +123,6 @@ impl MetadataSpace {
             // Zeroing the table is a bulk write over the table bytes.
             mem.zero(table, MARK_TABLE_BYTES, phase);
         }
-    }
-
-    /// Number of mark-state tables allocated so far.
-    pub fn mark_table_count(&self) -> usize {
-        (self.table_bytes / MARK_TABLE_BYTES as u64) as usize
     }
 
     /// Accounts one remembered-set buffer store (the write performed by the
@@ -168,6 +147,24 @@ impl MetadataSpace {
 mod tests {
     use super::*;
     use hybrid_mem::MemoryConfig;
+
+    impl MetadataSpace {
+        /// Reads the out-of-object mark state for `obj`.
+        fn object_mark(&mut self, mem: &mut MemorySystem, obj: ObjectRef, phase: Phase) -> bool {
+            let addr = self.mark_entry_addr(mem, obj);
+            let mut byte = [0u8];
+            mem.read_bytes(addr, &mut byte, phase);
+            byte[0] != 0
+        }
+
+        /// Number of mark-state tables allocated so far.
+        fn mark_table_count(&self) -> usize {
+            self.mark_tables
+                .iter()
+                .filter(|(_, table)| !table.is_zero())
+                .count()
+        }
+    }
 
     fn setup(kind: MemoryKind) -> (MemorySystem, MetadataSpace) {
         let mut mem = MemorySystem::new(MemoryConfig::architecture_independent());
@@ -204,7 +201,6 @@ mod tests {
         assert_eq!(meta.mark_table_count(), 1);
         meta.set_object_mark(&mut mem, c, Phase::MajorGc);
         assert_eq!(meta.mark_table_count(), 2);
-        assert_eq!(meta.mark_table_bytes(), 2 * MARK_TABLE_BYTES as u64);
     }
 
     #[test]

@@ -218,11 +218,6 @@ impl ObjectRef {
         mem.write_u64(self.0.add(STATUS_OFFSET), status, phase);
     }
 
-    /// Returns `true` if the mark bit in the object header is set.
-    pub fn is_marked(self, mem: &mut MemorySystem, phase: Phase) -> bool {
-        self.status(mem, phase) & MARK_BIT != 0
-    }
-
     /// Sets or clears the header mark bit. The store is performed (and
     /// charged to `phase`) even when the bit already has the requested value,
     /// matching the unconditional mark store a real collector performs.
@@ -293,6 +288,13 @@ impl ObjectRef {
 mod tests {
     use super::*;
     use hybrid_mem::{MemoryConfig, MemoryKind};
+
+    impl ObjectRef {
+        /// Returns `true` if the mark bit in the object header is set.
+        fn is_marked(self, mem: &mut MemorySystem, phase: Phase) -> bool {
+            self.status(mem, phase) & MARK_BIT != 0
+        }
+    }
 
     fn setup() -> (MemorySystem, ObjectRef) {
         let mut mem = MemorySystem::new(MemoryConfig::architecture_independent());

@@ -19,7 +19,6 @@ pub struct RememberedSet {
     present: AddressBitmap,
     /// The distinct remembered slots, in insertion order.
     log: Vec<Address>,
-    inserts: u64,
 }
 
 impl RememberedSet {
@@ -31,7 +30,6 @@ impl RememberedSet {
     /// Records `slot`. Returns `true` if the slot was not already present.
     #[inline]
     pub fn insert(&mut self, slot: Address) -> bool {
-        self.inserts += 1;
         let new = self.present.insert(slot);
         if new {
             self.log.push(slot);
@@ -47,12 +45,6 @@ impl RememberedSet {
     /// Returns `true` if no slots are remembered.
     pub fn is_empty(&self) -> bool {
         self.log.is_empty()
-    }
-
-    /// Total number of insert operations (including duplicates) — a proxy for
-    /// barrier work.
-    pub fn total_inserts(&self) -> u64 {
-        self.inserts
     }
 
     /// Iterates over the remembered slots in ascending address order (a
@@ -96,7 +88,6 @@ mod tests {
         assert!(!remset.insert(Address::new(0x100)));
         assert!(remset.insert(Address::new(0x108)));
         assert_eq!(remset.len(), 2);
-        assert_eq!(remset.total_inserts(), 3);
     }
 
     #[test]
@@ -108,17 +99,14 @@ mod tests {
         drained.sort();
         assert_eq!(drained, vec![Address::new(0x10), Address::new(0x20)]);
         assert!(remset.is_empty());
-        // Counters survive the drain.
-        assert_eq!(remset.total_inserts(), 2);
     }
 
     #[test]
-    fn clear_resets_slots_only() {
+    fn clear_empties_the_set() {
         let mut remset = RememberedSet::new();
         remset.insert(Address::new(0x10));
         remset.clear();
         assert!(remset.is_empty());
-        assert_eq!(remset.total_inserts(), 1);
     }
 
     #[test]

@@ -781,19 +781,23 @@ impl KingsguardHeap {
 mod tests {
     use super::*;
     use crate::config::HeapConfig;
+    use crate::mutator::MutatorContext;
     use advice::{AdviceTable, Placement};
     use hybrid_mem::MemoryConfig;
 
-    fn heap(config: HeapConfig) -> KingsguardHeap {
-        KingsguardHeap::new(config, MemoryConfig::architecture_independent())
+    /// A fresh heap and its context 0.
+    fn heap(config: HeapConfig) -> (KingsguardHeap, MutatorContext) {
+        let mut heap = KingsguardHeap::new(config, MemoryConfig::architecture_independent());
+        let m = heap.default_mutator().unwrap();
+        (heap, m)
     }
 
     #[test]
     fn nursery_collection_preserves_live_data_and_drops_garbage() {
-        let mut h = heap(HeapConfig::kg_n());
-        let live = h.alloc(ObjectShape::new(1, 64), 1);
-        let dead = h.alloc(ObjectShape::new(0, 64), 2);
-        h.write_prim(live, 0, 8);
+        let (mut h, mut m) = heap(HeapConfig::kg_n());
+        let live = m.alloc(&mut h, ObjectShape::new(1, 64), 1);
+        let dead = m.alloc(&mut h, ObjectShape::new(0, 64), 2);
+        m.write_prim(&mut h, live, 0, 8);
         h.release(dead);
         let live_before = h.resolve(live);
         h.collect_nursery();
@@ -808,10 +812,10 @@ mod tests {
 
     #[test]
     fn nursery_collection_follows_references_from_roots() {
-        let mut h = heap(HeapConfig::kg_n());
-        let parent = h.alloc(ObjectShape::new(2, 0), 1);
-        let child = h.alloc(ObjectShape::new(0, 24), 2);
-        h.write_ref(parent, 0, Some(child));
+        let (mut h, mut m) = heap(HeapConfig::kg_n());
+        let parent = m.alloc(&mut h, ObjectShape::new(2, 0), 1);
+        let child = m.alloc(&mut h, ObjectShape::new(0, 24), 2);
+        m.write_ref(&mut h, parent, 0, Some(child));
         h.release(child); // only reachable through parent now
         h.collect_nursery();
         let parent_obj = h.resolve(parent);
@@ -826,11 +830,11 @@ mod tests {
 
     #[test]
     fn old_to_young_pointers_survive_via_remset() {
-        let mut h = heap(HeapConfig::kg_n());
-        let parent = h.alloc(ObjectShape::new(1, 0), 1);
+        let (mut h, mut m) = heap(HeapConfig::kg_n());
+        let parent = m.alloc(&mut h, ObjectShape::new(1, 0), 1);
         h.collect_nursery(); // parent is now mature
-        let child = h.alloc(ObjectShape::new(0, 32), 2);
-        h.write_ref(parent, 0, Some(child));
+        let child = m.alloc(&mut h, ObjectShape::new(0, 32), 2);
+        m.write_ref(&mut h, parent, 0, Some(child));
         h.release(child); // only reachable through the mature parent
         h.collect_nursery();
         let parent_obj = h.resolve(parent);
@@ -841,21 +845,21 @@ mod tests {
 
     #[test]
     fn kgw_nursery_survivors_go_to_the_observer_space() {
-        let mut h = heap(HeapConfig::kg_w());
-        let handle = h.alloc(ObjectShape::new(0, 128), 1);
+        let (mut h, mut m) = heap(HeapConfig::kg_w());
+        let handle = m.alloc(&mut h, ObjectShape::new(0, 128), 1);
         h.collect_nursery();
         assert_eq!(h.locate(h.resolve(handle).address()), Location::Observer);
     }
 
     #[test]
     fn observer_collection_separates_written_and_unwritten_objects() {
-        let mut h = heap(HeapConfig::kg_w());
-        let hot = h.alloc(ObjectShape::new(0, 256), 1);
-        let cold = h.alloc(ObjectShape::new(0, 256), 2);
+        let (mut h, mut m) = heap(HeapConfig::kg_w());
+        let hot = m.alloc(&mut h, ObjectShape::new(0, 256), 1);
+        let cold = m.alloc(&mut h, ObjectShape::new(0, 256), 2);
         h.collect_nursery();
         assert_eq!(h.locate(h.resolve(hot).address()), Location::Observer);
         // Write to the hot object while it is observed.
-        h.write_prim(hot, 0, 16);
+        m.write_prim(&mut h, hot, 0, 16);
         h.collect_observer();
         assert_eq!(
             h.locate(h.resolve(hot).address()),
@@ -873,10 +877,10 @@ mod tests {
 
     #[test]
     fn observer_collection_recycles_nursery_survivors_into_observer() {
-        let mut h = heap(HeapConfig::kg_w());
-        let veteran = h.alloc(ObjectShape::new(0, 64), 1);
+        let (mut h, mut m) = heap(HeapConfig::kg_w());
+        let veteran = m.alloc(&mut h, ObjectShape::new(0, 64), 1);
         h.collect_nursery(); // veteran now in observer
-        let newcomer = h.alloc(ObjectShape::new(0, 64), 2);
+        let newcomer = m.alloc(&mut h, ObjectShape::new(0, 64), 2);
         h.collect_observer();
         assert_ne!(h.locate(h.resolve(veteran).address()), Location::Observer);
         assert_eq!(h.locate(h.resolve(newcomer).address()), Location::Observer);
@@ -884,12 +888,12 @@ mod tests {
 
     #[test]
     fn major_collection_rescues_written_pcm_objects_to_dram() {
-        let mut h = heap(HeapConfig::kg_w());
-        let handle = h.alloc(ObjectShape::new(0, 128), 1);
+        let (mut h, mut m) = heap(HeapConfig::kg_w());
+        let handle = m.alloc(&mut h, ObjectShape::new(0, 128), 1);
         h.collect_nursery();
         h.collect_observer(); // unwritten => lands in mature PCM
         assert_eq!(h.locate(h.resolve(handle).address()), Location::MaturePrimary);
-        h.write_prim(handle, 0, 8); // write it while it lives in PCM
+        m.write_prim(&mut h, handle, 0, 8); // write it while it lives in PCM
         h.collect_full();
         assert_eq!(h.locate(h.resolve(handle).address()), Location::MatureDram);
         assert_eq!(h.stats().pcm_to_dram_rescues, 1);
@@ -900,10 +904,10 @@ mod tests {
 
     #[test]
     fn major_collection_demotes_unwritten_dram_objects_to_pcm() {
-        let mut h = heap(HeapConfig::kg_w());
-        let handle = h.alloc(ObjectShape::new(0, 128), 1);
+        let (mut h, mut m) = heap(HeapConfig::kg_w());
+        let handle = m.alloc(&mut h, ObjectShape::new(0, 128), 1);
         h.collect_nursery();
-        h.write_prim(handle, 0, 8); // written while observed -> mature DRAM
+        m.write_prim(&mut h, handle, 0, 8); // written while observed -> mature DRAM
         h.collect_observer();
         assert_eq!(h.locate(h.resolve(handle).address()), Location::MatureDram);
         // It is not written again afterwards, so the next major collection
@@ -911,9 +915,9 @@ mod tests {
         // still set from the observer epoch, so it stays. Clear by rescue
         // cycle: first major keeps it (written), write bit persists until the
         // object is rescued. Verify the "unwritten" path with a fresh object:
-        let cold = h.alloc(ObjectShape::new(0, 128), 2);
+        let cold = m.alloc(&mut h, ObjectShape::new(0, 128), 2);
         h.collect_nursery();
-        h.write_prim(cold, 0, 8);
+        m.write_prim(&mut h, cold, 0, 8);
         h.collect_observer(); // cold goes to DRAM (written while observed)
         let cold_loc_before = h.locate(h.resolve(cold).address());
         assert_eq!(cold_loc_before, Location::MatureDram);
@@ -929,9 +933,9 @@ mod tests {
 
     #[test]
     fn major_collection_reclaims_unreachable_mature_objects() {
-        let mut h = heap(HeapConfig::kg_n());
-        let keep = h.alloc(ObjectShape::new(0, 256), 1);
-        let toss = h.alloc(ObjectShape::new(0, 256), 2);
+        let (mut h, mut m) = heap(HeapConfig::kg_n());
+        let keep = m.alloc(&mut h, ObjectShape::new(0, 256), 1);
+        let toss = m.alloc(&mut h, ObjectShape::new(0, 256), 2);
         h.collect_nursery(); // both now mature
         let used_before = h.mature_primary.used_bytes();
         h.release(toss);
@@ -944,10 +948,10 @@ mod tests {
 
     #[test]
     fn written_large_pcm_objects_move_to_the_dram_large_space() {
-        let mut h = heap(HeapConfig::kg_w_no_loo());
-        let big = h.alloc(ObjectShape::primitive(32 * 1024), 1);
+        let (mut h, mut m) = heap(HeapConfig::kg_w_no_loo());
+        let big = m.alloc(&mut h, ObjectShape::primitive(32 * 1024), 1);
         assert_eq!(h.locate(h.resolve(big).address()), Location::LargePrimary);
-        h.write_prim(big, 100, 8);
+        m.write_prim(&mut h, big, 100, 8);
         h.collect_full();
         assert_eq!(h.locate(h.resolve(big).address()), Location::LargeDram);
         assert_eq!(h.stats().large_pcm_to_dram_moves, 1);
@@ -958,13 +962,13 @@ mod tests {
 
     #[test]
     fn collect_young_escalates_to_observer_collection_when_observer_fills() {
-        let mut h = heap(HeapConfig::kg_w());
+        let (mut h, mut m) = heap(HeapConfig::kg_w());
         // Allocate enough surviving data to fill the observer space (all
         // objects stay rooted so everything survives).
         let object_bytes = 1024;
         let objects = (h.config().observer_bytes * 2) / object_bytes;
         for _ in 0..objects {
-            h.alloc(ObjectShape::new(0, object_bytes as u32 - 40), 1);
+            m.alloc(&mut h, ObjectShape::new(0, object_bytes as u32 - 40), 1);
         }
         assert!(
             h.stats().observer.collections > 0,
@@ -975,9 +979,9 @@ mod tests {
 
     #[test]
     fn composition_samples_are_recorded_per_collection() {
-        let mut h = heap(HeapConfig::kg_w());
+        let (mut h, mut m) = heap(HeapConfig::kg_w());
         for _ in 0..200 {
-            let handle = h.alloc(ObjectShape::new(1, 200), 1);
+            let handle = m.alloc(&mut h, ObjectShape::new(1, 200), 1);
             h.release(handle);
         }
         h.collect_full();
@@ -988,10 +992,10 @@ mod tests {
 
     #[test]
     fn gen_immix_dram_only_never_touches_pcm() {
-        let mut h = heap(HeapConfig::gen_immix_dram());
+        let (mut h, mut m) = heap(HeapConfig::gen_immix_dram());
         for i in 0..500 {
-            let handle = h.alloc(ObjectShape::new(1, 100), i as u16);
-            h.write_prim(handle, 0, 8);
+            let handle = m.alloc(&mut h, ObjectShape::new(1, 100), i as u16);
+            m.write_prim(&mut h, handle, 0, 8);
             if i % 2 == 0 {
                 h.release(handle);
             }
@@ -1011,10 +1015,10 @@ mod tests {
             ],
             Placement::PcmMature,
         );
-        let mut h = heap(HeapConfig::kg_a(table));
-        let hot = h.alloc_site(ObjectShape::new(0, 128), 1, SiteId(1));
-        let cold = h.alloc_site(ObjectShape::new(0, 128), 2, SiteId(2));
-        let untagged = h.alloc(ObjectShape::new(0, 128), 3);
+        let (mut h, mut m) = heap(HeapConfig::kg_a(table));
+        let hot = m.alloc_site(&mut h, ObjectShape::new(0, 128), 1, SiteId(1));
+        let cold = m.alloc_site(&mut h, ObjectShape::new(0, 128), 2, SiteId(2));
+        let untagged = m.alloc(&mut h, ObjectShape::new(0, 128), 3);
         h.collect_nursery();
         assert_eq!(
             h.locate(h.resolve(hot).address()),
@@ -1038,13 +1042,13 @@ mod tests {
 
     #[test]
     fn kga_rescues_mispredicted_written_pcm_objects() {
-        let mut h = heap(HeapConfig::kg_a(AdviceTable::all_cold()));
-        let handle = h.alloc_site(ObjectShape::new(0, 128), 1, SiteId(4));
+        let (mut h, mut m) = heap(HeapConfig::kg_a(AdviceTable::all_cold()));
+        let handle = m.alloc_site(&mut h, ObjectShape::new(0, 128), 1, SiteId(4));
         h.collect_nursery();
         assert_eq!(h.locate(h.resolve(handle).address()), Location::MaturePrimary);
         // The profile said cold, but the object is written in PCM: the KG-W
         // style rescue of the next full collection must save it.
-        h.write_prim(handle, 0, 8);
+        m.write_prim(&mut h, handle, 0, 8);
         h.collect_full();
         assert_eq!(h.locate(h.resolve(handle).address()), Location::MatureDram);
         assert_eq!(h.stats().pcm_to_dram_rescues, 1);
@@ -1053,8 +1057,8 @@ mod tests {
     #[test]
     fn kga_advised_hot_sites_stay_in_dram_across_quiet_major_gcs() {
         let table = AdviceTable::from_entries([(SiteId(1), Placement::DramMature)], Placement::PcmMature);
-        let mut h = heap(HeapConfig::kg_a(table));
-        let hot = h.alloc_site(ObjectShape::new(0, 128), 1, SiteId(1));
+        let (mut h, mut m) = heap(HeapConfig::kg_a(table));
+        let hot = m.alloc_site(&mut h, ObjectShape::new(0, 128), 1, SiteId(1));
         h.collect_nursery();
         assert_eq!(h.locate(h.resolve(hot).address()), Location::MatureDram);
         // Never written, but the advice pins it: no demotion churn.
@@ -1066,10 +1070,10 @@ mod tests {
 
     #[test]
     fn kga_demotes_rescued_objects_once_their_write_burst_ends() {
-        let mut h = heap(HeapConfig::kg_a(AdviceTable::all_cold()));
-        let handle = h.alloc_site(ObjectShape::new(0, 128), 1, SiteId(4));
+        let (mut h, mut m) = heap(HeapConfig::kg_a(AdviceTable::all_cold()));
+        let handle = m.alloc_site(&mut h, ObjectShape::new(0, 128), 1, SiteId(4));
         h.collect_nursery();
-        h.write_prim(handle, 0, 8);
+        m.write_prim(&mut h, handle, 0, 8);
         h.collect_full(); // rescued to DRAM, write bit reset
         assert_eq!(h.locate(h.resolve(handle).address()), Location::MatureDram);
         h.collect_full(); // quiet since rescue: demoted back to PCM
@@ -1080,18 +1084,18 @@ mod tests {
     #[test]
     fn kga_pretenures_hot_large_sites_into_the_dram_large_space() {
         let table = AdviceTable::from_entries([(SiteId(8), Placement::DramMature)], Placement::PcmMature);
-        let mut h = heap(HeapConfig::kg_a(table));
-        let hot_large = h.alloc_site(ObjectShape::primitive(32 * 1024), 1, SiteId(8));
-        let cold_large = h.alloc_site(ObjectShape::primitive(32 * 1024), 2, SiteId(9));
+        let (mut h, mut m) = heap(HeapConfig::kg_a(table));
+        let hot_large = m.alloc_site(&mut h, ObjectShape::primitive(32 * 1024), 1, SiteId(8));
+        let cold_large = m.alloc_site(&mut h, ObjectShape::primitive(32 * 1024), 2, SiteId(9));
         assert_eq!(h.locate(h.resolve(hot_large).address()), Location::LargeDram);
         assert_eq!(h.locate(h.resolve(cold_large).address()), Location::LargePrimary);
     }
 
     #[test]
     fn kga_all_cold_advice_behaves_like_kg_n_for_placement() {
-        let mut h = heap(HeapConfig::kg_a(AdviceTable::all_cold()));
+        let (mut h, mut m) = heap(HeapConfig::kg_a(AdviceTable::all_cold()));
         for i in 0..200 {
-            let handle = h.alloc_site(ObjectShape::new(1, 96), 1, SiteId(1 + (i % 7)));
+            let handle = m.alloc_site(&mut h, ObjectShape::new(1, 96), 1, SiteId(1 + (i % 7)));
             if i % 3 != 0 {
                 h.release(handle);
             }
@@ -1118,16 +1122,17 @@ mod tests {
             HeapConfig::kg_n(),
             MemoryConfig::architecture_independent().with_faults(fault),
         );
+        let mut m = h.default_mutator().unwrap();
         let mut handles = Vec::new();
         for i in 0..64u16 {
-            handles.push(h.alloc(ObjectShape::new(0, 128), i));
+            handles.push(m.alloc(&mut h, ObjectShape::new(0, 128), i));
         }
-        let big = h.alloc(ObjectShape::primitive(32 * 1024), 99);
+        let big = m.alloc(&mut h, ObjectShape::primitive(32 * 1024), 99);
         h.collect_young(); // small objects now sit in mature PCM
         for &handle in &handles {
-            h.write_prim(handle, 0, 64);
+            m.write_prim(&mut h, handle, 0, 64);
         }
-        h.write_prim(big, 0, 64);
+        m.write_prim(&mut h, big, 0, 64);
         // Push every dirty line to the device so the pump sees the writes.
         h.with_synced_memory(|mem| mem.flush_caches());
         h.collect_full();
@@ -1154,10 +1159,10 @@ mod tests {
 
     #[test]
     fn fault_free_runs_report_no_fault_statistics() {
-        let mut h = heap(HeapConfig::kg_w());
+        let (mut h, mut m) = heap(HeapConfig::kg_w());
         for i in 0..100u16 {
-            let handle = h.alloc(ObjectShape::new(0, 256), i);
-            h.write_prim(handle, 0, 32);
+            let handle = m.alloc(&mut h, ObjectShape::new(0, 256), i);
+            m.write_prim(&mut h, handle, 0, 32);
         }
         h.collect_full();
         assert_eq!(h.stats().fault_pages_retired, 0);
@@ -1169,10 +1174,10 @@ mod tests {
 
     #[test]
     fn kg_n_keeps_nursery_writes_out_of_pcm() {
-        let mut h = heap(HeapConfig::kg_n());
+        let (mut h, mut m) = heap(HeapConfig::kg_n());
         for _ in 0..200 {
-            let handle = h.alloc(ObjectShape::new(0, 256), 1);
-            h.write_prim(handle, 0, 64);
+            let handle = m.alloc(&mut h, ObjectShape::new(0, 256), 1);
+            m.write_prim(&mut h, handle, 0, 64);
             h.release(handle);
         }
         let report = h.finish();

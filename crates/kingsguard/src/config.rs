@@ -201,14 +201,6 @@ impl HeapConfig {
         self
     }
 
-    /// Overrides the nursery size (and keeps the observer at twice the
-    /// nursery, the paper's sizing rule).
-    pub fn with_nursery(mut self, bytes: usize) -> Self {
-        self.nursery_bytes = bytes;
-        self.observer_bytes = bytes * 2;
-        self
-    }
-
     /// Short name used in reports ("DRAM-only", "PCM-only", "KG-N", "KG-W",
     /// "KG-W-LOO", ...).
     pub fn label(&self) -> String {
@@ -265,8 +257,6 @@ mod tests {
     fn observer_is_twice_the_nursery() {
         let config = HeapConfig::kg_w();
         assert_eq!(config.observer_bytes, 2 * config.nursery_bytes);
-        let larger = HeapConfig::kg_w().with_nursery(1 << 20);
-        assert_eq!(larger.observer_bytes, 2 << 20);
     }
 
     #[test]

@@ -25,8 +25,10 @@
 //! collector core.
 //!
 //! The entry point is [`KingsguardHeap`]: create one from a [`HeapConfig`]
-//! and a [`hybrid_mem::MemoryConfig`], drive it through the mutator API
-//! (allocation, reference/primitive writes, root management), then call
+//! and a [`hybrid_mem::MemoryConfig`], drive it through a
+//! [`MutatorContext`] (allocation, reference/primitive writes and reads;
+//! context 0 comes from [`KingsguardHeap::default_mutator`]) and release
+//! roots on the heap, then call
 //! [`KingsguardHeap::finish`] to obtain the collector and memory statistics.
 //!
 //! ```
@@ -34,10 +36,11 @@
 //! use kingsguard_heap::ObjectShape;
 //!
 //! let mut heap = KingsguardHeap::new(HeapConfig::kg_n(), Default::default());
-//! let list = heap.alloc(ObjectShape::new(1, 16), 1);
+//! let mut m = heap.default_mutator().unwrap();
+//! let list = m.alloc(&mut heap, ObjectShape::new(1, 16), 1);
 //! for _ in 0..1_000 {
-//!     let node = heap.alloc(ObjectShape::new(1, 24), 2);
-//!     heap.write_ref(list, 0, Some(node));
+//!     let node = m.alloc(&mut heap, ObjectShape::new(1, 24), 2);
+//!     m.write_ref(&mut heap, list, 0, Some(node));
 //!     heap.release(node);
 //! }
 //! let report = heap.finish();
@@ -61,9 +64,9 @@ pub use observer::{
     ShardConservation,
 };
 pub use policy::{
-    AdaptationEvent, AdaptationTrigger, BarrierMode, GenImmixPolicy, KgAdvicePolicy, KgDynamicParams,
-    KgDynamicPolicy, KgNurseryPolicy, KgWritersPolicy, LargePlacement, PlacementPolicy, PolicyConstraints,
-    SurvivorPlacement, Topology,
+    AdaptationEvent, AdaptationTrigger, BarrierMode, GenImmixPolicy, KgAdvicePolicy, KgDynamicPolicy,
+    KgNurseryPolicy, KgWritersPolicy, LargePlacement, PlacementPolicy, PolicyConstraints, SurvivorPlacement,
+    Topology,
 };
 pub use runtime::{KingsguardHeap, Location, RunReport};
 pub use stats::{CollectionCounters, CompositionSample, GcStats, WriteTarget};

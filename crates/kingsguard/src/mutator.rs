@@ -3,9 +3,10 @@
 //! [`crate::KingsguardHeap`] splits into two halves. The *collector half*
 //! (collection algorithms, space management, policy consultation) keeps
 //! exclusive ownership of the heap. The *mutator half* is this module: each
-//! logical mutator thread holds a [`MutatorContext`] spawned from
-//! [`crate::KingsguardHeap::spawn_mutator`] and performs every allocation
-//! and write through it. A context owns
+//! logical mutator thread holds a [`MutatorContext`] and performs every
+//! allocation, store and read through it. A heap is born with context 0
+//! ([`crate::KingsguardHeap::default_mutator`]); further contexts come from
+//! [`crate::KingsguardHeap::spawn_mutator_with`]. A context owns
 //!
 //! * a **thread-local allocation buffer** ([`kingsguard_heap::Tlab`]) carved
 //!   from the nursery, so the allocation fast path is a private cursor bump
@@ -42,26 +43,26 @@
 //! hierarchy enabled, deferral reorders the modeled metadata accesses
 //! relative to the data stores, so cached-mode totals can differ slightly
 //! between drain schedules — the same caveat that applies to any barrier
-//! buffering on real hardware. The default context configuration also
+//! buffering on real hardware. The default [`MutatorConfig`] also
 //! carves TLABs in *exact mode* (see [`kingsguard_heap::tlab`]), which
 //! keeps allocation addresses — and therefore every downstream number —
-//! bit-identical to the legacy single-mutator API. Chunked TLABs
-//! (`tlab_bytes > 0`) remain available when address-exactness across
-//! mutator counts is not required.
+//! the same for any number of contexts. Chunked TLABs (`tlab_bytes > 0`)
+//! remain available when address-exactness across mutator counts is not
+//! required.
 //!
-//! The legacy `&mut self` methods (`alloc`, `write_ref`, `write_prim`, ...)
-//! survive as thin wrappers over a built-in *default context* that drains
-//! every event immediately, pinning the pre-redesign behaviour exactly.
+//! Context 0 uses [`MutatorConfig::eager`]: its barrier bookkeeping runs at
+//! each store instead of at a drain. It has no spawn event and is never
+//! retired.
 //!
 //! # Example
 //!
 //! ```
-//! use kingsguard::{HeapConfig, KingsguardHeap};
+//! use kingsguard::{HeapConfig, KingsguardHeap, MutatorConfig};
 //! use kingsguard_heap::ObjectShape;
 //!
 //! let mut heap = KingsguardHeap::new(HeapConfig::kg_n(), Default::default());
-//! let mut a = heap.spawn_mutator();
-//! let mut b = heap.spawn_mutator();
+//! let mut a = heap.spawn_mutator_with(MutatorConfig::default());
+//! let mut b = heap.spawn_mutator_with(MutatorConfig::default());
 //! let left = a.alloc(&mut heap, ObjectShape::new(1, 32), 1);
 //! let right = b.alloc(&mut heap, ObjectShape::new(0, 64), 2);
 //! a.write_ref(&mut heap, left, 0, Some(right));
@@ -90,8 +91,8 @@ pub struct MutatorConfig {
     /// layout no longer independent of the mutator count).
     pub tlab_bytes: usize,
     /// Number of write-barrier events buffered before the store buffer
-    /// drains itself. `0` drains every event immediately (the legacy
-    /// behaviour of the `&mut self` heap methods).
+    /// drains itself. `0` drains every event immediately, as context 0
+    /// does.
     pub ssb_capacity: usize,
 }
 
@@ -105,20 +106,12 @@ impl Default for MutatorConfig {
 }
 
 impl MutatorConfig {
-    /// The configuration of the built-in default context backing the legacy
-    /// heap methods: exact TLABs, immediate drains.
+    /// The configuration of context 0 ([`KingsguardHeap::default_mutator`]):
+    /// exact TLABs, immediate drains.
     pub fn eager() -> Self {
         MutatorConfig {
             tlab_bytes: 0,
             ssb_capacity: 0,
-        }
-    }
-
-    /// Batched barriers over a real TLAB chunk of `tlab_bytes`.
-    pub fn chunked(tlab_bytes: usize) -> Self {
-        MutatorConfig {
-            tlab_bytes,
-            ..Self::default()
         }
     }
 
@@ -192,8 +185,8 @@ impl MutatorState {
     }
 }
 
-/// A per-thread mutator handle: the only way (besides the legacy wrapper
-/// methods) to allocate and write on a [`KingsguardHeap`].
+/// A per-thread mutator handle: the only way to allocate, write and read
+/// on a [`KingsguardHeap`].
 ///
 /// The handle is intentionally not `Clone`: each context's TLAB, store
 /// buffer and counter shard belong to exactly one logical thread. Methods
@@ -206,19 +199,40 @@ pub struct MutatorContext {
 }
 
 impl MutatorContext {
-    /// This context's index (0 is the built-in default context).
+    /// This context's index (0 is the context the heap is born with).
     pub fn index(&self) -> usize {
         self.index
     }
 
-    /// Allocates an object of `shape` with no allocation-site tag and
-    /// returns a rooted handle (see [`KingsguardHeap::alloc`]).
+    /// Allocates an object of `shape` and returns a rooted handle to it.
+    ///
+    /// The object carries no allocation-site tag; profile-guided collectors
+    /// fall back to their default placement for it. Site-aware mutators use
+    /// [`MutatorContext::alloc_site`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the object cannot be accommodated even after a full-heap
+    /// collection (heap budget and large-object capacity exhausted).
     pub fn alloc(&mut self, heap: &mut KingsguardHeap, shape: ObjectShape, type_id: u16) -> Handle {
         heap.mutator_alloc_site(self.index, shape, type_id, SiteId::UNKNOWN)
     }
 
-    /// Allocates an object of `shape` tagged with its allocation `site` and
-    /// returns a rooted handle (see [`KingsguardHeap::alloc_site`]).
+    /// Allocates an object of `shape` tagged with its allocation `site`
+    /// (alongside the `type_id`) and returns a rooted handle to it.
+    ///
+    /// Site tags are tracked only while the heap has a consumer for them — a
+    /// profiling run ([`KingsguardHeap::enable_profiling`], called before the
+    /// first allocation) or a site-aware collector (KG-A, KG-D); the other
+    /// collectors skip the side-table bookkeeping on this hot path entirely.
+    /// When tracked, the tag follows the object through every copy: the
+    /// profiler aggregates per-site behaviour under it, and KG-A looks it up
+    /// in the advice table to pretenure the object when it leaves the
+    /// nursery.
+    ///
+    /// # Panics
+    ///
+    /// As [`MutatorContext::alloc`].
     pub fn alloc_site(
         &mut self,
         heap: &mut KingsguardHeap,
@@ -229,14 +243,19 @@ impl MutatorContext {
         heap.mutator_alloc_site(self.index, shape, type_id, site)
     }
 
-    /// Performs a reference store through the (batched) write barrier (see
-    /// [`KingsguardHeap::write_ref`]).
+    /// Performs a reference store `src.slots[slot] = target` through the
+    /// write barrier of Figure 4; the barrier's bookkeeping goes through this
+    /// context's store buffer.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slot` is out of bounds for the source object's shape.
     pub fn write_ref(&mut self, heap: &mut KingsguardHeap, src: Handle, slot: usize, target: Option<Handle>) {
         heap.mutator_write_ref(self.index, src, slot, target);
     }
 
-    /// Performs a primitive store through the (batched) write barrier (see
-    /// [`KingsguardHeap::write_prim`]).
+    /// Performs a primitive store of `len` bytes at `offset` within the
+    /// source object's primitive payload, through the write barrier.
     pub fn write_prim(&mut self, heap: &mut KingsguardHeap, src: Handle, offset: usize, len: usize) {
         heap.mutator_write_prim(self.index, src, offset, len);
     }
@@ -246,15 +265,10 @@ impl MutatorContext {
         heap.mutator_read_ref(self.index, src, slot)
     }
 
-    /// Reads `len` bytes of primitive payload at `offset`.
+    /// Reads `len` bytes of primitive payload at `offset` (the value itself
+    /// is irrelevant to the simulation; the access traffic matters).
     pub fn read_prim(&mut self, heap: &mut KingsguardHeap, src: Handle, offset: usize, len: usize) {
         heap.mutator_read_prim(self.index, src, offset, len);
-    }
-
-    /// Unregisters a root (identical to [`KingsguardHeap::release`]; roots
-    /// are shared, so any context may release any handle).
-    pub fn release(&mut self, heap: &mut KingsguardHeap, handle: Handle) {
-        heap.release(handle);
     }
 
     /// Drains this context's store buffer and merges its counter shard.
@@ -279,6 +293,10 @@ impl MutatorContext {
     /// Retires this context: drains its store buffer, merges its counter
     /// shard and releases its TLAB and slot for reuse by the next spawn.
     /// Consuming the handle makes use-after-retire unrepresentable.
+    ///
+    /// # Panics
+    ///
+    /// Panics on context 0, which lives as long as the heap.
     pub fn retire(self, heap: &mut KingsguardHeap) {
         heap.retire_mutator(self);
     }

@@ -6,9 +6,8 @@
 //! per-site advice during the run, from signals the heap already produces:
 //!
 //! * **PCM write events** — the barrier reports every mutator write to a
-//!   post-nursery object; once a site accumulates
-//!   [`KgDynamicParams::promote_after_pcm_writes`] writes on PCM-resident
-//!   objects, the site is advised into DRAM immediately (no need to wait
+//!   post-nursery object; once a site accumulates 16 writes on PCM-resident
+//!   objects (`KgDynamicParams::promote_after_pcm_writes`), the site is advised into DRAM immediately (no need to wait
 //!   for the next full collection).
 //! * **Rescues** — a rescued object proves its site produced a written PCM
 //!   object; the site is advised into DRAM at the next
@@ -36,13 +35,13 @@ use crate::stats::GcStats;
 
 /// Tuning knobs of the adaptive policy.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct KgDynamicParams {
+pub(crate) struct KgDynamicParams {
     /// Mutator writes observed on a site's PCM-resident objects before the
     /// site is advised into DRAM (without waiting for a rescue).
-    pub promote_after_pcm_writes: u64,
+    promote_after_pcm_writes: u64,
     /// Demotions of a site's objects, without an intervening rescue, before
     /// the site's DRAM advice is revoked.
-    pub revert_after_demotions: u64,
+    revert_after_demotions: u64,
 }
 
 impl Default for KgDynamicParams {
@@ -85,14 +84,6 @@ impl KgDynamicPolicy {
     /// An adaptive policy starting from all-PCM placement (KG-N-like).
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// An adaptive policy with explicit tuning knobs.
-    pub fn with_params(params: KgDynamicParams) -> Self {
-        KgDynamicPolicy {
-            params,
-            ..Self::default()
-        }
     }
 
     /// An adaptive policy seeded from a (possibly stale) advice table: its
@@ -303,10 +294,13 @@ mod tests {
 
     #[test]
     fn pcm_write_burst_promotes_a_site() {
-        let mut policy = KgDynamicPolicy::with_params(KgDynamicParams {
-            promote_after_pcm_writes: 3,
-            revert_after_demotions: 2,
-        });
+        let mut policy = KgDynamicPolicy {
+            params: KgDynamicParams {
+                promote_after_pcm_writes: 3,
+                revert_after_demotions: 2,
+            },
+            ..KgDynamicPolicy::default()
+        };
         for _ in 0..2 {
             policy.on_mature_write(SiteId(7), MemoryKind::Pcm);
         }
@@ -410,10 +404,13 @@ mod tests {
 
     #[test]
     fn adaptation_events_carry_site_and_trigger_and_drain_once() {
-        let mut policy = KgDynamicPolicy::with_params(KgDynamicParams {
-            promote_after_pcm_writes: 1,
-            revert_after_demotions: 1,
-        });
+        let mut policy = KgDynamicPolicy {
+            params: KgDynamicParams {
+                promote_after_pcm_writes: 1,
+                revert_after_demotions: 1,
+            },
+            ..KgDynamicPolicy::default()
+        };
         policy.on_mature_write(SiteId(7), MemoryKind::Pcm);
         policy.on_gc_feedback(&feedback_with(&[(9, 1)], &[(7, 2)]));
         let events = policy.drain_adaptation_events();
@@ -443,10 +440,13 @@ mod tests {
 
     #[test]
     fn page_retirement_acts_as_demotion_pressure() {
-        let mut policy = KgDynamicPolicy::with_params(KgDynamicParams {
-            promote_after_pcm_writes: 1,
-            revert_after_demotions: 2,
-        });
+        let mut policy = KgDynamicPolicy {
+            params: KgDynamicParams {
+                promote_after_pcm_writes: 1,
+                revert_after_demotions: 2,
+            },
+            ..KgDynamicPolicy::default()
+        };
         policy.on_gc_feedback(&feedback_with(&[(5, 1)], &[]));
         assert_eq!(policy.hot_sites(), 1);
         // First retirement touching the site: pressure, but advice holds

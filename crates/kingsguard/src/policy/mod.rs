@@ -38,7 +38,7 @@ mod builtin;
 mod dynamic;
 
 pub use builtin::{GenImmixPolicy, KgAdvicePolicy, KgNurseryPolicy, KgWritersPolicy};
-pub use dynamic::{KgDynamicParams, KgDynamicPolicy};
+pub use dynamic::KgDynamicPolicy;
 
 use advice::{AdviceTable, SiteId};
 use hybrid_mem::MemoryKind;

@@ -8,14 +8,12 @@
 //! themselves live in [`crate::collect`]; every placement decision is
 //! delegated to the heap's [`PlacementPolicy`].
 //!
-//! The mutator interface comes in two forms. Multi-mutator workloads spawn
-//! per-thread [`crate::mutator::MutatorContext`] handles
-//! ([`KingsguardHeap::spawn_mutator`]) whose allocations go through private
-//! TLABs and whose barrier bookkeeping batches in per-context store buffers
-//! drained at safepoints. The legacy `&mut self` methods on the heap remain
-//! as thin wrappers over a built-in default context configured to drain
-//! every event immediately, which pins the single-mutator behaviour
-//! bit-exactly.
+//! Every allocation, store and read goes through a per-thread
+//! [`crate::mutator::MutatorContext`]: allocations through its private TLAB,
+//! barrier bookkeeping through its store buffer, drained at safepoints. A
+//! heap is born with context 0 ([`KingsguardHeap::default_mutator`]), which
+//! drains every event immediately; further contexts come from
+//! [`KingsguardHeap::spawn_mutator_with`].
 
 use std::collections::BTreeMap;
 
@@ -66,10 +64,11 @@ pub enum Location {
 /// use kingsguard_heap::ObjectShape;
 ///
 /// let mut heap = KingsguardHeap::new(HeapConfig::kg_w(), Default::default());
-/// let parent = heap.alloc(ObjectShape::new(1, 32), 1);
-/// let child = heap.alloc(ObjectShape::new(0, 64), 2);
-/// heap.write_ref(parent, 0, Some(child));
-/// heap.write_prim(child, 0, 8);
+/// let mut m = heap.default_mutator().unwrap();
+/// let parent = m.alloc(&mut heap, ObjectShape::new(1, 32), 1);
+/// let child = m.alloc(&mut heap, ObjectShape::new(0, 64), 2);
+/// m.write_ref(&mut heap, parent, 0, Some(child));
+/// m.write_prim(&mut heap, child, 0, 8);
 /// heap.release(child); // still reachable through `parent`
 /// let report = heap.finish();
 /// assert!(report.gc.bytes_allocated > 0);
@@ -113,8 +112,11 @@ pub struct KingsguardHeap {
     /// allocation and store paths never ask the policy for them.
     pub(crate) constraints: PolicyConstraints,
     /// Per-context mutator state (TLAB, store buffer, counter shard); slot 0
-    /// is the built-in default context backing the legacy heap methods.
+    /// is the built-in context 0, which is never retired.
     pub(crate) mutators: Vec<MutatorState>,
+    /// The handle to context 0 until [`KingsguardHeap::default_mutator`]
+    /// hands it out (one handle per context).
+    pub(crate) default_mutator: Option<MutatorContext>,
     /// PCM pages declared uncorrectable by the fault model during the
     /// current full collection, with the allocation sites of the live
     /// objects evacuated off each page so far. Fenced before tracing,
@@ -234,8 +236,8 @@ impl KingsguardHeap {
         let metadata_base = mem.reserve_extent("metadata", config.metadata_capacity_bytes);
         let metadata = MetadataSpace::new(topology.metadata, metadata_base, config.metadata_capacity_bytes);
 
-        // The default mutator context behind the legacy `&mut self` methods:
-        // exact TLABs and immediate drains pin the pre-redesign behaviour.
+        // Context 0: exact TLABs and immediate drains, so a single-context
+        // run keeps the access order and addresses of an unbuffered barrier.
         let default_shard = mem.register_mutator_shard();
         let mutators = vec![MutatorState::new(MutatorConfig::eager(), default_shard, (0, 0))];
 
@@ -263,6 +265,7 @@ impl KingsguardHeap {
             policy,
             constraints,
             mutators,
+            default_mutator: Some(MutatorContext { index: 0 }),
             dying_pages: BTreeMap::new(),
             observers: Observers::default(),
             skip_barrier_bookkeeping: false,
@@ -601,11 +604,6 @@ impl KingsguardHeap {
         self.profiler = Some(SiteProfiler::new(workload, &collector));
     }
 
-    /// Returns `true` if this run is collecting a site profile.
-    pub fn is_profiling(&self) -> bool {
-        self.profiler.is_some()
-    }
-
     /// Enables the hot-path profiler on the memory system: every touch is
     /// counted per simulator stage and per execution phase (see
     /// [`telemetry::TouchProfiler`]). Like telemetry and site profiling it
@@ -684,25 +682,23 @@ impl KingsguardHeap {
         }
     }
 
-    /// Number of live roots currently registered.
-    pub fn root_count(&self) -> usize {
-        self.roots.len()
-    }
-
     // ------------------------------------------------------------------
     // Mutator contexts and safepoints
     // ------------------------------------------------------------------
 
-    /// Spawns a mutator context with the default [`MutatorConfig`] (exact
-    /// TLABs, 256-event store buffer). See [`crate::mutator`] for the
-    /// lifecycle.
-    pub fn spawn_mutator(&mut self) -> MutatorContext {
-        self.spawn_mutator_with(MutatorConfig::default())
+    /// Hands out context 0, the context every heap is born with: exact
+    /// TLABs and immediate barrier drains ([`MutatorConfig::eager`]), its
+    /// own counter shard, and no spawn event. It lives as long as the heap
+    /// and cannot be retired. Returns `None` once the handle was handed
+    /// out: like any context, context 0 has one handle.
+    pub fn default_mutator(&mut self) -> Option<MutatorContext> {
+        self.default_mutator.take()
     }
 
-    /// Spawns a mutator context with an explicit configuration, reusing the
-    /// slot and counter shard of a previously retired context when one
-    /// exists (so spawn/retire churn does not grow the mutator table).
+    /// Spawns a mutator context with `config` (see [`crate::mutator`] for
+    /// the lifecycle), reusing the slot and counter shard of a previously
+    /// retired context when one exists (so spawn/retire churn does not grow
+    /// the mutator table).
     pub fn spawn_mutator_with(&mut self, config: MutatorConfig) -> MutatorContext {
         if let Some(index) = self.mutators.iter().position(|state| state.retired) {
             let shard = self.mutators[index].shard;
@@ -721,15 +717,23 @@ impl KingsguardHeap {
     /// Retires a context (see [`MutatorContext::retire`]): drains its store
     /// buffer, merges its counter shard, drops its TLAB and marks its slot
     /// for reuse. Safepoints skip retired slots.
+    ///
+    /// # Panics
+    ///
+    /// Panics on context 0, which lives as long as the heap.
     pub fn retire_mutator(&mut self, ctx: MutatorContext) {
+        assert_ne!(
+            ctx.index, 0,
+            "context 0 lives as long as the heap and cannot be retired"
+        );
         self.emit_event(|| HeapEvent::MutatorRetired { ctx: ctx.index });
         self.drain_mutator(ctx.index);
         self.mutators[ctx.index].tlab = None;
         self.mutators[ctx.index].retired = true;
     }
 
-    /// Number of live mutator contexts, including the built-in default
-    /// context (retired contexts are not counted).
+    /// Number of live mutator contexts, including context 0 (retired
+    /// contexts are not counted).
     pub fn mutator_count(&self) -> usize {
         self.mutators.iter().filter(|state| !state.retired).count()
     }
@@ -819,8 +823,8 @@ impl KingsguardHeap {
     }
 
     /// Buffers one barrier event, draining once the context holds its full
-    /// capacity (capacity 0 drains every event immediately — the legacy
-    /// behaviour).
+    /// capacity (capacity 0 drains every event immediately, as context 0
+    /// does).
     fn push_event(&mut self, m: usize, event: WriteEvent) {
         self.mutators[m].ssb.push(event);
         if self.mutators[m].ssb.len() >= self.mutators[m].config.ssb_capacity.max(1) {
@@ -850,41 +854,8 @@ impl KingsguardHeap {
     }
 
     // ------------------------------------------------------------------
-    // Mutator interface (legacy wrappers over the default context)
+    // Mutator interface (the bodies of `MutatorContext`'s methods)
     // ------------------------------------------------------------------
-
-    /// Allocates an object of `shape` and returns a rooted handle to it.
-    ///
-    /// The object carries no allocation-site tag; profile-guided collectors
-    /// fall back to their default placement for it. Site-aware mutators use
-    /// [`KingsguardHeap::alloc_site`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the object cannot be accommodated even after a full-heap
-    /// collection (heap budget and large-object capacity exhausted).
-    pub fn alloc(&mut self, shape: ObjectShape, type_id: u16) -> Handle {
-        self.mutator_alloc_site(0, shape, type_id, SiteId::UNKNOWN)
-    }
-
-    /// Allocates an object of `shape` tagged with its allocation `site`
-    /// (alongside the `type_id`) and returns a rooted handle to it.
-    ///
-    /// Site tags are tracked only while the heap has a consumer for them — a
-    /// profiling run ([`KingsguardHeap::enable_profiling`], called before the
-    /// first allocation) or the KG-A collector; the other collectors skip the
-    /// side-table bookkeeping on this hot path entirely. When tracked, the
-    /// tag follows the object through every copy: the profiler aggregates
-    /// per-site behaviour under it, and KG-A looks it up in the advice table
-    /// to pretenure the object when it leaves the nursery.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the object cannot be accommodated even after a full-heap
-    /// collection (heap budget and large-object capacity exhausted).
-    pub fn alloc_site(&mut self, shape: ObjectShape, type_id: u16, site: SiteId) -> Handle {
-        self.mutator_alloc_site(0, shape, type_id, site)
-    }
 
     pub(crate) fn mutator_alloc_site(
         &mut self,
@@ -1039,16 +1010,6 @@ impl KingsguardHeap {
         self.roots.get(handle)
     }
 
-    /// Performs a reference store `src.slots[slot] = target` through the
-    /// write barrier of Figure 4.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `slot` is out of bounds for the source object's shape.
-    pub fn write_ref(&mut self, src: Handle, slot: usize, target: Option<Handle>) {
-        self.mutator_write_ref(0, src, slot, target);
-    }
-
     pub(crate) fn mutator_write_ref(&mut self, m: usize, src: Handle, slot: usize, target: Option<Handle>) {
         self.emit_event(|| HeapEvent::WriteRef {
             ctx: m,
@@ -1088,12 +1049,6 @@ impl KingsguardHeap {
         src.write_ref_raw(&mut self.mem, slot, target, Phase::Mutator);
     }
 
-    /// Performs a primitive store of `len` bytes at `offset` within the
-    /// source object's primitive payload.
-    pub fn write_prim(&mut self, src: Handle, offset: usize, len: usize) {
-        self.mutator_write_prim(0, src, offset, len);
-    }
-
     pub(crate) fn mutator_write_prim(&mut self, m: usize, src: Handle, offset: usize, len: usize) {
         self.emit_event(|| HeapEvent::WritePrim {
             ctx: m,
@@ -1122,15 +1077,10 @@ impl KingsguardHeap {
 
         // The monitoring barrier (gated on the policy's primitive-monitoring
         // toggle at drain time) and write demographics are buffered after
-        // the store, matching the legacy access order exactly for an eager
-        // context (store, then monitor) so cached-mode runs through the
-        // legacy API reproduce the pre-redesign access sequence.
+        // the store, so an eager context accesses memory in the order of an
+        // unbuffered barrier (store, then monitor) and cached-mode runs on
+        // context 0 keep that access sequence.
         self.push_event(m, WriteEvent::Prim { src });
-    }
-
-    /// Reads reference slot `slot` of the object behind `src`.
-    pub fn read_ref(&mut self, src: Handle, slot: usize) -> Option<ObjectRef> {
-        self.mutator_read_ref(0, src, slot)
     }
 
     pub(crate) fn mutator_read_ref(&mut self, m: usize, src: Handle, slot: usize) -> Option<ObjectRef> {
@@ -1144,12 +1094,6 @@ impl KingsguardHeap {
         } else {
             Some(target)
         }
-    }
-
-    /// Reads `len` bytes of primitive payload at `offset` (the value itself
-    /// is irrelevant to the simulation; the access traffic matters).
-    pub fn read_prim(&mut self, src: Handle, offset: usize, len: usize) {
-        self.mutator_read_prim(0, src, offset, len);
     }
 
     pub(crate) fn mutator_read_prim(&mut self, m: usize, src: Handle, offset: usize, len: usize) {
@@ -1600,47 +1544,50 @@ fn phase_touch_counter(phase: Phase) -> &'static str {
 mod tests {
     use super::*;
 
-    fn heap(config: HeapConfig) -> KingsguardHeap {
-        KingsguardHeap::new(config, MemoryConfig::architecture_independent())
+    /// A fresh heap and its context 0.
+    fn heap(config: HeapConfig) -> (KingsguardHeap, MutatorContext) {
+        let mut heap = KingsguardHeap::new(config, MemoryConfig::architecture_independent());
+        let m = heap.default_mutator().unwrap();
+        (heap, m)
     }
 
     #[test]
     fn spaces_are_placed_per_configuration() {
-        let kg_n = heap(HeapConfig::kg_n());
+        let (kg_n, _) = heap(HeapConfig::kg_n());
         assert_eq!(kg_n.nursery.kind(), MemoryKind::Dram);
         assert_eq!(kg_n.mature_primary.kind(), MemoryKind::Pcm);
         assert!(kg_n.observer.is_none());
         assert!(kg_n.mature_dram.is_none());
 
-        let kg_w = heap(HeapConfig::kg_w());
+        let (kg_w, _) = heap(HeapConfig::kg_w());
         assert!(kg_w.observer.is_some());
         assert_eq!(kg_w.observer.as_ref().unwrap().kind(), MemoryKind::Dram);
         assert_eq!(kg_w.mature_dram.as_ref().unwrap().kind(), MemoryKind::Dram);
         assert_eq!(kg_w.metadata.kind(), MemoryKind::Dram);
 
-        let pcm_only = heap(HeapConfig::gen_immix_pcm());
+        let (pcm_only, _) = heap(HeapConfig::gen_immix_pcm());
         assert_eq!(pcm_only.nursery.kind(), MemoryKind::Pcm);
         assert_eq!(pcm_only.mature_primary.kind(), MemoryKind::Pcm);
     }
 
     #[test]
     fn alloc_returns_live_rooted_objects() {
-        let mut heap = heap(HeapConfig::kg_n());
-        let handle = heap.alloc(ObjectShape::new(2, 32), 7);
+        let (mut heap, mut m) = heap(HeapConfig::kg_n());
+        let handle = m.alloc(&mut heap, ObjectShape::new(2, 32), 7);
         let obj = heap.resolve(handle);
         assert!(!obj.is_null());
-        assert_eq!(heap.root_count(), 1);
+        assert_eq!(heap.roots.len(), 1);
         assert_eq!(heap.stats().objects_allocated, 1);
         assert!(heap.stats().bytes_allocated >= 56);
         heap.release(handle);
-        assert_eq!(heap.root_count(), 0);
+        assert_eq!(heap.roots.len(), 0);
     }
 
     #[test]
     fn small_objects_go_to_the_nursery_and_large_to_the_los() {
-        let mut heap = heap(HeapConfig::kg_n());
-        let small = heap.alloc(ObjectShape::new(0, 128), 1);
-        let large = heap.alloc(ObjectShape::primitive(16 * 1024), 2);
+        let (mut heap, mut m) = heap(HeapConfig::kg_n());
+        let small = m.alloc(&mut heap, ObjectShape::new(0, 128), 1);
+        let large = m.alloc(&mut heap, ObjectShape::primitive(16 * 1024), 2);
         let small_obj = heap.resolve(small);
         let large_obj = heap.resolve(large);
         assert_eq!(heap.locate(small_obj.address()), Location::Nursery);
@@ -1650,27 +1597,27 @@ mod tests {
 
     #[test]
     fn reference_write_records_remset_for_old_to_young_pointers() {
-        let mut heap = heap(HeapConfig::kg_n());
+        let (mut heap, mut m) = heap(HeapConfig::kg_n());
         // Create an object and force it into the mature space via collection.
-        let old = heap.alloc(ObjectShape::new(1, 8), 1);
+        let old = m.alloc(&mut heap, ObjectShape::new(1, 8), 1);
         heap.collect_young();
         let old_obj = heap.resolve(old);
         assert_eq!(heap.locate(old_obj.address()), Location::MaturePrimary);
         // A young target written into the old object must be remembered.
-        let young = heap.alloc(ObjectShape::new(0, 8), 2);
-        heap.write_ref(old, 0, Some(young));
+        let young = m.alloc(&mut heap, ObjectShape::new(0, 8), 2);
+        m.write_ref(&mut heap, old, 0, Some(young));
         assert_eq!(heap.stats().remset_insertions, 1);
         assert!(!heap.remset_nursery.is_empty());
         // Writing a null reference does not grow the remset.
-        heap.write_ref(old, 0, None);
+        m.write_ref(&mut heap, old, 0, None);
         assert_eq!(heap.stats().remset_insertions, 1);
     }
 
     #[test]
     fn kgw_barrier_sets_write_bit_only_outside_nursery() {
-        let mut heap = heap(HeapConfig::kg_w());
-        let young = heap.alloc(ObjectShape::new(1, 16), 1);
-        heap.write_ref(young, 0, None);
+        let (mut heap, mut m) = heap(HeapConfig::kg_w());
+        let young = m.alloc(&mut heap, ObjectShape::new(1, 16), 1);
+        m.write_ref(&mut heap, young, 0, None);
         let obj = heap.resolve(young);
         assert!(
             !obj.is_written(&mut heap.mem, Phase::Mutator),
@@ -1680,7 +1627,7 @@ mod tests {
         heap.collect_young();
         let promoted = heap.resolve(young);
         assert_eq!(heap.locate(promoted.address()), Location::Observer);
-        heap.write_ref(young, 0, None);
+        m.write_ref(&mut heap, young, 0, None);
         let promoted = heap.resolve(young);
         assert!(promoted.is_written(&mut heap.mem, Phase::Mutator));
     }
@@ -1691,10 +1638,10 @@ mod tests {
             (HeapConfig::kg_w(), true),
             (HeapConfig::kg_w_no_primitive_monitoring(), false),
         ] {
-            let mut heap = heap(config);
-            let handle = heap.alloc(ObjectShape::new(0, 64), 1);
+            let (mut heap, mut m) = heap(config);
+            let handle = m.alloc(&mut heap, ObjectShape::new(0, 64), 1);
             heap.collect_young();
-            heap.write_prim(handle, 0, 8);
+            m.write_prim(&mut heap, handle, 0, 8);
             let obj = heap.resolve(handle);
             assert_eq!(obj.is_written(&mut heap.mem, Phase::Mutator), expect_bit);
         }
@@ -1702,12 +1649,12 @@ mod tests {
 
     #[test]
     fn write_demographics_split_nursery_and_mature() {
-        let mut heap = heap(HeapConfig::kg_n());
-        let a = heap.alloc(ObjectShape::new(0, 32), 1);
-        heap.write_prim(a, 0, 8);
+        let (mut heap, mut m) = heap(HeapConfig::kg_n());
+        let a = m.alloc(&mut heap, ObjectShape::new(0, 32), 1);
+        m.write_prim(&mut heap, a, 0, 8);
         heap.collect_young();
-        heap.write_prim(a, 0, 8);
-        heap.write_prim(a, 0, 8);
+        m.write_prim(&mut heap, a, 0, 8);
+        m.write_prim(&mut heap, a, 0, 8);
         assert_eq!(heap.stats().writes_to_nursery_objects, 1);
         assert_eq!(heap.stats().writes_to_mature_objects, 2);
         assert!((heap.stats().nursery_write_fraction() - 1.0 / 3.0).abs() < 1e-12);
@@ -1716,25 +1663,25 @@ mod tests {
     #[test]
     #[should_panic(expected = "out of bounds")]
     fn out_of_bounds_reference_slot_panics() {
-        let mut heap = heap(HeapConfig::kg_n());
-        let handle = heap.alloc(ObjectShape::new(1, 0), 1);
-        heap.write_ref(handle, 5, None);
+        let (mut heap, mut m) = heap(HeapConfig::kg_n());
+        let handle = m.alloc(&mut heap, ObjectShape::new(1, 0), 1);
+        m.write_ref(&mut heap, handle, 5, None);
     }
 
     #[test]
     fn profiling_run_gathers_a_site_profile() {
-        let mut heap = heap(HeapConfig::kg_n());
+        let (mut heap, mut m) = heap(HeapConfig::kg_n());
         heap.enable_profiling("unit");
-        assert!(heap.is_profiling());
+        assert!(heap.profiler.is_some());
         // Site 1: survives and is written after promotion. Site 2: dies young.
-        let survivor = heap.alloc_site(ObjectShape::new(0, 64), 1, advice::SiteId(1));
+        let survivor = m.alloc_site(&mut heap, ObjectShape::new(0, 64), 1, advice::SiteId(1));
         for _ in 0..40 {
-            let doomed = heap.alloc_site(ObjectShape::new(0, 64), 2, advice::SiteId(2));
+            let doomed = m.alloc_site(&mut heap, ObjectShape::new(0, 64), 2, advice::SiteId(2));
             heap.release(doomed);
         }
         heap.collect_young();
         for _ in 0..10 {
-            heap.write_prim(survivor, 0, 8);
+            m.write_prim(&mut heap, survivor, 0, 8);
         }
         let report = heap.finish();
         let profile = report.site_profile.expect("profiling was enabled");
@@ -1752,18 +1699,18 @@ mod tests {
 
     #[test]
     fn unprofiled_runs_report_no_site_profile() {
-        let mut heap = heap(HeapConfig::kg_n());
-        assert!(!heap.is_profiling());
-        let h = heap.alloc(ObjectShape::new(0, 32), 1);
+        let (mut heap, mut m) = heap(HeapConfig::kg_n());
+        assert!(heap.profiler.is_none());
+        let h = m.alloc(&mut heap, ObjectShape::new(0, 32), 1);
         heap.release(h);
         assert!(heap.finish().site_profile.is_none());
     }
 
     #[test]
     fn site_tags_survive_collections() {
-        let mut heap = heap(HeapConfig::kg_w());
+        let (mut heap, mut m) = heap(HeapConfig::kg_w());
         heap.enable_profiling("tags");
-        let tagged = heap.alloc_site(ObjectShape::new(0, 64), 1, advice::SiteId(17));
+        let tagged = m.alloc_site(&mut heap, ObjectShape::new(0, 64), 1, advice::SiteId(17));
         heap.collect_young();
         heap.collect_observer();
         heap.collect_full();
@@ -1774,9 +1721,9 @@ mod tests {
     #[test]
     fn site_tags_are_not_tracked_without_a_consumer() {
         // Collectors that never read sites skip the side-table bookkeeping.
-        let mut heap = heap(HeapConfig::kg_w());
+        let (mut heap, mut m) = heap(HeapConfig::kg_w());
         assert!(!heap.tracks_sites());
-        let tagged = heap.alloc_site(ObjectShape::new(0, 64), 1, advice::SiteId(17));
+        let tagged = m.alloc_site(&mut heap, ObjectShape::new(0, 64), 1, advice::SiteId(17));
         let obj = heap.resolve(tagged);
         assert_eq!(heap.stats().site_of(obj.address()), advice::SiteId::UNKNOWN);
         assert_eq!(heap.stats().object_sites.values().count(), 0);
@@ -1814,15 +1761,16 @@ mod tests {
             MemoryConfig::architecture_independent(),
             Box::new(RescueOnly),
         );
+        let mut m = heap.default_mutator().unwrap();
         assert_eq!(heap.policy().name(), "KG-N+rescue");
-        let handle = heap.alloc(ObjectShape::new(0, 128), 1);
+        let handle = m.alloc(&mut heap, ObjectShape::new(0, 128), 1);
         heap.collect_nursery();
         assert_eq!(
             heap.locate(heap.resolve(handle).address()),
             Location::MaturePrimary
         );
         // Written in PCM: the custom policy's rescue saves it.
-        heap.write_prim(handle, 0, 8);
+        m.write_prim(&mut heap, handle, 0, 8);
         heap.collect_full();
         assert_eq!(heap.locate(heap.resolve(handle).address()), Location::MatureDram);
         assert_eq!(heap.stats().pcm_to_dram_rescues, 1);
@@ -1830,8 +1778,8 @@ mod tests {
 
     #[test]
     fn spawned_contexts_batch_barrier_events_until_a_safepoint() {
-        let mut h = heap(HeapConfig::kg_n());
-        let mut ctx = h.spawn_mutator();
+        let (mut h, _) = heap(HeapConfig::kg_n());
+        let mut ctx = h.spawn_mutator_with(MutatorConfig::default());
         // An old object pointing at a young one: the remset insertion sits
         // in the store buffer until the safepoint, and the collection that
         // follows still sees it (safepoints precede tracing).
@@ -1854,9 +1802,14 @@ mod tests {
 
     #[test]
     fn eager_and_batched_contexts_produce_identical_totals() {
-        let run = |config: crate::mutator::MutatorConfig| {
-            let mut h = heap(HeapConfig::kg_w());
-            let mut ctx = h.spawn_mutator_with(config);
+        // `None` runs the program on context 0, `Some(config)` on a context
+        // spawned with `config`.
+        let run = |config: Option<MutatorConfig>| {
+            let (mut h, context0) = heap(HeapConfig::kg_w());
+            let mut ctx = match config {
+                None => context0,
+                Some(config) => h.spawn_mutator_with(config),
+            };
             let mut handles = Vec::new();
             for i in 0..400u32 {
                 let handle = ctx.alloc(&mut h, ObjectShape::new(1, 40 + (i % 64)), 1);
@@ -1865,7 +1818,7 @@ mod tests {
                     ctx.write_ref(&mut h, handle, 0, handles.last().copied());
                 }
                 if i % 2 == 0 {
-                    ctx.release(&mut h, handle);
+                    h.release(handle);
                 } else {
                     handles.push(handle);
                 }
@@ -1878,17 +1831,17 @@ mod tests {
                 report.gc.writes_to_mature_objects,
             )
         };
-        let eager = run(crate::mutator::MutatorConfig::eager());
-        for capacity in [1, 16, 4096] {
-            let batched = run(crate::mutator::MutatorConfig::default().with_ssb_capacity(capacity));
-            assert_eq!(eager, batched, "ssb capacity {capacity} changed run totals");
+        let on_context0 = run(None);
+        let spawned = [1, 16, 4096].map(|capacity| MutatorConfig::default().with_ssb_capacity(capacity));
+        for config in [MutatorConfig::eager()].into_iter().chain(spawned) {
+            assert_eq!(run(Some(config)), on_context0, "{config:?} changed run totals");
         }
     }
 
     #[test]
     fn retired_contexts_free_their_slot_for_reuse() {
-        let mut h = heap(HeapConfig::kg_n());
-        let mut a = h.spawn_mutator();
+        let (mut h, _) = heap(HeapConfig::kg_n());
+        let mut a = h.spawn_mutator_with(MutatorConfig::default());
         let handle = a.alloc(&mut h, ObjectShape::new(0, 64), 1);
         a.write_prim(&mut h, handle, 0, 8);
         let index = a.index();
@@ -1898,28 +1851,35 @@ mod tests {
         assert_eq!(h.mutator_count(), 1, "retired contexts are not counted");
         // The next spawn reuses the retired slot and shard, with fresh
         // attribution.
-        let b = h.spawn_mutator();
+        let b = h.spawn_mutator_with(MutatorConfig::default());
         assert_eq!(b.index(), index, "retired slot is reused");
         assert_eq!(h.mutator_count(), 2);
         assert_eq!(b.traffic(&h).writes(MemoryKind::Dram), 0);
     }
 
     #[test]
+    #[should_panic(expected = "context 0 lives as long as the heap")]
+    fn context_0_cannot_be_retired() {
+        let (mut h, m) = heap(HeapConfig::kg_n());
+        m.retire(&mut h);
+    }
+
+    #[test]
     fn context_traffic_attribution_sums_to_the_aggregate_mutator_view() {
-        let mut h = heap(HeapConfig::kg_n());
-        let mut a = h.spawn_mutator();
-        let mut b = h.spawn_mutator();
+        let (mut h, _) = heap(HeapConfig::kg_n());
+        let mut a = h.spawn_mutator_with(MutatorConfig::default());
+        let mut b = h.spawn_mutator_with(MutatorConfig::default());
         for i in 0..50u32 {
             let ctx = if i % 2 == 0 { &mut a } else { &mut b };
             let handle = ctx.alloc(&mut h, ObjectShape::new(0, 64), 1);
             ctx.write_prim(&mut h, handle, 0, 8);
-            ctx.release(&mut h, handle);
+            h.release(handle);
         }
         h.safepoint();
         let a_writes = a.traffic(&h).writes(MemoryKind::Dram);
         let b_writes = b.traffic(&h).writes(MemoryKind::Dram);
         assert!(a_writes > 0 && b_writes > 0, "both contexts wrote the nursery");
-        // The default context idled; collector traffic lands on the base
+        // Context 0 idled; collector traffic lands on the base
         // shard. Context attribution survives the safepoint merge.
         let total = h.memory().stats().writes(MemoryKind::Dram);
         assert!(
@@ -1927,13 +1887,16 @@ mod tests {
             "attributed traffic ({}) cannot exceed the aggregate ({total})",
             a_writes + b_writes
         );
-        assert_eq!(h.mutator_count(), 3, "default context plus two spawned");
+        assert_eq!(h.mutator_count(), 3, "context 0 plus two spawned");
     }
 
     #[test]
     fn chunked_tlabs_serve_allocations_from_private_windows() {
-        let mut h = heap(HeapConfig::kg_n());
-        let mut ctx = h.spawn_mutator_with(crate::mutator::MutatorConfig::chunked(8 * 1024));
+        let (mut h, _) = heap(HeapConfig::kg_n());
+        let mut ctx = h.spawn_mutator_with(MutatorConfig {
+            tlab_bytes: 8 * 1024,
+            ..MutatorConfig::default()
+        });
         let mut handles = Vec::new();
         for _ in 0..200 {
             handles.push(ctx.alloc(&mut h, ObjectShape::new(0, 48), 1));
@@ -1951,10 +1914,10 @@ mod tests {
 
     #[test]
     fn finish_reports_memory_and_gc_stats() {
-        let mut heap = heap(HeapConfig::kg_w());
+        let (mut heap, mut m) = heap(HeapConfig::kg_w());
         for _ in 0..50 {
-            let h = heap.alloc(ObjectShape::new(1, 64), 1);
-            heap.write_prim(h, 0, 16);
+            let h = m.alloc(&mut heap, ObjectShape::new(1, 64), 1);
+            m.write_prim(&mut heap, h, 0, 16);
             heap.release(h);
         }
         let report = heap.finish();
@@ -1962,10 +1925,10 @@ mod tests {
         assert!(report.memory.total_writes() > 0);
     }
 
-    fn drive_allocation_churn(heap: &mut KingsguardHeap) {
+    fn drive_allocation_churn(heap: &mut KingsguardHeap, m: &mut MutatorContext) {
         for i in 0..300u32 {
-            let h = heap.alloc(ObjectShape::new(1, 64), (i % 7) as u16);
-            heap.write_prim(h, 0, 16);
+            let h = m.alloc(heap, ObjectShape::new(1, 64), (i % 7) as u16);
+            m.write_prim(heap, h, 0, 16);
             if i % 3 == 0 {
                 heap.release(h);
             }
@@ -1975,10 +1938,10 @@ mod tests {
 
     #[test]
     fn hot_path_profile_merges_into_telemetry() {
-        let mut heap = heap(HeapConfig::kg_w());
+        let (mut heap, mut m) = heap(HeapConfig::kg_w());
         heap.enable_telemetry();
         heap.enable_hot_path_profiler(telemetry::DEFAULT_SAMPLE_EVERY);
-        drive_allocation_churn(&mut heap);
+        drive_allocation_churn(&mut heap, &mut m);
         let report = heap.finish().telemetry.expect("telemetry enabled");
         let touches = report.counter("profile.touches").unwrap();
         for stage in Stage::ALL {

@@ -130,7 +130,7 @@ pub struct GcStats {
     /// *current* address (re-keyed on every move, like
     /// `mature_object_writes`). Feeds the site profiler and the KG-A
     /// placement decisions; objects allocated through the untagged
-    /// [`crate::KingsguardHeap::alloc`] entry point have no entry
+    /// [`crate::MutatorContext::alloc`] entry point have no entry
     /// ([`SiteId::UNKNOWN`] is 0, the table's "no entry"). Only the running
     /// heap reads it, and only for live objects — which is what lets it use
     /// the coarser granule — so a finished run drops it.
@@ -265,14 +265,6 @@ impl GcStats {
         if !site.is_unknown() {
             *self.site_demotions.entry(site.raw()).or_insert(0) += 1;
         }
-    }
-
-    /// Fraction of advised placements (by objects) that chose mature DRAM.
-    pub fn advised_dram_object_fraction(&self) -> f64 {
-        ratio(
-            self.advised_to_dram_objects,
-            self.advised_to_dram_objects + self.advised_to_pcm_objects,
-        )
     }
 
     /// Fraction of writes to mature objects captured by the most-written
@@ -447,15 +439,6 @@ mod tests {
         assert_eq!(stats.site_demotions.get(&4), Some(&1));
         assert!(!stats.site_rescues.contains_key(&0));
         assert!(!stats.site_demotions.contains_key(&0));
-    }
-
-    #[test]
-    fn advised_fraction() {
-        let mut stats = GcStats::default();
-        assert_eq!(stats.advised_dram_object_fraction(), 0.0);
-        stats.advised_to_dram_objects = 1;
-        stats.advised_to_pcm_objects = 3;
-        assert!((stats.advised_dram_object_fraction() - 0.25).abs() < 1e-12);
     }
 
     #[test]

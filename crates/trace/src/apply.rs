@@ -1,7 +1,7 @@
 //! Applying events: the one place a [`TraceEvent`] becomes a heap call.
 //!
 //! An [`Applier`] holds the two tables an event stream needs to drive a
-//! heap — allocation index → live handle, context index → spawned
+//! heap — allocation index → live handle, context index →
 //! [`MutatorContext`] — and applies one event at a time. Every run goes
 //! through it. A replay feeds it a stored trace
 //! ([`crate::TraceReplayer`]); a live run feeds it a workload generator's
@@ -47,7 +47,8 @@ pub struct ReplayStats {
 /// Everything that can go wrong applying an event stream.
 #[derive(Debug)]
 pub enum ReplayError {
-    /// The heap is not fresh (it already allocated or spawned contexts).
+    /// The heap is not fresh (it already allocated, spawned contexts or
+    /// handed out context 0).
     HeapNotFresh,
     /// The replay heap's space sizes do not match the recording heap's, so
     /// the recorded lifetimes and GC trigger points would be meaningless.
@@ -74,6 +75,12 @@ pub enum ReplayError {
         /// The dangling context index.
         ctx: u32,
     },
+    /// An event spawns or retires context 0, which every heap is born with
+    /// and which lives as long as the heap.
+    PermanentContext {
+        /// Index of the offending event.
+        event: u64,
+    },
     /// The heap assigned a different context index than the stream names
     /// (the heap was not fresh, or spawn order was tampered with).
     ContextIndexMismatch {
@@ -89,7 +96,7 @@ impl fmt::Display for ReplayError {
         match self {
             ReplayError::HeapNotFresh => write!(
                 f,
-                "an event stream must start on a fresh heap (no allocations, no contexts)"
+                "an event stream must start on a fresh heap (no allocations, no contexts, context 0 not handed out)"
             ),
             ReplayError::ConfigMismatch {
                 what,
@@ -104,6 +111,9 @@ impl fmt::Display for ReplayError {
             }
             ReplayError::UnknownContext { event, ctx } => {
                 write!(f, "event {event} references unknown or retired context {ctx}")
+            }
+            ReplayError::PermanentContext { event } => {
+                write!(f, "event {event} spawns or retires context 0, which lives as long as the heap")
             }
             ReplayError::ContextIndexMismatch { recorded, assigned } => write!(
                 f,
@@ -120,23 +130,24 @@ impl std::error::Error for ReplayError {}
 pub struct Applier {
     /// Allocation index → live handle (`None` once released).
     objects: Vec<Option<Handle>>,
-    /// Context index → spawned context (slot 0 is the built-in default
-    /// context, driven through the legacy heap methods).
+    /// Context index → live context (slot 0 holds context 0, the heap's
+    /// own; `None` once a spawned context retires).
     contexts: Vec<Option<MutatorContext>>,
     stats: ReplayStats,
 }
 
 impl Applier {
     /// Starts applying to `heap`, which must be fresh — no allocation, no
-    /// spawned context — because a stream's allocation and context indices
-    /// count from the heap's first.
-    pub fn new(heap: &KingsguardHeap) -> Result<Self, ReplayError> {
+    /// spawned context, context 0 not yet handed out — because a stream's
+    /// allocation and context indices count from the heap's first.
+    pub fn new(heap: &mut KingsguardHeap) -> Result<Self, ReplayError> {
         if heap.stats().objects_allocated != 0 || heap.mutator_count() != 1 {
             return Err(ReplayError::HeapNotFresh);
         }
+        let context0 = heap.default_mutator().ok_or(ReplayError::HeapNotFresh)?;
         Ok(Applier {
             objects: Vec::new(),
-            contexts: vec![None],
+            contexts: vec![Some(context0)],
             stats: ReplayStats::default(),
         })
     }
@@ -158,6 +169,9 @@ impl Applier {
     ) -> Result<(), ReplayError> {
         let at = self.stats.events;
         match event {
+            TraceEvent::Spawn { ctx: 0, .. } | TraceEvent::Retire { ctx: 0 } => {
+                return Err(ReplayError::PermanentContext { event: at });
+            }
             TraceEvent::Spawn { ctx, config } => {
                 let spawned = heap.spawn_mutator_with(config);
                 let assigned = spawned.index() as u32;
@@ -190,10 +204,7 @@ impl Applier {
             } => {
                 let shape = ObjectShape::new(ref_slots, payload_bytes);
                 let site = advice::SiteId(site);
-                let handle = match self.context(ctx, at)? {
-                    None => heap.alloc_site(shape, type_id, site),
-                    Some(mutator) => mutator.alloc_site(heap, shape, type_id, site),
-                };
+                let handle = self.context(ctx, at)?.alloc_site(heap, shape, type_id, site);
                 self.objects.push(Some(handle));
                 self.stats.allocations += 1;
             }
@@ -208,10 +219,7 @@ impl Applier {
                     None => None,
                     Some(t) => Some(self.resolve(t, at)?),
                 };
-                match self.context(ctx, at)? {
-                    None => heap.write_ref(src, slot as usize, target),
-                    Some(mutator) => mutator.write_ref(heap, src, slot as usize, target),
-                }
+                self.context(ctx, at)?.write_ref(heap, src, slot as usize, target);
             }
             TraceEvent::WritePrim {
                 ctx,
@@ -220,21 +228,12 @@ impl Applier {
                 len,
             } => {
                 let src = self.resolve(src, at)?;
-                match self.context(ctx, at)? {
-                    None => heap.write_prim(src, offset as usize, len as usize),
-                    Some(mutator) => mutator.write_prim(heap, src, offset as usize, len as usize),
-                }
+                self.context(ctx, at)?
+                    .write_prim(heap, src, offset as usize, len as usize);
             }
             TraceEvent::ReadRef { ctx, src, slot } => {
                 let src = self.resolve(src, at)?;
-                match self.context(ctx, at)? {
-                    None => {
-                        heap.read_ref(src, slot as usize);
-                    }
-                    Some(mutator) => {
-                        mutator.read_ref(heap, src, slot as usize);
-                    }
-                }
+                self.context(ctx, at)?.read_ref(heap, src, slot as usize);
             }
             TraceEvent::ReadPrim {
                 ctx,
@@ -243,10 +242,8 @@ impl Applier {
                 len,
             } => {
                 let src = self.resolve(src, at)?;
-                match self.context(ctx, at)? {
-                    None => heap.read_prim(src, offset as usize, len as usize),
-                    Some(mutator) => mutator.read_prim(heap, src, offset as usize, len as usize),
-                }
+                self.context(ctx, at)?
+                    .read_prim(heap, src, offset as usize, len as usize);
             }
             TraceEvent::Release { obj } => {
                 let handle = self.resolve(obj, at)?;
@@ -305,9 +302,9 @@ impl Applier {
     }
 
     /// Each live spawned context's attributed device traffic, in context
-    /// order.
+    /// order (context 0 is not spawned and not listed).
     pub fn traffic(&self, heap: &KingsguardHeap) -> Vec<ShardStats> {
-        self.contexts
+        self.contexts[1..]
             .iter()
             .flatten()
             .map(|ctx| ctx.traffic(heap))
@@ -332,14 +329,10 @@ impl Applier {
             .ok_or(ReplayError::UnknownObject { event, obj })
     }
 
-    /// The context slot for `ctx`: `Ok(None)` is the built-in default
-    /// context (legacy methods), `Ok(Some(..))` a spawned context.
-    fn context(&mut self, ctx: u32, event: u64) -> Result<Option<&mut MutatorContext>, ReplayError> {
-        if ctx == 0 {
-            return Ok(None);
-        }
+    /// The live context `ctx` names.
+    fn context(&mut self, ctx: u32, event: u64) -> Result<&mut MutatorContext, ReplayError> {
         match self.contexts.get_mut(ctx as usize) {
-            Some(Some(mutator)) => Ok(Some(mutator)),
+            Some(Some(mutator)) => Ok(mutator),
             _ => Err(ReplayError::UnknownContext { event, ctx }),
         }
     }

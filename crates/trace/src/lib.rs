@@ -59,7 +59,7 @@
 //! };
 //! let header = meta.header(&heap);
 //! let mut events = TraceEvents::default();
-//! let mut applier = Applier::new(&heap).unwrap();
+//! let mut applier = Applier::new(&mut heap).unwrap();
 //! workload(applier.sink(&mut heap, |_, _| {}, Some(&mut events)));
 //! let trace = Trace { header, events };
 //! let live = heap.finish();

@@ -94,20 +94,21 @@ mod tests {
         }
     }
 
-    /// Runs a small hand-written program through the legacy heap methods,
-    /// writing down the event each call corresponds to, and returns that
-    /// stream plus the live run's report.
+    /// Runs a small hand-written program on context 0, writing down the
+    /// event each call corresponds to, and returns that stream plus the live
+    /// run's report.
     fn record_sample(config: HeapConfig) -> (Trace, kingsguard::RunReport) {
         let mut heap = fresh(config.clone());
+        let mut m = heap.default_mutator().unwrap();
         let mut events = TraceEvents::default();
         let mut keep = Vec::new();
         for i in 0..300u32 {
             let index = u64::from(i);
             let shape = ObjectShape::new((i % 3) as u16, 24 + (i % 80));
             let (type_id, site) = (1 + (i % 9) as u16, advice::SiteId(21 + (i % 8)));
-            let handle = heap.alloc_site(shape, type_id, site);
+            let handle = m.alloc_site(&mut heap, shape, type_id, site);
             events.push(TraceEvent::alloc(0, shape, type_id, site));
-            heap.write_prim(handle, (i as usize) % 64, 8);
+            m.write_prim(&mut heap, handle, (i as usize) % 64, 8);
             events.push(TraceEvent::WritePrim {
                 ctx: 0,
                 src: index,
@@ -116,7 +117,7 @@ mod tests {
             });
             if shape.ref_slots > 0 {
                 let target: Option<(_, u64)> = keep.last().copied();
-                heap.write_ref(handle, 0, target.map(|(handle, _)| handle));
+                m.write_ref(&mut heap, handle, 0, target.map(|(handle, _)| handle));
                 events.push(TraceEvent::WriteRef {
                     ctx: 0,
                     src: index,
@@ -132,9 +133,9 @@ mod tests {
             }
         }
         let shape = ObjectShape::primitive(16 * 1024);
-        let big = heap.alloc(shape, 200);
+        let big = m.alloc(&mut heap, shape, 200);
         events.push(TraceEvent::alloc(0, shape, 200, advice::SiteId::UNKNOWN));
-        heap.write_prim(big, 100, 32);
+        m.write_prim(&mut heap, big, 100, 32);
         events.push(TraceEvent::WritePrim {
             ctx: 0,
             src: 300,
@@ -211,12 +212,41 @@ mod tests {
     #[test]
     fn replay_rejects_a_used_heap() {
         let (trace, _) = record_sample(HeapConfig::kg_n());
-        let mut heap = fresh(HeapConfig::kg_n());
-        let _used = heap.alloc(ObjectShape::new(0, 16), 1);
-        assert!(matches!(
-            TraceReplayer::new(&trace).replay(&mut heap),
-            Err(ReplayError::HeapNotFresh)
-        ));
+        let mut used = fresh(HeapConfig::kg_n());
+        let mut m = used.default_mutator().unwrap();
+        m.alloc(&mut used, ObjectShape::new(0, 16), 1);
+        // A heap whose context 0 is already held elsewhere is used too.
+        let mut handed_out = fresh(HeapConfig::kg_n());
+        let _m = handed_out.default_mutator();
+        for mut heap in [used, handed_out] {
+            assert!(matches!(
+                TraceReplayer::new(&trace).replay(&mut heap),
+                Err(ReplayError::HeapNotFresh)
+            ));
+        }
+    }
+
+    #[test]
+    fn replay_rejects_spawning_or_retiring_context_0() {
+        let spawn0 = TraceEvent::Spawn {
+            ctx: 0,
+            config: kingsguard::MutatorConfig::default(),
+        };
+        for events in [
+            vec![spawn0],
+            vec![
+                TraceEvent::alloc(0, ObjectShape::new(0, 64), 1, advice::SiteId::UNKNOWN),
+                TraceEvent::Retire { ctx: 0 },
+            ],
+        ] {
+            let at = events.len() as u64 - 1;
+            let trace = trace_for(&HeapConfig::kg_n(), events.into());
+            let mut heap = fresh(HeapConfig::kg_n());
+            match TraceReplayer::new(&trace).replay(&mut heap) {
+                Err(ReplayError::PermanentContext { event }) => assert_eq!(event, at),
+                other => panic!("expected a permanent-context error, got {other:?}"),
+            }
+        }
     }
 
     #[test]

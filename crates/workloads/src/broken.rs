@@ -83,13 +83,16 @@ impl BrokenFixture {
     /// installed a sanitizer on the (fresh) heap first; the violation
     /// surfaces at the checkpoints this method triggers.
     pub fn run(self, heap: &mut KingsguardHeap) {
+        let mut m = heap
+            .default_mutator()
+            .expect("a fresh heap still holds context 0");
         match self {
             BrokenFixture::ClearedRemset => {
-                let parent = heap.alloc(ObjectShape::new(1, 16), 1);
+                let parent = m.alloc(heap, ObjectShape::new(1, 16), 1);
                 // Promote the parent out of the nursery.
                 heap.collect_nursery();
-                let child = heap.alloc(ObjectShape::new(0, 32), 2);
-                heap.write_ref(parent, 0, Some(child));
+                let child = m.alloc(heap, ObjectShape::new(0, 32), 2);
+                m.write_ref(heap, parent, 0, Some(child));
                 // The write's remset insertion has landed (eager drain);
                 // release the child's root so the slot is the only path.
                 heap.release(child);
@@ -100,9 +103,9 @@ impl BrokenFixture {
                 heap.collect_nursery();
             }
             BrokenFixture::CorruptedRefSlot => {
-                let parent = heap.alloc(ObjectShape::new(1, 16), 1);
-                let child = heap.alloc(ObjectShape::new(0, 32), 2);
-                heap.write_ref(parent, 0, Some(child));
+                let parent = m.alloc(heap, ObjectShape::new(1, 16), 1);
+                let child = m.alloc(heap, ObjectShape::new(0, 32), 2);
+                m.write_ref(heap, parent, 0, Some(child));
                 heap.debug_corrupt_ref_slot_for_test(parent, 0, 0xdead_beef_0000);
                 heap.safepoint();
             }
@@ -115,14 +118,14 @@ impl BrokenFixture {
                 // Buffered in the SSB; the sabotaged drain at the next
                 // safepoint throws the bookkeeping away.
                 mutator.write_ref(heap, parent, 0, Some(child));
-                mutator.release(heap, child);
+                heap.release(child);
                 heap.collect_nursery();
                 heap.debug_skip_barrier_bookkeeping_for_test(false);
                 mutator.retire(heap);
             }
             BrokenFixture::ForgedWriteStats => {
-                let obj = heap.alloc(ObjectShape::new(0, 32), 1);
-                heap.write_prim(obj, 0, 8);
+                let obj = m.alloc(heap, ObjectShape::new(0, 32), 1);
+                m.write_prim(heap, obj, 0, 8);
                 heap.debug_forge_write_stats_for_test();
                 heap.safepoint();
             }
@@ -131,7 +134,7 @@ impl BrokenFixture {
                 heap.safepoint();
             }
             BrokenFixture::RetiredLivePage => {
-                let big = heap.alloc(ObjectShape::new(0, 16 * 1024), 1);
+                let big = m.alloc(heap, ObjectShape::new(0, 16 * 1024), 1);
                 heap.debug_retire_live_page_for_test(big);
                 // The exit checkpoint of a full collection asserts retired
                 // pages hold no live objects.

@@ -699,7 +699,7 @@ mod tests {
                 report.gc.major.collections,
             )
         };
-        let legacy = {
+        let on_context0 = {
             let heap_config = HeapConfig::kg_n()
                 .with_heap_budget(profile.scaled_heap_bytes(config.scale).max(2 << 20) as usize);
             let mut heap = KingsguardHeap::new(heap_config, MemoryConfig::architecture_independent());
@@ -719,7 +719,7 @@ mod tests {
             let report = heap.finish();
             assert_eq!(
                 fingerprint(&report),
-                fingerprint(&legacy),
+                fingerprint(&on_context0),
                 "K={mutators} diverged from the single-mutator run"
             );
         }
@@ -789,7 +789,7 @@ mod tests {
             MutatorConfig::default(),
             |_, _| {},
         );
-        assert_eq!(heap.mutator_count(), 4, "default context plus three spawned");
+        assert_eq!(heap.mutator_count(), 4, "context 0 plus three spawned");
         let report = heap.finish();
         assert!(report.gc.bytes_allocated > 0);
     }

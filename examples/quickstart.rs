@@ -11,14 +11,16 @@ fn main() {
     // A KG-W heap on a hybrid DRAM+PCM memory system with the paper's cache
     // hierarchy (scaled down to match the scaled-down heap).
     let mut heap = KingsguardHeap::new(HeapConfig::kg_w(), MemoryConfig::hybrid_scaled(16));
+    // Every heap is born with one mutator context; this program runs on it.
+    let mut m = heap.default_mutator().expect("a fresh heap holds context 0");
 
     // A long-lived, frequently written table and a stream of short-lived
     // records: the classic shape of a Java application.
-    let table = heap.alloc(ObjectShape::new(4, 64), 1);
+    let table = m.alloc(&mut heap, ObjectShape::new(4, 64), 1);
     for i in 0..200_000u32 {
-        let record = heap.alloc(ObjectShape::new(1, 48), 2);
-        heap.write_ref(table, (i % 4) as usize, Some(record));
-        heap.write_prim(table, 0, 8); // the table is hot
+        let record = m.alloc(&mut heap, ObjectShape::new(1, 48), 2);
+        m.write_ref(&mut heap, table, (i % 4) as usize, Some(record));
+        m.write_prim(&mut heap, table, 0, 8); // the table is hot
         heap.release(record); // records die young
     }
 

@@ -263,8 +263,9 @@ fn mutator_data_survives_collections_intact() {
     // Write a recognisable pattern into a long-lived object, force it
     // through nursery, observer and major collections, and check the bytes.
     let mut heap = KingsguardHeap::new(HeapConfig::kg_w(), MemoryConfig::architecture_independent());
-    let keeper = heap.alloc(ObjectShape::new(0, 64), 7);
-    heap.write_prim(keeper, 0, 16);
+    let mut m = heap.default_mutator().unwrap();
+    let keeper = m.alloc(&mut heap, ObjectShape::new(0, 64), 7);
+    m.write_prim(&mut heap, keeper, 0, 16);
     let addr = heap.resolve(keeper);
     let shape_before = heap.with_synced_memory(|mem| addr.shape(mem, Phase::Mutator));
     heap.collect_nursery();

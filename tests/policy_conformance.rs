@@ -338,9 +338,9 @@ fn simulation_mode_reproduces_the_pre_rewrite_cache_model_exactly() {
 }
 
 /// The multi-mutator redesign's exactness guarantee, pinned against the
-/// same goldens: a K=1 run through the `MutatorContext` API (TLABs, batched
-/// store buffers, sharded counters) is bit-identical to the legacy
-/// `&mut self` API, and the aggregates of K∈{2,4} runs are identical to
+/// same goldens: a K=1 run on a spawned context (TLABs, batched store
+/// buffers, sharded counters) is bit-identical to the same run on the eager
+/// context 0, and the aggregates of K∈{2,4} runs are identical to
 /// K=1 — the sharded merge loses no event and the batched barrier defers
 /// but never drops work.
 #[test]

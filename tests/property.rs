@@ -90,6 +90,7 @@ fn heap_configs() -> Vec<HeapConfig> {
 /// as it goes.
 fn run_program(config: HeapConfig, steps: &[Step]) {
     let mut heap = KingsguardHeap::new(config, MemoryConfig::architecture_independent());
+    let mut m = heap.default_mutator().unwrap();
     // (handle, ref_slots, payload, type_id) of every still-live object.
     let mut live: Vec<(Handle, u16, u32, u16)> = Vec::new();
     let mut next_type: u16 = 1;
@@ -99,14 +100,14 @@ fn run_program(config: HeapConfig, steps: &[Step]) {
         match step {
             Step::Alloc { ref_slots, payload } => {
                 let shape = ObjectShape::new(*ref_slots, *payload);
-                let handle = heap.alloc_site(shape, next_type, SiteId(next_site));
+                let handle = m.alloc_site(&mut heap, shape, next_type, SiteId(next_site));
                 live.push((handle, *ref_slots, *payload, next_type));
                 next_type = next_type.wrapping_add(1).max(1);
                 next_site = (next_site % 16) + 1;
             }
             Step::AllocLarge { payload } => {
                 let shape = ObjectShape::primitive(*payload);
-                let handle = heap.alloc(shape, next_type);
+                let handle = m.alloc(&mut heap, shape, next_type);
                 live.push((handle, 0, *payload, next_type));
                 next_type = next_type.wrapping_add(1).max(1);
             }
@@ -114,7 +115,7 @@ fn run_program(config: HeapConfig, steps: &[Step]) {
                 if !live.is_empty() {
                     let (handle, _, payload, _) = live[victim % live.len()];
                     if payload > 0 {
-                        heap.write_prim(handle, offset % payload as usize, 8);
+                        m.write_prim(&mut heap, handle, offset % payload as usize, 8);
                     }
                 }
             }
@@ -123,7 +124,12 @@ fn run_program(config: HeapConfig, steps: &[Step]) {
                     let (src_handle, ref_slots, _, _) = live[src % live.len()];
                     let (target_handle, ..) = live[target % live.len()];
                     if ref_slots > 0 {
-                        heap.write_ref(src_handle, slot % ref_slots as usize, Some(target_handle));
+                        m.write_ref(
+                            &mut heap,
+                            src_handle,
+                            slot % ref_slots as usize,
+                            Some(target_handle),
+                        );
                     }
                 }
             }
@@ -252,18 +258,19 @@ fn single_technology_baselines_stay_on_their_technology() {
                 MemoryConfig::architecture_independent(),
             );
             for heap in [&mut dram_heap, &mut pcm_heap] {
+                let mut m = heap.default_mutator().unwrap();
                 let mut handles: Vec<Handle> = Vec::new();
                 for step in &steps {
                     match step {
                         Step::Alloc { ref_slots, payload } => {
-                            handles.push(heap.alloc(ObjectShape::new(*ref_slots, *payload), 1))
+                            handles.push(m.alloc(heap, ObjectShape::new(*ref_slots, *payload), 1))
                         }
                         Step::AllocLarge { payload } => {
-                            handles.push(heap.alloc(ObjectShape::primitive(*payload), 1))
+                            handles.push(m.alloc(heap, ObjectShape::primitive(*payload), 1))
                         }
                         Step::WritePrim { victim, offset } if !handles.is_empty() => {
                             let handle = handles[victim % handles.len()];
-                            heap.write_prim(handle, *offset, 8);
+                            m.write_prim(heap, handle, *offset, 8);
                         }
                         Step::Release { victim } if !handles.is_empty() => {
                             let handle = handles.swap_remove(victim % handles.len());
@@ -294,28 +301,36 @@ fn kg_w_never_greatly_exceeds_kg_n_pcm_application_writes() {
             let steps = arbitrary_program(rng, 20, 150);
             let run = |config: HeapConfig| {
                 let mut heap = KingsguardHeap::new(config, MemoryConfig::architecture_independent());
+                let mut m = heap.default_mutator().unwrap();
                 let mut handles: Vec<(Handle, u16, u32)> = Vec::new();
                 for step in &steps {
                     match step {
                         Step::Alloc { ref_slots, payload } => handles.push((
-                            heap.alloc(ObjectShape::new(*ref_slots, *payload), 1),
+                            m.alloc(&mut heap, ObjectShape::new(*ref_slots, *payload), 1),
                             *ref_slots,
                             *payload,
                         )),
-                        Step::AllocLarge { payload } => {
-                            handles.push((heap.alloc(ObjectShape::primitive(*payload), 1), 0, *payload))
-                        }
+                        Step::AllocLarge { payload } => handles.push((
+                            m.alloc(&mut heap, ObjectShape::primitive(*payload), 1),
+                            0,
+                            *payload,
+                        )),
                         Step::WritePrim { victim, offset } if !handles.is_empty() => {
                             let (handle, _, payload) = handles[victim % handles.len()];
                             if payload > 0 {
-                                heap.write_prim(handle, offset % payload as usize, 8);
+                                m.write_prim(&mut heap, handle, offset % payload as usize, 8);
                             }
                         }
                         Step::WriteRef { src, slot, target } if !handles.is_empty() => {
                             let (src_handle, ref_slots, _) = handles[src % handles.len()];
                             let (target_handle, ..) = handles[target % handles.len()];
                             if ref_slots > 0 {
-                                heap.write_ref(src_handle, slot % ref_slots as usize, Some(target_handle));
+                                m.write_ref(
+                                    &mut heap,
+                                    src_handle,
+                                    slot % ref_slots as usize,
+                                    Some(target_handle),
+                                );
                             }
                         }
                         Step::Release { victim } if !handles.is_empty() => {
@@ -352,30 +367,42 @@ fn kg_d_never_greatly_exceeds_kg_n_pcm_application_writes() {
             let steps = arbitrary_program(rng, 20, 150);
             let run = |config: HeapConfig| {
                 let mut heap = KingsguardHeap::new(config, MemoryConfig::architecture_independent());
+                let mut m = heap.default_mutator().unwrap();
                 let mut handles: Vec<(Handle, u16, u32)> = Vec::new();
                 let mut site: u32 = 1;
                 for step in &steps {
                     match step {
                         Step::Alloc { ref_slots, payload } => {
-                            let handle =
-                                heap.alloc_site(ObjectShape::new(*ref_slots, *payload), 1, SiteId(site));
+                            let handle = m.alloc_site(
+                                &mut heap,
+                                ObjectShape::new(*ref_slots, *payload),
+                                1,
+                                SiteId(site),
+                            );
                             handles.push((handle, *ref_slots, *payload));
                             site = (site % 16) + 1;
                         }
-                        Step::AllocLarge { payload } => {
-                            handles.push((heap.alloc(ObjectShape::primitive(*payload), 1), 0, *payload))
-                        }
+                        Step::AllocLarge { payload } => handles.push((
+                            m.alloc(&mut heap, ObjectShape::primitive(*payload), 1),
+                            0,
+                            *payload,
+                        )),
                         Step::WritePrim { victim, offset } if !handles.is_empty() => {
                             let (handle, _, payload) = handles[victim % handles.len()];
                             if payload > 0 {
-                                heap.write_prim(handle, offset % payload as usize, 8);
+                                m.write_prim(&mut heap, handle, offset % payload as usize, 8);
                             }
                         }
                         Step::WriteRef { src, slot, target } if !handles.is_empty() => {
                             let (src_handle, ref_slots, _) = handles[src % handles.len()];
                             let (target_handle, ..) = handles[target % handles.len()];
                             if ref_slots > 0 {
-                                heap.write_ref(src_handle, slot % ref_slots as usize, Some(target_handle));
+                                m.write_ref(
+                                    &mut heap,
+                                    src_handle,
+                                    slot % ref_slots as usize,
+                                    Some(target_handle),
+                                );
                             }
                         }
                         Step::Release { victim } if !handles.is_empty() => {
@@ -412,18 +439,19 @@ fn kg_a_with_all_cold_profile_places_no_mature_objects_in_dram() {
                 HeapConfig::kg_a(AdviceTable::all_cold()),
                 MemoryConfig::architecture_independent(),
             );
+            let mut m = heap.default_mutator().unwrap();
             let mut handles: Vec<Handle> = Vec::new();
             let mut site: u32 = 1;
             for _ in 0..rng.gen_range(10usize..150) {
                 match rng.gen_range(0u32..10) {
                     0..=5 => {
                         let shape = ObjectShape::new(rng.gen_range(0u16..4), rng.gen_range(8u32..160));
-                        handles.push(heap.alloc_site(shape, 1, SiteId(site)));
+                        handles.push(m.alloc_site(&mut heap, shape, 1, SiteId(site)));
                         site = (site % 32) + 1;
                     }
                     6 => {
                         let shape = ObjectShape::primitive(rng.gen_range(9_000u32..20_000));
-                        handles.push(heap.alloc_site(shape, 1, SiteId(site)));
+                        handles.push(m.alloc_site(&mut heap, shape, 1, SiteId(site)));
                     }
                     7 => {
                         if !handles.is_empty() {
@@ -465,31 +493,38 @@ fn kg_a_all_cold_advised_placements_never_choose_dram_even_with_writes() {
                 HeapConfig::kg_a(AdviceTable::all_cold()),
                 MemoryConfig::architecture_independent(),
             );
+            let mut m = heap.default_mutator().unwrap();
             let mut handles: Vec<(Handle, u16, u32)> = Vec::new();
             let mut site: u32 = 1;
             for step in &steps {
                 match step {
                     Step::Alloc { ref_slots, payload } => {
-                        let handle = heap.alloc_site(ObjectShape::new(*ref_slots, *payload), 1, SiteId(site));
+                        let handle =
+                            m.alloc_site(&mut heap, ObjectShape::new(*ref_slots, *payload), 1, SiteId(site));
                         handles.push((handle, *ref_slots, *payload));
                         site = (site % 32) + 1;
                     }
                     Step::AllocLarge { payload } => handles.push((
-                        heap.alloc_site(ObjectShape::primitive(*payload), 1, SiteId(site)),
+                        m.alloc_site(&mut heap, ObjectShape::primitive(*payload), 1, SiteId(site)),
                         0,
                         *payload,
                     )),
                     Step::WritePrim { victim, offset } if !handles.is_empty() => {
                         let (handle, _, payload) = handles[victim % handles.len()];
                         if payload > 0 {
-                            heap.write_prim(handle, offset % payload as usize, 8);
+                            m.write_prim(&mut heap, handle, offset % payload as usize, 8);
                         }
                     }
                     Step::WriteRef { src, slot, target } if !handles.is_empty() => {
                         let (src_handle, ref_slots, _) = handles[src % handles.len()];
                         let (target_handle, ..) = handles[target % handles.len()];
                         if ref_slots > 0 {
-                            heap.write_ref(src_handle, slot % ref_slots as usize, Some(target_handle));
+                            m.write_ref(
+                                &mut heap,
+                                src_handle,
+                                slot % ref_slots as usize,
+                                Some(target_handle),
+                            );
                         }
                     }
                     Step::Release { victim } if !handles.is_empty() => {

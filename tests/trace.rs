@@ -116,7 +116,7 @@ fn record_replay_is_bit_identical_for_every_collector() {
 #[test]
 fn record_replay_is_bit_identical_across_seeds_k_and_ssb_capacities() {
     // K ∈ {1, 2, 4} crossed with SSB capacities {0, 7, 4096} (0 drains
-    // every event eagerly — the legacy barrier behaviour), two seeds each,
+    // every event eagerly, as context 0 does), two seeds each,
     // exercising both a hybrid and a single-technology collector.
     let profile = benchmark("pmd").unwrap();
     let budget = profile.scaled_heap_bytes(SCALE).max(2 << 20) as usize;
