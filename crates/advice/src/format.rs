@@ -212,13 +212,6 @@ pub enum SiteMapDrift {
     },
 }
 
-impl SiteMapDrift {
-    /// Returns `true` when the profile's site map no longer matches.
-    pub fn is_drifted(self) -> bool {
-        matches!(self, SiteMapDrift::Drifted { .. })
-    }
-}
-
 /// Compares `profile`'s recorded site-map hash against `current`.
 pub fn site_map_drift(profile: &SiteProfile, current: u64) -> SiteMapDrift {
     match profile.site_map_hash {
@@ -462,8 +455,6 @@ mod tests {
                 current: 8
             }
         );
-        assert!(drift.is_drifted());
-        assert!(!SiteMapDrift::Match.is_drifted());
         // The drifted profile still parses and its sites remain usable.
         let reparsed = parse_profile(&profile_to_string(&profile)).unwrap();
         assert_eq!(reparsed.sites.len(), profile.sites.len());

@@ -33,16 +33,6 @@ impl SiteRecord {
         }
     }
 
-    /// Post-nursery writes per KB of surviving bytes — the write intensity
-    /// that decides DRAM vs PCM placement.
-    pub fn writes_per_surviving_kb(&self) -> f64 {
-        if self.survived_bytes == 0 {
-            0.0
-        } else {
-            self.post_nursery_writes as f64 / (self.survived_bytes as f64 / 1024.0)
-        }
-    }
-
     /// Bytes of this site that live outside the nursery: surviving bytes
     /// for ordinary sites, allocated bytes for large-object sites (large
     /// objects never pass through the nursery, so "survival" does not apply
@@ -93,16 +83,6 @@ pub struct SiteProfile {
 }
 
 impl SiteProfile {
-    /// Total objects allocated across all sites.
-    pub fn total_objects(&self) -> u64 {
-        self.sites.values().map(|r| r.objects).sum()
-    }
-
-    /// Total post-nursery writes across all sites.
-    pub fn total_post_nursery_writes(&self) -> u64 {
-        self.sites.values().map(|r| r.post_nursery_writes).sum()
-    }
-
     /// Looks up one site's record.
     pub fn site(&self, site: SiteId) -> Option<&SiteRecord> {
         self.sites.get(&site.raw())
@@ -160,11 +140,6 @@ impl SiteProfiler {
         self.entry(site).post_nursery_writes += 1;
     }
 
-    /// Number of distinct sites observed so far.
-    pub fn site_count(&self) -> usize {
-        self.sites.len()
-    }
-
     /// Finalises the profiler into an immutable profile. The harness that
     /// knows the workload's site map stamps
     /// [`SiteProfile::site_map_hash`] before persisting.
@@ -194,7 +169,6 @@ mod tests {
         let profile = profiler.finish();
         assert_eq!(profile.workload, "demo");
         assert_eq!(profile.collector, "KG-N");
-        assert_eq!(profile.total_objects(), 3);
         let site1 = profile.site(SiteId(1)).unwrap();
         assert_eq!(site1.objects, 2);
         assert_eq!(site1.bytes, 128);
@@ -203,6 +177,7 @@ mod tests {
         assert_eq!(site1.large_objects, 0);
         assert!((site1.survival() - 0.5).abs() < 1e-12);
         let site2 = profile.site(SiteId(2)).unwrap();
+        assert_eq!(site2.objects, 1);
         assert_eq!(site2.large_objects, 1);
         assert_eq!(site2.survival(), 0.0);
         assert!(profile.site(SiteId(9)).is_none());
@@ -218,8 +193,8 @@ mod tests {
             post_nursery_writes: 100,
             large_objects: 0,
         };
-        assert!((record.writes_per_surviving_kb() - 50.0).abs() < 1e-9);
-        assert_eq!(SiteRecord::default().writes_per_surviving_kb(), 0.0);
+        assert!((record.write_intensity() - 50.0).abs() < 1e-9);
+        assert_eq!(SiteRecord::default().write_intensity(), 0.0);
         assert_eq!(SiteRecord::default().survival(), 0.0);
     }
 }

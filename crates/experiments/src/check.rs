@@ -52,7 +52,7 @@ pub fn run_benchmark_checked(
 /// multi-context checkpoint paths the synthetic driver doesn't reach).
 pub fn run_streaming_checked(heap_config: HeapConfig, config: &ExperimentConfig) -> CheckReport {
     let mut heap = KingsguardHeap::new(
-        heap_config.with_heap_budget(512 * 1024),
+        heap_config.with_heap_budget(workloads::STREAMING_HEAP_BUDGET_BYTES),
         hybrid_mem::MemoryConfig::architecture_independent(),
     );
     heap.enable_telemetry();

@@ -66,7 +66,7 @@ pub const TRACE_MODES: &[(&str, &str)] = &[
     ),
     (
         "check",
-        "statically verify a .kgtrace: grammar, handle lifetimes, data races",
+        "statically verify a .kgtrace: grammar and handle lifetimes",
     ),
 ];
 

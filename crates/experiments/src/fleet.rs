@@ -286,12 +286,8 @@ mod tests {
 
     fn session(heap_config: HeapConfig, name: &str, scale: u64) -> (u64, Option<advice::AdviceTable>) {
         let profile = benchmark(name).expect("known benchmark");
-        let config = ExperimentConfig {
-            scale,
-            ..ExperimentConfig::quick()
-        };
         let mut heap = KingsguardHeap::new(
-            crate::runner::heap_config_for(&profile, heap_config, &config),
+            profile.heap_config(heap_config, scale),
             MemoryConfig::architecture_independent(),
         );
         SyntheticMutator::new(profile, WorkloadConfig { scale, seed: 7 }).run(&mut heap);

@@ -18,7 +18,7 @@ use workloads::{benchmark, StreamingConfig, StreamingWorkload, SyntheticMutator}
 use hybrid_mem::{MemoryKind, ShardStats};
 
 use crate::report::TextTable;
-use crate::runner::{heap_config_for, run_jobs, ExperimentConfig};
+use crate::runner::{run_jobs, ExperimentConfig};
 use crate::traces::config_for;
 
 /// The collector labels of the comparison, in row order per benchmark.
@@ -175,7 +175,7 @@ fn run_with_mutators(
 ) -> (kingsguard::RunReport, Vec<ShardStats>) {
     let profile = benchmark(name).unwrap_or_else(|| panic!("unknown benchmark {name}"));
     let mut heap = KingsguardHeap::new(
-        heap_config_for(&profile, heap_config, config),
+        profile.heap_config(heap_config, config.scale),
         hybrid_mem::MemoryConfig::architecture_independent(),
     );
     heap.enable_telemetry();
@@ -199,7 +199,7 @@ fn pcm_write_rate(name: &str, report: &kingsguard::RunReport) -> f64 {
 fn streaming_row(config: &ExperimentConfig, mutators: usize) -> StreamingRow {
     let run = |heap_config: HeapConfig| {
         let mut heap = KingsguardHeap::new(
-            heap_config.with_heap_budget(512 * 1024),
+            heap_config.with_heap_budget(workloads::STREAMING_HEAP_BUDGET_BYTES),
             hybrid_mem::MemoryConfig::architecture_independent(),
         );
         let workload = StreamingWorkload::new(StreamingConfig {

@@ -21,8 +21,8 @@ use trace::TraceReplayer;
 use workloads::BenchmarkProfile;
 
 use crate::report::TextTable;
-use crate::runner::{heap_config_for, trace_path, ExperimentConfig};
-use crate::traces::{config_for, record_traces, REPLAY_COLLECTORS};
+use crate::runner::ExperimentConfig;
+use crate::traces::{config_for, current_or_recorded, REPLAY_COLLECTORS};
 
 /// The benchmark `repro profile` drives.
 pub const DEFAULT_BENCHMARK: &str = "lusearch";
@@ -133,23 +133,11 @@ impl ProfileResults {
 /// every comparison collector with telemetry and the hot-path profiler on,
 /// reading the counts from each finished run's report.
 pub fn hot_path_profile(config: &ExperimentConfig, profile: &BenchmarkProfile, dir: &Path) -> ProfileResults {
-    let recording_config = heap_config_for(profile, config_for("KG-N"), config);
-    let path = trace_path(dir, profile.name, &recording_config, config, 1);
-    let current = trace::load_trace(&path)
-        .ok()
-        .filter(crate::runner::trace_site_map_current)
-        .filter(|recorded| crate::runner::trace_fault_schedule_current(recorded, config));
-    let recorded = match current {
-        Some(recorded) => recorded,
-        None => {
-            record_traces(config, std::slice::from_ref(profile), dir, 1, 1);
-            trace::load_trace(&path).unwrap_or_else(|err| panic!("could not load {}: {err}", path.display()))
-        }
-    };
+    let recorded = current_or_recorded(config, profile, dir, 1);
     let collectors = REPLAY_COLLECTORS
         .iter()
         .map(|label| {
-            let heap_config = heap_config_for(profile, config_for(label), config);
+            let heap_config = profile.heap_config(config_for(label), config.scale);
             let start = Instant::now();
             let mut heap = KingsguardHeap::new(heap_config, config.memory_config());
             heap.enable_telemetry();

@@ -300,18 +300,6 @@ pub fn report_pcm_write_rate_32core(report: &kingsguard::RunReport, scaling_fact
     report.memory.bytes_written(MemoryKind::Pcm) as f64 / time * scaling_factor
 }
 
-/// `base` with the heap budget of `profile` at the configuration's scale:
-/// the paper's heap size (2× the minimum live size) divided by the scale,
-/// floored at 2 MB. Every heap this crate sizes from a profile goes
-/// through here.
-pub(crate) fn heap_config_for(
-    profile: &BenchmarkProfile,
-    base: HeapConfig,
-    config: &ExperimentConfig,
-) -> HeapConfig {
-    base.with_heap_budget(profile.scaled_heap_bytes(config.scale).max(2 << 20) as usize)
-}
-
 /// How a [`Cell`]'s workload reaches its heap.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Driver {
@@ -418,7 +406,7 @@ impl Cell {
     /// can finish without one. Its per-line write counts, flushed first,
     /// feed [`ExperimentResult::years_to_uncorrectable`].
     pub(crate) fn execute(&self, attach: impl FnOnce(&mut KingsguardHeap)) -> ExperimentResult {
-        let heap_config = heap_config_for(&self.profile, self.heap.clone(), &self.config);
+        let heap_config = self.profile.heap_config(self.heap.clone(), self.config.scale);
         let mut heap = KingsguardHeap::new(heap_config.clone(), self.config.memory_config());
         heap.enable_telemetry();
         heap.enable_profiling(self.profile.name);
@@ -604,29 +592,49 @@ pub fn trace_path(
     ))
 }
 
-/// Returns `true` when `recorded` was taken under the current workload site
-/// map. A trace whose `site-map-hash` no longer matches is *stale*: its
-/// site-tagged stream would feed outdated ids to site-aware policies
-/// (KG-A/KG-D) and the profiling pipeline, so — mirroring the `.kgprof`
-/// drift policy — consumers log the drift and re-record instead of
-/// replaying it. Unhashed traces (hash 0, e.g. hand-built) are trusted.
-pub fn trace_site_map_current(recorded: &trace::Trace) -> bool {
-    recorded.header.site_map_hash == 0 || recorded.header.site_map_hash == workloads::site_map_hash()
-}
-
-/// Returns `true` when `recorded` was taken under the fault schedule the
-/// current configuration installs (seed 0 = fault-free, which is also what
-/// v1 traces report). A mismatched trace would replay a different device
-/// failure history, so consumers re-record instead of replaying it.
-pub fn trace_fault_schedule_current(recorded: &trace::Trace, config: &ExperimentConfig) -> bool {
-    recorded.header.fault_seed == config.fault.map(|fault| fault.seed).unwrap_or(0)
+/// The trace at `path` if it is current, `None` if the caller must record
+/// it anew. A missing file is the normal first use and passes silently; a
+/// damaged or stale one is reported on stderr. A trace is *stale* when its
+/// `site-map-hash` no longer matches the workload site map (its site ids
+/// would mislead KG-A, KG-D and the profiling pipeline, as a drifted
+/// `.kgprof` would; hash 0, e.g. a hand-built trace, is trusted) or when
+/// it was taken under another fault schedule than `config` installs (seed
+/// 0 = fault-free, also what v1 traces report), so it would replay a
+/// different device failure history.
+pub(crate) fn current_trace(path: &Path, config: &ExperimentConfig) -> Option<trace::Trace> {
+    let recorded = match trace::load_trace(path) {
+        Ok(recorded) => recorded,
+        Err(trace::TraceError::Io(_)) => return None,
+        Err(err) => {
+            eprintln!("warning: {}: {err}; re-recording", path.display());
+            return None;
+        }
+    };
+    let site_map_hash = recorded.header.site_map_hash;
+    let fault_seed = config.fault.map(|fault| fault.seed).unwrap_or(0);
+    if site_map_hash != 0 && site_map_hash != workloads::site_map_hash() {
+        eprintln!(
+            "warning: {}: site map drifted since recording; re-recording",
+            path.display()
+        );
+        None
+    } else if recorded.header.fault_seed != fault_seed {
+        eprintln!(
+            "warning: {}: fault schedule changed since recording \
+             (recorded seed {:#x}); re-recording",
+            path.display(),
+            recorded.header.fault_seed
+        );
+        None
+    } else {
+        Some(recorded)
+    }
 }
 
 /// Drives `heap` through `profile`'s workload. Live when
-/// [`ExperimentConfig::trace_dir`] is unset; otherwise replays the recorded
-/// trace, recording it first (passively, so the recording run doubles as
-/// this collector's result) when none exists or the existing file is
-/// unreadable or stale.
+/// [`ExperimentConfig::trace_dir`] is unset; otherwise replays the
+/// [`current_trace`], recording it first (passively, so the recording run
+/// doubles as this collector's result) when there is none.
 fn drive_workload(
     profile: &BenchmarkProfile,
     heap: &mut KingsguardHeap,
@@ -641,41 +649,15 @@ fn drive_workload(
     };
     // The figure/table drivers run the single-mutator stream on context 0.
     let path = trace_path(dir, profile.name, heap_config, config, 1);
-    match trace::load_trace(&path).map_err(Some).and_then(|recorded| {
-        if !trace_site_map_current(&recorded) {
-            eprintln!(
-                "warning: {}: site map drifted since recording; re-recording",
-                path.display()
-            );
-            Err(None)
-        } else if !trace_fault_schedule_current(&recorded, config) {
-            eprintln!(
-                "warning: {}: fault schedule changed since recording \
-                 (recorded seed {:#x}); re-recording",
-                path.display(),
-                recorded.header.fault_seed
-            );
-            Err(None)
-        } else {
-            Ok(recorded)
-        }
-    }) {
-        Ok(recorded) => {
+    match current_trace(&path, config) {
+        Some(recorded) => {
             let started = std::time::Instant::now();
             let stats = TraceReplayer::new(&recorded)
                 .replay_with(heap, hook)
                 .unwrap_or_else(|err| panic!("replaying {} failed: {err}", path.display()));
             record_replay_telemetry(heap, &recorded, stats, started.elapsed());
         }
-        Err(err) => {
-            // Missing file is the normal first-use path; a damaged trace is
-            // worth mentioning before it is re-recorded (stale ones were
-            // already reported above, arriving here as `None`).
-            if let Some(err) = err {
-                if !matches!(err, trace::TraceError::Io(_)) {
-                    eprintln!("warning: {}: {err}; re-recording", path.display());
-                }
-            }
+        None => {
             let recorded = mutator.record_with(heap, hook);
             if let Err(err) = trace::save_trace(&recorded, &path) {
                 eprintln!("warning: could not save trace {}: {err}", path.display());
@@ -1066,7 +1048,7 @@ mod tests {
         // Plant a trace whose site-map hash no longer matches: well-formed,
         // but recorded "under an older program version". Its (empty) stream
         // must not be replayed.
-        let heap_config = heap_config_for(&profile, HeapConfig::kg_n(), &config);
+        let heap_config = profile.heap_config(HeapConfig::kg_n(), config.scale);
         let path = trace_path(&dir, profile.name, &heap_config, &config, 1);
         let stale = trace::Trace {
             header: trace::TraceHeader {
@@ -1080,8 +1062,8 @@ mod tests {
             },
             events: trace::TraceEvents::default(),
         };
-        assert!(!trace_site_map_current(&stale));
         trace::save_trace(&stale, &path).unwrap();
+        assert!(current_trace(&path, &config).is_none());
         let result = run(&profile, HeapConfig::kg_n(), &config);
         assert_eq!(
             result.pcm_writes(),
@@ -1089,8 +1071,7 @@ mod tests {
             "stale trace must be re-recorded"
         );
         // The re-recorded trace replaced the stale one and replays cleanly.
-        let refreshed = trace::load_trace(&path).unwrap();
-        assert!(trace_site_map_current(&refreshed));
+        let refreshed = current_trace(&path, &config).expect("the refreshed trace is current");
         assert!(refreshed.allocations() > 0);
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -1124,11 +1105,10 @@ mod tests {
         );
         // The fault seed is stamped into the trace provenance, and the
         // faulted trace does not collide with the fault-free one.
-        let heap_config = heap_config_for(&profile, HeapConfig::kg_n(), &traced_config);
+        let heap_config = profile.heap_config(HeapConfig::kg_n(), traced_config.scale);
         let path = trace_path(&dir, profile.name, &heap_config, &traced_config, 1);
-        let trace = trace::load_trace(&path).unwrap();
+        let trace = current_trace(&path, &traced_config).expect("the faulted trace is current");
         assert_eq!(trace.header.fault_seed, 0xFA11);
-        assert!(trace_fault_schedule_current(&trace, &traced_config));
         let fault_free = ExperimentConfig::quick().with_trace_dir(&dir);
         assert_ne!(
             path,
@@ -1137,11 +1117,11 @@ mod tests {
         );
         // A configuration under a *different* schedule treats the trace as
         // stale and re-records rather than replaying the wrong failures.
-        assert!(!trace_fault_schedule_current(&trace, &fault_free));
+        assert!(current_trace(&path, &fault_free).is_none());
         let other_seed = live_config
             .clone()
             .with_faults(FaultConfig::accelerated(0xBEEF, hybrid_mem::Endurance::Low10M));
-        assert!(!trace_fault_schedule_current(&trace, &other_seed));
+        assert!(current_trace(&path, &other_seed).is_none());
         std::fs::remove_dir_all(&dir).ok();
     }
 

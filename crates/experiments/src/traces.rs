@@ -26,7 +26,7 @@ use trace::{Trace, TraceError, TraceReplayer};
 use workloads::{BenchmarkProfile, SyntheticMutator};
 
 use crate::report::TextTable;
-use crate::runner::{heap_config_for, run_jobs, trace_path, ExperimentConfig};
+use crate::runner::{current_trace, run_jobs, trace_path, ExperimentConfig};
 
 /// Collector labels of the replay comparison, in row order per benchmark.
 pub const REPLAY_COLLECTORS: [&str; 6] = ["DRAM-only", "PCM-only", "KG-N", "KG-W", "KG-A", "KG-D"];
@@ -122,7 +122,7 @@ pub fn record_traces(
     jobs: usize,
 ) -> RecordResults {
     let rows = run_jobs(benchmarks, jobs, |profile| {
-        let heap_config = heap_config_for(profile, config_for("KG-N"), config);
+        let heap_config = profile.heap_config(config_for("KG-N"), config.scale);
         let path = trace_path(dir, profile.name, &heap_config, config, mutators);
         let mut heap = KingsguardHeap::new(heap_config, config.memory_config());
         let mutator = SyntheticMutator::new(profile.clone(), config.workload());
@@ -147,6 +147,22 @@ pub fn record_traces(
         }
     });
     RecordResults { mutators, rows }
+}
+
+/// `profile`'s [`current_trace`] in `dir`, recorded with K = `mutators`
+/// first when there is none.
+pub(crate) fn current_or_recorded(
+    config: &ExperimentConfig,
+    profile: &BenchmarkProfile,
+    dir: &Path,
+    mutators: usize,
+) -> Trace {
+    let heap_config = profile.heap_config(config_for("KG-N"), config.scale);
+    let path = trace_path(dir, profile.name, &heap_config, config, mutators);
+    current_trace(&path, config).unwrap_or_else(|| {
+        record_traces(config, std::slice::from_ref(profile), dir, mutators, 1);
+        trace::load_trace(&path).unwrap_or_else(|err| panic!("could not load {}: {err}", path.display()))
+    })
 }
 
 // ---------------------------------------------------------------------
@@ -293,30 +309,14 @@ pub fn replay_traces(
     // per collector nor charges parse time to the replay wall-clock.
     let loaded: Vec<(&BenchmarkProfile, trace::Trace)> = benchmarks
         .iter()
-        .map(|profile| {
-            let heap_config = heap_config_for(profile, config_for("KG-N"), config);
-            let path = trace_path(dir, profile.name, &heap_config, config, mutators);
-            let current = trace::load_trace(&path)
-                .ok()
-                .filter(crate::runner::trace_site_map_current)
-                .filter(|recorded| crate::runner::trace_fault_schedule_current(recorded, config));
-            let recorded = match current {
-                Some(recorded) => recorded,
-                None => {
-                    record_traces(config, std::slice::from_ref(profile), dir, mutators, 1);
-                    trace::load_trace(&path)
-                        .unwrap_or_else(|err| panic!("could not load {}: {err}", path.display()))
-                }
-            };
-            (profile, recorded)
-        })
+        .map(|profile| (profile, current_or_recorded(config, profile, dir, mutators)))
         .collect();
     let pairs: Vec<(&BenchmarkProfile, &trace::Trace, &str)> = loaded
         .iter()
         .flat_map(|(profile, recorded)| collectors.iter().map(move |label| (*profile, recorded, *label)))
         .collect();
     let rows = run_jobs(&pairs, jobs, |(profile, recorded, label)| {
-        let heap_config = heap_config_for(profile, config_for(label), config);
+        let heap_config = profile.heap_config(config_for(label), config.scale);
         let start = Instant::now();
         let mut heap = KingsguardHeap::new(heap_config.clone(), config.memory_config());
         TraceReplayer::new(recorded)
@@ -452,10 +452,11 @@ fn replay_side(trace: &Trace, collector: &str, config: &ExperimentConfig, path: 
         track_line_writes: true,
         ..config.memory_config()
     };
-    // Size the heap budget like the recording runs: from the trace header's
-    // workload, if it is a known benchmark; otherwise a generous default.
+    // Size the heap budget like the recording run: from the workload and
+    // scale in the trace header, if the workload is a known benchmark;
+    // otherwise a generous default. The command line's scale may differ.
     let heap_config = match workloads::benchmark(&trace.header.workload) {
-        Some(profile) => heap_config_for(&profile, config_for(collector), config),
+        Some(profile) => profile.heap_config(config_for(collector), trace.header.scale),
         None => config_for(collector).with_heap_budget(8 << 20),
     };
     let mut heap = KingsguardHeap::new(heap_config, memory_config);
@@ -531,6 +532,23 @@ mod tests {
         assert_eq!(results.rows.len(), REPLAY_COLLECTORS.len());
         assert!(results.rows.iter().all(|r| r.exact.is_none()));
         assert!(results.total_replay_ms() < u64::MAX);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn diff_sizes_each_heap_at_the_scale_its_trace_was_recorded_at() {
+        let dir = temp_dir("diff-scale");
+        let recorded_at = ExperimentConfig::quick().with_scale(40);
+        let pmd_s = vec![benchmark("pmd.s").unwrap()];
+        let path = record_traces(&recorded_at, &pmd_s, &dir, 1, 1).rows[0]
+            .path
+            .clone();
+        let replayed = replay_traces(&recorded_at, &pmd_s, &dir, 1, 1, false, &["KG-N"]);
+        // `--quick` runs at scale 2048, whose budget floor would size the
+        // heap differently.
+        let diff = diff_traces(&ExperimentConfig::quick(), &path, &path, "KG-N").unwrap();
+        assert_eq!(diff.a.pcm_writes, replayed.rows[0].pcm_writes);
+        assert_eq!(diff.b.pcm_writes, replayed.rows[0].pcm_writes);
         std::fs::remove_dir_all(&dir).ok();
     }
 

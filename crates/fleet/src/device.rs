@@ -20,7 +20,6 @@
 
 use std::collections::BTreeMap;
 
-use hybrid_mem::fault::LINES_PER_PAGE;
 use hybrid_mem::{
     years_to_first_uncorrectable, FaultConfig, FaultEvent, FaultModel, WearSummary, WearTracker,
 };
@@ -189,12 +188,6 @@ impl FleetDevice {
         )
         .summary()
     }
-
-    /// Pages per region that are still usable (for capacity accounting).
-    pub fn usable_pages(&self, region: usize) -> u64 {
-        let total = REGION_LINES / LINES_PER_PAGE;
-        total.saturating_sub(self.regions[region].fault.retired_page_count())
-    }
 }
 
 /// splitmix64 finalizer — the workspace's standard bit mixer.
@@ -208,6 +201,7 @@ fn mix(mut z: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hybrid_mem::fault::LINES_PER_PAGE;
     use hybrid_mem::Endurance;
 
     fn config() -> FaultConfig {
@@ -282,7 +276,6 @@ mod tests {
         assert_eq!(outcome.new_retired_pages, 1);
         assert_eq!(device.retired_page_count(), 1);
         assert_eq!(device.degraded_bytes(), 4096);
-        assert_eq!(device.usable_pages(0), REGION_LINES / LINES_PER_PAGE - 1);
         assert_eq!(device.stats(1), RegionStats::default(), "other region untouched");
         // A retired page stops aging: pumping the same lines again fails
         // nothing new.

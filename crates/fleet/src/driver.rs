@@ -27,6 +27,7 @@ use telemetry::{HistogramSummary, TelemetryEvent, TelemetryReport, Value};
 use trace::{Trace, TraceReplayer};
 use workloads::{
     benchmark, site_map_hash, StreamingConfig, StreamingWorkload, SyntheticMutator, WorkloadConfig,
+    STREAMING_HEAP_BUDGET_BYTES,
 };
 
 use crate::advice_store::{AdviceLookup, AdviceStore};
@@ -215,18 +216,6 @@ impl FleetConfig {
     /// Same fleet with a different placement strategy.
     pub fn with_strategy(mut self, strategy: PlacementStrategy) -> Self {
         self.strategy = strategy;
-        self
-    }
-
-    /// Same fleet with warm starts switched on or off.
-    pub fn with_warm_start(mut self, warm_start: bool) -> Self {
-        self.warm_start = warm_start;
-        self
-    }
-
-    /// Same fleet with an explicit device fault schedule.
-    pub fn with_fault(mut self, fault: FaultConfig) -> Self {
-        self.fault = fault;
         self
     }
 
@@ -568,7 +557,9 @@ fn memory_config() -> MemoryConfig {
     config
 }
 
-fn heap_config_for(plan: &SessionPlan) -> HeapConfig {
+/// Runs one tenant session to completion and harvests everything the
+/// fleet needs before the heap is recycled.
+fn run_session(plan: &SessionPlan, traces: &BTreeMap<(String, u64), Trace>) -> SessionResult {
     let base = match plan.spec.collector {
         TenantCollector::KgN => HeapConfig::kg_n(),
         TenantCollector::KgW => HeapConfig::kg_w(),
@@ -577,28 +568,19 @@ fn heap_config_for(plan: &SessionPlan) -> HeapConfig {
             None => HeapConfig::kg_d(),
         },
     };
-    let budget = match &plan.spec.workload {
+    let profile = |name: &str| benchmark(name).unwrap_or_else(|| panic!("unknown fleet benchmark {name:?}"));
+    let heap_config = match &plan.spec.workload {
         TenantWorkload::Synthetic { benchmark: name } | TenantWorkload::Replay { benchmark: name } => {
-            let profile = benchmark(name).unwrap_or_else(|| panic!("unknown fleet benchmark {name:?}"));
-            profile.scaled_heap_bytes(plan.spec.scale).max(2 << 20) as usize
+            profile(name).heap_config(base, plan.spec.scale)
         }
-        // The streaming workload's working set is interval-bounded; the
-        // budget matches the streaming experiment's.
-        TenantWorkload::Streaming => 512 * 1024,
+        TenantWorkload::Streaming => base.with_heap_budget(STREAMING_HEAP_BUDGET_BYTES),
     };
-    base.with_heap_budget(budget)
-}
-
-/// Runs one tenant session to completion and harvests everything the
-/// fleet needs before the heap is recycled.
-fn run_session(plan: &SessionPlan, traces: &BTreeMap<(String, u64), Trace>) -> SessionResult {
-    let mut heap = KingsguardHeap::new(heap_config_for(plan), memory_config());
+    let mut heap = KingsguardHeap::new(heap_config, memory_config());
     heap.enable_telemetry();
     match &plan.spec.workload {
         TenantWorkload::Synthetic { benchmark: name } => {
-            let profile = benchmark(name).unwrap_or_else(|| panic!("unknown fleet benchmark {name:?}"));
             SyntheticMutator::new(
-                profile,
+                profile(name),
                 WorkloadConfig {
                     scale: plan.spec.scale,
                     seed: plan.spec.seed,
@@ -672,10 +654,7 @@ fn record_trace(name: &str, scale: u64, fleet_seed: u64) -> Trace {
     let seed = name
         .bytes()
         .fold(mix(fleet_seed ^ scale), |hash, byte| mix(hash ^ byte as u64));
-    let mut heap = KingsguardHeap::new(
-        HeapConfig::kg_d().with_heap_budget(profile.scaled_heap_bytes(scale).max(2 << 20) as usize),
-        memory_config(),
-    );
+    let mut heap = KingsguardHeap::new(profile.heap_config(HeapConfig::kg_d(), scale), memory_config());
     let recorded = SyntheticMutator::new(profile, WorkloadConfig { scale, seed }).record(&mut heap);
     heap.finish();
     recorded

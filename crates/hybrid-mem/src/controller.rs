@@ -117,11 +117,6 @@ impl MemoryController {
         ShardId(self.shards.len() - 1)
     }
 
-    /// Number of shards, including the base shard.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// Selects the shard subsequent events are recorded into.
     ///
     /// # Panics
@@ -157,20 +152,10 @@ impl MemoryController {
         shard.phase_reads[kind as usize].add(phase, 1);
     }
 
-    /// Records a device write of cache line `line`.
-    #[inline]
-    pub fn record_write(&mut self, kind: MemoryKind, phase: Phase, line: u64) {
-        self.record_write_counters(kind, phase, line);
-        if self.track_lines {
-            self.record_line_wear(line);
-        }
-    }
-
-    /// The counter half of [`Self::record_write`]: per-kind/phase tallies
-    /// and the per-page write count, without the per-line wear update. The
-    /// instrumented hot path calls the halves separately so the profiler
-    /// can attribute wear tracking as its own stage; composed they are
-    /// exactly `record_write`.
+    /// Records a device write of cache line `line`: the per-kind/phase
+    /// tallies and the per-page write count. The per-line wear update is
+    /// [`Self::record_line_wear`], a separate call so the profiler can
+    /// attribute wear tracking as its own stage.
     #[inline]
     pub fn record_write_counters(&mut self, kind: MemoryKind, phase: Phase, line: u64) {
         let shard = &mut self.shards[self.active];
@@ -179,7 +164,7 @@ impl MemoryController {
         *shard.page_writes.entry(line / CACHE_LINES_PER_PAGE) += 1;
     }
 
-    /// The wear half of [`Self::record_write`]: bumps `line`'s write count.
+    /// Bumps `line`'s write count (the wear half of a device write).
     /// Callers must gate on [`Self::tracks_lines`].
     #[inline]
     pub fn record_line_wear(&mut self, line: u64) {
@@ -306,6 +291,17 @@ impl MemoryController {
 mod tests {
     use super::*;
 
+    impl MemoryController {
+        /// Both halves of a device write of cache line `line`, as the
+        /// touch path composes them.
+        fn record_write(&mut self, kind: MemoryKind, phase: Phase, line: u64) {
+            self.record_write_counters(kind, phase, line);
+            if self.tracks_lines() {
+                self.record_line_wear(line);
+            }
+        }
+    }
+
     #[test]
     fn read_write_counters_are_per_kind() {
         let mut mc = MemoryController::new(false);
@@ -415,29 +411,5 @@ mod tests {
     fn activating_an_unregistered_shard_panics() {
         let mut mc = MemoryController::new(false);
         mc.set_active_shard(ShardId(3));
-    }
-
-    #[test]
-    fn record_write_split_composes_to_record_write() {
-        // The profiled touch path calls the two halves separately so wear
-        // tracking is attributable as its own stage; together they must
-        // equal the combined entry point exactly.
-        let mut whole = MemoryController::new(true);
-        let mut split = MemoryController::new(true);
-        for line in [0u64, 1, 1, 7, 512] {
-            whole.record_write(MemoryKind::Pcm, Phase::Mutator, line);
-            split.record_write_counters(MemoryKind::Pcm, Phase::Mutator, line);
-            assert!(split.tracks_lines());
-            split.record_line_wear(line);
-        }
-        assert_eq!(whole.writes(MemoryKind::Pcm), split.writes(MemoryKind::Pcm));
-        assert_eq!(
-            whole.line_writes().collect::<Vec<_>>(),
-            split.line_writes().collect::<Vec<_>>()
-        );
-        assert_eq!(
-            whole.page_write_count(PageId(0)),
-            split.page_write_count(PageId(0))
-        );
     }
 }

@@ -84,12 +84,6 @@ impl FaultConfig {
         self
     }
 
-    /// Same schedule with a different ECC strength.
-    pub fn with_ecc_correctable_lines(mut self, lines: u32) -> Self {
-        self.ecc_correctable_lines = lines;
-        self
-    }
-
     /// Same schedule with transient bit flips every ~`period` line writes.
     pub fn with_transient_period(mut self, period: u64) -> Self {
         self.transient_period = period;
@@ -237,16 +231,6 @@ impl FaultModel {
         self.retired_pages.insert(page);
     }
 
-    /// Whether `line` has failed.
-    pub fn is_line_failed(&self, line: u64) -> bool {
-        self.failed_lines.contains(&line)
-    }
-
-    /// Whether `page` has been retired.
-    pub fn is_page_retired(&self, page: u64) -> bool {
-        self.retired_pages.contains(&page)
-    }
-
     /// Number of permanently failed lines.
     pub fn failed_line_count(&self) -> u64 {
         self.failed_lines.len() as u64
@@ -355,7 +339,10 @@ mod tests {
 
     #[test]
     fn lines_fail_once_and_pages_retire_past_ecc() {
-        let config = accelerated().with_ecc_correctable_lines(1);
+        let config = FaultConfig {
+            ecc_correctable_lines: 1,
+            ..accelerated()
+        };
         let mut model = FaultModel::new(config);
         // Write every line of page 0 far past any budget.
         let writes: Vec<(u64, u64)> = (0..LINES_PER_PAGE).map(|l| (l, u64::MAX / 2)).collect();
@@ -381,7 +368,6 @@ mod tests {
         assert!(model.pump(&writes).is_empty());
         // Retirement silences the page entirely.
         model.mark_page_retired(0);
-        assert!(model.is_page_retired(0));
         assert_eq!(model.degraded_bytes(), PAGE_SIZE as u64);
     }
 
@@ -416,7 +402,10 @@ mod tests {
 
     #[test]
     fn years_projection_picks_first_fatal_page() {
-        let config = FaultConfig::new(1, Endurance::Mid30M).with_ecc_correctable_lines(0);
+        let config = FaultConfig {
+            ecc_correctable_lines: 0,
+            ..FaultConfig::new(1, Endurance::Mid30M)
+        };
         // Page 0: one hot line. Page 1: one far hotter line.
         let writes = vec![(0u64, 1_000u64), (LINES_PER_PAGE, 100_000)];
         let years = years_to_first_uncorrectable(&config, &writes, 10.0).expect("fails eventually");
@@ -424,7 +413,10 @@ mod tests {
         let expected = config.line_budget(LINES_PER_PAGE) as f64 / (hot_rate * SECONDS_PER_YEAR);
         assert!((years - expected).abs() / expected < 1e-12);
         // With ECC strength 1 no page has two written lines: never fails.
-        let strong = config.with_ecc_correctable_lines(1);
+        let strong = FaultConfig {
+            ecc_correctable_lines: 1,
+            ..config
+        };
         assert!(years_to_first_uncorrectable(&strong, &writes, 10.0).is_none());
         // No writes or no elapsed time: never fails.
         assert!(years_to_first_uncorrectable(&config, &[], 10.0).is_none());
@@ -433,7 +425,10 @@ mod tests {
 
     #[test]
     fn acceleration_divides_out_of_projection() {
-        let real = FaultConfig::new(9, Endurance::Low10M).with_ecc_correctable_lines(0);
+        let real = FaultConfig {
+            ecc_correctable_lines: 0,
+            ..FaultConfig::new(9, Endurance::Low10M)
+        };
         let fast = real.with_wear_multiplier(1 << 20);
         let writes = vec![(7u64, 500u64)];
         let a = years_to_first_uncorrectable(&real, &writes, 2.0);

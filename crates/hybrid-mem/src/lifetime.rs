@@ -81,25 +81,9 @@ impl LifetimeModel {
         }
     }
 
-    /// Same capacity with a different endurance level.
-    pub fn with_endurance(self, endurance: Endurance) -> Self {
-        LifetimeModel {
-            endurance_writes: endurance.writes_per_cell(),
-            ..self
-        }
-    }
-
     /// Lifetime in years at `write_rate_bytes_per_s`.
     pub fn years(&self, write_rate_bytes_per_s: f64) -> f64 {
         lifetime_years(self.capacity_bytes, self.endurance_writes, write_rate_bytes_per_s)
-    }
-
-    /// Lifetime in years given total bytes written over `elapsed_s` seconds.
-    pub fn years_from_traffic(&self, bytes_written: u64, elapsed_s: f64) -> f64 {
-        if elapsed_s <= 0.0 {
-            return f64::INFINITY;
-        }
-        self.years(bytes_written as f64 / elapsed_s)
     }
 }
 
@@ -116,9 +100,13 @@ mod tests {
         let model = LifetimeModel::paper_default();
         let y30 = model.years(avg_rate);
         assert!((2.0..7.0).contains(&y30), "expected ~4 years, got {y30}");
-        let y100 = model.with_endurance(Endurance::High100M).years(avg_rate);
+        let at = |endurance: Endurance| LifetimeModel {
+            endurance_writes: endurance.writes_per_cell(),
+            ..model
+        };
+        let y100 = at(Endurance::High100M).years(avg_rate);
         assert!((9.0..16.0).contains(&y100), "expected ~13 years, got {y100}");
-        assert!(model.with_endurance(Endurance::Low10M).years(avg_rate) < y30);
+        assert!(at(Endurance::Low10M).years(avg_rate) < y30);
     }
 
     #[test]
@@ -132,9 +120,6 @@ mod tests {
     #[test]
     fn zero_rate_is_infinite() {
         assert!(lifetime_years(32 << 30, 30_000_000, 0.0).is_infinite());
-        assert!(LifetimeModel::paper_default()
-            .years_from_traffic(100, 0.0)
-            .is_infinite());
     }
 
     #[test]
@@ -143,13 +128,5 @@ mod tests {
         assert!(Endurance::Mid30M.writes_per_cell() < Endurance::High100M.writes_per_cell());
         assert_eq!(Endurance::ALL.len(), 3);
         assert_eq!(Endurance::Mid30M.label(), "30 M");
-    }
-
-    #[test]
-    fn traffic_helper_matches_rate_form() {
-        let model = LifetimeModel::paper_default();
-        let via_rate = model.years(5e9);
-        let via_traffic = model.years_from_traffic(10_000_000_000, 2.0);
-        assert!((via_rate - via_traffic).abs() / via_rate < 1e-12);
     }
 }

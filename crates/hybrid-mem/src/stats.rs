@@ -118,15 +118,6 @@ impl MemoryStats {
     pub fn total_reads(&self) -> u64 {
         self.reads.iter().sum()
     }
-
-    /// Fraction of the nominal PCM capacity lost to retired pages, given
-    /// that capacity in bytes (0 for a healthy device).
-    pub fn pcm_degradation(&self, pcm_capacity_bytes: u64) -> f64 {
-        if pcm_capacity_bytes == 0 {
-            return 0.0;
-        }
-        self.degraded_pcm_bytes as f64 / pcm_capacity_bytes as f64
-    }
 }
 
 /// Per-shard traffic attribution: what one mutator context's accesses did

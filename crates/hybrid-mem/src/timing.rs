@@ -55,11 +55,6 @@ impl TimeBreakdown {
     pub fn total_s(&self) -> f64 {
         self.mutator_s + self.remset_s + self.monitoring_s + self.gc_s + self.dram_s + self.pcm_s
     }
-
-    /// Memory stall time in seconds.
-    pub fn memory_s(&self) -> f64 {
-        self.dram_s + self.pcm_s
-    }
 }
 
 /// First-order mechanistic execution-time model.
@@ -163,7 +158,7 @@ mod tests {
         let b = model.breakdown(&work, &stats);
         let sum = b.mutator_s + b.remset_s + b.monitoring_s + b.gc_s + b.dram_s + b.pcm_s;
         assert!((sum - b.total_s()).abs() < 1e-15);
-        assert!(b.memory_s() > 0.0);
+        assert!(b.dram_s + b.pcm_s > 0.0);
     }
 
     #[test]

@@ -3,12 +3,7 @@
 //! The paper assumes the fine-grained line wear-leveling hardware of Qureshi
 //! et al. \[42\] and therefore models lifetime from the aggregate write rate
 //! alone. This module provides the supporting analysis: given per-line write
-//! counts it reports how uniform the write distribution actually is, what
-//! lifetime ideal wear-leveling achieves, and what lifetime would result with
-//! no wear-leveling at all (the most-written line wearing out first).
-
-use crate::address::CACHE_LINE_SIZE;
-use crate::lifetime::SECONDS_PER_YEAR;
+//! counts it reports how uniform the write distribution actually is.
 
 /// Summary of the write distribution over PCM lines.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
@@ -44,16 +39,6 @@ impl WearTracker {
         }
     }
 
-    /// Builds a tracker from `(line, writes)` pairs as exported by
-    /// [`crate::MemorySystem::pcm_line_writes`] — the line ids only carry
-    /// ordering, the distribution statistics come from the counts. This is
-    /// the device-region rollup used by fleet-level wear brokers: each
-    /// region's cumulative pairs summarise to one [`WearSummary`] that can
-    /// be ranked against the other regions.
-    pub fn from_line_writes(pairs: &[(u64, u64)]) -> Self {
-        Self::from_counts(pairs.iter().map(|&(_, writes)| writes))
-    }
-
     /// Records the write count of one line.
     pub fn record(&mut self, writes: u64) {
         self.counts.push(writes);
@@ -82,32 +67,6 @@ impl WearTracker {
             coefficient_of_variation: if mean > 0.0 { var.sqrt() / mean } else { 0.0 },
         }
     }
-
-    /// Lifetime in years with *ideal* wear-leveling: total write traffic is
-    /// spread uniformly over `capacity_bytes` of PCM (the paper's model).
-    pub fn ideal_wear_leveled_years(
-        &self,
-        capacity_bytes: u64,
-        endurance_writes: u64,
-        elapsed_s: f64,
-    ) -> f64 {
-        let bytes_written: u64 = self.counts.iter().sum::<u64>() * CACHE_LINE_SIZE as u64;
-        if elapsed_s <= 0.0 || bytes_written == 0 {
-            return f64::INFINITY;
-        }
-        crate::lifetime::lifetime_years(capacity_bytes, endurance_writes, bytes_written as f64 / elapsed_s)
-    }
-
-    /// Lifetime in years with *no* wear-leveling: the device fails when its
-    /// most-written line reaches the endurance limit.
-    pub fn unleveled_years(&self, endurance_writes: u64, elapsed_s: f64) -> f64 {
-        let summary = self.summary();
-        if elapsed_s <= 0.0 || summary.max_line_writes == 0 {
-            return f64::INFINITY;
-        }
-        let writes_per_second = summary.max_line_writes as f64 / elapsed_s;
-        endurance_writes as f64 / writes_per_second / SECONDS_PER_YEAR
-    }
 }
 
 #[cfg(test)]
@@ -126,27 +85,19 @@ mod tests {
     }
 
     #[test]
-    fn skewed_distribution_has_high_cv_and_short_unleveled_life() {
+    fn skewed_distribution_has_high_cv() {
         let uniform = WearTracker::from_counts(vec![100; 64]);
         let mut skewed_counts = vec![1u64; 63];
         skewed_counts.push(100 * 64 - 63);
         let skewed = WearTracker::from_counts(skewed_counts);
+        assert_eq!(skewed.summary().total_writes, uniform.summary().total_writes);
         assert!(skewed.summary().coefficient_of_variation > uniform.summary().coefficient_of_variation);
-        // Same total traffic => same ideal-wear-leveled lifetime, but far
-        // shorter unleveled lifetime for the skewed distribution.
-        let cap = 1 << 30;
-        let ideal_u = uniform.ideal_wear_leveled_years(cap, 30_000_000, 1.0);
-        let ideal_s = skewed.ideal_wear_leveled_years(cap, 30_000_000, 1.0);
-        assert!((ideal_u - ideal_s).abs() / ideal_u < 1e-9);
-        assert!(skewed.unleveled_years(30_000_000, 1.0) < uniform.unleveled_years(30_000_000, 1.0));
     }
 
     #[test]
-    fn empty_tracker_is_infinite_lifetime() {
+    fn empty_tracker_summarises_to_zero() {
         let t = WearTracker::new();
         assert_eq!(t.summary(), WearSummary::default());
-        assert!(t.ideal_wear_leveled_years(1 << 30, 30_000_000, 1.0).is_infinite());
-        assert!(t.unleveled_years(30_000_000, 1.0).is_infinite());
     }
 
     #[test]

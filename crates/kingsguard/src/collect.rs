@@ -1115,9 +1115,10 @@ mod tests {
         use hybrid_mem::{Endurance, FaultConfig};
         // Wear-accelerated to absurdity: one counted write exceeds any line
         // budget, and a single failed line makes its page uncorrectable.
-        let fault = FaultConfig::new(0xFA11, Endurance::Mid30M)
-            .with_wear_multiplier(u64::MAX / 4)
-            .with_ecc_correctable_lines(0);
+        let fault = FaultConfig {
+            ecc_correctable_lines: 0,
+            ..FaultConfig::new(0xFA11, Endurance::Mid30M).with_wear_multiplier(u64::MAX / 4)
+        };
         let mut h = KingsguardHeap::new(
             HeapConfig::kg_n(),
             MemoryConfig::architecture_independent().with_faults(fault),

@@ -89,16 +89,6 @@ impl WritePartitioning {
         self.stats
     }
 
-    /// Number of pages currently held in the DRAM partition.
-    pub fn dram_resident_pages(&self) -> usize {
-        self.dram_pages.len()
-    }
-
-    /// Bytes currently held in the DRAM partition.
-    pub fn dram_resident_bytes(&self) -> u64 {
-        (self.dram_pages.len() * PAGE_SIZE) as u64
-    }
-
     /// The rank threshold above which pages live in DRAM.
     fn migration_threshold(&self) -> u8 {
         self.config.multi_queue.queues - self.config.migrate_queues
@@ -199,8 +189,7 @@ mod tests {
             "cold page stays in PCM"
         );
         assert_eq!(wp.stats().promotions, 1);
-        assert_eq!(wp.dram_resident_pages(), 1);
-        assert_eq!(wp.dram_resident_bytes(), PAGE_SIZE as u64);
+        assert_eq!(wp.dram_pages.len(), 1);
     }
 
     #[test]
@@ -214,7 +203,7 @@ mod tests {
         wp.advance(&mut mem, 500);
         assert_eq!(mem.kind_of(base), MemoryKind::Pcm, "idle page must return to PCM");
         assert!(wp.stats().demotions >= 1);
-        assert_eq!(wp.dram_resident_pages(), 0);
+        assert!(wp.dram_pages.is_empty());
     }
 
     #[test]
@@ -247,7 +236,7 @@ mod tests {
             hammer(&mut mem, base.add(p * PAGE_SIZE), 64);
         }
         wp.advance(&mut mem, 10);
-        assert!(wp.dram_resident_pages() <= 2);
+        assert!(wp.dram_pages.len() <= 2);
         assert!(wp.stats().peak_dram_pages <= 2);
     }
 

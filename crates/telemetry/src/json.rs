@@ -99,14 +99,6 @@ impl Json {
         }
     }
 
-    /// The number, if this is a number.
-    pub fn as_num(&self) -> Option<f64> {
-        match self {
-            Json::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
     /// The object fields in source order, if this is an object.
     pub fn as_obj(&self) -> Option<&[(String, Json)]> {
         match self {
@@ -307,7 +299,7 @@ mod tests {
         assert_eq!(doc.get("nul"), Some(&Json::Null));
         let arr = doc.get("arr").unwrap().as_arr().unwrap();
         assert_eq!(arr.len(), 3);
-        assert_eq!(arr[0].as_num(), Some(1.0));
+        assert_eq!(arr[0], Json::Num(1.0));
         assert_eq!(arr[1].as_str(), Some("two"));
         assert_eq!(doc.get("obj").unwrap().u64_field("k"), Some(1));
         assert_eq!(doc.as_obj().map(<[_]>::len), Some(7));

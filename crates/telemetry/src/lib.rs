@@ -348,18 +348,6 @@ impl Telemetry {
         self.inner.as_ref().map_or(0, |inner| inner.stack.len())
     }
 
-    /// Test fixture: merges a span with chosen `count`/`total_ns`/`self_ns`
-    /// into the span table, for exporter tests that need exact weights.
-    #[cfg(test)]
-    pub(crate) fn span_record(&mut self, name: &'static str, count: u64, total_ns: u64, self_ns: u64) {
-        if let Some(inner) = self.inner.as_mut() {
-            let accum = inner.spans.entry(name).or_default();
-            accum.count += count;
-            accum.total_ns += total_ns;
-            accum.child_ns += total_ns.saturating_sub(self_ns);
-        }
-    }
-
     /// Emits a structured event. `make` builds the payload and is only
     /// evaluated when enabled, so call sites pay one branch when disabled.
     #[inline]
@@ -437,6 +425,19 @@ impl fmt::Debug for Telemetry {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Telemetry {
+        /// Merges a span with chosen `count`/`total_ns`/`self_ns` into the
+        /// span table, for exporter tests that need exact weights.
+        pub(crate) fn span_record(&mut self, name: &'static str, count: u64, total_ns: u64, self_ns: u64) {
+            if let Some(inner) = self.inner.as_mut() {
+                let accum = inner.spans.entry(name).or_default();
+                accum.count += count;
+                accum.total_ns += total_ns;
+                accum.child_ns += total_ns.saturating_sub(self_ns);
+            }
+        }
+    }
 
     #[test]
     fn disabled_handle_records_and_reports_nothing() {

@@ -171,8 +171,7 @@ fn assert_calls_match(
 fn synthetic(name: &str, seed: u64) -> (SyntheticMutator, HeapConfig) {
     let profile = benchmark(name).unwrap();
     let scale = 2048;
-    let heap_config =
-        HeapConfig::kg_n().with_heap_budget(profile.scaled_heap_bytes(scale).max(2 << 20) as usize);
+    let heap_config = profile.heap_config(HeapConfig::kg_n(), scale);
     (
         SyntheticMutator::new(profile, WorkloadConfig { scale, seed }),
         heap_config,
@@ -199,7 +198,7 @@ fn streaming_calls_are_the_generated_stream() {
     let workload = StreamingWorkload::new(StreamingConfig::default());
     assert_calls_match(
         "streaming K=4",
-        HeapConfig::kg_n().with_heap_budget(512 * 1024),
+        HeapConfig::kg_n().with_heap_budget(workloads::STREAMING_HEAP_BUDGET_BYTES),
         |heap| workload.record(heap).1,
     );
 }

@@ -39,7 +39,7 @@ pub mod streaming;
 
 pub use broken::{BrokenFixture, ALL_FIXTURES};
 pub use mutator::{MutatorProgress, SyntheticMutator, WorkloadConfig};
-pub use profile::{BenchmarkProfile, Suite};
+pub use profile::{BenchmarkProfile, Suite, STREAMING_HEAP_BUDGET_BYTES};
 pub use profiles::{all_benchmarks, benchmark, simulated_benchmarks};
 pub use sites::site_map_hash;
 pub use streaming::{StreamingConfig, StreamingOutcome, StreamingWorkload};

@@ -24,7 +24,7 @@ use kingsguard::{KingsguardHeap, MutatorConfig};
 use kingsguard_heap::ObjectShape;
 use trace::{Applier, Trace, TraceEvent, TraceEvents};
 
-use crate::profile::BenchmarkProfile;
+use crate::profile::{BenchmarkProfile, MIN_ALLOCATION_BYTES, MIN_LIVE_TARGET_BYTES};
 use crate::sites::{site_for, AllocClass};
 
 /// Configuration of a synthetic workload run.
@@ -224,8 +224,10 @@ impl SyntheticMutator {
 
         let mut rng = SmallRng::seed_from_u64(self.config.seed ^ hash_name(self.profile.name));
         let profile = &self.profile;
-        let total = profile.scaled_allocation_bytes(self.config.scale).max(1 << 20);
-        let target_live = (profile.scaled_heap_bytes(self.config.scale) / 2).max(256 * 1024);
+        let total = profile
+            .scaled_allocation_bytes(self.config.scale)
+            .max(MIN_ALLOCATION_BYTES);
+        let target_live = (profile.scaled_heap_bytes(self.config.scale) / 2).max(MIN_LIVE_TARGET_BYTES);
 
         // Short-lived objects (die within a fraction of a nursery) and
         // medium-lived objects (die while under observation) are kept in
@@ -531,8 +533,7 @@ mod tests {
     fn run(profile_name: &str, heap_config: HeapConfig) -> kingsguard::RunReport {
         let profile = benchmark(profile_name).unwrap();
         let scale = quick_config().scale;
-        let heap_config =
-            heap_config.with_heap_budget(profile.scaled_heap_bytes(scale).max(2 << 20) as usize);
+        let heap_config = profile.heap_config(heap_config, scale);
         let mut heap = KingsguardHeap::new(heap_config, MemoryConfig::architecture_independent());
         let mutator = SyntheticMutator::new(profile, quick_config());
         mutator.run(&mut heap);
@@ -545,8 +546,7 @@ mod tests {
         let config = quick_config();
         let mut reports = Vec::new();
         for _ in 0..2 {
-            let heap_config = HeapConfig::kg_n()
-                .with_heap_budget(profile.scaled_heap_bytes(config.scale).max(2 << 20) as usize);
+            let heap_config = profile.heap_config(HeapConfig::kg_n(), config.scale);
             let mut heap = KingsguardHeap::new(heap_config, MemoryConfig::architecture_independent());
             SyntheticMutator::new(profile.clone(), config).run(&mut heap);
             reports.push(heap.finish());
@@ -604,13 +604,14 @@ mod tests {
     fn collections_happen_and_allocation_matches_volume() {
         let profile = benchmark("xalan").unwrap();
         let config = WorkloadConfig { scale: 512, seed: 7 };
-        let heap_config = HeapConfig::kg_w()
-            .with_heap_budget(profile.scaled_heap_bytes(config.scale).max(2 << 20) as usize);
+        let heap_config = profile.heap_config(HeapConfig::kg_w(), config.scale);
         let mut heap = KingsguardHeap::new(heap_config, MemoryConfig::architecture_independent());
         SyntheticMutator::new(profile.clone(), config).run(&mut heap);
         let report = heap.finish();
         assert!(report.gc.nursery.collections + report.gc.observer.collections > 3);
-        let expected = profile.scaled_allocation_bytes(config.scale).max(1 << 20);
+        let expected = profile
+            .scaled_allocation_bytes(config.scale)
+            .max(MIN_ALLOCATION_BYTES);
         let measured = report.gc.bytes_allocated;
         assert!(
             measured >= expected && measured < expected * 2,
@@ -641,8 +642,7 @@ mod tests {
 
         let profile = benchmark("lusearch").unwrap();
         let scale = 512;
-        let heap_config =
-            HeapConfig::kg_n().with_heap_budget(profile.scaled_heap_bytes(scale).max(2 << 20) as usize);
+        let heap_config = profile.heap_config(HeapConfig::kg_n(), scale);
         let mut heap = KingsguardHeap::new(heap_config, MemoryConfig::architecture_independent());
         heap.enable_profiling(profile.name);
         SyntheticMutator::new(profile, WorkloadConfig { scale, seed: 21 }).run(&mut heap);
@@ -700,15 +700,13 @@ mod tests {
             )
         };
         let on_context0 = {
-            let heap_config = HeapConfig::kg_n()
-                .with_heap_budget(profile.scaled_heap_bytes(config.scale).max(2 << 20) as usize);
+            let heap_config = profile.heap_config(HeapConfig::kg_n(), config.scale);
             let mut heap = KingsguardHeap::new(heap_config, MemoryConfig::architecture_independent());
             SyntheticMutator::new(profile.clone(), config).run(&mut heap);
             heap.finish()
         };
         for mutators in [1usize, 2, 4] {
-            let heap_config = HeapConfig::kg_n()
-                .with_heap_budget(profile.scaled_heap_bytes(config.scale).max(2 << 20) as usize);
+            let heap_config = profile.heap_config(HeapConfig::kg_n(), config.scale);
             let mut heap = KingsguardHeap::new(heap_config, MemoryConfig::architecture_independent());
             SyntheticMutator::new(profile.clone(), config).run_multi_configured(
                 &mut heap,
@@ -732,7 +730,7 @@ mod tests {
         let scale = config.scale;
         let heap_for = |heap_config: HeapConfig| {
             KingsguardHeap::new(
-                heap_config.with_heap_budget(profile.scaled_heap_bytes(scale).max(2 << 20) as usize),
+                profile.heap_config(heap_config, scale),
                 MemoryConfig::architecture_independent(),
             )
         };
@@ -780,8 +778,7 @@ mod tests {
     #[test]
     fn multi_mutator_contexts_all_carry_traffic() {
         let profile = benchmark("pmd").unwrap();
-        let heap_config =
-            HeapConfig::kg_n().with_heap_budget(profile.scaled_heap_bytes(2048).max(2 << 20) as usize);
+        let heap_config = profile.heap_config(HeapConfig::kg_n(), 2048);
         let mut heap = KingsguardHeap::new(heap_config, MemoryConfig::architecture_independent());
         SyntheticMutator::new(profile, quick_config()).run_multi_configured(
             &mut heap,
@@ -797,8 +794,7 @@ mod tests {
     #[test]
     fn progress_hook_fires_and_reports_monotonic_progress() {
         let profile = benchmark("antlr").unwrap();
-        let heap_config =
-            HeapConfig::kg_w().with_heap_budget(profile.scaled_heap_bytes(2048).max(2 << 20) as usize);
+        let heap_config = profile.heap_config(HeapConfig::kg_w(), 2048);
         let mut heap = KingsguardHeap::new(heap_config, MemoryConfig::architecture_independent());
         let mutator = SyntheticMutator::new(profile, quick_config());
         let mut calls = 0;

@@ -1,4 +1,22 @@
-//! Benchmark profile definition.
+//! Benchmark profile definition, and the one rule that sizes a
+//! workload's heap.
+
+use kingsguard::HeapConfig;
+
+/// The smallest heap budget a profile-sized run gets, whatever the scale
+/// ([`BenchmarkProfile::heap_config`]).
+pub const MIN_HEAP_BUDGET_BYTES: u64 = 2 << 20;
+
+/// The smallest allocation volume the synthetic generator emits.
+pub(crate) const MIN_ALLOCATION_BYTES: u64 = 1 << 20;
+
+/// The smallest live-set target of the synthetic generator (half the
+/// scaled heap otherwise).
+pub(crate) const MIN_LIVE_TARGET_BYTES: u64 = 256 << 10;
+
+/// The heap budget of the streaming workload at every scale: its working
+/// set is bounded by the interval, not by a profile's heap size.
+pub const STREAMING_HEAP_BUDGET_BYTES: usize = 512 << 10;
 
 /// Which benchmark suite a profile belongs to.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -74,10 +92,12 @@ impl BenchmarkProfile {
         (self.heap_mb << 20) / scale.max(1)
     }
 
-    /// Returns `true` for benchmarks that allocate comparatively little
-    /// (< 100 MB); the paper greys these out and excludes them from averages.
-    pub fn low_allocation(&self) -> bool {
-        self.allocation_mb < 100
+    /// `base` with this benchmark's heap budget at `scale`: the paper's
+    /// heap size (2× the minimum live size, Table 4) divided by the scale,
+    /// floored at [`MIN_HEAP_BUDGET_BYTES`]. Every heap sized from a
+    /// profile goes through here; the space sizes are `base`'s.
+    pub fn heap_config(&self, base: HeapConfig, scale: u64) -> HeapConfig {
+        base.with_heap_budget(self.scaled_heap_bytes(scale).max(MIN_HEAP_BUDGET_BYTES) as usize)
     }
 }
 
@@ -116,10 +136,17 @@ mod tests {
     }
 
     #[test]
-    fn low_allocation_threshold() {
-        let mut p = sample();
-        assert!(!p.low_allocation());
-        p.allocation_mb = 64;
-        assert!(p.low_allocation());
+    fn heap_budget_is_the_scaled_heap_floored_at_two_mb() {
+        let p = sample();
+        let budget = |scale| p.heap_config(HeapConfig::kg_n(), scale).heap_budget_bytes;
+        assert_eq!(budget(16), (100 << 20) / 16);
+        assert_eq!(
+            budget(256),
+            MIN_HEAP_BUDGET_BYTES as usize,
+            "100 MB / 256 is below the floor"
+        );
+        let base = HeapConfig::kg_w();
+        let sized = p.heap_config(base.clone(), 16);
+        assert_eq!(sized, base.with_heap_budget((100 << 20) / 16));
     }
 }

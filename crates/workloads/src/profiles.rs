@@ -203,7 +203,7 @@ mod tests {
     fn low_allocation_benchmarks_are_flagged() {
         let low: Vec<_> = all_benchmarks()
             .into_iter()
-            .filter(|p| p.low_allocation())
+            .filter(|p| p.allocation_mb < 100)
             .map(|p| p.name)
             .collect();
         assert_eq!(low, vec!["avrora", "luindex", "fop"]);

@@ -247,12 +247,13 @@ impl StreamingWorkload {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::profile::STREAMING_HEAP_BUDGET_BYTES;
     use hybrid_mem::{MemoryConfig, MemoryKind};
     use kingsguard::HeapConfig;
 
     fn run_streaming(heap_config: HeapConfig, mutators: usize) -> (kingsguard::RunReport, (u64, u64)) {
         let mut heap = KingsguardHeap::new(
-            heap_config.with_heap_budget(512 * 1024),
+            heap_config.with_heap_budget(STREAMING_HEAP_BUDGET_BYTES),
             MemoryConfig::architecture_independent(),
         );
         let workload = StreamingWorkload::new(StreamingConfig {
@@ -300,7 +301,7 @@ mod tests {
         };
         let workload = StreamingWorkload::new(StreamingConfig::default());
         let mut heap = KingsguardHeap::new(
-            HeapConfig::kg_d().with_heap_budget(512 * 1024),
+            HeapConfig::kg_d().with_heap_budget(STREAMING_HEAP_BUDGET_BYTES),
             MemoryConfig::architecture_independent(),
         );
         let (outcome, trace) = workload.record(&mut heap);
@@ -308,7 +309,7 @@ mod tests {
         assert_eq!(trace.header.workload, "streaming");
         let live = heap.finish();
         let mut replay_heap = KingsguardHeap::new(
-            HeapConfig::kg_d().with_heap_budget(512 * 1024),
+            HeapConfig::kg_d().with_heap_budget(STREAMING_HEAP_BUDGET_BYTES),
             MemoryConfig::architecture_independent(),
         );
         trace::TraceReplayer::new(&trace)

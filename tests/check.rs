@@ -21,6 +21,7 @@ use hybrid_mem::MemoryKind;
 use kingsguard::{HeapConfig, HeapEvent, HeapObserver, KingsguardHeap, MutatorConfig};
 use workloads::{
     benchmark, StreamingConfig, StreamingWorkload, SyntheticMutator, WorkloadConfig, ALL_FIXTURES,
+    STREAMING_HEAP_BUDGET_BYTES,
 };
 
 #[test]
@@ -117,9 +118,8 @@ fn fault_evacuation_is_violation_free_under_the_sanitizer() {
     let fault = sweep_fault_config(&config, Endurance::Low10M);
     let mut seen = Vec::new();
     for label in FAULT_COLLECTORS {
-        let budget = profile.scaled_heap_bytes(config.scale).max(2 << 20) as usize;
         let mut heap = KingsguardHeap::new(
-            config_for(label).with_heap_budget(budget),
+            profile.heap_config(config_for(label), config.scale),
             MemoryConfig::architecture_independent().with_faults(fault),
         );
         let sanitizer = check::SanitizerHandle::install(&mut heap);
@@ -167,9 +167,8 @@ fn recorder_sanitizer_and_a_custom_observer_share_one_heap() {
         },
     );
     let fresh_heap = || {
-        let budget = profile.scaled_heap_bytes(scale).max(2 << 20) as usize;
         KingsguardHeap::new(
-            HeapConfig::kg_w().with_heap_budget(budget),
+            profile.heap_config(HeapConfig::kg_w(), scale),
             hybrid_mem::MemoryConfig::architecture_independent(),
         )
     };
@@ -254,7 +253,7 @@ fn recorder_sanitizer_and_a_custom_observer_share_one_heap() {
 
 fn record_streaming_trace(mutators: usize) -> trace::Trace {
     let mut heap = KingsguardHeap::new(
-        HeapConfig::kg_n().with_heap_budget(512 * 1024),
+        HeapConfig::kg_n().with_heap_budget(STREAMING_HEAP_BUDGET_BYTES),
         hybrid_mem::MemoryConfig::architecture_independent(),
     );
     let workload = StreamingWorkload::new(StreamingConfig {

@@ -355,8 +355,7 @@ fn mutator_context_runs_reproduce_the_goldens_for_any_mutator_count() {
         let mutator_counts: &[usize] = if scale == 2048 { &[1, 2, 4] } else { &[1] };
         for &mutators in mutator_counts {
             let profile = benchmark(name).unwrap();
-            let heap_config =
-                config_for(label).with_heap_budget(profile.scaled_heap_bytes(scale).max(2 << 20) as usize);
+            let heap_config = profile.heap_config(config_for(label), scale);
             let mut heap = KingsguardHeap::new(heap_config, MemoryConfig::architecture_independent());
             let workload = SyntheticMutator::new(
                 profile,

@@ -28,15 +28,14 @@ fn fingerprint(report: &kingsguard::RunReport) -> String {
 /// One live lusearch run with telemetry on, with or without the profiler.
 fn run_live(heap_config: &HeapConfig, memory: &MemoryConfig, profiled: bool) -> kingsguard::RunReport {
     let profile = benchmark("lusearch").unwrap();
-    let budget = profile.scaled_heap_bytes(SCALE).max(2 << 20) as usize;
     let mutator = SyntheticMutator::new(
-        profile,
+        profile.clone(),
         WorkloadConfig {
             scale: SCALE,
             seed: 11,
         },
     );
-    let mut heap = KingsguardHeap::new(heap_config.clone().with_heap_budget(budget), memory.clone());
+    let mut heap = KingsguardHeap::new(profile.heap_config(heap_config.clone(), SCALE), memory.clone());
     heap.enable_telemetry();
     if profiled {
         heap.enable_hot_path_profiler(DEFAULT_SAMPLE_EVERY);

@@ -190,9 +190,8 @@ fn totals_are_invariant_to_mutator_count_and_ssb_drain_timing() {
         let mut baseline = None;
         for mutators in [1usize, 4] {
             for ssb_capacity in [0usize, 7, 4096] {
-                let budget = profile.scaled_heap_bytes(workload_config.scale).max(2 << 20) as usize;
                 let mut heap = KingsguardHeap::new(
-                    heap_config.clone().with_heap_budget(budget),
+                    profile.heap_config(heap_config.clone(), workload_config.scale),
                     MemoryConfig::architecture_independent(),
                 );
                 let mutator_config = MutatorConfig {

@@ -44,16 +44,15 @@ fn fingerprint(report: &kingsguard::RunReport) -> Vec<u64> {
 
 fn run_live(heap_config: &HeapConfig, enable_telemetry: bool) -> kingsguard::RunReport {
     let profile = benchmark("lusearch").unwrap();
-    let budget = profile.scaled_heap_bytes(SCALE).max(2 << 20) as usize;
     let mutator = SyntheticMutator::new(
-        profile,
+        profile.clone(),
         WorkloadConfig {
             scale: SCALE,
             seed: 11,
         },
     );
     let mut heap = KingsguardHeap::new(
-        heap_config.clone().with_heap_budget(budget),
+        profile.heap_config(heap_config.clone(), SCALE),
         MemoryConfig::architecture_independent(),
     );
     if enable_telemetry {

@@ -7,13 +7,16 @@
 use hybrid_mem::{MemoryConfig, MemoryKind};
 use kingsguard::{HeapConfig, KingsguardHeap, MutatorConfig};
 use trace::{Trace, TraceEvent, TraceEvents, TraceReplayer};
-use workloads::{benchmark, StreamingConfig, StreamingWorkload, SyntheticMutator, WorkloadConfig};
+use workloads::{
+    benchmark, BenchmarkProfile, StreamingConfig, StreamingWorkload, SyntheticMutator, WorkloadConfig,
+    STREAMING_HEAP_BUDGET_BYTES,
+};
 
 const SCALE: u64 = 2048;
 
-fn heap_for(heap_config: &HeapConfig, budget: usize) -> KingsguardHeap {
+fn heap_for(heap_config: &HeapConfig, profile: &BenchmarkProfile) -> KingsguardHeap {
     KingsguardHeap::new(
-        heap_config.clone().with_heap_budget(budget),
+        profile.heap_config(heap_config.clone(), SCALE),
         MemoryConfig::architecture_independent(),
     )
 }
@@ -53,13 +56,13 @@ fn fingerprint(report: &kingsguard::RunReport) -> Vec<u64> {
 /// fingerprints and the trace.
 fn live_and_recorded(
     heap_config: &HeapConfig,
-    budget: usize,
+    profile: &BenchmarkProfile,
     mutator: &SyntheticMutator,
     k: usize,
     ssb: usize,
 ) -> (Vec<u64>, Vec<u64>, Trace) {
     let context_config = MutatorConfig::default().with_ssb_capacity(ssb);
-    let mut live_heap = heap_for(heap_config, budget);
+    let mut live_heap = heap_for(heap_config, profile);
     if k == 0 {
         mutator.run(&mut live_heap);
     } else {
@@ -67,7 +70,7 @@ fn live_and_recorded(
     }
     let live = fingerprint(&live_heap.finish());
 
-    let mut record_heap = heap_for(heap_config, budget);
+    let mut record_heap = heap_for(heap_config, profile);
     let recorded_trace = if k == 0 {
         mutator.record(&mut record_heap)
     } else {
@@ -77,8 +80,8 @@ fn live_and_recorded(
     (live, recorded, recorded_trace)
 }
 
-fn replayed(heap_config: &HeapConfig, budget: usize, recorded: &Trace) -> Vec<u64> {
-    let mut heap = heap_for(heap_config, budget);
+fn replayed(heap_config: &HeapConfig, profile: &BenchmarkProfile, recorded: &Trace) -> Vec<u64> {
+    let mut heap = heap_for(heap_config, profile);
     TraceReplayer::new(recorded)
         .replay(&mut heap)
         .unwrap_or_else(|err| panic!("replay under {} failed: {err}", heap_config.label()));
@@ -88,24 +91,23 @@ fn replayed(heap_config: &HeapConfig, budget: usize, recorded: &Trace) -> Vec<u6
 #[test]
 fn record_replay_is_bit_identical_for_every_collector() {
     let profile = benchmark("lusearch").unwrap();
-    let budget = profile.scaled_heap_bytes(SCALE).max(2 << 20) as usize;
     let mutator = SyntheticMutator::new(
-        profile,
+        profile.clone(),
         WorkloadConfig {
             scale: SCALE,
             seed: 11,
         },
     );
     // Record once (single-mutator stream, under KG-N as the vehicle)...
-    let (_, _, recorded) = live_and_recorded(&HeapConfig::kg_n(), budget, &mutator, 0, 0);
+    let (_, _, recorded) = live_and_recorded(&HeapConfig::kg_n(), &profile, &mutator, 0, 0);
     // ...then replay under every collector and compare against that
     // collector's own live run.
     for heap_config in collectors() {
-        let mut live_heap = heap_for(&heap_config, budget);
+        let mut live_heap = heap_for(&heap_config, &profile);
         mutator.run(&mut live_heap);
         let live = fingerprint(&live_heap.finish());
         assert_eq!(
-            replayed(&heap_config, budget, &recorded),
+            replayed(&heap_config, &profile, &recorded),
             live,
             "replay under {} diverged from its live run",
             heap_config.label()
@@ -119,12 +121,12 @@ fn record_replay_is_bit_identical_across_seeds_k_and_ssb_capacities() {
     // every event eagerly, as context 0 does), two seeds each,
     // exercising both a hybrid and a single-technology collector.
     let profile = benchmark("pmd").unwrap();
-    let budget = profile.scaled_heap_bytes(SCALE).max(2 << 20) as usize;
     for seed in [3u64, 77] {
         let mutator = SyntheticMutator::new(profile.clone(), WorkloadConfig { scale: SCALE, seed });
         for (k, ssb) in [(1usize, 0usize), (1, 4096), (2, 7), (2, 0), (4, 4096), (4, 7)] {
             for heap_config in [HeapConfig::kg_n(), HeapConfig::kg_d()] {
-                let (live, recorded_fp, recorded) = live_and_recorded(&heap_config, budget, &mutator, k, ssb);
+                let (live, recorded_fp, recorded) =
+                    live_and_recorded(&heap_config, &profile, &mutator, k, ssb);
                 assert_eq!(
                     recorded_fp,
                     live,
@@ -132,7 +134,7 @@ fn record_replay_is_bit_identical_across_seeds_k_and_ssb_capacities() {
                     heap_config.label()
                 );
                 assert_eq!(
-                    replayed(&heap_config, budget, &recorded),
+                    replayed(&heap_config, &profile, &recorded),
                     live,
                     "replay diverged (seed {seed}, K={k}, ssb={ssb}, {})",
                     heap_config.label()
@@ -145,15 +147,14 @@ fn record_replay_is_bit_identical_across_seeds_k_and_ssb_capacities() {
 #[test]
 fn kgtrace_binary_round_trip_is_byte_exact_for_a_real_workload() {
     let profile = benchmark("lu.fix").unwrap();
-    let budget = profile.scaled_heap_bytes(SCALE).max(2 << 20) as usize;
     let mutator = SyntheticMutator::new(
-        profile,
+        profile.clone(),
         WorkloadConfig {
             scale: SCALE,
             seed: 5,
         },
     );
-    let mut heap = heap_for(&HeapConfig::kg_n(), budget);
+    let mut heap = heap_for(&HeapConfig::kg_n(), &profile);
     let recorded = mutator.record_multi_configured(&mut heap, 2, MutatorConfig::default());
     drop(heap.finish());
     let bytes = trace::trace_to_bytes(&recorded);
@@ -168,7 +169,7 @@ fn kgtrace_binary_round_trip_is_byte_exact_for_a_real_workload() {
         );
     }
     // And a replay of the parsed copy still drives a heap.
-    let mut replay_heap = heap_for(&HeapConfig::kg_w(), budget);
+    let mut replay_heap = heap_for(&HeapConfig::kg_w(), &profile);
     let stats = TraceReplayer::new(&parsed).replay(&mut replay_heap).unwrap();
     assert_eq!(stats.allocations, recorded.allocations());
     assert!(replay_heap.finish().gc.bytes_allocated > 0);
@@ -212,8 +213,7 @@ fn the_benchmark_traces_pack_every_event_but_the_hook_markers() {
             ("xalan", 192, 4, MemoryConfig::hybrid_scaled(16)),
         ] {
             let profile = benchmark(name).unwrap();
-            let budget = profile.scaled_heap_bytes(scale).max(2 << 20) as usize;
-            let mut heap = KingsguardHeap::new(HeapConfig::kg_n().with_heap_budget(budget), memory);
+            let mut heap = KingsguardHeap::new(profile.heap_config(HeapConfig::kg_n(), scale), memory);
             let mutator = SyntheticMutator::new(profile, WorkloadConfig { scale, seed });
             let recorded = if k > 1 {
                 mutator.record_multi_configured(&mut heap, k, k_mutator)
@@ -225,7 +225,7 @@ fn the_benchmark_traces_pack_every_event_but_the_hook_markers() {
         }
     }
     let mut streaming_heap = KingsguardHeap::new(
-        HeapConfig::kg_n().with_heap_budget(512 * 1024),
+        HeapConfig::kg_n().with_heap_budget(STREAMING_HEAP_BUDGET_BYTES),
         MemoryConfig::architecture_independent(),
     );
     let (_, streaming) = StreamingWorkload::new(StreamingConfig::default()).record(&mut streaming_heap);
