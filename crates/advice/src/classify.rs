@@ -56,8 +56,8 @@ impl ClassifyParams {
     /// so classification adapts to how write-heavy the workload is. The
     /// absolute defaults act as floors for nearly write-free profiles.
     pub fn for_profile(profile: &SiteProfile) -> Self {
-        let total_writes: u64 = profile.sites.values().map(|r| r.post_nursery_writes).sum();
-        let total_kb: f64 = profile.sites.values().map(|r| r.post_nursery_kb()).sum();
+        let total_writes: u64 = profile.sites.iter().map(|(_, r)| r.post_nursery_writes).sum();
+        let total_kb: f64 = profile.sites.iter().map(|(_, r)| r.post_nursery_kb()).sum();
         let floor = ClassifyParams::default();
         if total_kb == 0.0 || total_writes == 0 {
             return floor;
@@ -212,24 +212,33 @@ mod tests {
     #[test]
     fn profile_derived_thresholds_scale_with_workload_intensity() {
         use crate::profiler::SiteProfiler;
+        use crate::site::SiteId;
         // A write-heavy profile: bulk site at ~700 writes/KB, hot site at
         // ~100x that. Absolute defaults would call both hot; the derived
         // thresholds separate them.
         let mut profile = SiteProfiler::new("heavy", "KG-N").finish();
-        profile.sites.insert(1, record(200, 100, 100 * 1024, 70_000)); // 700 w/kb over 100 KB
-        profile.sites.insert(2, record(10, 10, 1024, 70_000)); // 68,000 w/kb over 1 KB
+        profile
+            .sites
+            .insert(SiteId(1), record(200, 100, 100 * 1024, 70_000)); // 700 w/kb over 100 KB
+        profile.sites.insert(SiteId(2), record(10, 10, 1024, 70_000)); // 68,000 w/kb over 1 KB
         let params = ClassifyParams::for_profile(&profile);
         assert!(
             params.hot_writes_per_kb > 1_000.0,
             "threshold {} too low",
             params.hot_writes_per_kb
         );
-        assert_eq!(classify(&profile.sites[&1], &params), SiteClass::Mixed);
-        assert_eq!(classify(&profile.sites[&2], &params), SiteClass::WriteHot);
+        assert_eq!(
+            classify(profile.site(SiteId(1)).unwrap(), &params),
+            SiteClass::Mixed
+        );
+        assert_eq!(
+            classify(profile.site(SiteId(2)).unwrap(), &params),
+            SiteClass::WriteHot
+        );
 
         // A nearly write-free profile falls back to the absolute floors.
         let mut quiet = SiteProfiler::new("quiet", "KG-N").finish();
-        quiet.sites.insert(1, record(100, 50, 50 * 1024, 0));
+        quiet.sites.insert(SiteId(1), record(100, 50, 50 * 1024, 0));
         assert_eq!(ClassifyParams::for_profile(&quiet), ClassifyParams::default());
         assert_eq!(
             ClassifyParams::for_profile(&SiteProfiler::new("empty", "KG-N").finish()),

@@ -29,6 +29,7 @@ use std::io;
 use std::path::Path;
 
 use crate::profiler::{SiteProfile, SiteRecord};
+use crate::site::SiteId;
 
 /// First token of the header line.
 pub const FORMAT_MAGIC: &str = "kingsguard-site-profile";
@@ -97,7 +98,7 @@ pub fn profile_to_string(profile: &SiteProfile) -> String {
         out.push_str(&format!("site-map-hash {hash:016x}\n"));
     }
     out.push_str(&format!("sites {}\n", profile.sites.len()));
-    for (id, record) in &profile.sites {
+    for (SiteId(id), record) in profile.sites.iter() {
         out.push_str(&format!(
             "site {id} objects {} bytes {} survived-objects {} survived-bytes {} post-writes {} large {}\n",
             record.objects,
@@ -179,7 +180,7 @@ pub fn parse_profile(text: &str) -> Result<SiteProfile, ProfileError> {
         if profile.sites.insert(id, record).is_some() {
             return Err(ProfileError::BadRecord {
                 line: line_no,
-                reason: format!("duplicate site {id}"),
+                reason: format!("duplicate site {}", id.raw()),
             });
         }
     }
@@ -266,7 +267,7 @@ fn parse_field<'a>(
     }
 }
 
-fn parse_site_line(line: &str) -> Result<(u32, SiteRecord), String> {
+fn parse_site_line(line: &str) -> Result<(SiteId, SiteRecord), String> {
     let tokens: Vec<&str> = line.split_whitespace().collect();
     const KEYS: [&str; 7] = [
         "site",
@@ -294,9 +295,10 @@ fn parse_site_line(line: &str) -> Result<(u32, SiteRecord), String> {
             .parse()
             .map_err(|_| format!("{key} value {value:?} is not a number"))?;
     }
-    let id = u32::try_from(values[0]).map_err(|_| format!("site id {} out of range", values[0]))?;
+    let id = u32::try_from(values[0]).ok().filter(|&id| id < SiteId::LIMIT);
+    let id = id.ok_or_else(|| format!("site id {} out of range", values[0]))?;
     Ok((
-        id,
+        SiteId(id),
         SiteRecord {
             objects: values[1],
             bytes: values[2],
@@ -312,7 +314,6 @@ fn parse_site_line(line: &str) -> Result<(u32, SiteRecord), String> {
 mod tests {
     use super::*;
     use crate::profiler::SiteProfiler;
-    use crate::site::SiteId;
 
     fn sample_profile() -> SiteProfile {
         let mut profiler = SiteProfiler::new("lusearch", "KG-N");
@@ -505,6 +506,24 @@ mod tests {
                    site 1 objects 1 bytes 64 survived-objects 0 survived-bytes 0 post-writes 0 large 0\n\
                    site 1 objects 1 bytes 64 survived-objects 0 survived-bytes 0 post-writes 0 large 0\n";
         assert!(matches!(parse_profile(dup), Err(ProfileError::BadRecord { .. })));
+    }
+
+    #[test]
+    fn a_site_id_at_the_limit_is_rejected() {
+        let file = |site: u32| {
+            format!(
+                "kingsguard-site-profile 2\nworkload x\ncollector y\nsites 1\n\
+                 site {site} objects 1 bytes 64 survived-objects 0 survived-bytes 0 post-writes 0 large 0\n"
+            )
+        };
+        let last = parse_profile(&file(SiteId::LIMIT - 1)).unwrap();
+        assert_eq!(last.site(SiteId(SiteId::LIMIT - 1)).unwrap().objects, 1);
+        match parse_profile(&file(SiteId::LIMIT)) {
+            Err(ProfileError::BadRecord { line: 5, reason }) => {
+                assert_eq!(reason, "site id 16384 out of range")
+            }
+            other => panic!("expected BadRecord, got {other:?}"),
+        }
     }
 
     #[test]

@@ -14,6 +14,8 @@
 //!
 //! * [`SiteId`] — a stable identifier for an allocation site, threaded
 //!   through `MutatorContext::alloc_site` alongside the type id,
+//! * [`SiteTable`] — per-site state in a vector indexed by site id, the
+//!   one site-keyed collection of the profiler, the advice table and KG-D,
 //! * [`SiteProfiler`] — aggregates per-site allocation counts, bytes,
 //!   nursery survival and post-nursery write counts during a profiling run,
 //! * [`SiteProfile`] / [`profile_to_string`] / [`parse_profile`] — the
@@ -40,5 +42,5 @@ pub use format::{
     FORMAT_MAGIC, FORMAT_MIN_VERSION, FORMAT_VERSION,
 };
 pub use profiler::{SiteProfile, SiteProfiler, SiteRecord};
-pub use site::SiteId;
+pub use site::{SiteId, SiteTable};
 pub use table::{AdviceTable, Placement};

@@ -1,8 +1,6 @@
 //! Per-site profiling: aggregate what a profiling run observes.
 
-use std::collections::BTreeMap;
-
-use crate::site::SiteId;
+use crate::site::{SiteId, SiteTable};
 
 /// Aggregated behaviour of one allocation site over a profiling run.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -62,8 +60,8 @@ impl SiteRecord {
 
 /// A complete site profile: what one profiling run learned about a workload.
 ///
-/// Sites are kept in a `BTreeMap` so serialization and iteration order are
-/// deterministic.
+/// Sites are kept in a [`SiteTable`], so serialization and iteration walk
+/// them in ascending id order.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SiteProfile {
     /// Name of the profiled workload (e.g. "lusearch").
@@ -78,14 +76,14 @@ pub struct SiteProfile {
     /// before hashing existed (or by harnesses that do not know their site
     /// map).
     pub site_map_hash: Option<u64>,
-    /// Per-site records keyed by raw site id.
-    pub sites: BTreeMap<u32, SiteRecord>,
+    /// Per-site records.
+    pub sites: SiteTable<SiteRecord>,
 }
 
 impl SiteProfile {
     /// Looks up one site's record.
     pub fn site(&self, site: SiteId) -> Option<&SiteRecord> {
-        self.sites.get(&site.raw())
+        self.sites.get(site)
     }
 }
 
@@ -97,28 +95,24 @@ impl SiteProfile {
 /// into a [`SiteProfile`].
 #[derive(Clone, Debug, Default)]
 pub struct SiteProfiler {
-    workload: String,
-    collector: String,
-    sites: BTreeMap<u32, SiteRecord>,
+    profile: SiteProfile,
 }
 
 impl SiteProfiler {
     /// Creates a profiler for one run.
     pub fn new(workload: &str, collector: &str) -> Self {
-        SiteProfiler {
-            workload: workload.to_string(),
-            collector: collector.to_string(),
-            sites: BTreeMap::new(),
-        }
-    }
-
-    fn entry(&mut self, site: SiteId) -> &mut SiteRecord {
-        self.sites.entry(site.raw()).or_default()
+        let (workload, collector) = (workload.to_string(), collector.to_string());
+        let profile = SiteProfile {
+            workload,
+            collector,
+            ..SiteProfile::default()
+        };
+        SiteProfiler { profile }
     }
 
     /// Records an allocation of `bytes` at `site`.
     pub fn record_alloc(&mut self, site: SiteId, bytes: u64, large: bool) {
-        let record = self.entry(site);
+        let record = self.profile.sites.entry(site);
         record.objects += 1;
         record.bytes += bytes;
         if large {
@@ -129,7 +123,7 @@ impl SiteProfiler {
     /// Records that an object of `bytes` from `site` survived a nursery
     /// collection.
     pub fn record_nursery_survivor(&mut self, site: SiteId, bytes: u64) {
-        let record = self.entry(site);
+        let record = self.profile.sites.entry(site);
         record.survived_objects += 1;
         record.survived_bytes += bytes;
     }
@@ -137,19 +131,14 @@ impl SiteProfiler {
     /// Records a barrier-observed application write to a post-nursery object
     /// from `site`.
     pub fn record_post_nursery_write(&mut self, site: SiteId) {
-        self.entry(site).post_nursery_writes += 1;
+        self.profile.sites.entry(site).post_nursery_writes += 1;
     }
 
     /// Finalises the profiler into an immutable profile. The harness that
     /// knows the workload's site map stamps
     /// [`SiteProfile::site_map_hash`] before persisting.
     pub fn finish(self) -> SiteProfile {
-        SiteProfile {
-            workload: self.workload,
-            collector: self.collector,
-            site_map_hash: None,
-            sites: self.sites,
-        }
+        self.profile
     }
 }
 

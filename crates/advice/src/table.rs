@@ -1,10 +1,8 @@
 //! Advice tables: the placement decisions a production run replays.
 
-use std::collections::HashMap;
-
 use crate::classify::{classify, ClassifyParams, SiteClass};
 use crate::profiler::SiteProfile;
-use crate::site::SiteId;
+use crate::site::{SiteId, SiteTable};
 
 /// Where a site's nursery survivors should be pretenured.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -20,11 +18,8 @@ pub enum Placement {
 /// KG-A collector.
 #[derive(Clone, Debug, PartialEq)]
 pub struct AdviceTable {
-    placements: HashMap<u32, Placement>,
+    placements: SiteTable<Placement>,
     default: Placement,
-    hot_sites: usize,
-    cold_sites: usize,
-    mixed_sites: usize,
 }
 
 impl AdviceTable {
@@ -34,72 +29,36 @@ impl AdviceTable {
     /// profile never saw use the default placement (PCM — misprediction in
     /// that direction costs PCM writes until rescue, never DRAM capacity).
     pub fn from_profile(profile: &SiteProfile, params: &ClassifyParams) -> Self {
-        let mut placements = HashMap::new();
-        let mut hot_sites = 0;
-        let mut cold_sites = 0;
-        let mut mixed_sites = 0;
-        for (&id, record) in &profile.sites {
-            let placement = match classify(record, params) {
-                SiteClass::WriteHot => {
-                    hot_sites += 1;
-                    Placement::DramMature
-                }
-                SiteClass::WriteCold => {
-                    cold_sites += 1;
-                    Placement::PcmMature
-                }
-                SiteClass::Mixed => {
-                    mixed_sites += 1;
-                    Placement::PcmMature
-                }
-            };
-            placements.insert(id, placement);
-        }
-        AdviceTable {
-            placements,
-            default: Placement::PcmMature,
-            hot_sites,
-            cold_sites,
-            mixed_sites,
-        }
+        let placement = |record| match classify(record, params) {
+            SiteClass::WriteHot => Placement::DramMature,
+            SiteClass::WriteCold | SiteClass::Mixed => Placement::PcmMature,
+        };
+        let entries = profile
+            .sites
+            .iter()
+            .map(|(site, record)| (site, placement(record)));
+        Self::from_entries(entries, Placement::PcmMature)
     }
 
     /// An advice table that sends every site to PCM (the degenerate
     /// "all-cold" table; equivalent to KG-N plus rescue).
     pub fn all_cold() -> Self {
-        AdviceTable {
-            placements: HashMap::new(),
-            default: Placement::PcmMature,
-            hot_sites: 0,
-            cold_sites: 0,
-            mixed_sites: 0,
-        }
+        Self::from_entries([], Placement::PcmMature)
     }
 
     /// An advice table built from explicit `(site, placement)` pairs, with
     /// `default` for everything else (tests and hand-written experiments).
     pub fn from_entries(entries: impl IntoIterator<Item = (SiteId, Placement)>, default: Placement) -> Self {
-        let placements: HashMap<u32, Placement> = entries
-            .into_iter()
-            .map(|(site, placement)| (site.raw(), placement))
-            .collect();
-        let hot_sites = placements
-            .values()
-            .filter(|p| **p == Placement::DramMature)
-            .count();
-        let cold_sites = placements.len() - hot_sites;
-        AdviceTable {
-            placements,
-            default,
-            hot_sites,
-            cold_sites,
-            mixed_sites: 0,
+        let mut placements = SiteTable::default();
+        for (site, placement) in entries {
+            placements.insert(site, placement);
         }
+        AdviceTable { placements, default }
     }
 
     /// The placement advice for `site`.
     pub fn placement(&self, site: SiteId) -> Placement {
-        *self.placements.get(&site.raw()).unwrap_or(&self.default)
+        *self.placements.get(site).unwrap_or(&self.default)
     }
 
     /// Returns `true` if `site` should be pretenured into DRAM.
@@ -109,17 +68,7 @@ impl AdviceTable {
 
     /// Number of sites advised into DRAM.
     pub fn hot_sites(&self) -> usize {
-        self.hot_sites
-    }
-
-    /// Number of write-cold sites.
-    pub fn cold_sites(&self) -> usize {
-        self.cold_sites
-    }
-
-    /// Number of mixed sites (placed in PCM, relying on rescue).
-    pub fn mixed_sites(&self) -> usize {
-        self.mixed_sites
+        self.iter().filter(|&(_, p)| p == Placement::DramMature).count()
     }
 
     /// The default placement for sites without explicit advice.
@@ -127,11 +76,10 @@ impl AdviceTable {
         self.default
     }
 
-    /// Iterates over the explicit `(site, placement)` entries (unordered).
+    /// Iterates over the explicit `(site, placement)` entries in ascending
+    /// site order.
     pub fn iter(&self) -> impl Iterator<Item = (SiteId, Placement)> + '_ {
-        self.placements
-            .iter()
-            .map(|(&id, &placement)| (SiteId(id), placement))
+        self.placements.iter().map(|(site, &placement)| (site, placement))
     }
 
     /// Total sites with explicit advice.
@@ -163,9 +111,9 @@ mod tests {
 
     fn profile() -> SiteProfile {
         let mut profile = SiteProfiler::new("demo", "KG-N").finish();
-        profile.sites.insert(1, record(4000)); // hot
-        profile.sites.insert(2, record(0)); // cold
-        profile.sites.insert(3, record(20)); // mixed
+        profile.sites.insert(SiteId(1), record(4000)); // hot
+        profile.sites.insert(SiteId(2), record(0)); // cold
+        profile.sites.insert(SiteId(3), record(20)); // mixed
         profile
     }
 
@@ -195,10 +143,7 @@ mod tests {
         assert_eq!(table.placement(SiteId::UNKNOWN), Placement::PcmMature);
         assert!(table.pretenure_to_dram(SiteId(1)));
         assert!(!table.pretenure_to_dram(SiteId(2)));
-        assert_eq!(
-            (table.hot_sites(), table.cold_sites(), table.mixed_sites()),
-            (1, 1, 1)
-        );
+        assert_eq!(table.hot_sites(), 1);
         assert_eq!(table.len(), 3);
         assert!(!table.is_empty());
     }

@@ -378,14 +378,12 @@ impl Cell {
         metrics_path(dir, &stem)
     }
 
-    /// FNV-1a over the fault schedule and the advice table (in site order:
-    /// the table's own iteration order varies between processes),
+    /// FNV-1a over the fault schedule and the advice table (in site order),
     /// truncated to 32 bits.
     fn digest(&self) -> u32 {
         let mut text = format!("{:?}", self.config.fault);
         if let Some(advice) = &self.heap.advice {
-            let mut sites: Vec<_> = advice.iter().collect();
-            sites.sort_by_key(|&(site, _)| site);
+            let sites: Vec<_> = advice.iter().collect();
             text.push_str(&format!("{:?}{sites:?}", advice.default_placement()));
         }
         let hash = text.bytes().fold(0xcbf2_9ce4_8422_2325_u64, |hash, byte| {

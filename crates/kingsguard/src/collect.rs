@@ -123,11 +123,12 @@ impl KingsguardHeap {
     }
 
     /// Ends every young and full collection: a composition sample, the peaks,
-    /// and the adaptive policies' refresh point (with this GC's counters).
+    /// and the adaptive policies' refresh point, which consumes the site feedback.
     fn end_of_gc_feedback(&mut self) {
         self.sample_composition();
         self.update_peaks();
         self.policy.on_gc_feedback(&self.stats);
+        self.stats.site_feedback.clear();
         self.record_policy_adaptation();
     }
 
@@ -686,14 +687,8 @@ impl KingsguardHeap {
                 stats.observer_to_pcm_bytes += bytes;
             }
             Cause::Rescue { .. } if from == Location::LargePrimary => stats.large_pcm_to_dram_moves += 1,
-            Cause::Rescue { site } => {
-                stats.pcm_to_dram_rescues += 1;
-                stats.record_site_rescue(site);
-            }
-            Cause::Demotion { site } => {
-                stats.dram_to_pcm_demotions += 1;
-                stats.record_site_demotion(site);
-            }
+            Cause::Rescue { site } => stats.record_rescue(site),
+            Cause::Demotion { site } => stats.record_demotion(site),
             Cause::Promote { advised: None } | Cause::DyingPage { .. } => {}
         }
         ctx.queue.push(copy);

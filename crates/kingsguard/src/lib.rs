@@ -69,4 +69,4 @@ pub use policy::{
     Topology,
 };
 pub use runtime::{KingsguardHeap, Location, RunReport};
-pub use stats::{CollectionCounters, CompositionSample, GcStats, WriteTarget};
+pub use stats::{CollectionCounters, CompositionSample, GcStats, SiteFeedback, WriteTarget};

@@ -23,9 +23,7 @@
 //! leave PCM, and the PCM write rate settles at or below KG-N's — the
 //! rescue fallback alone guarantees that bound — and approaches KG-W's.
 
-use std::collections::{HashMap, HashSet};
-
-use advice::{AdviceTable, Placement, SiteId};
+use advice::{AdviceTable, Placement, SiteId, SiteTable};
 use hybrid_mem::MemoryKind;
 
 use crate::policy::{
@@ -58,20 +56,22 @@ impl Default for KgDynamicParams {
     }
 }
 
+/// What KG-D has learned about one allocation site.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+struct SiteState {
+    /// The site is advised into DRAM (every other site defaults to PCM).
+    dram: bool,
+    /// Mutator writes seen on the site's PCM-resident objects.
+    pcm_writes: u64,
+    /// Demotions of the site's objects since its last rescue.
+    demotions_since_rescue: u64,
+}
+
 /// The online-adaptive Kingsguard-dynamic (KG-D) policy.
 #[derive(Clone, Debug, Default)]
 pub struct KgDynamicPolicy {
     params: KgDynamicParams,
-    /// Sites currently advised into DRAM (everything else defaults to PCM).
-    dram_sites: HashSet<u32>,
-    /// Mutator writes seen on PCM-resident objects, per site.
-    pcm_writes: HashMap<u32, u64>,
-    /// Cumulative [`GcStats::site_rescues`] totals already consumed.
-    seen_rescues: HashMap<u32, u64>,
-    /// Cumulative [`GcStats::site_demotions`] totals already consumed.
-    seen_demotions: HashMap<u32, u64>,
-    /// Demotions per site since that site's last rescue.
-    demotions_since_rescue: HashMap<u32, u64>,
+    sites: SiteTable<SiteState>,
     promotions: u64,
     reversions: u64,
     /// Learn/un-learn decisions buffered for
@@ -81,49 +81,49 @@ pub struct KgDynamicPolicy {
 }
 
 impl KgDynamicPolicy {
-    /// An adaptive policy starting from all-PCM placement (KG-N-like).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// An adaptive policy seeded from a (possibly stale) advice table: its
     /// DRAM placements become the starting advice and are refined online.
+    /// [`KgDynamicPolicy::default`] starts from all-PCM placement (KG-N-like).
     pub fn from_table(table: &AdviceTable) -> Self {
-        let mut policy = Self::new();
+        let mut policy = Self::default();
         for (site, placement) in table.iter() {
             if placement == Placement::DramMature {
-                policy.dram_sites.insert(site.raw());
+                policy.sites.entry(site).dram = true;
             }
         }
         policy
     }
 
-    /// Number of sites currently advised into DRAM.
-    pub fn hot_sites(&self) -> usize {
-        self.dram_sites.len()
-    }
-
-    /// Sites promoted to DRAM advice during the run so far.
-    pub fn promotions(&self) -> u64 {
-        self.promotions
-    }
-
-    /// DRAM advisories revoked during the run so far.
-    pub fn reversions(&self) -> u64 {
-        self.reversions
-    }
-
     fn advises_dram(&self, site: SiteId) -> bool {
-        self.dram_sites.contains(&site.raw())
+        self.sites.get(site).is_some_and(|state| state.dram)
     }
 
-    fn promote(&mut self, site: u32, trigger: AdaptationTrigger) {
-        if self.dram_sites.insert(site) {
+    fn promote(&mut self, site: SiteId, trigger: AdaptationTrigger) {
+        let state = self.sites.entry(site);
+        if !state.dram {
+            state.dram = true;
+            state.demotions_since_rescue = 0;
             self.promotions += 1;
-            self.demotions_since_rescue.insert(site, 0);
             self.events.push(AdaptationEvent {
-                site,
+                site: site.raw(),
                 learned: true,
+                trigger,
+            });
+        }
+    }
+
+    /// Counts `demotions` against `site` and revokes its DRAM advice once
+    /// they reach the threshold without an intervening rescue, restarting
+    /// the site's write count from zero.
+    fn charge_demotions(&mut self, site: SiteId, demotions: u64, trigger: AdaptationTrigger) {
+        let state = self.sites.entry(site);
+        state.demotions_since_rescue += demotions;
+        if state.demotions_since_rescue >= self.params.revert_after_demotions && state.dram {
+            *state = SiteState::default();
+            self.reversions += 1;
+            self.events.push(AdaptationEvent {
+                site: site.raw(),
+                learned: false,
                 trigger,
             });
         }
@@ -167,27 +167,22 @@ impl PlacementPolicy for KgDynamicPolicy {
     }
 
     fn advice_snapshot(&self) -> Option<AdviceTable> {
-        if self.dram_sites.is_empty() {
-            return None;
-        }
-        let mut sites: Vec<u32> = self.dram_sites.iter().copied().collect();
-        sites.sort_unstable();
-        Some(AdviceTable::from_entries(
-            sites
-                .into_iter()
-                .map(|site| (SiteId(site), Placement::DramMature)),
+        let dram = self.sites.iter().filter(|(_, state)| state.dram);
+        let table = AdviceTable::from_entries(
+            dram.map(|(site, _)| (site, Placement::DramMature)),
             Placement::PcmMature,
-        ))
+        );
+        (!table.is_empty()).then_some(table)
     }
 
     fn on_mature_write(&mut self, site: SiteId, kind: MemoryKind) {
         if kind != MemoryKind::Pcm {
             return;
         }
-        let count = self.pcm_writes.entry(site.raw()).or_insert(0);
-        *count += 1;
-        if *count >= self.params.promote_after_pcm_writes {
-            self.promote(site.raw(), AdaptationTrigger::PcmWriteBurst);
+        let state = self.sites.entry(site);
+        state.pcm_writes += 1;
+        if state.pcm_writes >= self.params.promote_after_pcm_writes {
+            self.promote(site, AdaptationTrigger::PcmWriteBurst);
         }
     }
 
@@ -198,68 +193,32 @@ impl PlacementPolicy for KgDynamicPolicy {
         // counts against the site's DRAM advice exactly like a demotion,
         // un-learning advice whose objects keep wearing PCM pages out of
         // reach of the normal rescue/demote cycle.
-        let mut sites: Vec<u32> = evacuated_sites
+        let mut sites: Vec<SiteId> = evacuated_sites
             .iter()
+            .copied()
             .filter(|s| !s.is_unknown())
-            .map(|s| s.raw())
             .collect();
         sites.sort_unstable();
         sites.dedup();
         for site in sites {
-            let since = self.demotions_since_rescue.entry(site).or_insert(0);
-            *since += 1;
-            if *since >= self.params.revert_after_demotions && self.dram_sites.remove(&site) {
-                self.pcm_writes.insert(site, 0);
-                *since = 0;
-                self.reversions += 1;
-                self.events.push(AdaptationEvent {
-                    site,
-                    learned: false,
-                    trigger: AdaptationTrigger::PageRetirement,
-                });
-            }
+            self.charge_demotions(site, 1, AdaptationTrigger::PageRetirement);
         }
     }
 
     fn on_gc_feedback(&mut self, stats: &GcStats) {
-        // A rescue proves the site produced a written PCM object: advise it
-        // into DRAM and forgive its demotion history.
-        let mut rescued_now: HashSet<u32> = HashSet::new();
-        for (&site, &total) in &stats.site_rescues {
-            let seen = self.seen_rescues.entry(site).or_insert(0);
-            if total > *seen {
-                *seen = total;
-                rescued_now.insert(site);
-                self.demotions_since_rescue.insert(site, 0);
+        for (site, feedback) in stats.site_feedback.iter() {
+            if feedback.rescues > 0 {
+                // A rescue proves the site produced a written PCM object:
+                // advise it into DRAM and forgive its demotion history,
+                // this collection's demotions included (counting the
+                // rescued object's quiet siblings would oscillate the
+                // advice).
+                self.sites.entry(site).demotions_since_rescue = 0;
                 self.promote(site, AdaptationTrigger::Rescue);
-            }
-        }
-        // Repeated demotions *without an intervening rescue* prove the
-        // advice stale: revoke it and restart the site's write count from
-        // zero. Demotions from a collection that also rescued the site are
-        // forgiven — the rescue proves the site still produces written PCM
-        // objects, and counting its quiet siblings would oscillate the
-        // advice.
-        for (&site, &total) in &stats.site_demotions {
-            let seen = self.seen_demotions.entry(site).or_insert(0);
-            if total > *seen {
-                let delta = total - *seen;
-                *seen = total;
-                if rescued_now.contains(&site) {
-                    continue;
-                }
-                let since = self.demotions_since_rescue.entry(site).or_insert(0);
-                *since += delta;
-                if *since >= self.params.revert_after_demotions && self.dram_sites.remove(&site) {
-                    self.pcm_writes.insert(site, 0);
-                    *since = 0;
-                    self.reversions += 1;
-                    self.events.push(AdaptationEvent {
-                        site,
-                        learned: false,
-                        trigger: AdaptationTrigger::Demotions,
-                    });
-                }
+            } else {
+                // Repeated demotions without an intervening rescue prove
+                // the advice stale.
+                self.charge_demotions(site, feedback.demotions, AdaptationTrigger::Demotions);
             }
         }
     }
@@ -269,21 +228,27 @@ impl PlacementPolicy for KgDynamicPolicy {
 mod tests {
     use super::*;
 
+    fn hot_sites(policy: &KgDynamicPolicy) -> usize {
+        policy.advice_snapshot().map_or(0, |table| table.hot_sites())
+    }
+
+    /// Statistics whose feedback is one collection's `(site, count)`
+    /// rescues and demotions.
     fn feedback_with(rescues: &[(u32, u64)], demotions: &[(u32, u64)]) -> GcStats {
         let mut stats = GcStats::default();
         for &(site, n) in rescues {
-            stats.site_rescues.insert(site, n);
+            stats.site_feedback.entry(SiteId(site)).rescues = n;
         }
         for &(site, n) in demotions {
-            stats.site_demotions.insert(site, n);
+            stats.site_feedback.entry(SiteId(site)).demotions = n;
         }
         stats
     }
 
     #[test]
     fn starts_all_cold_like_kg_n() {
-        let mut policy = KgDynamicPolicy::new();
-        assert_eq!(policy.hot_sites(), 0);
+        let mut policy = KgDynamicPolicy::default();
+        assert_eq!(hot_sites(&policy), 0);
         assert_eq!(
             policy.survivor_placement(SiteId(5), true),
             SurvivorPlacement::AdvisedPcm
@@ -314,7 +279,7 @@ mod tests {
             policy.survivor_placement(SiteId(7), false),
             SurvivorPlacement::AdvisedDram
         );
-        assert_eq!(policy.promotions(), 1);
+        assert_eq!(policy.adaptation_counters().unwrap().0, 1);
         // DRAM writes never promote.
         for _ in 0..100 {
             policy.on_mature_write(SiteId(8), MemoryKind::Dram);
@@ -327,7 +292,7 @@ mod tests {
 
     #[test]
     fn advice_snapshot_exports_learned_dram_sites() {
-        let mut policy = KgDynamicPolicy::new();
+        let mut policy = KgDynamicPolicy::default();
         assert!(
             policy.advice_snapshot().is_none(),
             "a policy that learned nothing has nothing to warm-start with"
@@ -350,27 +315,27 @@ mod tests {
 
     #[test]
     fn rescue_feedback_promotes_and_demotion_feedback_reverts() {
-        let mut policy = KgDynamicPolicy::new();
+        let mut policy = KgDynamicPolicy::default();
         policy.on_gc_feedback(&feedback_with(&[(3, 1)], &[]));
         assert_eq!(
             policy.survivor_placement(SiteId(3), false),
             SurvivorPlacement::AdvisedDram
         );
         // One demotion is forgiven...
-        policy.on_gc_feedback(&feedback_with(&[(3, 1)], &[(3, 1)]));
+        policy.on_gc_feedback(&feedback_with(&[], &[(3, 1)]));
         assert_eq!(
             policy.survivor_placement(SiteId(3), false),
             SurvivorPlacement::AdvisedDram
         );
         // ...a second one without a new rescue revokes the advice.
-        policy.on_gc_feedback(&feedback_with(&[(3, 1)], &[(3, 2)]));
+        policy.on_gc_feedback(&feedback_with(&[], &[(3, 1)]));
         assert_eq!(
             policy.survivor_placement(SiteId(3), false),
             SurvivorPlacement::AdvisedPcm
         );
-        assert_eq!(policy.reversions(), 1);
+        assert_eq!(policy.adaptation_counters().unwrap().1, 1);
         // A fresh rescue re-promotes with a clean demotion slate.
-        policy.on_gc_feedback(&feedback_with(&[(3, 2)], &[(3, 2)]));
+        policy.on_gc_feedback(&feedback_with(&[(3, 1)], &[]));
         assert_eq!(
             policy.survivor_placement(SiteId(3), false),
             SurvivorPlacement::AdvisedDram
@@ -379,27 +344,124 @@ mod tests {
 
     #[test]
     fn a_same_gc_rescue_forgives_that_gcs_demotions() {
-        let mut policy = KgDynamicPolicy::new();
+        let mut policy = KgDynamicPolicy::default();
         policy.on_gc_feedback(&feedback_with(&[(3, 1)], &[]));
         // One full GC demotes two quiet siblings AND rescues a written
         // object of the same site: the rescue wins, the advice stays.
-        policy.on_gc_feedback(&feedback_with(&[(3, 2)], &[(3, 2)]));
+        policy.on_gc_feedback(&feedback_with(&[(3, 1)], &[(3, 2)]));
         assert_eq!(
             policy.survivor_placement(SiteId(3), false),
             SurvivorPlacement::AdvisedDram
         );
-        assert_eq!(policy.reversions(), 0);
+        assert_eq!(policy.adaptation_counters().unwrap().1, 0);
     }
 
     #[test]
-    fn feedback_is_idempotent_per_counter_value() {
-        let mut policy = KgDynamicPolicy::new();
-        let stats = feedback_with(&[(1, 4)], &[(2, 4)]);
-        policy.on_gc_feedback(&stats);
-        policy.on_gc_feedback(&stats);
-        policy.on_gc_feedback(&stats);
-        assert_eq!(policy.promotions(), 1);
-        assert_eq!(policy.reversions(), 0, "site 2 was never DRAM-advised");
+    fn one_collections_reversions_come_out_in_site_order() {
+        // Spread over both workload site ranges, and listed out of order.
+        let sites = [70, 3, 36, 12, 64, 1, 75, 27, 9, 50, 18, 33];
+        let table = AdviceTable::from_entries(
+            sites.iter().map(|&site| (SiteId(site), Placement::DramMature)),
+            Placement::PcmMature,
+        );
+        let mut policy = KgDynamicPolicy::from_table(&table);
+        let demotions: Vec<(u32, u64)> = sites.iter().map(|&site| (site, 2)).collect();
+        policy.on_gc_feedback(&feedback_with(&[], &demotions));
+        let reverted: Vec<u32> = policy
+            .drain_adaptation_events()
+            .iter()
+            .map(|event| {
+                assert_eq!(
+                    (event.learned, event.trigger),
+                    (false, AdaptationTrigger::Demotions)
+                );
+                event.site
+            })
+            .collect();
+        let mut ascending = sites.to_vec();
+        ascending.sort_unstable();
+        assert_eq!(reverted, ascending);
+        assert_eq!(hot_sites(&policy), 0);
+    }
+
+    /// KG-D, tallying the per-site rescues and demotions its feedback
+    /// delivers.
+    #[derive(Debug)]
+    struct Tallied {
+        inner: KgDynamicPolicy,
+        delivered: std::sync::Arc<std::sync::Mutex<(u64, u64)>>,
+    }
+
+    impl PlacementPolicy for Tallied {
+        fn name(&self) -> String {
+            self.inner.name()
+        }
+        fn constraints(&self) -> PolicyConstraints {
+            self.inner.constraints()
+        }
+        fn survivor_placement(&mut self, site: SiteId, written: bool) -> SurvivorPlacement {
+            self.inner.survivor_placement(site, written)
+        }
+        fn large_placement(&mut self, site: SiteId) -> LargePlacement {
+            self.inner.large_placement(site)
+        }
+        fn on_mature_write(&mut self, site: SiteId, kind: MemoryKind) {
+            self.inner.on_mature_write(site, kind)
+        }
+        fn on_gc_feedback(&mut self, stats: &GcStats) {
+            let mut delivered = self.delivered.lock().unwrap();
+            for (_, feedback) in stats.site_feedback.iter() {
+                delivered.0 += feedback.rescues;
+                delivered.1 += feedback.demotions;
+            }
+            self.inner.on_gc_feedback(stats);
+        }
+    }
+
+    #[test]
+    fn an_escalated_young_collection_delivers_each_rescue_and_demotion_once() {
+        use crate::{HeapConfig, KingsguardHeap};
+        use kingsguard_heap::ObjectShape;
+
+        // Site 2 starts advised into DRAM, site 1 in PCM.
+        let table = AdviceTable::from_entries([(SiteId(2), Placement::DramMature)], Placement::PcmMature);
+        let delivered = std::sync::Arc::default();
+        let policy = Tallied {
+            inner: KgDynamicPolicy::from_table(&table),
+            delivered: std::sync::Arc::clone(&delivered),
+        };
+        let config = HeapConfig::kg_d().with_heap_budget(64 << 10);
+        let memory = hybrid_mem::MemoryConfig::architecture_independent();
+        let mut heap = KingsguardHeap::with_policy(config, memory, Box::new(policy));
+        let mut m = heap.default_mutator().unwrap();
+        let shape = ObjectShape::new(0, 1024);
+        let pcm: Vec<_> = (0..24)
+            .map(|_| m.alloc_site(&mut heap, shape, 1, SiteId(1)))
+            .collect();
+        for _ in 0..24 {
+            m.alloc_site(&mut heap, shape, 1, SiteId(2));
+        }
+        heap.collect_nursery();
+        // Write site 1's PCM objects (not enough to promote the site), leave
+        // site 2's DRAM objects quiet, and grow the mature heap past its
+        // budget so the next young collection escalates to a full one.
+        for &handle in &pcm[..8] {
+            m.write_prim(&mut heap, handle, 0, 8);
+        }
+        for _ in 0..64 {
+            m.alloc_site(&mut heap, shape, 1, SiteId(3));
+        }
+        heap.collect_young();
+
+        let stats = heap.stats();
+        assert_eq!(stats.major.collections, 1, "the young collection escalated");
+        assert!(stats.pcm_to_dram_rescues > 0 && stats.dram_to_pcm_demotions > 0);
+        assert_eq!(
+            *delivered.lock().unwrap(),
+            (stats.pcm_to_dram_rescues, stats.dram_to_pcm_demotions),
+            "every rescue and demotion reaches the policy exactly once"
+        );
+        assert!(stats.site_feedback.is_empty(), "the heap clears what it fed");
     }
 
     #[test]
@@ -423,14 +485,14 @@ mod tests {
                     trigger: AdaptationTrigger::PcmWriteBurst,
                 },
                 AdaptationEvent {
-                    site: 9,
-                    learned: true,
-                    trigger: AdaptationTrigger::Rescue,
-                },
-                AdaptationEvent {
                     site: 7,
                     learned: false,
                     trigger: AdaptationTrigger::Demotions,
+                },
+                AdaptationEvent {
+                    site: 9,
+                    learned: true,
+                    trigger: AdaptationTrigger::Rescue,
                 },
             ]
         );
@@ -448,7 +510,7 @@ mod tests {
             ..KgDynamicPolicy::default()
         };
         policy.on_gc_feedback(&feedback_with(&[(5, 1)], &[]));
-        assert_eq!(policy.hot_sites(), 1);
+        assert_eq!(hot_sites(&policy), 1);
         // First retirement touching the site: pressure, but advice holds
         // (duplicate sites on one page count once).
         policy.on_page_retired(100, &[SiteId(5), SiteId(5), SiteId(9)]);
@@ -462,7 +524,7 @@ mod tests {
             policy.survivor_placement(SiteId(5), false),
             SurvivorPlacement::AdvisedPcm
         );
-        assert_eq!(policy.reversions(), 1);
+        assert_eq!(policy.adaptation_counters().unwrap().1, 1);
         let events = policy.drain_adaptation_events();
         assert!(events.contains(&AdaptationEvent {
             site: 5,
@@ -472,7 +534,7 @@ mod tests {
         assert_eq!(AdaptationTrigger::PageRetirement.label(), "page-retirement");
         // Unadvised sites accumulate pressure but nothing is revoked.
         policy.on_page_retired(102, &[SiteId(9)]);
-        assert_eq!(policy.reversions(), 1);
+        assert_eq!(policy.adaptation_counters().unwrap().1, 1);
     }
 
     #[test]
@@ -485,7 +547,7 @@ mod tests {
             Placement::PcmMature,
         );
         let mut policy = KgDynamicPolicy::from_table(&table);
-        assert_eq!(policy.hot_sites(), 1);
+        assert_eq!(hot_sites(&policy), 1);
         assert_eq!(
             policy.survivor_placement(SiteId(1), false),
             SurvivorPlacement::AdvisedDram

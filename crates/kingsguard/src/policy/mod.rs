@@ -248,12 +248,11 @@ pub trait PlacementPolicy: std::fmt::Debug + Send {
     fn on_mature_write(&mut self, _site: SiteId, _kind: MemoryKind) {}
 
     /// End-of-collection refresh point: called after every young and
-    /// full-heap collection with the run's cumulative statistics. Adaptive
-    /// policies re-derive per-site advice here from the rescue/demotion
-    /// counters ([`GcStats::site_rescues`], [`GcStats::site_demotions`]).
-    /// The runtime drains every mutator context's store buffer before each
-    /// collection, so the counters seen here include every barrier event
-    /// regardless of batching or mutator count.
+    /// full-heap collection. Adaptive policies re-derive per-site advice
+    /// here from [`GcStats::site_feedback`], the rescues and demotions per
+    /// site since the previous call. The runtime drains every mutator
+    /// context's store buffer before each collection, so the counters seen
+    /// here include every barrier event regardless of batching or mutators.
     fn on_gc_feedback(&mut self, _stats: &GcStats) {}
 
     /// Graceful-degradation notification: a PCM heap page wore out, its live
@@ -351,7 +350,7 @@ pub fn from_config(config: &HeapConfig) -> Box<dyn PlacementPolicy> {
         )),
         CollectorKind::KgDynamic => Box::new(match config.advice.clone() {
             Some(table) => KgDynamicPolicy::from_table(&table),
-            None => KgDynamicPolicy::new(),
+            None => KgDynamicPolicy::default(),
         }),
     }
 }

@@ -7,9 +7,7 @@
 //! distribution (Figure 2), heap-composition samples over time (Figure 13)
 //! and abstract work counts that feed the execution-time model.
 
-use std::collections::HashMap;
-
-use advice::SiteId;
+use advice::{SiteId, SiteTable};
 use hybrid_mem::timing::WorkCounts;
 use hybrid_mem::Address;
 use kingsguard_heap::{ObjectTable, LIVE_OBJECT_GRANULE, WORD_BYTES};
@@ -35,6 +33,16 @@ pub struct CompositionSample {
     /// Bytes of mature + large heap residing in DRAM (excluding nursery and
     /// observer space, as in the paper's Figure 13).
     pub dram_bytes: u64,
+}
+
+/// Rescues and demotions of one allocation site's objects since the
+/// policy's last [`crate::PlacementPolicy::on_gc_feedback`].
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct SiteFeedback {
+    /// Objects rescued (PCM → DRAM).
+    pub rescues: u64,
+    /// Objects demoted (DRAM → PCM).
+    pub demotions: u64,
 }
 
 /// Counters describing one collection type.
@@ -136,13 +144,11 @@ pub struct GcStats {
     /// the coarser granule — so a finished run drops it.
     pub(crate) object_sites: ObjectTable<LIVE_OBJECT_GRANULE>,
 
-    /// Rescued objects per allocation site (cumulative; only populated for
-    /// site-tracking policies). Adaptive policies consume this in
-    /// `PlacementPolicy::on_gc_feedback`.
-    pub site_rescues: HashMap<u32, u64>,
-    /// Demoted objects per allocation site (cumulative; only populated for
-    /// site-tracking policies).
-    pub site_demotions: HashMap<u32, u64>,
+    /// Rescues and demotions per known allocation site since the last
+    /// [`crate::PlacementPolicy::on_gc_feedback`], which consumes them; the
+    /// heap clears the table right after each call. Empty unless the heap
+    /// tracks sites.
+    pub site_feedback: SiteTable<SiteFeedback>,
 
     /// Heap composition samples, one per collection (Figure 13).
     pub composition: Vec<CompositionSample>,
@@ -253,17 +259,19 @@ impl GcStats {
         self.object_sites = ObjectTable::new();
     }
 
-    /// Records a rescue of a known-site object (PCM → DRAM).
-    pub fn record_site_rescue(&mut self, site: SiteId) {
+    /// Records a rescue (PCM → DRAM) of an object from `site`.
+    pub fn record_rescue(&mut self, site: SiteId) {
+        self.pcm_to_dram_rescues += 1;
         if !site.is_unknown() {
-            *self.site_rescues.entry(site.raw()).or_insert(0) += 1;
+            self.site_feedback.entry(site).rescues += 1;
         }
     }
 
-    /// Records a demotion of a known-site object (DRAM → PCM).
-    pub fn record_site_demotion(&mut self, site: SiteId) {
+    /// Records a demotion (DRAM → PCM) of an object from `site`.
+    pub fn record_demotion(&mut self, site: SiteId) {
+        self.dram_to_pcm_demotions += 1;
         if !site.is_unknown() {
-            *self.site_demotions.entry(site.raw()).or_insert(0) += 1;
+            self.site_feedback.entry(site).demotions += 1;
         }
     }
 
@@ -430,15 +438,17 @@ mod tests {
     #[test]
     fn site_rescue_and_demotion_counters_skip_unknown_sites() {
         let mut stats = GcStats::default();
-        stats.record_site_rescue(SiteId(3));
-        stats.record_site_rescue(SiteId(3));
-        stats.record_site_rescue(SiteId::UNKNOWN);
-        stats.record_site_demotion(SiteId(4));
-        stats.record_site_demotion(SiteId::UNKNOWN);
-        assert_eq!(stats.site_rescues.get(&3), Some(&2));
-        assert_eq!(stats.site_demotions.get(&4), Some(&1));
-        assert!(!stats.site_rescues.contains_key(&0));
-        assert!(!stats.site_demotions.contains_key(&0));
+        stats.record_rescue(SiteId(3));
+        stats.record_rescue(SiteId(3));
+        stats.record_rescue(SiteId::UNKNOWN);
+        stats.record_demotion(SiteId(4));
+        stats.record_demotion(SiteId::UNKNOWN);
+        assert_eq!((stats.pcm_to_dram_rescues, stats.dram_to_pcm_demotions), (3, 2));
+        let feedback = |rescues, demotions| SiteFeedback { rescues, demotions };
+        assert_eq!(
+            stats.site_feedback.iter().collect::<Vec<_>>(),
+            [(SiteId(3), &feedback(2, 0)), (SiteId(4), &feedback(0, 1))]
+        );
     }
 
     #[test]

@@ -230,6 +230,9 @@ const fn fits_a_slot<const N: usize>(widths: [u32; N]) -> bool {
     bits <= u64::BITS
 }
 
+// Every valid site packs: the decoder rejects a site the field cannot hold.
+const _: () = assert!(1 << width::ALLOC[3] == SiteId::LIMIT);
+
 const _: () = assert!(
     fits_a_slot(width::SPAWN)
         && fits_a_slot(width::ALLOC)

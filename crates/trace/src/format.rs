@@ -19,7 +19,9 @@
 //! ```
 //!
 //! Event operands are unsigned LEB128 varints, so the common case — context
-//! 0, small slots, short writes — costs one byte per operand. The format is
+//! 0, small slots, short writes — costs one byte per operand. An operand
+//! past its field's type is a malformed event, and so is an allocation
+//! site at or above [`advice::SiteId::LIMIT`]. The format is
 //! versioned like `.kgprof`: the parser accepts versions
 //! [`FORMAT_MIN_VERSION`]`..=`[`FORMAT_VERSION`] and rejects everything
 //! else. Corruption is detected three ways: truncation (decoding runs out
@@ -73,6 +75,7 @@ use std::fs;
 use std::io;
 use std::path::Path;
 
+use advice::SiteId;
 use kingsguard::MutatorConfig;
 
 use crate::event::{op, stored_target, CollectKind, Trace, TraceEvent, TraceEvents, TraceHeader};
@@ -475,7 +478,10 @@ impl<'a> Reader<'a> {
                 ref_slots: self.narrow("ref_slots")?,
                 payload_bytes: self.narrow("payload_bytes")?,
                 type_id: self.narrow("type_id")?,
-                site: self.narrow("site")?,
+                site: match self.varint()? {
+                    site if site < u64::from(SiteId::LIMIT) => site as u32,
+                    value => return Err(Stop::OutOfRange { what: "site", value }),
+                },
                 large: opcode == op::ALLOC_LARGE,
             }),
             op::WRITE_REF => events.push(TraceEvent::WriteRef {
@@ -649,6 +655,7 @@ mod tests {
     use super::*;
     use crate::event::TraceEvent;
     use kingsguard::{CollectKind, MutatorConfig};
+    use kingsguard_heap::ObjectShape;
 
     fn sample_trace() -> Trace {
         Trace {
@@ -924,6 +931,23 @@ mod tests {
         match parse_trace(&bytes) {
             Err(TraceError::BadEvent { index: 0, reason, .. }) => {
                 assert!(reason.contains("varint"), "unexpected reason {reason:?}");
+            }
+            other => panic!("expected BadEvent, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_site_id_at_the_limit_is_a_bad_event() {
+        let with_site = |site: u32| {
+            let mut trace = sample_trace();
+            trace.events = vec![TraceEvent::alloc(0, ObjectShape::new(0, 8), 1, SiteId(site))].into();
+            trace_to_bytes(&trace)
+        };
+        let last = parse_trace(&with_site(SiteId::LIMIT - 1)).unwrap();
+        assert_eq!(trace_to_bytes(&last), with_site(SiteId::LIMIT - 1));
+        match parse_trace(&with_site(SiteId::LIMIT)) {
+            Err(TraceError::BadEvent { index: 0, reason, .. }) => {
+                assert_eq!(reason, "site value 16384 out of range")
             }
             other => panic!("expected BadEvent, got {other:?}"),
         }

@@ -14,6 +14,7 @@ mod reference_decoder;
 
 use std::collections::BTreeSet;
 
+use advice::SiteId;
 use kingsguard::MutatorConfig;
 use sim_rng::{Rng, SeedableRng, SmallRng};
 use trace::{
@@ -116,7 +117,7 @@ fn sample(contexts: u32, seed: u64) -> Trace {
                     ref_slots: operand(&mut rng, u16::MAX as u64) as u16,
                     payload_bytes: operand(&mut rng, u32::MAX as u64) as u32,
                     type_id: operand(&mut rng, u16::MAX as u64) as u16,
-                    site: operand(&mut rng, u32::MAX as u64) as u32,
+                    site: operand(&mut rng, u64::from(SiteId::LIMIT) - 1) as u32,
                     large,
                 }
             }
@@ -241,8 +242,8 @@ fn new_and_reference_decoders_agree_on_every_truncation_and_bit_flip() {
 }
 
 /// Every opcode's events with one operand at `value` (where the operand's
-/// type holds it and the file format has bytes for it) and the others 0,
-/// in context `ctx`.
+/// type holds it and the file format accepts it: a site is below
+/// `SiteId::LIMIT`) and the others 0, in context `ctx`.
 fn one_operand_events(ctx: u32, value: u64) -> Vec<TraceEvent> {
     let prim = |src, offset, len| {
         [
@@ -318,8 +319,10 @@ fn one_operand_events(ctx: u32, value: u64) -> Vec<TraceEvent> {
             },
             TraceEvent::ReadRef { ctx, src: 0, slot },
             alloc(0, value, 0, 0),
-            alloc(0, 0, 0, value),
         ]);
+    }
+    if value < u64::from(SiteId::LIMIT) {
+        events.push(alloc(0, 0, 0, value));
     }
     if value <= u16::MAX as u64 {
         events.extend([alloc(value, 0, 0, 0), alloc(0, 0, value, 0)]);

@@ -8,8 +8,10 @@
 //! both sides of *each* power of two (2^k − 1 and 2^k, k in 0..=64, as far
 //! as its type reaches) and every context from both sides of 16, 256 and
 //! `u32::MAX`. Packed and wide events interleave, and whatever goes in must
-//! come out, through every accessor, and through the file format.
+//! come out, through every accessor, and through the file format where it
+//! has bytes for the event.
 
+use advice::SiteId;
 use kingsguard::MutatorConfig;
 use sim_rng::{Rng, SeedableRng, SmallRng};
 use trace::{parse_trace, trace_to_bytes, CollectKind, Trace, TraceEvent, TraceEvents, TraceHeader};
@@ -45,7 +47,8 @@ fn context(rng: &mut SmallRng) -> u32 {
 
 /// Any event of the vocabulary. With `encodable`, one the file format has
 /// bytes for: `Some(u64::MAX)` as a store's target is a value the type
-/// allows and the stream must hold, but that `trace_to_bytes` refuses.
+/// allows and the stream must hold, but that `trace_to_bytes` refuses, and
+/// a site at or above `SiteId::LIMIT` one that `parse_trace` refuses.
 fn event(rng: &mut SmallRng, encodable: bool) -> TraceEvent {
     let ctx = context(rng);
     match rng.gen_range(0..11u32) {
@@ -62,7 +65,7 @@ fn event(rng: &mut SmallRng, encodable: bool) -> TraceEvent {
             ref_slots: operand(rng, 16) as u16,
             payload_bytes: operand(rng, 32) as u32,
             type_id: operand(rng, 16) as u16,
-            site: operand(rng, 32) as u32,
+            site: operand(rng, if encodable { SiteId::LIMIT.ilog2() } else { 32 }) as u32,
             large: rng.gen_bool(0.3),
         },
         4 => TraceEvent::WriteRef {
@@ -338,21 +341,19 @@ fn every_operand_on_either_side_of_every_power_of_two_comes_back_unchanged() {
         assert_eq!(TraceEvents::from(vec![*event]).last(), Some(*event));
     }
     assert_eq!(packed.iter().collect::<Vec<_>>(), events);
-    // The file format holds them all but the store of the last `u64` index.
+    // The file format holds them all but the store of the last `u64` index
+    // and the allocations at the 36 sites from `SiteId::LIMIT` (2^14) to
+    // `u32::MAX` here, large and not.
     let encodable: Vec<TraceEvent> = events
         .iter()
         .copied()
-        .filter(|event| {
-            !matches!(
-                event,
-                TraceEvent::WriteRef {
-                    target: Some(u64::MAX),
-                    ..
-                }
-            )
+        .filter(|event| match *event {
+            TraceEvent::WriteRef { target, .. } => target != Some(u64::MAX),
+            TraceEvent::Alloc { site, .. } => site < SiteId::LIMIT,
+            _ => true,
         })
         .collect();
-    assert_eq!(encodable.len(), events.len() - 1);
+    assert_eq!(encodable.len(), events.len() - 1 - 2 * 36);
     let trace = trace_of(encodable.into());
     let bytes = trace_to_bytes(&trace);
     assert_eq!(parse_trace(&bytes).unwrap(), trace);

@@ -1,14 +1,16 @@
 //! The `.kgtrace` decoder as it stood before the one-byte-varint rewrite of
 //! `trace::format`: the whole-file checksum pass first, then a `Reader`
-//! whose every step returns a full `TraceError`. Kept verbatim (only the
-//! `use` lines differ) as the oracle `tests/differential.rs` compares
-//! `trace::parse_trace` against: same `Ok(Trace)`, or the same error
+//! whose every step returns a full `TraceError`. Kept verbatim but for the
+//! `use` lines and the bound on allocation sites (`advice::SiteId::LIMIT`),
+//! which the format gained later, as the oracle `tests/differential.rs`
+//! compares `trace::parse_trace` against: same `Ok(Trace)`, or the same error
 //! variant, fields and `Display` text, on every input. Its `Trace` is the
 //! test's `ReferenceTrace` — the events in a plain `Vec<TraceEvent>`, as
 //! `trace::Trace` held them when this code was current — so nothing here
 //! goes through the packed `trace::TraceEvents` it is the oracle for.
 
 use super::ReferenceTrace as Trace;
+use advice::SiteId;
 use kingsguard::MutatorConfig;
 use trace::{
     CollectKind, TraceError, TraceEvent, TraceHeader, FORMAT_MAGIC, FORMAT_MIN_VERSION, FORMAT_VERSION,
@@ -135,7 +137,16 @@ fn decode_event_inner(reader: &mut Reader<'_>, index: u64) -> Result<TraceEvent,
             ref_slots: narrow(reader.varint()?, "ref_slots", index, offset)?,
             payload_bytes: narrow(reader.varint()?, "payload_bytes", index, offset)?,
             type_id: narrow(reader.varint()?, "type_id", index, offset)?,
-            site: narrow(reader.varint()?, "site", index, offset)?,
+            site: match reader.varint()? {
+                site if site < u64::from(SiteId::LIMIT) => site as u32,
+                site => {
+                    return Err(TraceError::BadEvent {
+                        index,
+                        offset,
+                        reason: format!("site value {site} out of range"),
+                    })
+                }
+            },
             large: opcode == OP_ALLOC_LARGE,
         },
         OP_WRITE_REF => TraceEvent::WriteRef {
