@@ -203,6 +203,45 @@ fn profile_then_advise_pipeline_runs_end_to_end() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// FNV-1a over a byte string: the digest the profile pins below use.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &byte| {
+        (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The length and FNV-1a digest of every `.kgprof` that `repro advise
+/// --quick` writes, in `default_benchmarks` order. The profiler reads each
+/// object's site on the nursery-survivor and post-nursery-write paths, so a
+/// change to where the heap keeps sites must leave these bytes alone.
+const KGPROF_BYTE_PINS: [(&str, usize, u64); 7] = [
+    ("lusearch", 3_322, 0x0c01_56e7_94e9_c988),
+    ("lu.fix", 3_128, 0xb139_1bc5_f5fc_d224),
+    ("xalan", 3_279, 0x6954_4ab1_07c0_99b1),
+    ("pmd", 3_301, 0x473f_5457_dc1d_1758),
+    ("pmd.s", 3_334, 0xd682_daac_1870_3769),
+    ("antlr", 2_436, 0xdcb4_dd59_0a7b_201a),
+    ("bloat", 3_135, 0xf111_aae3_95af_266c),
+];
+
+#[test]
+fn advise_quick_site_profiles_are_byte_pinned() {
+    let dir = std::env::temp_dir().join(format!("kingsguard-kgprof-pins-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let matrix = Matrix::default();
+    let mut pins = Vec::new();
+    for name in experiments::default_benchmarks() {
+        let (_, path) = profile_workload(&matrix, &benchmark(name).unwrap(), &quick(), &dir);
+        let bytes = std::fs::read(&path).unwrap();
+        pins.push((name, bytes.len(), fnv1a(&bytes)));
+    }
+    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(
+        pins, KGPROF_BYTE_PINS,
+        "advise --quick .kgprof bytes moved (benchmark, length, FNV-1a digest)"
+    );
+}
+
 #[test]
 fn kg_a_advice_transfers_across_seeds() {
     // A profile collected under one seed must still help a run with a
