@@ -6,8 +6,8 @@ use std::fmt;
 ///
 /// In a real VM this would be a (method, bytecode index) pair; the synthetic
 /// workloads assign one id per logical allocation statement. Site ids are
-/// carried alongside the type id through the allocation path and stored in a
-/// side table keyed by the object's current address, so profiles collected in
+/// carried alongside the type id through the allocation path and stored in
+/// the object's header, which every copy carries, so profiles collected in
 /// one run can be replayed in another run of the same workload.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct SiteId(pub u32);

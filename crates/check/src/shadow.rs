@@ -11,7 +11,8 @@
 //!
 //! * dangling roots and references (an edge the collector lost, a stale
 //!   forwarded header, unmapped memory),
-//! * shape/type drift between allocation and the current header,
+//! * shape/type/site drift between allocation and the current header (the
+//!   site must survive every copy, rescue, demotion and evacuation),
 //! * remembered-set completeness at collection entry (every old-to-young
 //!   edge the imminent trace relies on must already be remembered),
 //! * write-barrier coverage (observed write counts must equal the
@@ -34,7 +35,9 @@ use kingsguard::{
     CheckNote, CheckPoint, CollectKind, HeapEvent, HeapObserver, KingsguardHeap, Location, MutatorSnapshot,
     ObserverId, ShardConservation,
 };
-use kingsguard_heap::{decode_info_word, status_word_is_forwarded, ObjectRef, ObjectShape, INFO_WORD_OFFSET};
+use kingsguard_heap::{
+    decode_info_word, status_word_is_forwarded, status_word_site, ObjectRef, ObjectShape, INFO_WORD_OFFSET,
+};
 
 use crate::violation::CheckViolation;
 
@@ -44,6 +47,8 @@ struct ShadowObject {
     ref_slots: u16,
     payload_bytes: u32,
     type_id: u16,
+    /// Raw allocation-site id (0 for an untagged allocation).
+    site: u32,
     /// Logical reference graph: `refs[slot]` is the allocation index the
     /// slot holds, updated on every observed `WriteRef`.
     refs: Vec<Option<usize>>,
@@ -107,6 +112,7 @@ impl ShadowState {
                 ref_slots,
                 payload_bytes,
                 type_id,
+                site,
                 ..
             } => {
                 let index = self.objects.len();
@@ -114,6 +120,7 @@ impl ShadowState {
                     ref_slots,
                     payload_bytes,
                     type_id,
+                    site: site.raw(),
                     refs: vec![None; ref_slots as usize],
                 });
                 let slot = handle.index() as usize;
@@ -390,16 +397,21 @@ impl ShadowState {
             return false;
         };
         let (shape, type_id) = decode_info_word(info);
+        let site = status_word_site(status);
         let shadow = &self.objects[index];
-        if shape.ref_slots != shadow.ref_slots
-            || shape.payload_bytes != shadow.payload_bytes
-            || type_id != shadow.type_id
-        {
+        let expected = (
+            shadow.ref_slots,
+            shadow.payload_bytes,
+            shadow.type_id,
+            shadow.site,
+        );
+        let found = (shape.ref_slots, shape.payload_bytes, type_id, site);
+        if found != expected {
             self.push(CheckViolation::ShapeMismatch {
                 object: index,
                 addr: addr.raw(),
-                expected: (shadow.ref_slots, shadow.payload_bytes, shadow.type_id),
-                found: (shape.ref_slots, shape.payload_bytes, type_id),
+                expected,
+                found,
                 at,
             });
             return false;

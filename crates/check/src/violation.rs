@@ -44,17 +44,17 @@ pub enum CheckViolation {
         /// Checkpoint label where the walk found it.
         at: &'static str,
     },
-    /// A live object's header decodes to a different shape or type id than
-    /// the one it was allocated with.
+    /// A live object's header decodes to a different shape, type id or
+    /// allocation site than the one it was allocated with.
     ShapeMismatch {
         /// Allocation index of the object.
         object: usize,
         /// The object's current address.
         addr: u64,
-        /// Expected `(ref_slots, payload_bytes, type_id)`.
-        expected: (u16, u32, u16),
-        /// Found `(ref_slots, payload_bytes, type_id)`.
-        found: (u16, u32, u16),
+        /// Expected `(ref_slots, payload_bytes, type_id, site)`.
+        expected: (u16, u32, u16, u32),
+        /// Found `(ref_slots, payload_bytes, type_id, site)`.
+        found: (u16, u32, u16, u32),
         /// Checkpoint label where the walk found it.
         at: &'static str,
     },

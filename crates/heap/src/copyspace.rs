@@ -74,8 +74,9 @@ impl CopySpace {
         self.bump.in_region(addr)
     }
 
-    /// Allocates and initialises an object of `shape`, charging the zeroing
-    /// and header-initialisation writes to `phase`.
+    /// Allocates and initialises an object of `shape` from the raw `site`
+    /// (0 for none), charging the zeroing and header-initialisation writes
+    /// to `phase`.
     ///
     /// Returns `None` when the space is full — the collector's cue to run.
     pub fn alloc(
@@ -83,10 +84,11 @@ impl CopySpace {
         mem: &mut MemorySystem,
         shape: ObjectShape,
         type_id: u16,
+        site: u32,
         phase: Phase,
     ) -> Option<ObjectRef> {
         let addr = self.bump.alloc(mem, shape.size(), self.kind, self.id)?;
-        Some(self.init_object(mem, addr, shape, type_id, phase))
+        Some(self.init_object(mem, addr, shape, type_id, site, phase))
     }
 
     /// Zero-fills and initialises a freshly allocated object at `addr` and
@@ -101,12 +103,13 @@ impl CopySpace {
         addr: hybrid_mem::Address,
         shape: ObjectShape,
         type_id: u16,
+        site: u32,
         phase: Phase,
     ) -> ObjectRef {
         let size = shape.size();
         mem.zero(addr, size, phase);
         let obj = ObjectRef::from_address(addr);
-        obj.initialize(mem, shape, type_id, phase);
+        obj.initialize(mem, shape, type_id, site, phase);
         obj
     }
 
@@ -163,7 +166,7 @@ mod tests {
     fn alloc_initialises_header_and_tracks_usage() {
         let (mut mem, mut space) = setup(64 * 1024);
         let shape = ObjectShape::new(2, 16);
-        let obj = space.alloc(&mut mem, shape, 5, Phase::Mutator).unwrap();
+        let obj = space.alloc(&mut mem, shape, 5, 0, Phase::Mutator).unwrap();
         assert_eq!(obj.shape(&mut mem, Phase::Mutator), shape);
         assert_eq!(space.used_bytes(), shape.size());
         assert!(space.contains(obj.address()));
@@ -175,7 +178,7 @@ mod tests {
         let (mut mem, mut space) = setup(4096);
         let shape = ObjectShape::new(0, 1000);
         let mut count = 0;
-        while space.alloc(&mut mem, shape, 0, Phase::Mutator).is_some() {
+        while space.alloc(&mut mem, shape, 0, 0, Phase::Mutator).is_some() {
             count += 1;
         }
         assert_eq!(count, 4096 / shape.size());
@@ -186,12 +189,12 @@ mod tests {
     fn reset_allows_reuse() {
         let (mut mem, mut space) = setup(8192);
         space
-            .alloc(&mut mem, ObjectShape::new(0, 100), 0, Phase::Mutator)
+            .alloc(&mut mem, ObjectShape::new(0, 100), 0, 0, Phase::Mutator)
             .unwrap();
         space.reset();
         assert_eq!(space.used_bytes(), 0);
         assert!(space
-            .alloc(&mut mem, ObjectShape::new(0, 100), 0, Phase::Mutator)
+            .alloc(&mut mem, ObjectShape::new(0, 100), 0, 0, Phase::Mutator)
             .is_some());
     }
 
@@ -217,6 +220,7 @@ mod tests {
                 carved,
                 ObjectShape::primitive(size as u32),
                 1,
+                0,
                 Phase::Mutator,
             );
         }

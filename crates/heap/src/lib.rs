@@ -4,9 +4,10 @@
 //! the collectors in the paper, implemented from scratch on top of the
 //! [`hybrid_mem`] simulated memory system:
 //!
-//! * an **object model** with a status word, an info word describing the
-//!   object's reference slots and primitive payload, and the extra *write
-//!   word* that Kingsguard-writers adds to every header ([`object`]),
+//! * an **object model** with a status word (which also carries the
+//!   object's allocation site), an info word describing the object's
+//!   reference slots and primitive payload, and the extra *write word* that
+//!   Kingsguard-writers adds to every header ([`object`]),
 //! * **bump-pointer allocation** ([`bump`]) and contiguous **copy spaces**
 //!   used for the nursery and the observer space ([`copyspace`]),
 //! * an **Immix mark-region space** with 32 KB blocks and 256 B lines,
@@ -44,11 +45,11 @@ pub use immix::ImmixSpace;
 pub use los::LargeObjectSpace;
 pub use metadata::MetadataSpace;
 pub use object::{
-    decode_info_word, status_word_is_forwarded, ObjectRef, ObjectShape, HEADER_BYTES, INFO_WORD_OFFSET,
-    LARGE_OBJECT_THRESHOLD, REF_SLOT_BYTES, STATUS_WORD_OFFSET,
+    decode_info_word, status_word_is_forwarded, status_word_site, ObjectRef, ObjectShape, HEADER_BYTES,
+    INFO_WORD_OFFSET, LARGE_OBJECT_THRESHOLD, REF_SLOT_BYTES, SITE_BITS, STATUS_WORD_OFFSET,
 };
 pub use remset::RememberedSet;
 pub use roots::{Handle, RootTable};
-pub use side::{AddressBitmap, ObjectTable, LIVE_OBJECT_GRANULE, WORD_BYTES};
+pub use side::{AddressBitmap, ObjectTable, WORD_BYTES};
 pub use space::{SpaceId, SpaceUsage};
 pub use tlab::Tlab;

@@ -240,7 +240,8 @@ impl LargeObjectSpace {
         (0..pages).any(|i| self.retired_pages.contains(&first.add(i * PAGE_SIZE).page().0))
     }
 
-    /// Allocates and initialises a large object of `shape`.
+    /// Allocates and initialises a large object of `shape` from the raw
+    /// `site` (0 for none).
     ///
     /// Returns `None` if the space cannot hold the object.
     pub fn alloc(
@@ -248,13 +249,14 @@ impl LargeObjectSpace {
         mem: &mut MemorySystem,
         shape: ObjectShape,
         type_id: u16,
+        site: u32,
         phase: Phase,
     ) -> Option<ObjectRef> {
         let size = shape.size();
         let addr = self.alloc_raw(mem, size)?;
         mem.zero(addr, size, phase);
         let obj = ObjectRef::from_address(addr);
-        obj.initialize(mem, shape, type_id, phase);
+        obj.initialize(mem, shape, type_id, site, phase);
         // Snapping the new object onto the treadmill writes two list pointers.
         self.treadmill_snaps += 1;
         mem.account_write(addr, Phase::Runtime);
@@ -360,7 +362,7 @@ mod tests {
     #[test]
     fn alloc_registers_and_maps_pages() {
         let (mut mem, mut los) = setup();
-        let obj = los.alloc(&mut mem, big_shape(), 9, Phase::Mutator).unwrap();
+        let obj = los.alloc(&mut mem, big_shape(), 9, 0, Phase::Mutator).unwrap();
         assert!(los.contains(obj.address()));
         assert!(los.in_region(obj.address()));
         assert_eq!(los.object_count(), 1);
@@ -372,8 +374,8 @@ mod tests {
     #[test]
     fn sweep_frees_unmarked_objects() {
         let (mut mem, mut los) = setup();
-        let live = los.alloc(&mut mem, big_shape(), 1, Phase::Mutator).unwrap();
-        let dead = los.alloc(&mut mem, big_shape(), 2, Phase::Mutator).unwrap();
+        let live = los.alloc(&mut mem, big_shape(), 1, 0, Phase::Mutator).unwrap();
+        let dead = los.alloc(&mut mem, big_shape(), 2, 0, Phase::Mutator).unwrap();
         los.prepare_collection();
         assert!(los.mark(&mut mem, live, Phase::MajorGc));
         assert!(
@@ -391,17 +393,17 @@ mod tests {
     #[test]
     fn freed_pages_are_reused() {
         let (mut mem, mut los) = setup();
-        let first = los.alloc(&mut mem, big_shape(), 1, Phase::Mutator).unwrap();
+        let first = los.alloc(&mut mem, big_shape(), 1, 0, Phase::Mutator).unwrap();
         los.prepare_collection();
         los.sweep(&mut mem); // frees `first`
-        let second = los.alloc(&mut mem, big_shape(), 1, Phase::Mutator).unwrap();
+        let second = los.alloc(&mut mem, big_shape(), 1, 0, Phase::Mutator).unwrap();
         assert_eq!(first.address(), second.address(), "free run should be reused");
     }
 
     #[test]
     fn remove_releases_pages_for_reuse() {
         let (mut mem, mut los) = setup();
-        let obj = los.alloc(&mut mem, big_shape(), 1, Phase::Mutator).unwrap();
+        let obj = los.alloc(&mut mem, big_shape(), 1, 0, Phase::Mutator).unwrap();
         los.remove(&mut mem, obj);
         assert_eq!(los.object_count(), 0);
         assert!(!mem.is_mapped(obj.address()));
@@ -412,7 +414,7 @@ mod tests {
     #[test]
     fn retired_pages_are_never_reallocated() {
         let (mut mem, mut los) = setup();
-        let obj = los.alloc(&mut mem, big_shape(), 1, Phase::Mutator).unwrap();
+        let obj = los.alloc(&mut mem, big_shape(), 1, 0, Phase::Mutator).unwrap();
         let dying = obj.address().align_down(PAGE_SIZE).add(PAGE_SIZE);
         // The object dies; its run returns to the free list — except the
         // retired page, which is carved out forever.
@@ -441,7 +443,7 @@ mod tests {
         // Retire a page ahead of the frontier; allocation must step over it.
         let ahead = los.cursor.add(PAGE_SIZE);
         los.retire_page(ahead);
-        let obj = los.alloc(&mut mem, big_shape(), 1, Phase::Mutator).unwrap();
+        let obj = los.alloc(&mut mem, big_shape(), 1, 0, Phase::Mutator).unwrap();
         let pages = big_shape().size().div_ceil(PAGE_SIZE);
         for i in 0..pages {
             assert_ne!(obj.address().add(i * PAGE_SIZE).align_down(PAGE_SIZE), ahead);
@@ -454,7 +456,7 @@ mod tests {
         let base = mem.reserve_extent("tiny-los", 64 * 1024);
         let mut los = LargeObjectSpace::new(SpaceId::LARGE_PCM, MemoryKind::Pcm, base, 64 * 1024);
         let mut count = 0;
-        while los.alloc(&mut mem, big_shape(), 0, Phase::Mutator).is_some() {
+        while los.alloc(&mut mem, big_shape(), 0, 0, Phase::Mutator).is_some() {
             count += 1;
         }
         assert!((1..=6).contains(&count), "unexpected capacity: {count}");
@@ -464,7 +466,7 @@ mod tests {
     fn treadmill_snaps_are_accounted_as_writes() {
         let (mut mem, mut los) = setup();
         let before = mem.stats().phase_writes(MemoryKind::Pcm).get(Phase::Runtime);
-        los.alloc(&mut mem, big_shape(), 0, Phase::Mutator).unwrap();
+        los.alloc(&mut mem, big_shape(), 0, 0, Phase::Mutator).unwrap();
         let after = mem.stats().phase_writes(MemoryKind::Pcm).get(Phase::Runtime);
         assert!(after > before);
         assert!(los.treadmill_snaps() >= 1);

@@ -4,7 +4,8 @@
 //! would lay them out, with three header words followed by the payload:
 //!
 //! ```text
-//! +0   status word   mark bit | forwarded bit | small-object bit | forwarding pointer
+//! +0   status word   mark bit (63) | forwarded bit (62) | small-object bit (61)
+//!                    | allocation site (40..54) | forwarding pointer (0..40)
 //! +8   info word     type id | #reference slots | primitive payload bytes
 //! +16  write word    the extra header word added by Kingsguard-writers; the
 //!                    write barrier sets bit 0 when the object is written
@@ -17,7 +18,16 @@
 //! that is written. The *small-object bit* supports the metadata optimization
 //! (MDO): objects of 16 bytes or less keep their mark state in the header
 //! rather than in the DRAM mark-state table.
+//!
+//! The *allocation site* rides in spare status-word bits, so it travels
+//! with the object: the copy a collector makes carries it, a mark keeps it
+//! (a read-modify-write of the word), and an allocation at a recycled
+//! address overwrites whatever a dead object left there. Only the dead
+//! original loses it, when its word becomes a forwarding pointer. The heap
+//! reads it host-side ([`ObjectRef::site`]), so it costs no simulated
+//! access beyond the header store that allocation already makes.
 
+use hybrid_mem::dense::ADDRESS_SPACE;
 use hybrid_mem::{Address, MemorySystem, Phase};
 
 /// Bytes of object header (status + info + write words).
@@ -56,6 +66,12 @@ pub fn decode_info_word(info: u64) -> (ObjectShape, u16) {
     (ObjectShape::new(ref_slots, payload_bytes), type_id)
 }
 
+/// Decodes the allocation site (its raw id; 0 is the unknown site) from a
+/// raw status word, the inverse of what [`ObjectRef::initialize`] stores.
+pub fn status_word_site(status: u64) -> u32 {
+    ((status >> SITE_SHIFT) & SITE_MASK) as u32
+}
+
 /// Returns `true` if a raw status word has the forwarded bit set (the
 /// object's contents have been evacuated and the header now holds a
 /// forwarding pointer). A live, reachable object must never carry this bit
@@ -67,7 +83,21 @@ pub fn status_word_is_forwarded(status: u64) -> bool {
 const MARK_BIT: u64 = 1 << 63;
 const FORWARDED_BIT: u64 = 1 << 62;
 const SMALL_BIT: u64 = 1 << 61;
-const ADDRESS_MASK: u64 = (1 << 48) - 1;
+const ADDRESS_MASK: u64 = ADDRESS_SPACE - 1;
+const _: () = assert!(
+    ADDRESS_SPACE == 1 << SITE_SHIFT,
+    "the site field starts above every address"
+);
+
+/// Width of the status word's allocation-site field: site ids below
+/// `1 << SITE_BITS` fit.
+pub const SITE_BITS: u32 = 14;
+const SITE_SHIFT: u32 = 40;
+const SITE_MASK: u64 = (1 << SITE_BITS) - 1;
+const _: () = assert!(
+    SITE_SHIFT + SITE_BITS <= 61,
+    "the site field ends below the flag bits"
+);
 
 /// Shape of an object: how many reference slots and how many primitive
 /// payload bytes it has.
@@ -146,12 +176,24 @@ impl ObjectRef {
         self.0.is_zero()
     }
 
-    /// Writes a fresh header for an object of `shape` at this address.
+    /// Writes a fresh header for an object of `shape` allocated at `site`
+    /// (a raw site id, 0 for none) at this address.
     ///
     /// The caller (the allocator) has already zeroed the object's memory;
     /// this charges the header-initialisation stores to `phase`.
-    pub fn initialize(self, mem: &mut MemorySystem, shape: ObjectShape, type_id: u16, phase: Phase) {
-        let mut status = 0u64;
+    pub fn initialize(
+        self,
+        mem: &mut MemorySystem,
+        shape: ObjectShape,
+        type_id: u16,
+        site: u32,
+        phase: Phase,
+    ) {
+        debug_assert!(
+            u64::from(site) <= SITE_MASK,
+            "site {site} overflows the header field"
+        );
+        let mut status = u64::from(site) << SITE_SHIFT;
         if shape.is_mdo_small() {
             status |= SMALL_BIT;
         }
@@ -168,6 +210,19 @@ impl ObjectRef {
             ref_slots: ((info >> 32) & 0xffff) as u16,
             payload_bytes: (info & 0xffff_ffff) as u32,
         }
+    }
+
+    /// The raw id of the site this object was allocated at (0 if unknown),
+    /// read host-side from the status word: no simulated access.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the object's page is not mapped.
+    pub fn site(self, mem: &MemorySystem) -> u32 {
+        let status = mem
+            .peek_u64(self.0.add(STATUS_OFFSET))
+            .unwrap_or_else(|| panic!("the header of {self:?} is not mapped"));
+        status_word_site(status)
     }
 
     /// Reads this object's type id.
@@ -256,6 +311,10 @@ impl ObjectRef {
     /// Installs a forwarding pointer to `target` in this object's header.
     pub fn set_forwarding(self, mem: &mut MemorySystem, target: ObjectRef, phase: Phase) {
         let status = self.status(mem, phase);
+        debug_assert!(
+            target.address().raw() <= ADDRESS_MASK,
+            "{target:?} is outside the address space"
+        );
         let preserved = status & SMALL_BIT;
         self.set_status(
             mem,
@@ -317,7 +376,7 @@ mod tests {
     fn initialize_and_read_back_shape() {
         let (mut mem, obj) = setup();
         let shape = ObjectShape::new(3, 40);
-        obj.initialize(&mut mem, shape, 17, Phase::Mutator);
+        obj.initialize(&mut mem, shape, 17, 0, Phase::Mutator);
         assert_eq!(obj.shape(&mut mem, Phase::Mutator), shape);
         assert_eq!(obj.type_id(&mut mem, Phase::Mutator), 17);
         assert_eq!(obj.size(&mut mem, Phase::Mutator), shape.size());
@@ -330,14 +389,14 @@ mod tests {
     #[test]
     fn small_objects_get_small_bit() {
         let (mut mem, obj) = setup();
-        obj.initialize(&mut mem, ObjectShape::new(0, 0), 0, Phase::Mutator);
+        obj.initialize(&mut mem, ObjectShape::new(0, 0), 0, 0, Phase::Mutator);
         assert!(obj.is_mdo_small(&mut mem, Phase::Mutator));
     }
 
     #[test]
     fn mark_bit_round_trip() {
         let (mut mem, obj) = setup();
-        obj.initialize(&mut mem, ObjectShape::new(1, 8), 1, Phase::Mutator);
+        obj.initialize(&mut mem, ObjectShape::new(1, 8), 1, 0, Phase::Mutator);
         obj.set_marked(&mut mem, true, Phase::MajorGc);
         assert!(obj.is_marked(&mut mem, Phase::MajorGc));
         obj.set_marked(&mut mem, false, Phase::MajorGc);
@@ -347,7 +406,7 @@ mod tests {
     #[test]
     fn write_bit_round_trip() {
         let (mut mem, obj) = setup();
-        obj.initialize(&mut mem, ObjectShape::new(1, 8), 1, Phase::Mutator);
+        obj.initialize(&mut mem, ObjectShape::new(1, 8), 1, 0, Phase::Mutator);
         obj.set_written(&mut mem, Phase::Mutator);
         assert!(obj.is_written(&mut mem, Phase::Mutator));
         obj.clear_written(&mut mem, Phase::MajorGc);
@@ -357,7 +416,7 @@ mod tests {
     #[test]
     fn forwarding_preserves_small_bit() {
         let (mut mem, obj) = setup();
-        obj.initialize(&mut mem, ObjectShape::new(0, 0), 1, Phase::Mutator);
+        obj.initialize(&mut mem, ObjectShape::new(0, 0), 1, 0, Phase::Mutator);
         let target = ObjectRef::from_address(obj.address().add(4096));
         obj.set_forwarding(&mut mem, target, Phase::NurseryGc);
         assert!(obj.is_forwarded(&mut mem, Phase::NurseryGc));
@@ -368,7 +427,7 @@ mod tests {
     #[test]
     fn reference_slots_read_write() {
         let (mut mem, obj) = setup();
-        obj.initialize(&mut mem, ObjectShape::new(2, 0), 1, Phase::Mutator);
+        obj.initialize(&mut mem, ObjectShape::new(2, 0), 1, 0, Phase::Mutator);
         let target = ObjectRef::from_address(obj.address().add(1024));
         obj.write_ref_raw(&mut mem, 1, target, Phase::Mutator);
         assert_eq!(obj.read_ref(&mut mem, 1, Phase::Mutator), target);
@@ -378,8 +437,78 @@ mod tests {
     #[test]
     fn payload_address_is_after_ref_slots() {
         let (mut mem, obj) = setup();
-        obj.initialize(&mut mem, ObjectShape::new(2, 32), 1, Phase::Mutator);
+        obj.initialize(&mut mem, ObjectShape::new(2, 32), 1, 0, Phase::Mutator);
         let payload = obj.payload_addr(&mut mem, 4, Phase::Mutator);
         assert_eq!(payload, obj.address().add(HEADER_BYTES + 16 + 4));
+    }
+
+    #[test]
+    fn initialize_stores_the_site_in_the_status_word() {
+        let (mut mem, obj) = setup();
+        obj.initialize(&mut mem, ObjectShape::new(0, 0), 3, 17, Phase::Mutator);
+        assert_eq!(obj.site(&mem), 17);
+        assert!(
+            obj.is_mdo_small(&mut mem, Phase::Mutator),
+            "the flags keep their bits"
+        );
+        let widest = (1 << SITE_BITS) - 1;
+        obj.initialize(&mut mem, ObjectShape::new(4, 64), 3, widest, Phase::Mutator);
+        assert_eq!(obj.site(&mem), widest);
+        assert!(!obj.is_mdo_small(&mut mem, Phase::Mutator));
+        assert_eq!(obj.type_id(&mut mem, Phase::Mutator), 3);
+    }
+
+    #[test]
+    fn marking_keeps_the_site() {
+        let (mut mem, obj) = setup();
+        obj.initialize(&mut mem, ObjectShape::new(1, 8), 1, 9, Phase::Mutator);
+        obj.set_marked(&mut mem, true, Phase::MajorGc);
+        assert_eq!(obj.site(&mem), 9);
+        obj.set_marked(&mut mem, false, Phase::MajorGc);
+        assert_eq!(obj.site(&mem), 9);
+    }
+
+    #[test]
+    fn a_copy_carries_the_site() {
+        let (mut mem, obj) = setup();
+        let shape = ObjectShape::new(1, 8);
+        obj.initialize(&mut mem, shape, 1, 42, Phase::Mutator);
+        obj.set_written(&mut mem, Phase::Mutator);
+        let copy = ObjectRef::from_address(obj.address().add(4096));
+        mem.copy(obj.address(), copy.address(), shape.size(), Phase::NurseryGc);
+        copy.clear_written(&mut mem, Phase::NurseryGc);
+        obj.set_forwarding(&mut mem, copy, Phase::NurseryGc);
+        assert_eq!(
+            copy.site(&mem),
+            42,
+            "clearing the write word leaves the status word alone"
+        );
+        assert_eq!(obj.forwarding(&mut mem, Phase::NurseryGc), copy);
+    }
+
+    #[test]
+    fn reinitialising_a_recycled_address_overwrites_a_stale_site() {
+        let (mut mem, obj) = setup();
+        obj.initialize(&mut mem, ObjectShape::new(0, 16), 1, 7, Phase::Mutator);
+        obj.initialize(&mut mem, ObjectShape::new(0, 16), 1, 8, Phase::Mutator);
+        assert_eq!(obj.site(&mem), 8);
+        obj.initialize(&mut mem, ObjectShape::new(0, 16), 1, 0, Phase::Mutator);
+        assert_eq!(obj.site(&mem), 0, "an untagged arrival inherits no site");
+    }
+
+    #[test]
+    fn forwarding_decodes_a_target_at_the_top_of_the_address_space() {
+        let (mut mem, obj) = setup();
+        obj.initialize(
+            &mut mem,
+            ObjectShape::new(0, 0),
+            1,
+            (1 << SITE_BITS) - 1,
+            Phase::Mutator,
+        );
+        let target = ObjectRef::from_address(Address::new(ADDRESS_SPACE - 8));
+        obj.set_forwarding(&mut mem, target, Phase::NurseryGc);
+        assert_eq!(obj.forwarding(&mut mem, Phase::NurseryGc), target);
+        assert!(obj.is_mdo_small(&mut mem, Phase::NurseryGc));
     }
 }

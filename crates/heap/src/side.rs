@@ -11,35 +11,31 @@
 //! the window of granules touched in the slot), so a replayed event pays
 //! for simulation and not for SipHash probes, rehash growth or a fresh set
 //! per collection. Its users: [`crate::RememberedSet`], the collectors'
-//! mark sets and `kingsguard::GcStats`'s per-object write counts and site
-//! tags; [`crate::LargeObjectSpace`] keeps its page-granule table on
-//! `DenseTable` directly.
+//! mark sets and `kingsguard::GcStats`'s per-object write counts;
+//! [`crate::LargeObjectSpace`] keeps its page-granule table on `DenseTable`
+//! directly. State that travels with a live object, such as its allocation
+//! site, sits in the object's header instead ([`crate::object`]): side
+//! metadata is for what is keyed by address or outlives the object.
 //!
 //! # The granules
 //!
 //! Keys are object starts and reference slots, all [`WORD_BYTES`] = 8
-//! aligned (a key that is not panics). The bitmaps and the write-count
-//! table keep one bit / entry per word, so two distinct keys never share
-//! one, whatever is live or dead: they behave exactly like the
-//! address-keyed sets and map they replace. For the write counts that is a
-//! requirement, not a convenience: the counts behind Figure 2 outlive their
-//! objects on purpose, and a dead object's count at `A + 8` must not merge
-//! with a later object's at `A`. On pmd at kgbench's `replay-gc` scale 8
-//! (KG-W) to 17 (KG-A) such pairs occur in a run, and a 16-byte granule
-//! merges them and moves `top_mature_writer_share(0.02)` in the third
-//! digit; `OBJECT_GOLDEN` in `tests/policy_conformance.rs` pins those rows.
-//!
-//! The site tags can afford [`LIVE_OBJECT_GRANULE`] = 16 bytes, half the
-//! table: a header is 24 bytes, so two *live* objects never start in the
-//! same granule, the heap only ever asks for the site of a live object,
-//! and every arrival (allocation or copy) writes its granule — tag or
-//! "untagged" — over whatever a dead neighbour left there.
+//! aligned (a key that is not panics). The bitmaps and [`ObjectTable`] keep
+//! one bit / entry per word, so two distinct keys never share one, whatever
+//! is live or dead: they behave exactly like the address-keyed sets and map
+//! they replace. For the write counts that is a requirement, not a
+//! convenience: the counts behind Figure 2 outlive their objects on
+//! purpose, and a dead object's count at `A + 8` must not merge with a
+//! later object's at `A`. On pmd at kgbench's `replay-gc` scale 8 (KG-W) to
+//! 17 (KG-A) such pairs occur in a run, and a 16-byte granule merges them
+//! and moves `top_mature_writer_share(0.02)` in the third digit;
+//! `OBJECT_GOLDEN` in `tests/policy_conformance.rs` pins those rows.
 //!
 //! # Zero means absent
 //!
-//! An [`ObjectTable`] entry of 0 is "no entry": write counts start at 1 and
-//! `advice::SiteId::UNKNOWN` is 0, so neither table needs a presence bit
-//! and growing a window over untouched heap (zero-filled) adds no entries.
+//! An [`ObjectTable`] entry of 0 is "no entry": write counts start at 1, so
+//! the table needs no presence bit and growing a window over untouched heap
+//! (zero-filled) adds no entries.
 //!
 //! # Why the remembered set keeps a log beside its bitmap
 //!
@@ -55,10 +51,9 @@
 //!
 //! # Memory
 //!
-//! An [`ObjectTable`] costs 4 bytes per granule of *touched window* — for
-//! the write counts half a host byte, for the site tags a quarter, per heap
-//! byte between the lowest and highest keyed address of each 256 MB slot;
-//! an [`AddressBitmap`] costs 1/64. Nothing is allocated for
+//! An [`ObjectTable`] costs 4 bytes per word of *touched window* — half a
+//! host byte per heap byte between the lowest and highest keyed address of
+//! each 256 MB slot; an [`AddressBitmap`] costs 1/64. Nothing is allocated for
 //! reserved-but-untouched extents. A finished run folds its write counts to
 //! a flat list and drops the tables (`GcStats::fold_object_tables`, called
 //! by `KingsguardHeap::finish`), so kept reports stay a few bytes per
@@ -69,11 +64,6 @@ use hybrid_mem::{Address, DenseTable};
 /// The alignment of object starts and reference slots, and the granule of
 /// the structures that must tell any two of them apart.
 pub const WORD_BYTES: usize = 8;
-
-/// A granule no two live objects start in: enough for a table that is only
-/// ever asked about live objects.
-pub const LIVE_OBJECT_GRANULE: usize = 16;
-const _: () = assert!(crate::object::HEADER_BYTES >= LIVE_OBJECT_GRANULE);
 
 /// Heap bytes covered by one 64-bit bitmap word.
 const BITMAP_WORD_SPAN: usize = 64 * WORD_BYTES;
@@ -143,21 +133,13 @@ impl AddressBitmap {
     }
 }
 
-/// A `u32` per `GRANULE` bytes of heap, keyed by 8-aligned address; 0 means
-/// no entry. With `GRANULE` = [`WORD_BYTES`] it is an exact map; with a
-/// coarser one, keys in the same granule share its entry (see the module
-/// docs for when that is sound).
+/// A `u32` per heap word, keyed by 8-aligned address; 0 means no entry.
 #[derive(Clone, Debug, Default)]
-pub struct ObjectTable<const GRANULE: usize> {
-    entries: DenseTable<u32, GRANULE>,
+pub struct ObjectTable {
+    entries: DenseTable<u32, WORD_BYTES>,
 }
 
-impl<const GRANULE: usize> ObjectTable<GRANULE> {
-    #[inline]
-    fn index(addr: Address) -> u64 {
-        word_index(addr) / (GRANULE / WORD_BYTES) as u64
-    }
-
+impl ObjectTable {
     /// Creates an empty table.
     pub fn new() -> Self {
         Self::default()
@@ -166,14 +148,14 @@ impl<const GRANULE: usize> ObjectTable<GRANULE> {
     /// The entry at `addr` (0 if none).
     #[inline]
     pub fn get(&self, addr: Address) -> u32 {
-        self.entries.get(Self::index(addr)).copied().unwrap_or(0)
+        self.entries.get(word_index(addr)).copied().unwrap_or(0)
     }
 
     /// Sets the entry at `addr` to the non-zero `value`.
     #[inline]
     pub fn set(&mut self, addr: Address, value: u32) {
         debug_assert_ne!(value, 0, "0 means no entry: use take() to clear");
-        *self.entries.entry(Self::index(addr)) = value;
+        *self.entries.entry(word_index(addr)) = value;
     }
 
     /// Removes and returns the entry at `addr` (0 if none). Never grows the
@@ -181,7 +163,7 @@ impl<const GRANULE: usize> ObjectTable<GRANULE> {
     #[inline]
     pub fn take(&mut self, addr: Address) -> u32 {
         self.entries
-            .get_mut(Self::index(addr))
+            .get_mut(word_index(addr))
             .map(std::mem::take)
             .unwrap_or(0)
     }
@@ -195,7 +177,7 @@ impl<const GRANULE: usize> ObjectTable<GRANULE> {
     /// corrupt the statistic.
     #[inline]
     pub fn add(&mut self, addr: Address, n: u32) {
-        let entry = self.entries.entry(Self::index(addr));
+        let entry = self.entries.entry(word_index(addr));
         *entry = entry
             .checked_add(n)
             .unwrap_or_else(|| panic!("per-object count at {addr} overflows u32"));
@@ -246,7 +228,7 @@ mod tests {
 
     #[test]
     fn table_zero_is_absent_and_take_never_grows() {
-        let mut table = ObjectTable::<WORD_BYTES>::new();
+        let mut table = ObjectTable::new();
         assert_eq!(table.get(Address::new(0x2000)), 0);
         assert_eq!(table.take(Address::new(0x2000)), 0);
         assert_eq!(table.values().count(), 0);
@@ -263,29 +245,9 @@ mod tests {
     #[test]
     #[should_panic(expected = "overflows u32")]
     fn table_count_overflow_panics_instead_of_wrapping() {
-        let mut table = ObjectTable::<WORD_BYTES>::new();
+        let mut table = ObjectTable::new();
         table.add(Address::new(0x40), u32::MAX);
         table.add(Address::new(0x40), 1);
-    }
-
-    #[test]
-    fn a_coarser_granule_is_one_entry_for_the_words_it_spans() {
-        let mut table = ObjectTable::<LIVE_OBJECT_GRANULE>::new();
-        table.set(Address::new(0x3008), 5);
-        assert_eq!(
-            table.get(Address::new(0x3000)),
-            5,
-            "a dead neighbour's leftover..."
-        );
-        table.set(Address::new(0x3000), 6);
-        assert_eq!(
-            table.get(Address::new(0x3000)),
-            6,
-            "...is overwritten by the arrival"
-        );
-        assert_eq!(table.get(Address::new(0x3010)), 0);
-        assert_eq!(table.take(Address::new(0x3008)), 6);
-        assert_eq!(table.values().count(), 0);
     }
 
     #[test]

@@ -481,11 +481,7 @@ impl KingsguardHeap {
                     // A written object was detected in PCM: move it back to
                     // DRAM and reset its write bit. Kept asymmetry: a large
                     // rescue reports no site to the retirement feedback.
-                    let site = if large {
-                        SiteId::UNKNOWN
-                    } else {
-                        self.stats.site_of(obj.address())
-                    };
+                    let site = if large { SiteId::UNKNOWN } else { self.site_of(obj) };
                     let (dst, _) = self.alloc_copy(dram_twin(from), false, size);
                     return self.evacuate(ctx, obj, dst, size, Cause::Rescue { site });
                 }
@@ -496,7 +492,7 @@ impl KingsguardHeap {
                     // to be retired. Prefer DRAM when the topology has it;
                     // otherwise a fresh PCM line or run is safe, since the
                     // fence guarantees the copy cannot land back on the page.
-                    let site = self.stats.site_of(obj.address());
+                    let site = self.site_of(obj);
                     let (dst, _) = self.alloc_copy(from, true, size);
                     return self.evacuate(ctx, obj, dst, size, Cause::DyingPage { site });
                 }
@@ -511,7 +507,7 @@ impl KingsguardHeap {
                 // rescue — while KG-W and KG-D demote every unwritten object
                 // (for KG-D, demotion is the signal that un-learns stale
                 // advice).
-                let site = self.stats.site_of(obj.address());
+                let site = self.site_of(obj);
                 if self.constraints.rescue_written_objects
                     && !written
                     && self.policy.demote_unwritten_dram(site)
@@ -567,8 +563,7 @@ impl KingsguardHeap {
         let placement = if large && ctx.kind == CollectKind::Nursery {
             SurvivorPlacement::Mature
         } else {
-            // An untracked heap tags no object, so this is the unknown site.
-            let site = self.stats.site_of(obj.address());
+            let site = self.site_of(obj);
             self.policy.survivor_placement(site, written)
         };
         let advised_dram = placement == SurvivorPlacement::AdvisedDram;
@@ -630,7 +625,7 @@ impl KingsguardHeap {
         let from = self.locate(old);
         // A nursery survivor is recorded with the site profiler.
         if let (Location::Nursery, Some(profiler)) = (from, self.profiler.as_mut()) {
-            let site = self.stats.site_of(old);
+            let site = SiteId(obj.site(&self.mem));
             if !site.is_unknown() {
                 profiler.record_nursery_survivor(site, size as u64);
             }

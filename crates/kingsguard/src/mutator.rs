@@ -221,18 +221,17 @@ impl MutatorContext {
     /// Allocates an object of `shape` tagged with its allocation `site`
     /// (alongside the `type_id`) and returns a rooted handle to it.
     ///
-    /// Site tags are tracked only while the heap has a consumer for them — a
-    /// profiling run ([`KingsguardHeap::enable_profiling`], called before the
-    /// first allocation) or a site-aware collector (KG-A, KG-D); the other
-    /// collectors skip the side-table bookkeeping on this hot path entirely.
-    /// When tracked, the tag follows the object through every copy: the
-    /// profiler aggregates per-site behaviour under it, and KG-A looks it up
-    /// in the advice table to pretenure the object when it leaves the
-    /// nursery.
+    /// The site is stored in the object's header, so it follows the object
+    /// through every copy at no extra cost: a profiling run
+    /// ([`KingsguardHeap::enable_profiling`], called before the first
+    /// allocation) aggregates per-site behaviour under it, and the
+    /// site-aware collectors (KG-A, KG-D) look it up to pretenure the object
+    /// when it leaves the nursery.
     ///
     /// # Panics
     ///
-    /// As [`MutatorContext::alloc`].
+    /// As [`MutatorContext::alloc`], and if `site` is at or above
+    /// [`SiteId::LIMIT`] (it would not fit the header).
     pub fn alloc_site(
         &mut self,
         heap: &mut KingsguardHeap,

@@ -165,15 +165,17 @@ pub struct PolicyConstraints {
     /// Large Object Optimization: give large objects a chance to die in the
     /// nursery while the large-object allocation rate outpaces the nursery's.
     pub large_object_optimization: bool,
-    /// Whether the heap must maintain the address→site side table for this
-    /// policy (per-site policies only; the others skip the hot-path
-    /// bookkeeping).
+    /// Whether the policy reads allocation sites: only then does the barrier
+    /// report mature writes to [`PlacementPolicy::on_mature_write`] and
+    /// large placement drain the store buffers first (per-site policies
+    /// only; the others skip that hot-path work). Every heap carries each
+    /// object's site in its header either way.
     pub needs_sites: bool,
 }
 
 impl PolicyConstraints {
     /// The conservative base every policy starts from: no write monitoring,
-    /// no optimizations, no site tracking, and the written-object rescue
+    /// no optimizations, no site reads, and the written-object rescue
     /// exactly when the topology has DRAM mature spaces to rescue into.
     /// Policies override fields with struct-update syntax.
     pub const fn new(topology: Topology) -> Self {
@@ -190,7 +192,7 @@ impl PolicyConstraints {
 
     /// The per-site rationing collectors (KG-A, KG-D): DRAM mature spaces
     /// without an observer space, the barrier as a first-write misprediction
-    /// detector, site tracking on.
+    /// detector, sites read.
     pub const SITE_RATIONING: PolicyConstraints = PolicyConstraints {
         barrier: BarrierMode::FirstWriteOnly,
         needs_sites: true,

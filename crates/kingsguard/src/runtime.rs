@@ -32,6 +32,9 @@ use crate::observer::{
 };
 use crate::policy::{self, BarrierMode, LargePlacement, PlacementPolicy, PolicyConstraints};
 use crate::stats::{GcStats, WriteTarget};
+
+// Every site id the API accepts fits the header's site field.
+const _: () = assert!(SiteId::LIMIT <= 1 << kingsguard_heap::SITE_BITS);
 use telemetry::{Stage, Telemetry, TelemetryReport, TouchProfile, Value};
 
 /// Where an address lives within the heap. Exposed read-only through
@@ -864,6 +867,11 @@ impl KingsguardHeap {
         type_id: u16,
         site: SiteId,
     ) -> Handle {
+        assert!(
+            site.raw() < SiteId::LIMIT,
+            "site id {} is at or above SiteId::LIMIT",
+            site.raw()
+        );
         self.mem.set_active_shard(self.mutators[m].shard);
         let size = shape.size();
         self.stats.objects_allocated += 1;
@@ -878,11 +886,8 @@ impl KingsguardHeap {
         let obj = if shape.is_large() {
             self.alloc_large(m, shape, type_id, site)
         } else {
-            self.alloc_small(m, shape, type_id)
+            self.alloc_small(m, shape, type_id, site)
         };
-        if self.tracks_sites() {
-            self.stats.record_site(obj.address(), site);
-        }
         let handle = self.roots.add(obj);
         self.emit_event(|| HeapEvent::Alloc {
             ctx: m,
@@ -896,25 +901,29 @@ impl KingsguardHeap {
         handle
     }
 
-    /// Returns `true` if this heap maintains the address→site side table:
-    /// either a profiling run is recording per-site behaviour, or the
-    /// policy needs sites for placement (KG-A, KG-D).
-    pub(crate) fn tracks_sites(&self) -> bool {
-        self.profiler.is_some() || self.constraints.needs_sites
+    /// The site `obj` was allocated at ([`SiteId::UNKNOWN`] for an untagged
+    /// object), read host-side from its header: no simulated access.
+    pub(crate) fn site_of(&self, obj: ObjectRef) -> SiteId {
+        SiteId(obj.site(&self.mem))
     }
 
     /// The TLAB allocation fast path: bump the context's private window;
     /// carve a fresh window from the nursery when it is exhausted; collect
     /// when the nursery itself cannot fit the object.
-    fn alloc_small(&mut self, m: usize, shape: ObjectShape, type_id: u16) -> ObjectRef {
+    fn alloc_small(&mut self, m: usize, shape: ObjectShape, type_id: u16, site: SiteId) -> ObjectRef {
         let size = shape.size();
         self.nursery_alloc_since_gc += size as u64;
         loop {
             self.mem.set_active_shard(self.mutators[m].shard);
             if let Some(addr) = self.mutators[m].tlab.as_mut().and_then(|tlab| tlab.alloc(size)) {
-                return self
-                    .nursery
-                    .init_object(&mut self.mem, addr, shape, type_id, Phase::Mutator);
+                return self.nursery.init_object(
+                    &mut self.mem,
+                    addr,
+                    shape,
+                    type_id,
+                    site.raw(),
+                    Phase::Mutator,
+                );
             }
             let chunk = self.mutators[m].config.tlab_bytes;
             if let Some(tlab) = self.nursery.carve_tlab(&mut self.mem, size, chunk) {
@@ -937,7 +946,10 @@ impl KingsguardHeap {
         if use_loo {
             // Give the large object a chance to die young: allocate it in the
             // nursery (Section 4.2.4).
-            if let Some(obj) = self.nursery.alloc(&mut self.mem, shape, type_id, Phase::Mutator) {
+            if let Some(obj) = self
+                .nursery
+                .alloc(&mut self.mem, shape, type_id, site.raw(), Phase::Mutator)
+            {
                 self.stats.large_objects_in_nursery += 1;
                 self.nursery_alloc_since_gc += shape.size() as u64;
                 return obj;
@@ -951,7 +963,7 @@ impl KingsguardHeap {
         // a collection, so the safepoint protocol drains all store buffers
         // first: adaptive policies must see the same barrier-event totals at
         // every decision point regardless of SSB capacities. Only
-        // site-tracking policies can observe barrier events at all
+        // site-reading policies can observe barrier events at all
         // (`on_mature_write` is gated on `needs_sites`), so the drain is
         // skipped on the static policies' hot path.
         if self.constraints.needs_sites {
@@ -963,7 +975,7 @@ impl KingsguardHeap {
             LargePlacement::AdvisedDram => {
                 let mut placed = None;
                 if let Some(los_dram) = self.los_dram.as_mut() {
-                    placed = los_dram.alloc(&mut self.mem, shape, type_id, Phase::Mutator);
+                    placed = los_dram.alloc(&mut self.mem, shape, type_id, site.raw(), Phase::Mutator);
                 }
                 if let Some(obj) = placed {
                     self.stats.advised_to_dram_objects += 1;
@@ -982,7 +994,7 @@ impl KingsguardHeap {
         self.los_alloc_since_gc += shape.size() as u64;
         if let Some(obj) = self
             .los_primary
-            .alloc(&mut self.mem, shape, type_id, Phase::Mutator)
+            .alloc(&mut self.mem, shape, type_id, site.raw(), Phase::Mutator)
         {
             return obj;
         }
@@ -990,7 +1002,7 @@ impl KingsguardHeap {
         self.mem.set_active_shard(self.mutators[m].shard);
         if let Some(obj) = self
             .los_primary
-            .alloc(&mut self.mem, shape, type_id, Phase::Mutator)
+            .alloc(&mut self.mem, shape, type_id, site.raw(), Phase::Mutator)
         {
             return obj;
         }
@@ -1182,19 +1194,14 @@ impl KingsguardHeap {
         } else {
             WriteTarget::Mature
         };
-        if target == WriteTarget::Mature {
-            if self.profiler.is_some() {
-                let site = self.stats.site_of(src.address());
-                if !site.is_unknown() {
-                    if let Some(profiler) = self.profiler.as_mut() {
-                        profiler.record_post_nursery_write(site);
-                    }
+        if target == WriteTarget::Mature && (self.profiler.is_some() || self.constraints.needs_sites) {
+            let site = self.site_of(src);
+            if !site.is_unknown() {
+                if let Some(profiler) = self.profiler.as_mut() {
+                    profiler.record_post_nursery_write(site);
                 }
-            }
-            // Write-barrier event notification for adaptive policies.
-            if self.constraints.needs_sites {
-                let site = self.stats.site_of(src.address());
-                if !site.is_unknown() {
+                // Write-barrier event notification for adaptive policies.
+                if self.constraints.needs_sites {
                     let kind = self.mem.kind_of(src.address());
                     self.policy.on_mature_write(site, kind);
                 }
@@ -1715,24 +1722,52 @@ mod tests {
         heap.collect_observer();
         heap.collect_full();
         let obj = heap.resolve(tagged);
-        assert_eq!(heap.stats().site_of(obj.address()), advice::SiteId(17));
+        assert_eq!(heap.site_of(obj), advice::SiteId(17));
     }
 
     #[test]
-    fn site_tags_are_not_tracked_without_a_consumer() {
-        // Collectors that never read sites skip the side-table bookkeeping.
-        let (mut heap, mut m) = heap(HeapConfig::kg_w());
-        assert!(!heap.tracks_sites());
-        let tagged = m.alloc_site(&mut heap, ObjectShape::new(0, 64), 1, advice::SiteId(17));
-        let obj = heap.resolve(tagged);
-        assert_eq!(heap.stats().site_of(obj.address()), advice::SiteId::UNKNOWN);
-        assert_eq!(heap.stats().object_sites.values().count(), 0);
-        // KG-A and profiling runs do track.
-        let kg_a = KingsguardHeap::new(
-            HeapConfig::kg_a(advice::AdviceTable::all_cold()),
-            MemoryConfig::architecture_independent(),
+    fn every_heap_carries_sites_without_a_consumer() {
+        // The site rides in the header, so collectors that never read it
+        // (no profiler, no site policy) still carry it through every copy.
+        for config in [HeapConfig::kg_n(), HeapConfig::kg_w()] {
+            let (mut heap, mut m) = heap(config);
+            assert!(heap.profiler.is_none() && !heap.constraints.needs_sites);
+            let small = m.alloc_site(&mut heap, ObjectShape::new(0, 64), 1, advice::SiteId(17));
+            let large = m.alloc_site(
+                &mut heap,
+                ObjectShape::primitive(16 * 1024),
+                2,
+                advice::SiteId(18),
+            );
+            let untagged = m.alloc(&mut heap, ObjectShape::new(0, 64), 3);
+            let mut collections: Vec<fn(&mut KingsguardHeap)> = vec![KingsguardHeap::collect_young];
+            if heap.observer.is_some() {
+                collections.push(KingsguardHeap::collect_observer);
+            }
+            collections.push(KingsguardHeap::collect_full);
+            for collect in collections {
+                collect(&mut heap);
+                assert_eq!(heap.site_of(heap.resolve(small)), advice::SiteId(17));
+                assert_eq!(heap.site_of(heap.resolve(large)), advice::SiteId(18));
+                assert_eq!(heap.site_of(heap.resolve(untagged)), advice::SiteId::UNKNOWN);
+            }
+            assert!(
+                !heap.nursery.in_region(heap.resolve(small).address()),
+                "the object moved"
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "at or above SiteId::LIMIT")]
+    fn a_site_id_beyond_the_header_field_is_rejected() {
+        let (mut heap, mut m) = heap(HeapConfig::kg_n());
+        m.alloc_site(
+            &mut heap,
+            ObjectShape::new(0, 64),
+            1,
+            advice::SiteId(advice::SiteId::LIMIT),
         );
-        assert!(kg_a.tracks_sites());
     }
 
     #[test]

@@ -10,7 +10,7 @@
 use advice::{SiteId, SiteTable};
 use hybrid_mem::timing::WorkCounts;
 use hybrid_mem::Address;
-use kingsguard_heap::{ObjectTable, LIVE_OBJECT_GRANULE, WORD_BYTES};
+use kingsguard_heap::ObjectTable;
 
 /// Which generation a barrier-observed application write targeted.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -129,25 +129,14 @@ pub struct GcStats {
     /// "top N %" analysis. Dense side metadata while the heap runs (see
     /// [`kingsguard_heap::side`]); [`GcStats::fold_object_tables`] empties
     /// it into [`GcStats::folded_write_counts`].
-    pub(crate) mature_object_writes: ObjectTable<WORD_BYTES>,
+    pub(crate) mature_object_writes: ObjectTable,
     /// What a finished run keeps of `mature_object_writes`: the counts
     /// alone, in ascending address order.
     folded_write_counts: Vec<u32>,
 
-    /// Allocation site of each tagged live object, keyed by the object's
-    /// *current* address (re-keyed on every move, like
-    /// `mature_object_writes`). Feeds the site profiler and the KG-A
-    /// placement decisions; objects allocated through the untagged
-    /// [`crate::MutatorContext::alloc`] entry point have no entry
-    /// ([`SiteId::UNKNOWN`] is 0, the table's "no entry"). Only the running
-    /// heap reads it, and only for live objects — which is what lets it use
-    /// the coarser granule — so a finished run drops it.
-    pub(crate) object_sites: ObjectTable<LIVE_OBJECT_GRANULE>,
-
     /// Rescues and demotions per known allocation site since the last
     /// [`crate::PlacementPolicy::on_gc_feedback`], which consumes them; the
-    /// heap clears the table right after each call. Empty unless the heap
-    /// tracks sites.
+    /// heap clears the table right after each call.
     pub site_feedback: SiteTable<SiteFeedback>,
 
     /// Heap composition samples, one per collection (Figure 13).
@@ -213,7 +202,7 @@ impl GcStats {
         }
     }
 
-    /// Re-keys the per-object write count and site tag of a moved object.
+    /// Re-keys the per-object write count of a moved object.
     pub fn object_moved(&mut self, from: Address, to: Address) {
         match self.mature_object_writes.take(from) {
             0 => {}
@@ -221,42 +210,15 @@ impl GcStats {
             // the two merge, as they would under one hash key.
             count => self.mature_object_writes.add(to, count),
         }
-        match self.object_sites.take(from) {
-            // The destination address may be recycled space previously
-            // occupied by a dead tagged object; an untagged arrival must
-            // clear that stale tag, not inherit it.
-            0 => {
-                self.object_sites.take(to);
-            }
-            site => self.object_sites.set(to, site),
-        }
     }
 
-    /// Tags the object at `addr` with its allocation site.
-    pub fn record_site(&mut self, addr: Address, site: SiteId) {
-        if !site.is_unknown() {
-            self.object_sites.set(addr, site.raw());
-        } else {
-            // The address may be recycled from a released site-tagged object;
-            // drop the stale tag rather than misattribute the newcomer.
-            self.object_sites.take(addr);
-        }
-    }
-
-    /// The allocation site of the object at `addr` ([`SiteId::UNKNOWN`] for
-    /// untagged objects).
-    pub fn site_of(&self, addr: Address) -> SiteId {
-        SiteId(self.object_sites.get(addr))
-    }
-
-    /// Shrinks the per-object tables to what a report needs — the write
-    /// counts as a flat list, no site tags — so a kept [`crate::RunReport`]
-    /// holds a few bytes per written object instead of tables spanning the
-    /// heap. Called once, by [`crate::KingsguardHeap::finish`].
+    /// Shrinks the per-object write counts to what a report needs, a flat
+    /// list, so a kept [`crate::RunReport`] holds a few bytes per written
+    /// object instead of a table spanning the heap. Called once, by
+    /// [`crate::KingsguardHeap::finish`].
     pub(crate) fn fold_object_tables(&mut self) {
         let writes = std::mem::take(&mut self.mature_object_writes);
         self.folded_write_counts.extend(writes.values());
-        self.object_sites = ObjectTable::new();
     }
 
     /// Records a rescue (PCM → DRAM) of an object from `site`.
@@ -402,37 +364,11 @@ mod tests {
                 stats.record_app_write(WriteTarget::Mature, Address::new(addr));
             }
         }
-        stats.record_site(Address::new(0x100), SiteId(3));
         let before = [0.02, 0.5, 1.0].map(|f| stats.top_mature_writer_share(f));
         stats.fold_object_tables();
         assert_eq!([0.02, 0.5, 1.0].map(|f| stats.top_mature_writer_share(f)), before);
         assert_eq!(stats.folded_write_counts, [5, 1, 2]);
         assert_eq!(stats.mature_object_writes.values().count(), 0);
-        assert_eq!(stats.site_of(Address::new(0x100)), SiteId::UNKNOWN);
-    }
-
-    #[test]
-    fn site_tags_follow_moved_objects() {
-        let mut stats = GcStats::default();
-        stats.record_site(Address::new(0x100), SiteId(7));
-        assert_eq!(stats.site_of(Address::new(0x100)), SiteId(7));
-        stats.object_moved(Address::new(0x100), Address::new(0x200));
-        assert_eq!(stats.site_of(Address::new(0x200)), SiteId(7));
-        assert_eq!(stats.site_of(Address::new(0x100)), SiteId::UNKNOWN);
-        // An untagged allocation at a recycled address clears the stale tag.
-        stats.record_site(Address::new(0x200), SiteId::UNKNOWN);
-        assert_eq!(stats.site_of(Address::new(0x200)), SiteId::UNKNOWN);
-    }
-
-    #[test]
-    fn untagged_object_copied_onto_a_dead_tagged_objects_address_clears_the_tag() {
-        let mut stats = GcStats::default();
-        // A tagged object lived (and died) at 0x500; its entry lingers.
-        stats.record_site(Address::new(0x500), SiteId(9));
-        // An untagged object is copied onto the recycled address: it must
-        // not inherit the dead object's site.
-        stats.object_moved(Address::new(0x900), Address::new(0x500));
-        assert_eq!(stats.site_of(Address::new(0x500)), SiteId::UNKNOWN);
     }
 
     #[test]

@@ -11,7 +11,6 @@
 
 use std::collections::{BTreeSet, HashMap, HashSet};
 
-use advice::SiteId;
 use hybrid_mem::{Address, MemoryConfig, MemoryKind, MemorySystem, Phase, PAGE_SIZE};
 use kingsguard::{GcStats, WriteTarget};
 use kingsguard_heap::{AddressBitmap, LargeObjectSpace, ObjectRef, RememberedSet, SpaceId};
@@ -44,7 +43,6 @@ fn pick(rng: &mut SmallRng, pool: &[Address]) -> Address {
 #[derive(Default)]
 struct HashStats {
     mature_object_writes: HashMap<u64, u64>,
-    object_sites: HashMap<u64, u32>,
 }
 
 impl HashStats {
@@ -56,32 +54,6 @@ impl HashStats {
         if let Some(count) = self.mature_object_writes.remove(&from.raw()) {
             *self.mature_object_writes.entry(to.raw()).or_insert(0) += count;
         }
-        if !self.object_sites.is_empty() {
-            match self.object_sites.remove(&from.raw()) {
-                Some(site) => {
-                    self.object_sites.insert(to.raw(), site);
-                }
-                None => {
-                    self.object_sites.remove(&to.raw());
-                }
-            }
-        }
-    }
-
-    fn record_site(&mut self, addr: Address, site: SiteId) {
-        if !site.is_unknown() {
-            self.object_sites.insert(addr.raw(), site.raw());
-        } else {
-            self.object_sites.remove(&addr.raw());
-        }
-    }
-
-    fn site_of(&self, addr: Address) -> SiteId {
-        self.object_sites
-            .get(&addr.raw())
-            .copied()
-            .map(SiteId)
-            .unwrap_or(SiteId::UNKNOWN)
     }
 
     fn top_mature_writer_share(&self, fraction: f64) -> f64 {
@@ -143,94 +115,6 @@ fn write_counts_match_the_hash_keyed_statistics_at_any_address() {
         }
         assert_eq!(dense.writes_to_mature_objects, mature_writes);
         assert!(model.mature_object_writes.len() > 500, "the pool filled up");
-    }
-}
-
-/// The site tags answer for live objects only (their table keeps one entry
-/// per 16 bytes), so this drives them the way a heap does: objects of at
-/// least a header that never overlap while alive, allocated, retagged,
-/// written, copied and left to die at any 8-aligned address, over space
-/// recycled from dead objects whose tags and counts linger.
-#[test]
-fn site_tags_match_the_hash_keyed_statistics_for_every_live_object() {
-    let pool = pool();
-    for seed in [7, 11, 0xC0FFEE] {
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let mut dense = GcStats::default();
-        let mut model = HashStats::default();
-        // Live objects as (first pool word, words), and the words they cover.
-        let mut live: Vec<(usize, usize)> = Vec::new();
-        let mut occupied = vec![false; pool.len()];
-        // A free extent of 3 to 8 words (24-byte header and up) inside one
-        // of the two pools, if the draw finds one.
-        let place = |rng: &mut SmallRng, occupied: &[bool]| {
-            let words = rng.gen_range(3..9usize);
-            let first = rng.gen_range(0..pool.len());
-            let fits = first / POOL_WORDS as usize == (first + words - 1) / POOL_WORDS as usize
-                && first + words <= occupied.len();
-            (fits && !occupied[first..first + words].contains(&true)).then_some((first, words))
-        };
-        let a_site = |rng: &mut SmallRng| SiteId(rng.gen_range(0..6u32).saturating_sub(1));
-        for step in 0..40_000 {
-            match rng.gen_range(0..16u32) {
-                // Allocation, tagged or not.
-                0..=3 => {
-                    if let Some((first, words)) = place(&mut rng, &occupied) {
-                        occupied[first..first + words].fill(true);
-                        live.push((first, words));
-                        let site = a_site(&mut rng);
-                        dense.record_site(pool[first], site);
-                        model.record_site(pool[first], site);
-                    }
-                }
-                _ if live.is_empty() => {}
-                // Death: the space is free again, the entries stay.
-                4 | 5 => {
-                    let (first, words) = live.swap_remove(rng.gen_range(0..live.len()));
-                    occupied[first..first + words].fill(false);
-                }
-                // A copy, the tag (or its absence) following the object.
-                6..=8 => {
-                    let index = rng.gen_range(0..live.len());
-                    let (from, words) = live[index];
-                    if let Some((to, _)) = place(&mut rng, &occupied).filter(|&(_, room)| room >= words) {
-                        occupied[from..from + words].fill(false);
-                        occupied[to..to + words].fill(true);
-                        live[index] = (to, words);
-                        dense.object_moved(pool[from], pool[to]);
-                        model.object_moved(pool[from], pool[to]);
-                    }
-                }
-                9 => {
-                    let (first, _) = live[rng.gen_range(0..live.len())];
-                    let site = a_site(&mut rng);
-                    dense.record_site(pool[first], site);
-                    model.record_site(pool[first], site);
-                }
-                _ => {
-                    let (first, _) = live[rng.gen_range(0..live.len())];
-                    dense.record_app_write(WriteTarget::Mature, pool[first]);
-                    model.record_mature_write(pool[first]);
-                }
-            }
-            if step % 499 == 0 || step == 39_999 {
-                for &(first, _) in &live {
-                    assert_eq!(
-                        dense.site_of(pool[first]),
-                        model.site_of(pool[first]),
-                        "seed {seed} step {step}: site of the live object at {}",
-                        pool[first]
-                    );
-                }
-                assert_same_shares(&dense, &model, &format!("seed {seed} step {step}"));
-            }
-        }
-        let stale = model.object_sites.len()
-            - live
-                .iter()
-                .filter(|(first, _)| model.object_sites.contains_key(&pool[*first].raw()))
-                .count();
-        assert!(stale > 100, "dead objects left {stale} tags behind");
     }
 }
 
