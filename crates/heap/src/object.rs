@@ -19,13 +19,10 @@
 //! (MDO): objects of 16 bytes or less keep their mark state in the header
 //! rather than in the DRAM mark-state table.
 //!
-//! The *allocation site* rides in spare status-word bits, so it travels
-//! with the object: the copy a collector makes carries it, a mark keeps it
-//! (a read-modify-write of the word), and an allocation at a recycled
-//! address overwrites whatever a dead object left there. Only the dead
-//! original loses it, when its word becomes a forwarding pointer. The heap
-//! reads it host-side ([`ObjectRef::site`]), so it costs no simulated
-//! access beyond the header store that allocation already makes.
+//! The *allocation site* rides in spare status-word bits: a copy carries
+//! it, a mark keeps it, and an allocation at a recycled address overwrites
+//! a dead object's. It is read host-side ([`ObjectRef::site`]), so it costs
+//! no simulated access beyond the header store allocation already makes.
 
 use hybrid_mem::dense::ADDRESS_SPACE;
 use hybrid_mem::{Address, MemorySystem, Phase};
@@ -84,20 +81,14 @@ const MARK_BIT: u64 = 1 << 63;
 const FORWARDED_BIT: u64 = 1 << 62;
 const SMALL_BIT: u64 = 1 << 61;
 const ADDRESS_MASK: u64 = ADDRESS_SPACE - 1;
-const _: () = assert!(
-    ADDRESS_SPACE == 1 << SITE_SHIFT,
-    "the site field starts above every address"
-);
 
 /// Width of the status word's allocation-site field: site ids below
 /// `1 << SITE_BITS` fit.
 pub const SITE_BITS: u32 = 14;
 const SITE_SHIFT: u32 = 40;
 const SITE_MASK: u64 = (1 << SITE_BITS) - 1;
-const _: () = assert!(
-    SITE_SHIFT + SITE_BITS <= 61,
-    "the site field ends below the flag bits"
-);
+// The site field lies between the forwarding pointer and the flag bits.
+const _: () = assert!(ADDRESS_SPACE == 1 << SITE_SHIFT && SITE_SHIFT + SITE_BITS <= 61);
 
 /// Shape of an object: how many reference slots and how many primitive
 /// payload bytes it has.
@@ -189,10 +180,7 @@ impl ObjectRef {
         site: u32,
         phase: Phase,
     ) {
-        debug_assert!(
-            u64::from(site) <= SITE_MASK,
-            "site {site} overflows the header field"
-        );
+        debug_assert!(u64::from(site) <= SITE_MASK, "site {site} overflows the header");
         let mut status = u64::from(site) << SITE_SHIFT;
         if shape.is_mdo_small() {
             status |= SMALL_BIT;
@@ -213,16 +201,11 @@ impl ObjectRef {
     }
 
     /// The raw id of the site this object was allocated at (0 if unknown),
-    /// read host-side from the status word: no simulated access.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the object's page is not mapped.
+    /// read host-side from the status word: no simulated access. Panics if
+    /// the object's page is unmapped.
     pub fn site(self, mem: &MemorySystem) -> u32 {
-        let status = mem
-            .peek_u64(self.0.add(STATUS_OFFSET))
-            .unwrap_or_else(|| panic!("the header of {self:?} is not mapped"));
-        status_word_site(status)
+        let addr = self.0.add(STATUS_OFFSET);
+        status_word_site(mem.peek_u64(addr).expect("a live object is mapped"))
     }
 
     /// Reads this object's type id.
@@ -311,10 +294,6 @@ impl ObjectRef {
     /// Installs a forwarding pointer to `target` in this object's header.
     pub fn set_forwarding(self, mem: &mut MemorySystem, target: ObjectRef, phase: Phase) {
         let status = self.status(mem, phase);
-        debug_assert!(
-            target.address().raw() <= ADDRESS_MASK,
-            "{target:?} is outside the address space"
-        );
         let preserved = status & SMALL_BIT;
         self.set_status(
             mem,

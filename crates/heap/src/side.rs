@@ -151,13 +151,6 @@ impl ObjectTable {
         self.entries.get(word_index(addr)).copied().unwrap_or(0)
     }
 
-    /// Sets the entry at `addr` to the non-zero `value`.
-    #[inline]
-    pub fn set(&mut self, addr: Address, value: u32) {
-        debug_assert_ne!(value, 0, "0 means no entry: use take() to clear");
-        *self.entries.entry(word_index(addr)) = value;
-    }
-
     /// Removes and returns the entry at `addr` (0 if none). Never grows the
     /// table.
     #[inline]
@@ -234,7 +227,7 @@ mod tests {
         assert_eq!(table.values().count(), 0);
         table.add(Address::new(0x2000), 2);
         table.add(Address::new(0x2000), 1);
-        table.set(Address::new(0x2008), 7);
+        table.add(Address::new(0x2008), 7);
         assert_eq!(table.get(Address::new(0x2000)), 3);
         assert_eq!(table.values().collect::<Vec<_>>(), vec![3, 7]);
         assert_eq!(table.take(Address::new(0x2000)), 3);

@@ -166,10 +166,8 @@ pub struct PolicyConstraints {
     /// nursery while the large-object allocation rate outpaces the nursery's.
     pub large_object_optimization: bool,
     /// Whether the policy reads allocation sites: only then does the barrier
-    /// report mature writes to [`PlacementPolicy::on_mature_write`] and
-    /// large placement drain the store buffers first (per-site policies
-    /// only; the others skip that hot-path work). Every heap carries each
-    /// object's site in its header either way.
+    /// report mature writes to [`PlacementPolicy::on_mature_write`] and large
+    /// placement drain the store buffers first.
     pub needs_sites: bool,
 }
 

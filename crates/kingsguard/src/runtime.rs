@@ -32,10 +32,10 @@ use crate::observer::{
 };
 use crate::policy::{self, BarrierMode, LargePlacement, PlacementPolicy, PolicyConstraints};
 use crate::stats::{GcStats, WriteTarget};
+use telemetry::{Stage, Telemetry, TelemetryReport, TouchProfile, Value};
 
 // Every site id the API accepts fits the header's site field.
 const _: () = assert!(SiteId::LIMIT <= 1 << kingsguard_heap::SITE_BITS);
-use telemetry::{Stage, Telemetry, TelemetryReport, TouchProfile, Value};
 
 /// Where an address lives within the heap. Exposed read-only through
 /// [`KingsguardHeap::location_of`] for passive inspection (the
