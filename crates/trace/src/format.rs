@@ -337,8 +337,8 @@ pub fn trace_to_bytes(trace: &Trace) -> Vec<u8> {
     }
     let checksum = fnv1a(&out);
     push_u64(&mut out, checksum);
-    // The estimate above is a floor: a trace that outgrows it doubles the
-    // buffer, and callers keep the result for a whole run.
+    // Six bytes per event underestimates the benchmark traces, so the
+    // buffer may have doubled; callers keep the result for a whole run.
     out.shrink_to_fit();
     out
 }
